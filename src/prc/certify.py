@@ -8,6 +8,11 @@ with omega an open polydisc (the only omega shape admitted in v1; the
 sub-level function Psi is never materialized).  FAIL carries a concrete
 witness point; INCONCLUSIVE arises only from subdivision-depth or node-budget
 exhaustion.
+
+Both subdivision trees of a certificate (total reality and the tube) live on
+the z-box of omega; for a graph the w polydisc enters the tube bound in
+closed form.  replay_certificate re-derives both trees from that root, so it
+checks coverage as well as every leaf.
 """
 
 from __future__ import annotations
@@ -105,15 +110,12 @@ class OmegaSpec:
             discs += [(c.real, c.imag, r) for c, r in zip(self.w_center, self.w_radii)]
         return Region(tuple(discs))
 
-    def bounding_box(self, n: int) -> ParamBox:
+    def z_box(self, n: int) -> ParamBox:
+        """Bounding box of the z polydisc: the root of both subdivisions."""
         lo, hi = [], []
         for c, r in zip(self.z_center, self.z_radii):
             lo += [c.real - r, c.imag - r]
             hi += [c.real + r, c.imag + r]
-        if self.w_center is not None:
-            for c, r in zip(self.w_center, self.w_radii):
-                lo += [c.real - r, c.imag - r]
-                hi += [c.real + r, c.imag + r]
         return ParamBox(n, lo, hi)
 
 
@@ -344,6 +346,33 @@ DEFAULT_OPTIONS = {"max_depth": 14, "margin": 1e-6, "inflation": 0.05,
                    "node_budget": 500_000}
 
 
+def validate_options(opts: dict) -> dict:
+    """Check certify options and return them with canonical types.
+
+    max_depth >= 0 and node_budget >= 1 are integers; margin lies in [0, 1)
+    and inflation is positive, both finite.  Raises ManifestError naming the
+    first bad option.
+    """
+    out = dict(opts)
+    for key, least in (("max_depth", 0), ("node_budget", 1)):
+        v = out[key]
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or not math.isfinite(v) or v != int(v) or v < least):
+            raise ManifestError(f"{key} must be an integer >= {least}, got {v!r}")
+        out[key] = int(v)
+    for key in ("margin", "inflation"):
+        v = out[key]
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ManifestError(f"{key} must be a number, got {v!r}")
+        out[key] = float(v)
+    if not 0.0 <= out["margin"] < 1.0:
+        raise ManifestError(f"margin must lie in [0, 1), got {out['margin']!r}")
+    if not 0.0 < out["inflation"] < math.inf:
+        raise ManifestError(
+            f"inflation must be positive and finite, got {out['inflation']!r}")
+    return out
+
+
 def compact_z_bbox(K: CompactSpec) -> tuple[list[float], list[float]]:
     """Bounding box of the compact's z-side parameter region."""
     if K.kind == GRAPH:
@@ -377,11 +406,7 @@ def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
 
     region = omega.region()
     z_region = Region(region.discs[:sys.n])
-    z_lo, z_hi = [], []
-    for c, r in zip(omega.z_center, omega.z_radii):
-        z_lo += [c.real - r, c.imag - r]
-        z_hi += [c.real + r, c.imag + r]
-    z_box = ParamBox(sys.n, z_lo, z_hi)
+    z_box = omega.z_box(sys.n)
 
     tr = verify_totally_real(sys, z_box, max_depth=max_depth, region=z_region,
                              threads=threads, node_budget=node_budget)
@@ -397,7 +422,7 @@ def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
 
     k_check = _check_k_in_omega(sys, K, omega, max_depth)
 
-    tube_root = verify_box(sys, omega.bounding_box(sys.n), max_depth=max_depth,
+    tube_root = verify_box(sys, z_box, max_depth=max_depth,
                            margin=margin, region=region, threads=threads,
                            node_budget=node_budget)
     tube_check = {
@@ -624,9 +649,12 @@ def omega_from_json(data: dict, kind: str) -> OmegaSpec:
         raise ManifestError(f"bad omega spec: {exc}") from exc
 
 
+CERTIFICATE_FORMAT = "prc-certificate/2"   # /2: z-only tube leaves
+
+
 def certificate_to_dict(cert: Certificate) -> dict:
     return sanitize_json({
-        "format": "prc-certificate/1",
+        "format": CERTIFICATE_FORMAT,
         "verdict": cert.verdict,
         "problem_hash": cert.problem_hash,
         "problem": cert.problem,
@@ -639,6 +667,10 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def certificate_from_dict(data: dict) -> Certificate:
+    if data.get("format") != CERTIFICATE_FORMAT:
+        raise ValueError(f"certificate format {data.get('format')!r} is not "
+                         f"{CERTIFICATE_FORMAT!r}; re-run certify")
+
     def unsan(obj):
         if isinstance(obj, dict):
             return {k: unsan(v) for k, v in obj.items()}
@@ -661,39 +693,86 @@ def certificate_from_dict(data: dict) -> Certificate:
 
 
 def replay_certificate(cert: Certificate) -> bool:
-    """Re-run every recorded leaf of a PASS certificate against fresh bounds."""
+    """Check a PASS certificate independently of the run that produced it.
+
+    Recomputes the problem hash, re-runs K in omega, and re-derives both
+    subdivision trees from the z-box of omega (see _replay_tree): every
+    recorded leaf must be reached exactly once, none may be missing or extra,
+    none may lie deeper than max_depth, and each one's bounds are recomputed.
+    Malformed content replays False.
+    """
     if cert.verdict != "PASS":
         raise ValueError("only PASS certificates replay")
+    try:
+        return _replay(cert)
+    except (KeyError, TypeError, ValueError):
+        return False
+
+
+def _replay(cert: Certificate) -> bool:
+    if manifest_hash(cert.problem) != cert.problem_hash:
+        return False
     sys_, K, _, _ = load_manifest(dict(cert.problem, options=None))
-    region = cert.omega.region()
-    z_region = Region(region.discs[:sys_.n])
-    margin = float(cert.options["margin"])
+    opts = validate_options(cert.options)
+    omega = cert.omega
+    n = sys_.n
+    if len(omega.z_radii) != n or (sys_.kind == GRAPH and len(omega.w_radii) != n):
+        return False
+    if _check_k_in_omega(sys_, K, omega, opts["max_depth"])["status"] != PROVED:
+        return False
+    region = omega.region()
+    z_box = omega.z_box(n)
     bb = _BoxBounds(sys_)
-    for leaf in cert.checks["omega_in_tube"]["leaves"]:
-        lo = [float(_parse_float_maybe(p[0])) for p in leaf["box"]]
-        hi = [float(_parse_float_maybe(p[1])) for p in leaf["box"]]
-        box = ParamBox(sys_.n, lo, hi)
-        if leaf["status"] == "OUTSIDE":
-            if not region.outside(box.lo, box.hi):
-                return False
-            continue
-        if leaf["status"] != PROVED:
+
+    def tube_holds(box: ParamBox) -> bool:
+        return rigor.check_leaf(sys_, box, opts["margin"], region)
+
+    def totally_real(box: ParamBox) -> bool:
+        return bb.m_lower(box.lo, box.hi, bb.tables_for(box.lo, box.hi)) > 0.0
+
+    return (_replay_tree(cert.checks["omega_in_tube"]["leaves"], z_box, region,
+                         opts["max_depth"], tube_holds)
+            and _replay_tree(cert.checks["totally_real"]["leaves"], z_box,
+                             Region(region.discs[:n]), opts["max_depth"],
+                             totally_real))
+
+
+def _replay_tree(leaves: list[dict], root: ParamBox, region: Region,
+                 max_depth: int, holds) -> bool:
+    """Re-derive a subdivision tree from its root and match the recorded leaves.
+
+    Walks the tree depth first, children in split order, the order in which
+    the leaves were recorded.  A node whose box misses the region must be the
+    next recorded leaf, OUTSIDE, with its unclipped box.  Any other node is
+    clipped by Region.clip; it is the next recorded leaf when that leaf has
+    the node's depth (then it must be PROVED with the clipped box, and
+    `holds` must accept the box), and is bisected by ParamBox.split when the
+    next leaf lies deeper.
+    """
+    pos = 0
+    stack = [(root, 0)]
+    while stack:
+        box, depth = stack.pop()
+        if pos == len(leaves):
+            return False  # a gap: this part of the root has no leaf
+        leaf = leaves[pos]
+        clipped = region.clip(box.lo, box.hi)
+        if clipped is not None:
+            box = ParamBox._new(box.n, *clipped)
+            if leaf["depth"] > depth:
+                if depth >= max_depth:
+                    return False
+                b1, b2 = box.split()
+                stack += [(b2, depth + 1), (b1, depth + 1)]
+                continue
+        recorded = (tuple(float(p[0]) for p in leaf["box"]),
+                    tuple(float(p[1]) for p in leaf["box"]))
+        status = "OUTSIDE" if clipped is None else PROVED
+        if ((leaf["status"], leaf["depth"], recorded) != (status, depth, (box.lo, box.hi))
+                or (clipped is not None and not holds(box))):
             return False
-        if not rigor.check_leaf(sys_, box, margin, region=None):
-            return False
-    for leaf in cert.checks["totally_real"]["leaves"]:
-        lo = [float(_parse_float_maybe(p[0])) for p in leaf["box"]]
-        hi = [float(_parse_float_maybe(p[1])) for p in leaf["box"]]
-        if leaf["status"] == "OUTSIDE":
-            if not z_region.outside(lo, hi):
-                return False
-            continue
-        if leaf["status"] != PROVED:
-            return False
-        tabs = bb.tables_for(lo, hi)
-        if not bb.m_lower(lo, hi, tabs) > 0.0:
-            return False
-    return True
+        pos += 1
+    return pos == len(leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -755,8 +834,8 @@ def _reproduce_wermer(params: dict) -> dict:
     max_depth = int(params.pop("max_depth", 30))
     margin = float(params.pop("margin", 1e-6))
     threads = int(params.pop("threads", 1))
-    # marginal radii burn the whole budget before going INCONCLUSIVE, so the
-    # search budget caps the per-probe cost; 150k is ~4x what r = 0.3 needs
+    # a cap on the cost of one search probe; near the edge the z-only tube
+    # tree ends in a proof or a witness after a few thousand nodes
     node_budget = int(params.pop("node_budget", 150_000))
     resolution = float(params.pop("resolution", 1e-3))
     if params:
@@ -798,27 +877,28 @@ def _reproduce_wermer(params: dict) -> dict:
                        inflation=inflation, threads=threads, node_budget=node_budget)
         certs[f"r={r!r}"] = _cert_summary(cert)
 
-    # binary search for the largest certifiable r at the configured depth
-    def passes(r: float) -> bool:
-        cert = certify(sys_, wermer_compact(r), max_depth=max_depth, margin=margin,
-                       inflation=inflation, threads=threads, node_budget=node_budget)
-        return cert.verdict == "PASS"
+    # binary search for the largest certifiable r at the configured depth; the
+    # report keeps the final bracket and the verdict at its upper end
+    def verdict(r: float) -> str:
+        return certify(sys_, wermer_compact(r), max_depth=max_depth, margin=margin,
+                       inflation=inflation, threads=threads,
+                       node_budget=node_budget).verdict
 
-    lo_r, hi_r = 0.0, r_max_stated
-    if passes(hi_r):
-        max_r = hi_r
-    else:
+    hi_r = lo_r = r_max_stated
+    hi_verdict = verdict(hi_r)
+    if hi_verdict != "PASS":
         if certs["r=0.3"]["verdict"] == "PASS":
             lo_r = 0.3
-        elif passes(0.05):
-            lo_r = 0.05
+        else:
+            lo_r = 0.05 if verdict(0.05) == "PASS" else 0.0
         while hi_r - lo_r > resolution:
             mid = 0.5 * (lo_r + hi_r)
-            if passes(mid):
+            v = verdict(mid)
+            if v == "PASS":
                 lo_r = mid
             else:
-                hi_r = mid
-        max_r = lo_r
+                hi_r, hi_verdict = mid, v
+    max_r = lo_r
 
     return sanitize_json({
         "example": "wermer",
@@ -842,6 +922,8 @@ def _reproduce_wermer(params: dict) -> dict:
         },
         "certifications": certs,
         "max_certifiable_r": max_r,
+        "search_bracket": {"pass_r": lo_r, "upper_r": hi_r,
+                           "upper_verdict": hi_verdict},
     })
 
 

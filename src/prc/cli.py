@@ -21,7 +21,7 @@ from . import hullprobe, trgeom
 from .certify import (DEFAULT_OPTIONS, ManifestError,
                       certificate_to_dict, certify as run_certify,
                       compact_z_bbox, load_manifest, reproduce_example,
-                      sanitize_json)
+                      sanitize_json, validate_options)
 from .trgeom import GRAPH, is_totally_real_graph, is_totally_real_submersion
 
 log = logging.getLogger("prc")
@@ -34,6 +34,8 @@ EXIT_INCONCLUSIVE = 4
 _DEG_DEFAULT = 6
 _DENSITY_DEFAULT = 64
 _ANGLES = 16
+# least admissible value of the integer flags that no library call checks
+_FLAG_MINIMA = {"threads": 1, "grid": 1, "steps": 2}
 
 
 def _setup_logging():
@@ -59,16 +61,22 @@ def _load_manifest_file(path: str):
     return load_manifest(data)
 
 
+def _check_flags(args) -> None:
+    for name, least in _FLAG_MINIMA.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise ManifestError(f"--{name} must be >= {least}, got {value}")
+
+
 def _merged_options(manifest_options: dict, args) -> dict:
+    """Certify options: defaults, then the manifest, then the flags; checked
+    once here, so no command sees a bad value."""
     opts = dict(DEFAULT_OPTIONS)
     opts.update(manifest_options)
-    if args.max_depth is not None:
-        opts["max_depth"] = args.max_depth
-    if args.margin is not None:
-        opts["margin"] = args.margin
-    if args.inflation is not None:
-        opts["inflation"] = args.inflation
-    return opts
+    for key in ("max_depth", "margin", "inflation"):
+        if getattr(args, key) is not None:
+            opts[key] = getattr(args, key)
+    return validate_options(opts)
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +117,6 @@ def cmd_tube_profile(args) -> int:
     start = _parse_point(args.ray_from, sys_.n)
     end = _parse_point(args.ray_to, sys_.n)
     steps = args.steps
-    if steps < 2:
-        raise ManifestError("--steps must be >= 2")
     zs = [tuple(s + (e - s) * t / (steps - 1) for s, e in zip(start, end))
           for t in range(steps)]
     profile = trgeom.tube_profile(sys_, zs)
@@ -150,12 +156,9 @@ def _parse_point(text: str, n: int) -> tuple[complex, ...]:
 def cmd_certify(args) -> int:
     sys_, K, omega, manifest_opts = _load_manifest_file(args.manifest)
     opts = _merged_options(manifest_opts, args)
-    cert = run_certify(sys_, K, omega,
-                            max_depth=int(opts["max_depth"]),
-                            margin=float(opts["margin"]),
-                            inflation=float(opts["inflation"]),
-                            threads=args.threads,
-                            node_budget=int(opts["node_budget"]))
+    cert = run_certify(sys_, K, omega, max_depth=opts["max_depth"],
+                       margin=opts["margin"], inflation=opts["inflation"],
+                       threads=args.threads, node_budget=opts["node_budget"])
     _dump_json(certificate_to_dict(cert), args.out)
     return {"PASS": EXIT_OK, "FAIL": EXIT_FAIL,
             "INCONCLUSIVE": EXIT_INCONCLUSIVE}[cert.verdict]
@@ -192,6 +195,7 @@ def cmd_hull_probe(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    _merged_options({}, args)  # rejects a bad --max-depth, --margin or --inflation
     params = {}
     if args.max_depth is not None:
         params["max_depth"] = args.max_depth
@@ -224,7 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--inflation", type=float, default=None)
         sp.add_argument("--degree", type=int, default=_DEG_DEFAULT)
         sp.add_argument("--density", type=int, default=_DENSITY_DEFAULT)
-        sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="worker threads (default 1; output is the same "
+                             "for every value)")
         sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("totally-real", help="grid total-reality check")
@@ -261,9 +267,8 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
+        _check_flags(args)
         return args.fn(args)
     except (ManifestError, FileNotFoundError, json.JSONDecodeError,
             ValueError) as exc:

@@ -222,14 +222,16 @@ def probe(cloud: SampleCloud, q: Sequence[complex], degree: int,
           angles: int = 16, margin: float = 0.05) -> SeparationResult:
     """Search for a degree-bounded polynomial separating q from the cloud.
 
-    Solves, for each objective angle phi_0, the LP
+    Solves the LP
 
-        max Re(e^{i phi_0} p(q))
+        max Re(p(q))
         s.t. Re(e^{i phi_a} p(s)) <= 1      for all cloud points s, all angles
 
     over the real/imag parts of the coefficients; the polygon relaxation means
     |p(s)| <= sec(pi/angles) on the cloud, and separation is declared when the
-    best objective exceeds (1 + margin) * sec(pi/angles).
+    optimum exceeds (1 + margin) * sec(pi/angles).  Multiplying the
+    coefficients by e^{i phi_a} maps the feasible set onto itself, so the
+    objectives Re(e^{i phi_a} p(q)) all share this one optimum.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -254,24 +256,18 @@ def probe(cloud: SampleCloud, q: Sequence[complex], degree: int,
     A[:, 1::2] = -rotated.imag.reshape(-1, nt)
     b = np.ones(len(A))
 
-    sec = 1.0 / math.cos(math.pi / angles)
-    best_obj = -math.inf
-    best_x = None
-    for phi0 in rot:
-        obj = np.empty(2 * nt)
-        obj[0::2] = (phi0 * qvals).real
-        obj[1::2] = -(phi0 * qvals).imag
-        res = linprog(-obj, A_ub=A, b_ub=b, bounds=(None, None), method="highs")
-        if res.status != 0:
-            raise RuntimeError(f"LP solver failed with status {res.status}: "
-                               f"{res.message}")
-        if -res.fun > best_obj:
-            best_obj = -res.fun
-            best_x = res.x
+    obj = np.empty(2 * nt)
+    obj[0::2] = qvals.real
+    obj[1::2] = -qvals.imag
+    res = linprog(-obj, A_ub=A, b_ub=b, bounds=(None, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"LP solver failed with status {res.status}: "
+                           f"{res.message}")
+    best_obj = -res.fun
 
-    coeffs = best_x[0::2] + 1j * best_x[1::2]
+    coeffs = res.x[0::2] + 1j * res.x[1::2]
     ratio = _ratio(coeffs, mvals, qvals)
-    separated = best_obj > (1.0 + margin) * sec
+    separated = best_obj > (1.0 + margin) / math.cos(math.pi / angles)
     return SeparationResult(separated=bool(separated), degree=degree,
                             coefficients=coeffs, monomials=monos, ratio=ratio,
                             angles=angles, margin=margin, objective=float(best_obj))

@@ -173,7 +173,8 @@ class Rect:
 class ParamBox:
     """Rectangular region in the real coordinates (Re z_1, Im z_1, ..., Re z_n, Im z_n).
 
-    Graph problems may carry 2n further coordinates for w, in the same layout.
+    Graph problems may carry 2n further coordinates for w, in the same layout,
+    for the bound_* functions; the tube check bisects z-boxes only.
     Immutable; `lo`/`hi` are tuples of length 2n or 4n.
     """
 
@@ -225,26 +226,12 @@ class ParamBox:
         return Rect(Interval(self.lo[2 * j], self.hi[2 * j]),
                     Interval(self.lo[2 * j + 1], self.hi[2 * j + 1]))
 
-    def w_rect(self, j: int) -> Rect:
-        if not self.has_w:
-            raise ValueError("box has no w coordinates")
-        off = 2 * self.n
-        return Rect(Interval(self.lo[off + 2 * j], self.hi[off + 2 * j]),
-                    Interval(self.lo[off + 2 * j + 1], self.hi[off + 2 * j + 1]))
-
     def center(self) -> tuple[float, ...]:
         return tuple(0.5 * (a + b) for a, b in zip(self.lo, self.hi))
 
     def z_center(self) -> tuple[complex, ...]:
         c = self.center()
         return tuple(complex(c[2 * j], c[2 * j + 1]) for j in range(self.n))
-
-    def w_center(self) -> tuple[complex, ...]:
-        if not self.has_w:
-            raise ValueError("box has no w coordinates")
-        c = self.center()
-        off = 2 * self.n
-        return tuple(complex(c[off + 2 * j], c[off + 2 * j + 1]) for j in range(self.n))
 
     def widest_coord(self) -> int:
         widths = [b - a for a, b in zip(self.lo, self.hi)]

@@ -8,14 +8,18 @@ ProblemSystem:
   enclosure of the dbar-matrix B,
 * L_upper: Frobenius-norm upper bound of the numerical radius of each Levi
   matrix enclosure,
-* residual_upper: upper bound of the residual sum (graph boxes carry the w
-  rectangles).
+* residual_upper: upper bound of the residual sum.  For a graph the w part
+  is either a rectangle per coordinate (4n-coordinate boxes) or an open disc
+  D(c, r) per coordinate over a z-box, where w is eliminated in closed form:
+  for z fixed, sup over w in D(c, r) of |w - f(z)| is |f(z) - c| + r.
 
 verify_box establishes the strict tube inclusion residual < m/(cL) on a box by
 bisection of the widest coordinate; the comparison is division-free
 (residual_upper * c * L_upper < m_lower * (1 - margin)) so an infinite radius
 needs no special casing.  An optional region (product of per-coordinate discs,
-i.e. the omega polydisc) prunes sub-boxes that lie wholly outside omega.
+i.e. the omega polydisc) prunes sub-boxes that lie wholly outside omega.  For
+a graph the bisected box holds the z coordinates only and the w discs come
+from the region, so the tree is 2n-dimensional instead of 4n-dimensional.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 _VIOLATION_GUARD = 1e-9
 _PRUNE_GUARD = 1.0 + 1e-12
+# relative pull of an analytic witness off the boundary of omega, so that it
+# lies strictly inside the open polydisc
+_WITNESS_PULL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,9 +62,10 @@ class BoundReport:
 class Region:
     """Product of per-complex-coordinate open discs (the omega polydisc).
 
-    discs[j] = (center_re, center_im, radius), aligned with the complex
-    coordinates of the boxes being verified (z coordinates first, then w for
-    graph problems).
+    discs[j] = (center_re, center_im, radius) for the complex coordinates, z
+    first, then w for graph problems.  Clipping and pruning use the discs
+    that fit the box's length, so on a z-box the w discs are left to the
+    residual bound.
     """
 
     discs: tuple[tuple[float, float, float], ...]
@@ -145,15 +153,7 @@ class _BoxBounds:
 
     def __init__(self, sys: ProblemSystem):
         self.sys = sys
-        deg = 0
-        for t in sys.tables:
-            deg = max(deg, t.value.total_degree())
-            for p in t.dzbar:
-                deg = max(deg, p.total_degree())
-            for row in t.levi:
-                for p in row:
-                    deg = max(deg, p.total_degree())
-        self.maxdeg = deg
+        self.maxdeg = sys.max_degree
 
     def tables_for(self, lo: Sequence[float], hi: Sequence[float]):
         nz = 2 * self.sys.n
@@ -220,12 +220,24 @@ class _BoxBounds:
             best = max(best, math.sqrt(fro2) * (1.0 + INFLATION))
         return best
 
-    def residual_upper(self, lo, hi, tabs) -> float:
+    def residual_upper(self, lo, hi, tabs, w_discs=None) -> float:
+        """Upper bound of the residual sum over the box.
+
+        A graph takes w from `w_discs` ((c_re, c_im, r) per coordinate, the
+        box being a z-box) or else from the w rectangles of a 4n box.  Every
+        term is a non-negative sum of correctly rounded operations, so the
+        final relative inflation covers their rounding.
+        """
         sys = self.sys
         total = 0.0
-        if sys.kind == GRAPH:
+        if sys.kind == GRAPH and w_discs is not None:
+            for t, (cx, cy, r) in zip(sys.tables, w_discs):
+                rlo, rhi, ilo, ihi = _eval_box_raw(t.value, lo, hi, tabs)
+                total += math.hypot(max(abs(rlo - cx), abs(rhi - cx)),
+                                    max(abs(ilo - cy), abs(ihi - cy))) + r
+        elif sys.kind == GRAPH:
             if len(lo) != 4 * sys.n:
-                raise ValueError("graph residual bound needs w intervals on the box")
+                raise ValueError("graph residual bound needs w intervals or w discs")
             off = 2 * sys.n
             for nu, t in enumerate(sys.tables):
                 rlo, rhi, ilo, ihi = _eval_box_raw(t.value, lo, hi, tabs)
@@ -238,6 +250,29 @@ class _BoxBounds:
             for t in sys.tables:
                 total += mag_upper(_eval_box_raw(t.value, lo, hi, tabs))
         return total * (1.0 + INFLATION)
+
+    def tube(self, lo, hi, w_discs) -> tuple[float, float, float]:
+        """(m_lower, L_upper, residual_upper) over the box."""
+        tabs = self.tables_for(lo, hi)
+        return (self.m_lower(lo, hi, tabs), self.L_upper(lo, hi, tabs),
+                self.residual_upper(lo, hi, tabs, w_discs))
+
+
+def _tube_holds(m_lo: float, L_up: float, r_up: float, c: float,
+                margin: float) -> bool:
+    """The strict, division-free tube test r_up < m_lo (1 - margin) / (c L_up)."""
+    return m_lo > 0.0 and r_up * (c * L_up) < m_lo * (1.0 - margin)
+
+
+def _w_discs(sys: ProblemSystem, box: ParamBox, region: Region | None):
+    """The omega discs of the w coordinates for a graph tube check on a z-box
+    (None for a submersion, which has no w)."""
+    if sys.kind != GRAPH:
+        return None
+    if box.has_w or region is None or len(region.discs) != 2 * sys.n:
+        raise ValueError("graph tube checks take a z-box and a region with "
+                         f"{sys.n} z discs and {sys.n} w discs")
+    return region.discs[sys.n:]
 
 
 def _radius_from(m_lower: float, L_upper: float, kind: str) -> float:
@@ -262,10 +297,17 @@ def bound_L_above(sys: ProblemSystem, box: ParamBox) -> float:
     return bb.L_upper(box.lo, box.hi, bb.tables_for(box.lo, box.hi))
 
 
-def bound_residual_above(sys: ProblemSystem, box: ParamBox) -> float:
-    """Sound upper bound of the residual sum over the box."""
+def bound_residual_above(sys: ProblemSystem, box: ParamBox,
+                         region: Region | None = None) -> float:
+    """Sound upper bound of the residual sum over the box.
+
+    A graph needs the w part: w intervals on a 4n box, or a z-box together
+    with a region whose last n discs are the w discs.
+    """
     bb = _BoxBounds(sys)
-    return bb.residual_upper(box.lo, box.hi, bb.tables_for(box.lo, box.hi))
+    w_discs = None if region is None else _w_discs(sys, box, region)
+    return bb.residual_upper(box.lo, box.hi, bb.tables_for(box.lo, box.hi),
+                             w_discs)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +371,27 @@ def _point_quantities(sys: ProblemSystem, pt: Sequence[float]) -> tuple[float, f
         L = max(L, w)
     radius = math.inf if L == 0.0 else m / (radius_factor(sys.kind) * L)
     return residual, radius
+
+
+def _tube_witness(sys: ProblemSystem, z_pt: Sequence[float],
+                  region: Region) -> dict | None:
+    """Graph FAIL witness at a z point: the w of omega farthest from F(z).
+
+    w_nu = c_nu + r_nu (1 - pull) (c_nu - f_nu(z)) / |c_nu - f_nu(z)| lies
+    strictly inside the w disc, and its residual falls short of the sup
+    |f_nu(z) - c_nu| + r_nu by the pull only.  _point_violates re-checks it.
+    """
+    n = sys.n
+    for j, (cx, cy, r) in enumerate(region.discs[:n]):
+        if math.hypot(z_pt[2 * j] - cx, z_pt[2 * j + 1] - cy) >= r * (1.0 - _WITNESS_PULL):
+            return None  # not strictly inside omega: leave it to the children
+    pt = list(z_pt)
+    for t, (cx, cy, r) in zip(sys.tables, region.discs[n:]):
+        away = complex(cx, cy) - t.value.eval_real(z_pt)
+        unit = away / abs(away) if away else 1.0
+        w = complex(cx, cy) + r * (1.0 - _WITNESS_PULL) * unit
+        pt += [w.real, w.imag]
+    return _point_violates(sys, pt)
 
 
 def _point_violates(sys: ProblemSystem, pt: Sequence[float]) -> dict | None:
@@ -404,15 +467,18 @@ def verify_box(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
                threads: int = 1, node_budget: int = 500_000) -> VerifyNode:
     """Prove residual < m/(cL) on the box (intersected with `region` if given).
 
+    For a graph, `box` is a z-box and `region` is required: its first n discs
+    clip and prune the z-box, and the residual is bounded over all w in its
+    last n discs in closed form.
+
     PROVED: the strict inequality holds with the given relative margin at
     every point of the box (or the box misses the region entirely).
-    FAILED: a sample point violating the inequality is attached as witness.
+    FAILED: a point of omega violating the inequality is attached as witness.
     INCONCLUSIVE: bisection depth (or the node budget) was exhausted.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    if sys.kind == GRAPH and not box.has_w:
-        raise ValueError("graph verification needs w intervals on the box")
+    w_discs = _w_discs(sys, box, region)
     bb = _BoxBounds(sys)
     c_factor = float(radius_factor(sys.kind))
     root = VerifyNode(box, 0)
@@ -432,13 +498,13 @@ def verify_box(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
                     # shrink to the AABB of (box intersect region); sound and
                     # kills the overhang beyond omega at the boundary
                     node.box = ParamBox._new(node.box.n, lo, hi)
-                tabs = bb.tables_for(lo, hi)
-                m_lo = bb.m_lower(lo, hi, tabs)
-                L_up = bb.L_upper(lo, hi, tabs)
-                r_up = bb.residual_upper(lo, hi, tabs)
-                if m_lo > 0.0 and r_up * (c_factor * L_up) < m_lo * (1.0 - margin):
+                m_lo, L_up, r_up = bb.tube(lo, hi, w_discs)
+                if _tube_holds(m_lo, L_up, r_up, c_factor, margin):
                     return ("proved", (m_lo, L_up, r_up), None)
-                wit = _point_violates(sys, _probe_point(node.box, region))
+                if w_discs is None:
+                    wit = _point_violates(sys, _probe_point(node.box, region))
+                else:
+                    wit = _tube_witness(sys, region.probe(lo, hi), region)
                 if wit is not None:
                     return ("failed", (m_lo, L_up, r_up), wit)
                 return ("split", (m_lo, L_up, r_up), None)
@@ -493,16 +559,16 @@ def verify_box(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
 
 def check_leaf(sys: ProblemSystem, box: ParamBox, margin: float,
                region: Region | None = None) -> bool:
-    """Recompute the bounds on a recorded leaf box and re-run the tube test."""
+    """Recompute the bounds on a recorded leaf box and re-run the tube test.
+
+    Takes the same box and region as verify_box (a z-box and omega's z and w
+    discs for a graph).
+    """
+    w_discs = _w_discs(sys, box, region)
     if region is not None and region.outside(box.lo, box.hi):
         return True
-    bb = _BoxBounds(sys)
-    tabs = bb.tables_for(box.lo, box.hi)
-    m_lo = bb.m_lower(box.lo, box.hi, tabs)
-    L_up = bb.L_upper(box.lo, box.hi, tabs)
-    r_up = bb.residual_upper(box.lo, box.hi, tabs)
-    c = float(radius_factor(sys.kind))
-    return m_lo > 0.0 and r_up * (c * L_up) < m_lo * (1.0 - margin)
+    return _tube_holds(*_BoxBounds(sys).tube(box.lo, box.hi, w_discs),
+                       float(radius_factor(sys.kind)), margin)
 
 
 # ---------------------------------------------------------------------------

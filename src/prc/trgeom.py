@@ -14,6 +14,7 @@ submersion system (2n-k real-valued functions), this module computes:
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -130,6 +131,13 @@ class ProblemSystem:
     @property
     def rows(self) -> int:
         return len(self.exprs)
+
+    @functools.cached_property
+    def max_degree(self) -> int:
+        """Largest total degree of the value, dbar and Levi polynomials: the
+        power-table depth every box bound needs."""
+        return max(p.total_degree() for t in self.tables
+                   for p in (t.value, *t.dzbar, *(q for row in t.levi for q in row)))
 
     def _check_real_valued(self):
         rng = np.random.default_rng(20240901)

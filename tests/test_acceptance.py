@@ -226,12 +226,17 @@ def test_criterion_6_wermer_certification(wermer_cert_03, wermer_cert_10,
     max_r1 = rep1["max_certifiable_r"]
     max_r2 = rep2["max_certifiable_r"]
     ok = ok and max_r1 == max_r2 and max_r1 >= 0.3
+    # the search ends between a PASS and a witnessed FAIL, not on a budget
+    bracket = rep1["search_bracket"]
+    ok = ok and bracket["pass_r"] == max_r1 and bracket["upper_verdict"] == "FAIL"
+    ok = ok and bracket["upper_r"] - max_r1 <= rep1["params"]["resolution"]
     print(f"  [6] r=0.3 verdict {cert03.verdict} in {elapsed:.1f}s; "
           f"r=1.0 {cert10.verdict} witness at z={cert10.witness['z']}")
     print(f"  [6] recomputed inf m = {inf_m:.9f} (stated: "
           f"{rep1['stated']['inf_m']}), sup L = {sup_L:.9f} (stated: "
           f"{rep1['stated']['sup_L']:.9f}) -> discrepancy flagged")
-    print(f"  [6] max certifiable r = {max_r1} (stable across reruns, >= 0.3)")
+    print(f"  [6] max certifiable r = {max_r1} (stable across reruns, >= 0.3); "
+          f"{bracket['upper_verdict']} at r = {bracket['upper_r']}")
     _report(6, ok,
             f"r=0.3 PASS in {elapsed:.1f}s (<= 60s), r=1.0 FAIL with witness, "
             f"discrepancy flagged, max r = {max_r1} >= 0.3 and rerun-stable")

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -10,6 +11,7 @@ from prc.certify import (CompactSpec, DiscRegion, BoxRegion, ManifestError,
                          problem_manifest, replay_certificate,
                          reproduce_example, suggest_omega, wermer_compact,
                          wermer_system, WERMER_F)
+from prc.trgeom import tube_radius
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +122,90 @@ def test_replay_rejects_non_pass(wermer):
     cert = certify(wermer, wermer_compact(1.0), max_depth=10)
     with pytest.raises(ValueError):
         replay_certificate(cert)
+
+
+def test_wermer_03_tube_leaf_count(wermer_pass_cert):
+    """The z-only tube tree stays small: w is not bisected."""
+    leaves = wermer_pass_cert.checks["omega_in_tube"]["leaves"]
+    assert len(leaves) <= 1000
+    assert all(len(leaf["box"]) == 2 for leaf in leaves)  # z coordinates only
+
+
+def test_proved_z_leaves_hold_on_samples(wermer, wermer_pass_cert):
+    """Monte Carlo: every 10th proved z-leaf, z sampled in the leaf and w in
+    the open w disc of omega, satisfies the strict tube inclusion."""
+    rng = np.random.default_rng(41)
+    om = wermer_pass_cert.omega
+    wc, wr = om.w_center[0], om.w_radii[0]
+    leaves = [leaf for leaf in wermer_pass_cert.checks["omega_in_tube"]["leaves"]
+              if leaf["status"] == "PROVED"]
+    for leaf in leaves[::10]:
+        (xlo, xhi), (ylo, yhi) = leaf["box"]
+        for _ in range(200):
+            z = complex(rng.uniform(xlo, xhi), rng.uniform(ylo, yhi))
+            w = wc + cmath.rect(wr * math.sqrt(rng.random()) * (1 - 1e-12),
+                                rng.uniform(0, 2 * math.pi))
+            resid = abs(complex(wermer.values_at((z,))[0]) - w)
+            assert resid < tube_radius(wermer, (z,))
+
+
+def test_wermer_033_fails_with_analytic_witness(wermer):
+    cert = certify(wermer, wermer_compact(0.33), max_depth=30, node_budget=150_000)
+    assert cert.verdict == "FAIL"
+    wit = cert.witness
+    assert wit["check"] == "omega_in_tube"
+    z = complex(*wit["z"][0])
+    w = complex(*wit["w"][0])
+    om = cert.omega
+    assert abs(z - om.z_center[0]) < om.z_radii[0]
+    assert abs(w - om.w_center[0]) < om.w_radii[0]
+    # re-verify independently of certify
+    resid = abs(complex(wermer.values_at((z,))[0]) - w)
+    assert resid >= tube_radius(wermer, (z,))
+
+
+def _pass_dict(cert):
+    return json.loads(json.dumps(certificate_to_dict(cert)))
+
+
+def test_replay_rejects_deleted_tube_leaves(wermer_pass_cert):
+    data = _pass_dict(wermer_pass_cert)
+    data["checks"]["omega_in_tube"]["leaves"] = \
+        data["checks"]["omega_in_tube"]["leaves"][:1]
+    assert replay_certificate(certificate_from_dict(data)) is False
+
+
+def test_replay_rejects_duplicated_tube_leaf(wermer_pass_cert):
+    data = _pass_dict(wermer_pass_cert)
+    leaves = data["checks"]["omega_in_tube"]["leaves"]
+    leaves.append(leaves[-1])
+    assert replay_certificate(certificate_from_dict(data)) is False
+
+
+def test_replay_rejects_k_outside_omega(wermer_pass_cert):
+    data = _pass_dict(wermer_pass_cert)
+    data["omega"]["w"]["radii"] = [0.001]
+    assert replay_certificate(certificate_from_dict(data)) is False
+
+
+def test_replay_rejects_edited_function(wermer_pass_cert):
+    data = _pass_dict(wermer_pass_cert)
+    data["problem"]["functions"] = [WERMER_F.replace("z1^2", "2*z1^2")]
+    assert replay_certificate(certificate_from_dict(data)) is False
+
+
+def test_replay_rejects_negative_margin(wermer_pass_cert):
+    data = _pass_dict(wermer_pass_cert)
+    data["options"]["margin"] = -1.0
+    assert replay_certificate(certificate_from_dict(data)) is False
+
+
+def test_certificate_format_1_rejected(wermer_pass_cert):
+    data = _pass_dict(wermer_pass_cert)
+    assert data["format"] == "prc-certificate/2"
+    data["format"] = "prc-certificate/1"
+    with pytest.raises(ValueError):
+        certificate_from_dict(data)
 
 
 # ---------------------------------------------------------------------------

@@ -249,3 +249,53 @@ def test_prc_log_env(tmp_path, monkeypatch):
     assert main(["tube-profile", path, "--ray-from", "0,0", "--ray-to", "1,0",
                  "--steps", "2", "--out", str(tmp_path / "p.csv"),
                  "--threads", "1"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# numeric options: exit 2 with a message, never a vacuous result
+# ---------------------------------------------------------------------------
+
+def test_totally_real_grid_zero_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, "w.json", _wermer_manifest())
+    out = tmp_path / "report.json"
+    assert main(["totally-real", path, "--grid", "0", "--out", str(out)]) == 2
+    assert "--grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_certify_margin_nan_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, "w.json", _wermer_manifest())
+    assert main(["certify", path, "--margin", "nan"]) == 2
+    assert "margin" in capsys.readouterr().err
+
+
+def test_certify_bad_margins_exit_2(tmp_path):
+    path = _write(tmp_path, "w.json", _wermer_manifest())
+    for bad in ("inf", "-inf", "-1e-6", "1", "1.5"):
+        assert main(["certify", path, f"--margin={bad}"]) == 2, bad
+    # the manifest's options go through the same check
+    path = _write(tmp_path, "m.json", _wermer_manifest(options={"margin": -0.5}))
+    assert main(["certify", path]) == 2
+
+
+def test_certify_bad_inflation_exit_2(tmp_path):
+    path = _write(tmp_path, "w.json", _wermer_manifest())
+    for bad in ("0", "-0.05", "nan", "inf"):
+        assert main(["certify", path, f"--inflation={bad}"]) == 2, bad
+    assert main(["reproduce", "wermer", "--inflation", "0"]) == 2
+
+
+def test_certify_negative_max_depth_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, "w.json", _wermer_manifest())
+    assert main(["certify", path, "--max-depth", "-1"]) == 2
+    assert "max_depth" in capsys.readouterr().err
+    path = _write(tmp_path, "m.json", _wermer_manifest(options={"max_depth": 2.5}))
+    assert main(["certify", path]) == 2
+
+
+def test_threads_default_is_one():
+    from prc.cli import build_parser
+
+    args = build_parser().parse_args(["certify", "m.json"])
+    assert args.threads == 1
+    assert main(["certify", "m.json", "--threads", "0"]) == 2

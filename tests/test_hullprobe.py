@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from prc.certify import BoxRegion, CompactSpec, wermer_compact
-from prc.hullprobe import (SampleCloud, fragility_check, monomial_basis, probe,
-                           sample_compact)
+from prc.hullprobe import (SampleCloud, _monomial_values, fragility_check,
+                           monomial_basis, probe, sample_compact)
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +147,31 @@ def test_wermer_far_point_separated(wermer_cloud):
     res = probe(wermer_cloud, [0j, 2 + 0j], degree=2)
     assert res.separated
     assert res.ratio >= 1.5
+
+
+def test_single_lp_matches_all_rotated_objectives(wermer):
+    """The constraint polygon is invariant under rotating the coefficients by
+    e^{2 pi i k/g}, so the one LP probe solves has the optimum of the best of
+    the g rotated objectives."""
+    cloud = sample_compact(wermer, wermer_compact(1.0), density=8)
+    q = np.array([0.1j, 1.5 + 0.2j])
+    angles = 16
+    monos = monomial_basis(2, 2)
+    mvals = _monomial_values(cloud.points, monos)
+    qvals = _monomial_values(q[None, :], monos)[0]
+    rot = np.exp(2j * np.pi * np.arange(angles) / angles)
+    rotated = (rot[None, :, None] * mvals[:, None, :]).reshape(-1, len(monos))
+    A = np.empty((len(rotated), 2 * len(monos)))
+    A[:, 0::2] = rotated.real
+    A[:, 1::2] = -rotated.imag
+    best = -np.inf
+    for phi0 in rot:
+        c = np.empty(2 * len(monos))
+        c[0::2] = (phi0 * qvals).real
+        c[1::2] = -(phi0 * qvals).imag
+        res = linprog(-c, A_ub=A, b_ub=np.ones(len(A)), bounds=(None, None),
+                      method="highs")
+        assert res.status == 0
+        best = max(best, -res.fun)
+    got = probe(cloud, q, degree=2, angles=angles).objective
+    assert abs(got - best) <= 1e-9 * abs(best)

@@ -160,59 +160,80 @@ def test_bounds_monotone_under_subdivision():
 # verify_box
 # ---------------------------------------------------------------------------
 
+def _wermer_region(wermer, width, pad):
+    """z disc of radius `width` at 0, and a w disc around the enclosure of f
+    over the z-box [-width, width]^2, `pad` wider than that enclosure."""
+    zbox = ParamBox(1, [-width, -width], [width, width])
+    fbox = RealPoly.from_expr(wermer.exprs[0], 1).eval_box(zbox)
+    cx = 0.5 * (fbox.re.lo + fbox.re.hi)
+    cy = 0.5 * (fbox.im.lo + fbox.im.hi)
+    r = 0.5 * math.hypot(fbox.re.hi - fbox.re.lo, fbox.im.hi - fbox.im.lo)
+    return zbox, Region(((0.0, 0.0, width), (cx, cy, r + pad)))
+
+
 def test_verify_wermer_inflated_graph_box(wermer):
-    width = 0.2
-    zlo, zhi = [-width, -width], [width, width]
-    fbox = RealPoly.from_expr(wermer.exprs[0], 1).eval_box(ParamBox(1, zlo, zhi))
-    pad = 0.05
-    box = ParamBox(1, zlo + [fbox.re.lo - pad, fbox.im.lo - pad],
-                   zhi + [fbox.re.hi + pad, fbox.im.hi + pad])
-    root = verify_box(wermer, box, max_depth=8)
+    box, region = _wermer_region(wermer, 0.2, 0.05)
+    root = verify_box(wermer, box, max_depth=8, region=region)
     assert root.status == PROVED
     assert root.report.depth <= 8
     # every proved leaf replays against fresh bounds
     for leaf in root.leaves():
-        assert check_leaf(wermer, leaf.box, margin=1e-6)
+        assert check_leaf(wermer, leaf.box, margin=1e-6, region=region)
 
 
 def test_verify_holomorphic_fails_with_witness():
     sys_ = ProblemSystem.graph(["z1"], 1)
-    box = ParamBox(1, [-1, -1, -1, -1], [1, 1, 1, 1])
-    root = verify_box(sys_, box, max_depth=6)
+    box = ParamBox(1, [-1, -1], [1, 1])
+    region = Region(((0.0, 0.0, 1.0), (0.0, 0.0, 1.0)))
+    root = verify_box(sys_, box, max_depth=6, region=region)
     assert root.status == FAILED
     assert root.witness is not None
     assert root.witness["residual"] >= root.witness["radius"]
+    # the witness is a point of omega
+    for (x, y), (cx, cy, r) in zip(root.witness["z"] + root.witness["w"],
+                                   region.discs):
+        assert math.hypot(x - cx, y - cy) < r
 
 
 def test_verify_depth_zero_inconclusive(wermer):
-    box = ParamBox(1, [-0.35, -0.35, -0.5, -0.5], [0.35, 0.35, 0.5, 0.5])
-    root = verify_box(wermer, box, max_depth=0)
+    box = ParamBox(1, [-0.35, -0.35], [0.35, 0.35])
+    region = Region(((0.0, 0.0, 0.35), (0.0, 0.0, 0.5)))
+    root = verify_box(wermer, box, max_depth=0, region=region)
     assert root.status == INCONCLUSIVE
 
 
 def test_verify_graph_box_needs_w(wermer):
+    zbox = ParamBox(1, [-1, -1], [1, 1])
     with pytest.raises(ValueError):
-        verify_box(wermer, ParamBox(1, [-1, -1], [1, 1]))
+        verify_box(wermer, zbox)
+    with pytest.raises(ValueError):
+        verify_box(wermer, zbox, region=Region(((0.0, 0.0, 1.0),)))
+    with pytest.raises(ValueError):  # w is not bisected any more
+        verify_box(wermer, ParamBox(1, [-1] * 4, [1] * 4),
+                   region=Region(((0.0, 0.0, 1.0), (0.0, 0.0, 1.0))))
 
 
 def test_verify_region_pruning(wermer):
     # an omega far outside the box region prunes everything
-    box = ParamBox(1, [10, 10, 10, 10], [11, 11, 11, 11])
+    box = ParamBox(1, [10, 10], [11, 11])
     region = Region(((0.0, 0.0, 0.5), (0.0, 0.0, 0.5)))
     root = verify_box(wermer, box, max_depth=3, region=region)
     assert root.status == PROVED
     assert root.outside
 
 
+def _sample_disc(rng, disc, count):
+    cx, cy, r = disc
+    rho = r * np.sqrt(rng.random(count)) * (1 - 1e-12)
+    theta = 2 * np.pi * rng.random(count)
+    return complex(cx, cy) + rho * np.exp(1j * theta)
+
+
 def test_verify_proved_leaves_hold_on_samples(wermer):
-    """Monte Carlo: no sampled point of a proved leaf violates the tube."""
+    """Monte Carlo: no sampled (z, w) of a proved leaf violates the tube."""
     rng = np.random.default_rng(33)
-    width = 0.15
-    zlo, zhi = [-width, -width], [width, width]
-    fbox = RealPoly.from_expr(wermer.exprs[0], 1).eval_box(ParamBox(1, zlo, zhi))
-    box = ParamBox(1, zlo + [fbox.re.lo - 0.03, fbox.im.lo - 0.03],
-                   zhi + [fbox.re.hi + 0.03, fbox.im.hi + 0.03])
-    root = verify_box(wermer, box, max_depth=10)
+    box, region = _wermer_region(wermer, 0.15, 0.03)
+    root = verify_box(wermer, box, max_depth=10, region=region)
     assert root.status == PROVED
     from prc.trgeom import tube_radius
 
@@ -220,25 +241,50 @@ def test_verify_proved_leaves_hold_on_samples(wermer):
     stride = max(1, len(leaves) // 10)
     for leaf in leaves[::stride]:
         xs = leaf.box.sample_uniform(rng, 1000)
-        for row in xs:
+        ws = _sample_disc(rng, region.discs[1], 1000)
+        for row, w in zip(xs, ws):
             z = (complex(row[0], row[1]),)
-            w = complex(row[2], row[3])
             resid = abs(complex(wermer.values_at(z)[0]) - w)
             assert resid < tube_radius(wermer, z)
 
 
 def test_verify_threads_match_single(wermer):
-    width = 0.2
-    zlo, zhi = [-width, -width], [width, width]
-    fbox = RealPoly.from_expr(wermer.exprs[0], 1).eval_box(ParamBox(1, zlo, zhi))
-    box = ParamBox(1, zlo + [fbox.re.lo - 0.05, fbox.im.lo - 0.05],
-                   zhi + [fbox.re.hi + 0.05, fbox.im.hi + 0.05])
-    r1 = verify_box(wermer, box, max_depth=8, threads=1)
-    r4 = verify_box(wermer, box, max_depth=8, threads=4)
+    box, region = _wermer_region(wermer, 0.3, 0.05)
+    r1 = verify_box(wermer, box, max_depth=8, region=region, threads=1)
+    r4 = verify_box(wermer, box, max_depth=8, region=region, threads=4)
     l1 = [(leaf.box.lo, leaf.box.hi, leaf.status) for leaf in r1.leaves()]
     l4 = [(leaf.box.lo, leaf.box.hi, leaf.status) for leaf in r4.leaves()]
+    assert len(l1) >= 16  # wide enough that a level reaches the pool
     assert l1 == l4
     assert r1.report == r4.report
+
+
+def test_z_only_residual_bounds_sup_over_w_disc():
+    """On random z-boxes and w discs the closed-form residual bound is at
+    least sup over the w disc of the residual, sampled in z."""
+    rng = np.random.default_rng(34)
+    checked = 0
+    while checked < 30:
+        sys_ = random_system(rng)
+        if sys_.kind != GRAPH:
+            continue
+        checked += 1
+        n = sys_.n
+        box = _random_zbox(rng, n, width=0.6)
+        wd = [(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.01, 1.5))
+              for _ in range(n)]
+        region = Region(tuple((0.0, 0.0, 10.0) for _ in range(n)) + tuple(wd))
+        r_up = bound_residual_above(sys_, box, region)
+        for row in box.sample_uniform(rng, 300):
+            z = tuple(complex(row[2 * j], row[2 * j + 1]) for j in range(n))
+            vals = sys_.values_at(z)
+            sup_w = sum(abs(vals[j] - complex(cx, cy)) + r
+                        for j, (cx, cy, r) in enumerate(wd))
+            assert sup_w <= r_up * (1 + 1e-12)
+            # and the sup is approached by points of the open w discs
+            w = [complex(cx, cy) + r * (1 - 1e-9) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                 for cx, cy, r in wd]
+            assert sum(abs(vals[j] - w[j]) for j in range(n)) <= sup_w
 
 
 # ---------------------------------------------------------------------------
