@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -148,20 +148,13 @@ def _region_bbox(regions: Sequence[DiscRegion | BoxRegion]) -> tuple[list[float]
 
 
 def _region_discs(regions: Sequence[DiscRegion | BoxRegion]) -> Region | None:
-    """Pruning region for the parameter set D (discs only; boxes are exact)."""
-    discs = []
-    any_disc = False
-    for reg in regions:
-        if isinstance(reg, DiscRegion):
-            discs.append((reg.center.real, reg.center.imag, reg.radius))
-            any_disc = True
-        else:
-            # enclosing disc of the box; never prunes more than the box itself
-            cx = 0.5 * (reg.re_lo + reg.re_hi)
-            cy = 0.5 * (reg.im_lo + reg.im_hi)
-            r = math.hypot(reg.re_hi - reg.re_lo, reg.im_hi - reg.im_lo) / 2
-            discs.append((cx, cy, max(r, 1e-300)))
-    return Region(tuple(discs)) if any_disc else None
+    """Pruning region for the parameter set D (None when D is all boxes, which
+    are exact); a box enters as its enclosing disc, which never prunes more
+    than the box itself."""
+    if not any(isinstance(reg, DiscRegion) for reg in regions):
+        return None
+    return Region(tuple((c.real, c.imag, max(r, 1e-300))
+                        for c, r in map(_enclosing_disc, regions)))
 
 
 def _enclosing_disc(reg: DiscRegion | BoxRegion) -> tuple[complex, float]:
@@ -247,7 +240,7 @@ def suggest_omega(sys: ProblemSystem, K: CompactSpec, inflation: float) -> Omega
 # ---------------------------------------------------------------------------
 
 def _check_k_in_omega(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec,
-                      max_depth: int) -> dict:
+                      max_depth: int, node_budget: int) -> dict:
     if sys.kind == SUBMERSION:
         margins = []
         for c, r, oc, orad in zip(K.cap_center, K.cap_radii,
@@ -279,62 +272,38 @@ def _check_k_in_omega(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec,
                 "witness": {"z": [[p.real, p.imag]], "coordinate": j}}
 
     # ... and F(D) inside omega_w, by adaptive enclosure refinement
-    lo, hi = _region_bbox(K.regions)
     prune = _region_discs(K.regions)
     bb = _BoxBounds(sys)
-    frontier = [(tuple(lo), tuple(hi), 0)]
-    cells_checked = 0
-    status = PROVED
-    witness = None
-    while frontier:
-        cl, ch, depth = frontier.pop()
-        if prune is not None:
-            clipped = prune.clip(cl, ch)
-            if clipped is None:
-                continue
-            cl, ch = clipped
-        cells_checked += 1
-        tabs = bb.tables_for(cl, ch)
-        contained = True
-        for t, oc, orad in zip(sys.tables, omega.w_center, omega.w_radii):
-            rlo, rhi, ilo, ihi = _eval_box_raw(t.value, cl, ch, tabs)
-            dre = max(abs(rlo - oc.real), abs(rhi - oc.real))
-            dim = max(abs(ilo - oc.imag), abs(ihi - oc.imag))
-            if math.hypot(dre, dim) >= orad:
-                contained = False
-                break
-        if contained:
-            continue
-        # pointwise check before splitting: a graph point (over a parameter
-        # inside D) outside omega_w is a definite failure
-        mid = (prune.probe(cl, ch) if prune is not None
-               else tuple(0.5 * (a + b) for a, b in zip(cl, ch)))
-        z = tuple(complex(mid[2 * j], mid[2 * j + 1]) for j in range(sys.n))
-        fv = sys.values_at(z)
-        for nu, (oc, orad) in enumerate(zip(omega.w_center, omega.w_radii)):
-            if abs(fv[nu] - oc) >= orad * (1.0 - 1e-12):
-                status = FAILED
-                witness = {"z": [[c.real, c.imag] for c in z],
-                           "w": [[float(v.real), float(v.imag)] for v in fv],
-                           "coordinate": nu}
-                frontier = []
+    w_discs = list(zip(omega.w_center, omega.w_radii))
+
+    def evaluate(box: ParamBox):
+        tabs = bb.tables_for(box.lo, box.hi)
+        for t, (oc, orad) in zip(sys.tables, w_discs):
+            rlo, rhi, ilo, ihi = _eval_box_raw(t.value, box.lo, box.hi, tabs)
+            if math.hypot(max(abs(rlo - oc.real), abs(rhi - oc.real)),
+                          max(abs(ilo - oc.imag), abs(ihi - oc.imag))) >= orad:
                 break
         else:
-            if depth >= max_depth:
-                status = INCONCLUSIVE
-                continue
-            widths = [b - a for a, b in zip(cl, ch)]
-            i = max(range(len(widths)), key=lambda t_: (widths[t_], -t_))
-            m = 0.5 * (cl[i] + ch[i])
-            l1, h1 = list(cl), list(ch)
-            l2, h2 = list(cl), list(ch)
-            h1[i] = m
-            l2[i] = m
-            frontier.append((tuple(l1), tuple(h1), depth + 1))
-            frontier.append((tuple(l2), tuple(h2), depth + 1))
-    out = {"status": status, "z_margins": z_margins, "cells_checked": cells_checked}
-    if witness is not None:
-        out["witness"] = witness
+            return PROVED, None, None
+        # pointwise check before splitting: a graph point (over a parameter
+        # inside D) outside omega_w is a definite failure
+        pt = rigor._probe_point(box, prune)
+        z = tuple(complex(pt[2 * j], pt[2 * j + 1]) for j in range(sys.n))
+        fv = sys.values_at(z)
+        for nu, (oc, orad) in enumerate(w_discs):
+            if abs(fv[nu] - oc) >= orad * (1.0 - 1e-12):
+                return FAILED, None, {"z": [[c.real, c.imag] for c in z],
+                                      "w": [[float(v.real), float(v.imag)] for v in fv],
+                                      "coordinate": nu}
+        return INCONCLUSIVE, None, None
+
+    lo, hi = _region_bbox(K.regions)
+    root = rigor.subdivide(ParamBox(sys.n, lo, hi), evaluate, max_depth,
+                           node_budget, prune, "K in omega")
+    out = {"status": root.status, "z_margins": z_margins,
+           "cells_checked": sum(not node.outside for node in root.nodes())}
+    if root.witness is not None:
+        out["witness"] = root.witness
     return out
 
 
@@ -377,11 +346,7 @@ def compact_z_bbox(K: CompactSpec) -> tuple[list[float], list[float]]:
     """Bounding box of the compact's z-side parameter region."""
     if K.kind == GRAPH:
         return _region_bbox(K.regions)
-    lo, hi = [], []
-    for c, r in zip(K.cap_center, K.cap_radii):
-        lo += [c.real - r, c.imag - r]
-        hi += [c.real + r, c.imag + r]
-    return lo, hi
+    return _region_bbox([DiscRegion(c, r) for c, r in zip(K.cap_center, K.cap_radii)])
 
 
 def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
@@ -392,13 +357,18 @@ def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
     PASS requires (a) a positive rigorous lower bound for m over the
     z-projection of omega, (b) K inside omega by enclosure, and (c) the tube
     inclusion PROVED over omega.  FAIL carries a witness point;
-    INCONCLUSIVE arises only from depth/budget exhaustion.
+    INCONCLUSIVE arises only from depth/budget exhaustion.  The options are
+    checked by validate_options.  `threads` is accepted and ignored: every
+    check runs in the calling thread, and the output never depended on it.
     """
+    opts = validate_options({"max_depth": max_depth, "margin": margin,
+                             "inflation": inflation, "node_budget": node_budget})
+    max_depth, node_budget = opts["max_depth"], opts["node_budget"]
     if K.kind != sys.kind:
         raise ManifestError(
             f"compact kind {K.kind!r} does not match system kind {sys.kind!r}")
     if omega is None:
-        omega = suggest_omega(sys, K, inflation)
+        omega = suggest_omega(sys, K, opts["inflation"])
     if sys.kind == GRAPH and omega.w_center is None:
         raise ManifestError("graph omega needs a w polydisc")
     if sys.kind == SUBMERSION and omega.w_center is not None:
@@ -409,7 +379,7 @@ def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
     z_box = omega.z_box(sys.n)
 
     tr = verify_totally_real(sys, z_box, max_depth=max_depth, region=z_region,
-                             threads=threads, node_budget=node_budget)
+                             node_budget=node_budget)
     tr_check = {
         "status": tr.status,
         "m_lower": tr.min_m_lower(),
@@ -420,14 +390,14 @@ def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
     if tr.witness is not None:
         tr_check["witness"] = tr.witness
 
-    k_check = _check_k_in_omega(sys, K, omega, max_depth)
+    k_check = _check_k_in_omega(sys, K, omega, max_depth, node_budget)
 
     tube_root = verify_box(sys, z_box, max_depth=max_depth,
-                           margin=margin, region=region, threads=threads,
+                           margin=opts["margin"], region=region,
                            node_budget=node_budget)
     tube_check = {
         "status": tube_root.status,
-        "report": _report_dict(tube_root.report),
+        "report": asdict(tube_root.report),
         "leaves": [_leaf_dict(leaf) for leaf in tube_root.leaves()],
     }
     if tube_root.witness is not None:
@@ -436,12 +406,11 @@ def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
     checks = {"totally_real": tr_check, "k_in_omega": k_check,
               "omega_in_tube": tube_check}
     statuses = [tr_check["status"], k_check["status"], tube_check["status"]]
+    witness = None
     if all(s == PROVED for s in statuses):
         verdict = "PASS"
-        witness = None
     elif FAILED in statuses:
         verdict = "FAIL"
-        witness = None
         for name in ("totally_real", "k_in_omega", "omega_in_tube"):
             w = checks[name].get("witness")
             if checks[name]["status"] == FAILED and w is not None:
@@ -450,11 +419,8 @@ def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
                 break
     else:
         verdict = "INCONCLUSIVE"
-        witness = None
 
     problem = problem_manifest(sys, K)
-    options = {"max_depth": max_depth, "margin": margin, "inflation": inflation,
-               "node_budget": node_budget}
     tolerances = {
         "epsilon_inflation_per_op": INFLATION,
         "violation_guard": 1e-9,
@@ -462,33 +428,23 @@ def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
     }
     return Certificate(verdict=verdict, problem_hash=manifest_hash(problem),
                        problem=problem, omega=omega, checks=checks,
-                       options=options, tolerances=tolerances, witness=witness)
-
-
-def _report_dict(rep: rigor.BoundReport | None) -> dict | None:
-    if rep is None:
-        return None
-    return {"m_lower": rep.m_lower, "L_upper": rep.L_upper,
-            "residual_upper": rep.residual_upper, "radius_lower": rep.radius_lower,
-            "depth": rep.depth, "leaf_count": rep.leaf_count}
+                       options=opts, tolerances=tolerances, witness=witness)
 
 
 def _leaf_dict(leaf: VerifyNode) -> dict:
     d = {"box": [list(pair) for pair in zip(leaf.box.lo, leaf.box.hi)],
          "status": "OUTSIDE" if leaf.outside else leaf.status,
          "depth": leaf.depth}
-    if not leaf.outside and leaf.report is not None:
-        d["m_lower"] = leaf.report.m_lower
-        d["L_upper"] = leaf.report.L_upper
-        d["residual_upper"] = leaf.report.residual_upper
+    if not leaf.outside:
+        d["m_lower"], d["L_upper"], d["residual_upper"] = leaf.value
     return d
 
 
-def _tr_leaf_dict(leaf) -> dict:
+def _tr_leaf_dict(leaf: VerifyNode) -> dict:
     return {"box": [list(pair) for pair in zip(leaf.box.lo, leaf.box.hi)],
             "status": "OUTSIDE" if leaf.outside else leaf.status,
             "depth": leaf.depth,
-            "m_lower": leaf.m_lower if not leaf.outside else None}
+            "m_lower": None if leaf.outside else leaf.value}
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +674,8 @@ def _replay(cert: Certificate) -> bool:
     n = sys_.n
     if len(omega.z_radii) != n or (sys_.kind == GRAPH and len(omega.w_radii) != n):
         return False
-    if _check_k_in_omega(sys_, K, omega, opts["max_depth"])["status"] != PROVED:
+    if _check_k_in_omega(sys_, K, omega, opts["max_depth"],
+                         opts["node_budget"])["status"] != PROVED:
         return False
     region = omega.region()
     z_box = omega.z_box(n)
@@ -833,7 +790,6 @@ def _reproduce_wermer(params: dict) -> dict:
     inflation = float(params.pop("inflation", 0.05))
     max_depth = int(params.pop("max_depth", 30))
     margin = float(params.pop("margin", 1e-6))
-    threads = int(params.pop("threads", 1))
     # a cap on the cost of one search probe; near the edge the z-only tube
     # tree ends in a proof or a witness after a few thousand nodes
     node_budget = int(params.pop("node_budget", 150_000))
@@ -874,15 +830,14 @@ def _reproduce_wermer(params: dict) -> dict:
     certs = {}
     for r in (0.3, 1.0):
         cert = certify(sys_, wermer_compact(r), max_depth=max_depth, margin=margin,
-                       inflation=inflation, threads=threads, node_budget=node_budget)
+                       inflation=inflation, node_budget=node_budget)
         certs[f"r={r!r}"] = _cert_summary(cert)
 
     # binary search for the largest certifiable r at the configured depth; the
     # report keeps the final bracket and the verdict at its upper end
     def verdict(r: float) -> str:
         return certify(sys_, wermer_compact(r), max_depth=max_depth, margin=margin,
-                       inflation=inflation, threads=threads,
-                       node_budget=node_budget).verdict
+                       inflation=inflation, node_budget=node_budget).verdict
 
     hi_r = lo_r = r_max_stated
     hi_verdict = verdict(hi_r)
@@ -934,7 +889,6 @@ def _reproduce_graph_over_r2(params: dict) -> dict:
     eps = float(params.pop("eps", 0.04))
     max_depth = int(params.pop("max_depth", 30))
     margin = float(params.pop("margin", 1e-6))
-    threads = int(params.pop("threads", 1))
     node_budget = int(params.pop("node_budget", 400_000))
     if params:
         raise ValueError(f"unknown graph_over_r2 params: {sorted(params)}")
@@ -949,7 +903,7 @@ def _reproduce_graph_over_r2(params: dict) -> dict:
 
     K = CompactSpec.submersion_cap((0j, 0j), (cap_radius, cap_radius))
     cert = certify(sys_, K, max_depth=max_depth, margin=margin, inflation=eps,
-                   threads=threads, node_budget=node_budget)
+                   node_budget=node_budget)
 
     return sanitize_json({
         "example": "graph_over_r2",

@@ -158,7 +158,7 @@ def cmd_certify(args) -> int:
     opts = _merged_options(manifest_opts, args)
     cert = run_certify(sys_, K, omega, max_depth=opts["max_depth"],
                        margin=opts["margin"], inflation=opts["inflation"],
-                       threads=args.threads, node_budget=opts["node_budget"])
+                       node_budget=opts["node_budget"])
     _dump_json(certificate_to_dict(cert), args.out)
     return {"PASS": EXIT_OK, "FAIL": EXIT_FAIL,
             "INCONCLUSIVE": EXIT_INCONCLUSIVE}[cert.verdict]
@@ -203,7 +203,6 @@ def cmd_reproduce(args) -> int:
         params["margin"] = args.margin
     if args.inflation is not None and args.name == "wermer":
         params["inflation"] = args.inflation
-    params["threads"] = args.threads
     report = reproduce_example(args.name, params)
     _dump_json(report, args.out)
     return EXIT_OK
@@ -229,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--degree", type=int, default=_DEG_DEFAULT)
         sp.add_argument("--density", type=int, default=_DENSITY_DEFAULT)
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads (default 1; output is the same "
-                             "for every value)")
+                        help="accepted for compatibility and ignored: every "
+                             "check runs in one thread")
         sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("totally-real", help="grid total-reality check")

@@ -18,6 +18,8 @@ from . import expr as ex
 from .intervals import INFLATION, Interval, ParamBox, Rect
 
 _TINY = 1e-300
+# most terms for which the rounding argument of _eval_box_raw holds
+MAX_TERMS = 4095
 
 
 class RealPoly:
@@ -175,8 +177,15 @@ class RealPoly:
         return self._packed
 
     def fast_terms(self):
-        """[(nonzero (var, exp) pairs, coeff_re, coeff_im)] in sorted key order."""
+        """[(nonzero (var, exp) pairs, coeff_re, coeff_im)] in sorted key order.
+
+        Raises ValueError above MAX_TERMS terms, where the sums of
+        _eval_box_raw would no longer be sound.
+        """
         if self._fast is None:
+            if len(self.terms) > MAX_TERMS:
+                raise ValueError(f"{len(self.terms)} terms: interval evaluation is "
+                                 f"sound for at most {MAX_TERMS}")
             self._fast = [
                 (tuple((v, e) for v, e in enumerate(k) if e), self.terms[k].real,
                  self.terms[k].imag)
@@ -248,7 +257,33 @@ def power_tables(lo: Sequence[float], hi: Sequence[float], max_deg: int):
 
 def _eval_box_raw(p: RealPoly, lo: Sequence[float], hi: Sequence[float],
                   tables=None) -> tuple[float, float, float, float]:
-    """Enclosure (re_lo, re_hi, im_lo, im_hi) of p over the box coordinates."""
+    """Enclosure (re_lo, re_hi, im_lo, im_hi) of p over the box coordinates.
+
+    Rounding (u = 2^-53, recursive summation bounds as in Higham, "Accuracy
+    and Stability of Numerical Algorithms", ch. 4).  Monomial products are
+    widened outward after every multiplication by INFLATION = 2^-40 of their
+    magnitude; the sums over the k terms are not.  They are sound because of
+    that slack:
+
+    * a non-constant monomial with magnitude M keeps at least
+      (2^-40 - 2u) M of slack after its own product and subtraction
+      roundings, and the product with the coefficient v costs u |v| M more,
+      so its term, of magnitude T = |v| M, brings (2^-40 - 3u) T;
+    * summing k terms from 0.0 errs by at most gamma_{k-1} sum T_i, with
+      gamma_{k-1} = (k-1)u / (1 - (k-1)u);
+    * a constant term has no slack of its own (no multiplication widens it),
+      but its magnitude enters that sum; since |c| <= |S| + sum of the other
+      T_i, where S is the computed sum, the error is at most
+      gamma_{k-1} (2 sum' T_i + |S|), sum' over the non-constant terms;
+    * the slack (2^-40 - 3u) sum' T_i and the final widening
+      (k + 1) 2^-40 |S| cover that when 2 gamma_{k-1} + 3u <= 2^-40, which
+      holds for k <= MAX_TERMS = 4095: there the left side is
+      8191u + O(u^2), and the one u to spare against 2^-40 = 8192u absorbs
+      the second-order terms dropped above.
+
+    RealPoly.fast_terms enforces that bound once per polynomial, so this
+    loop carries no check.
+    """
     fast = p.fast_terms()
     if not fast:
         return 0.0, 0.0, 0.0, 0.0

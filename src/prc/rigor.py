@@ -13,22 +13,25 @@ ProblemSystem:
   D(c, r) per coordinate over a z-box, where w is eliminated in closed form:
   for z fixed, sup over w in D(c, r) of |w - f(z)| is |f(z) - c| + r.
 
-verify_box establishes the strict tube inclusion residual < m/(cL) on a box by
-bisection of the widest coordinate; the comparison is division-free
-(residual_upper * c * L_upper < m_lower * (1 - margin)) so an infinite radius
-needs no special casing.  An optional region (product of per-coordinate discs,
-i.e. the omega polydisc) prunes sub-boxes that lie wholly outside omega.  For
-a graph the bisected box holds the z coordinates only and the w discs come
-from the region, so the tree is 2n-dimensional instead of 4n-dimensional.
+Every subdivision tree is grown by one routine, subdivide: level by level it
+clips each box to an optional region (product of per-coordinate discs, i.e.
+the omega polydisc), evaluates a per-box check, bisects the widest
+coordinate of undecided boxes, and aggregates the statuses.  verify_box
+establishes the strict tube inclusion residual < m/(cL) with it; the
+comparison is division-free (residual_upper * c * L_upper < m_lower *
+(1 - margin)) so an infinite radius needs no special casing.  For a graph
+the bisected box holds the z coordinates only and the w discs come from the
+region, so the tree is 2n-dimensional instead of 4n-dimensional.
+verify_totally_real proves m_lower > 0 with it, and certify's K-in-omega
+check uses it too.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from .intervals import INFLATION, ParamBox
 from .realpoly import _eval_box_raw, mag_upper, power_tables
@@ -124,15 +127,27 @@ class Region:
 
 @dataclass
 class VerifyNode:
-    """One node of the subdivision tree."""
+    """One node of a subdivision tree (see subdivide).
+
+    `value` is what the check evaluated on the node's clipped box: the m
+    lower bound in a totally-real tree, (m_lower, L_upper, residual_upper)
+    in a tube tree, nothing for an OUTSIDE node.  Only the root of a tube
+    tree carries a report.
+    """
 
     box: ParamBox
     depth: int
     status: str = INCONCLUSIVE
-    report: BoundReport | None = None
+    value: Any = None
     children: list["VerifyNode"] = field(default_factory=list)
     witness: dict | None = None
     outside: bool = False
+    report: BoundReport | None = None
+
+    def nodes(self) -> Iterator["VerifyNode"]:
+        yield self
+        for c in self.children:
+            yield from c.nodes()
 
     def leaves(self) -> Iterator["VerifyNode"]:
         if not self.children:
@@ -140,6 +155,18 @@ class VerifyNode:
         else:
             for c in self.children:
                 yield from c.leaves()
+
+    def leaf_count(self) -> int:
+        return sum(1 for _ in self.leaves())
+
+    def max_depth_used(self) -> int:
+        return max(leaf.depth for leaf in self.leaves())
+
+    def min_m_lower(self) -> float:
+        """Least value over the non-OUTSIDE leaves of a totally-real tree
+        (+inf when there are none)."""
+        vals = [leaf.value for leaf in self.leaves() if not leaf.outside]
+        return min(vals) if vals else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -415,56 +442,83 @@ def _point_violates(sys: ProblemSystem, pt: Sequence[float]) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive verification
+# Bisection, and the two rigor checks built on it
 # ---------------------------------------------------------------------------
 
-def _map_level(fn, items, pool: ThreadPoolExecutor | None):
-    if pool is None or len(items) < 16:
-        return [fn(x) for x in items]
-    chunk = max(1, len(items) // 64)
-    return list(pool.map(fn, items, chunksize=chunk))
+def subdivide(box: ParamBox, evaluate, max_depth: int, node_budget: int,
+              region: Region | None = None, name: str = "subdivision") -> VerifyNode:
+    """Level-synchronous bisection shared by every subdivision tree.
+
+    Each node's box is first clipped to `region` (when given): a box that
+    misses it becomes an OUTSIDE leaf (PROVED, no value), any other shrinks to
+    the bounding box of its intersection with the region, which is sound and
+    cuts the overhang at the boundary.  `evaluate(box)` then returns
+    (status, value, witness).  PROVED and FAILED nodes are leaves; an
+    INCONCLUSIVE node is bisected by ParamBox.split while it lies above
+    `max_depth` and the tree stays within `node_budget` nodes (the first
+    nodes of a level win; running out is logged once, naming the tree).  The
+    first level with a FAILED node ends the search and the tree stays partial.
+    Statuses are then aggregated bottom-up, FAILED over INCONCLUSIVE over
+    PROVED, and a FAILED node takes the witness of its first FAILED child.
+    """
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
+    root = VerifyNode(box, 0)
+    frontier = [root]
+    total_nodes = 1
+    budget_logged = False
+    while frontier:
+        undecided = []
+        failed = False
+        for node in frontier:
+            if region is not None:
+                clipped = region.clip(node.box.lo, node.box.hi)
+                if clipped is None:
+                    node.status = PROVED
+                    node.outside = True
+                    continue
+                node.box = ParamBox._new(node.box.n, *clipped)
+            node.status, node.value, node.witness = evaluate(node.box)
+            if node.status == FAILED:
+                failed = True
+            elif node.status == INCONCLUSIVE:
+                undecided.append(node)
+        if failed:
+            break  # witnesses trump further refinement
+        splittable = [node for node in undecided if node.depth < max_depth]
+        room = max(0, (node_budget - total_nodes) // 2)
+        if len(splittable) > room and not budget_logged:
+            log.warning("node budget %d exhausted in the %s tree", node_budget, name)
+            budget_logged = True
+        frontier = []
+        for node in splittable[:room]:
+            node.children = [VerifyNode(b, node.depth + 1) for b in node.box.split()]
+            frontier += node.children
+        total_nodes += len(frontier)
+    _aggregate(root)
+    return root
 
 
-def _aggregate(node: VerifyNode, kind: str) -> None:
-    """Bottom-up statuses and reports; deterministic and order-independent."""
+def _aggregate(node: VerifyNode) -> None:
+    """Bottom-up statuses and witnesses; deterministic and order-independent."""
     if not node.children:
         return
     for c in node.children:
-        _aggregate(c, kind)
+        _aggregate(c)
     statuses = [c.status for c in node.children]
     if FAILED in statuses:
         node.status = FAILED
-        for c in node.children:
-            if c.status == FAILED and c.witness is not None:
-                node.witness = c.witness
-                break
+        node.witness = next((c.witness for c in node.children
+                             if c.status == FAILED and c.witness is not None), None)
     elif INCONCLUSIVE in statuses:
         node.status = INCONCLUSIVE
     else:
         node.status = PROVED
-    m_lo = math.inf
-    L_up = 0.0
-    r_up = 0.0
-    depth = node.depth
-    leaves = 0
-    for c in node.children:
-        rep = c.report
-        if rep is None:
-            continue
-        leaves += rep.leaf_count
-        depth = max(depth, rep.depth)
-        if not c.outside:
-            m_lo = min(m_lo, rep.m_lower)
-            L_up = max(L_up, rep.L_upper)
-            r_up = max(r_up, rep.residual_upper)
-    # m_lo stays +inf for a fully pruned subtree
-    node.report = BoundReport(m_lo, L_up, r_up, _radius_from(m_lo, L_up, kind),
-                              depth, leaves)
 
 
 def verify_box(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
                margin: float = 1e-6, region: Region | None = None,
-               threads: int = 1, node_budget: int = 500_000) -> VerifyNode:
+               node_budget: int = 500_000) -> VerifyNode:
     """Prove residual < m/(cL) on the box (intersected with `region` if given).
 
     For a graph, `box` is a z-box and `region` is required: its first n discs
@@ -475,86 +529,56 @@ def verify_box(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
     every point of the box (or the box misses the region entirely).
     FAILED: a point of omega violating the inequality is attached as witness.
     INCONCLUSIVE: bisection depth (or the node budget) was exhausted.
+
+    A node's value is (m_lower, L_upper, residual_upper) over its box; the
+    root's report aggregates them over the leaves.
     """
-    if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
     w_discs = _w_discs(sys, box, region)
     bb = _BoxBounds(sys)
     c_factor = float(radius_factor(sys.kind))
-    root = VerifyNode(box, 0)
-    frontier = [root]
-    total_nodes = 1
-    failed = False
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while frontier:
-            def evaluate(node: VerifyNode):
-                lo, hi = node.box.lo, node.box.hi
-                if region is not None:
-                    clipped = region.clip(lo, hi)
-                    if clipped is None:
-                        return ("outside", None, None)
-                    lo, hi = clipped
-                    # shrink to the AABB of (box intersect region); sound and
-                    # kills the overhang beyond omega at the boundary
-                    node.box = ParamBox._new(node.box.n, lo, hi)
-                m_lo, L_up, r_up = bb.tube(lo, hi, w_discs)
-                if _tube_holds(m_lo, L_up, r_up, c_factor, margin):
-                    return ("proved", (m_lo, L_up, r_up), None)
-                if w_discs is None:
-                    wit = _point_violates(sys, _probe_point(node.box, region))
-                else:
-                    wit = _tube_witness(sys, region.probe(lo, hi), region)
-                if wit is not None:
-                    return ("failed", (m_lo, L_up, r_up), wit)
-                return ("split", (m_lo, L_up, r_up), None)
 
-            results = _map_level(evaluate, frontier, pool)
-            next_frontier: list[VerifyNode] = []
-            level_failed = False
-            for node, (kind_r, bounds, wit) in zip(frontier, results):
-                if kind_r == "outside":
-                    node.status = PROVED
-                    node.outside = True
-                    node.report = BoundReport(math.inf, 0.0, 0.0, math.inf,
-                                              node.depth, 1)
-                    continue
-                m_lo, L_up, r_up = bounds
-                node.report = BoundReport(m_lo, L_up, r_up,
-                                          _radius_from(m_lo, L_up, sys.kind),
-                                          node.depth, 1)
-                if kind_r == "proved":
-                    node.status = PROVED
-                elif kind_r == "failed":
-                    node.status = FAILED
-                    node.witness = wit
-                    level_failed = True
-                else:
-                    node.status = INCONCLUSIVE  # resolved by splitting below
-                    next_frontier.append(node)
-            failed = failed or level_failed
-            if failed:
-                break  # witnesses trump further refinement; tree stays partial
-            splittable = []
-            for node in next_frontier:
-                if node.depth >= max_depth or total_nodes + 2 > node_budget:
-                    continue
-                splittable.append(node)
-            if total_nodes + 2 * len(splittable) > node_budget:
-                log.warning("verify_box node budget %d exhausted", node_budget)
-                splittable = splittable[:max(0, (node_budget - total_nodes) // 2)]
-            frontier = []
-            for node in splittable:
-                b1, b2 = node.box.split()
-                node.children = [VerifyNode(b1, node.depth + 1),
-                                 VerifyNode(b2, node.depth + 1)]
-                frontier.extend(node.children)
-                total_nodes += 2
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    _aggregate(root, sys.kind)
+    def evaluate(b: ParamBox):
+        bounds = bb.tube(b.lo, b.hi, w_discs)
+        if _tube_holds(*bounds, c_factor, margin):
+            return PROVED, bounds, None
+        if w_discs is None:
+            wit = _point_violates(sys, _probe_point(b, region))
+        else:
+            wit = _tube_witness(sys, region.probe(b.lo, b.hi), region)
+        return (INCONCLUSIVE if wit is None else FAILED), bounds, wit
+
+    root = subdivide(box, evaluate, max_depth, node_budget, region, "tube")
+    leaves = list(root.leaves())
+    bounds = [leaf.value for leaf in leaves if not leaf.outside]
+    m_lo = min([math.inf] + [b[0] for b in bounds])
+    L_up = max([0.0] + [b[1] for b in bounds])
+    r_up = max([0.0] + [b[2] for b in bounds])
+    root.report = BoundReport(m_lo, L_up, r_up, _radius_from(m_lo, L_up, sys.kind),
+                              max(leaf.depth for leaf in leaves), len(leaves))
     return root
+
+
+def verify_totally_real(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
+                        region: Region | None = None,
+                        node_budget: int = 500_000) -> VerifyNode:
+    """Prove sigma_min(B)^2 > 0 over the z-box via the Gershgorin lower bound,
+    which is each node's value."""
+    bb = _BoxBounds(sys)
+    pointwise = is_totally_real_graph if sys.kind == GRAPH else is_totally_real_submersion
+
+    def evaluate(b: ParamBox):
+        m_lo = bb.m_lower(b.lo, b.hi, bb.tables_for(b.lo, b.hi))
+        if m_lo > 0.0:
+            return PROVED, m_lo, None
+        pt = _probe_point(b, region)
+        z = tuple(complex(pt[2 * j], pt[2 * j + 1]) for j in range(sys.n))
+        res = pointwise(sys, z)
+        if res["totally_real"]:
+            return INCONCLUSIVE, m_lo, None
+        return FAILED, m_lo, {"z": [[c.real, c.imag] for c in z],
+                              "sigma_min": res["sigma_min"]}
+
+    return subdivide(box, evaluate, max_depth, node_budget, region, "totally-real")
 
 
 def check_leaf(sys: ProblemSystem, box: ParamBox, margin: float,
@@ -569,120 +593,3 @@ def check_leaf(sys: ProblemSystem, box: ParamBox, margin: float,
         return True
     return _tube_holds(*_BoxBounds(sys).tube(box.lo, box.hi, w_discs),
                        float(radius_factor(sys.kind)), margin)
-
-
-# ---------------------------------------------------------------------------
-# Totally-real verification (m_lower > 0 over a z-region)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TotallyRealNode:
-    box: ParamBox
-    depth: int
-    status: str = INCONCLUSIVE
-    m_lower: float = 0.0
-    children: list["TotallyRealNode"] = field(default_factory=list)
-    witness: dict | None = None
-    outside: bool = False
-
-    def leaves(self) -> Iterator["TotallyRealNode"]:
-        if not self.children:
-            yield self
-        else:
-            for c in self.children:
-                yield from c.leaves()
-
-    def min_m_lower(self) -> float:
-        vals = [leaf.m_lower for leaf in self.leaves() if not leaf.outside]
-        return min(vals) if vals else math.inf
-
-    def leaf_count(self) -> int:
-        return sum(1 for _ in self.leaves())
-
-    def max_depth_used(self) -> int:
-        return max(leaf.depth for leaf in self.leaves())
-
-
-def verify_totally_real(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
-                        region: Region | None = None, threads: int = 1,
-                        node_budget: int = 500_000) -> TotallyRealNode:
-    """Prove sigma_min(B)^2 > 0 over the z-box via the Gershgorin lower bound."""
-    bb = _BoxBounds(sys)
-    root = TotallyRealNode(box, 0)
-    frontier = [root]
-    total_nodes = 1
-    failed = False
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while frontier:
-            def evaluate(node: TotallyRealNode):
-                lo, hi = node.box.lo, node.box.hi
-                if region is not None:
-                    clipped = region.clip(lo, hi)
-                    if clipped is None:
-                        return ("outside", 0.0, None)
-                    lo, hi = clipped
-                    node.box = ParamBox._new(node.box.n, lo, hi)
-                tabs = bb.tables_for(lo, hi)
-                m_lo = bb.m_lower(lo, hi, tabs)
-                if m_lo > 0.0:
-                    return ("proved", m_lo, None)
-                pt = _probe_point(node.box, region)
-                z = tuple(complex(pt[2 * j], pt[2 * j + 1]) for j in range(sys.n))
-                res = (is_totally_real_graph(sys, z) if sys.kind == GRAPH
-                       else is_totally_real_submersion(sys, z))
-                if not res["totally_real"]:
-                    wit = {"z": [[c.real, c.imag] for c in z],
-                           "sigma_min": res["sigma_min"]}
-                    return ("failed", m_lo, wit)
-                return ("split", m_lo, None)
-
-            results = _map_level(evaluate, frontier, pool)
-            next_frontier: list[TotallyRealNode] = []
-            for node, (kind_r, m_lo, wit) in zip(frontier, results):
-                node.m_lower = m_lo if kind_r != "outside" else math.inf
-                if kind_r == "outside":
-                    node.status = PROVED
-                    node.outside = True
-                elif kind_r == "proved":
-                    node.status = PROVED
-                elif kind_r == "failed":
-                    node.status = FAILED
-                    node.witness = wit
-                    failed = True
-                else:
-                    next_frontier.append(node)
-            if failed:
-                break
-            frontier = []
-            for node in next_frontier:
-                if node.depth >= max_depth or total_nodes + 2 > node_budget:
-                    continue
-                b1, b2 = node.box.split()
-                node.children = [TotallyRealNode(b1, node.depth + 1),
-                                 TotallyRealNode(b2, node.depth + 1)]
-                frontier.extend(node.children)
-                total_nodes += 2
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    _tr_aggregate(root)
-    return root
-
-
-def _tr_aggregate(node: TotallyRealNode) -> None:
-    if not node.children:
-        return
-    for c in node.children:
-        _tr_aggregate(c)
-    statuses = [c.status for c in node.children]
-    if FAILED in statuses:
-        node.status = FAILED
-        for c in node.children:
-            if c.status == FAILED and c.witness is not None:
-                node.witness = c.witness
-                break
-    elif INCONCLUSIVE in statuses:
-        node.status = INCONCLUSIVE
-    else:
-        node.status = PROVED

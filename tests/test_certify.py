@@ -1,5 +1,6 @@
 import cmath
 import json
+import logging
 import math
 
 import numpy as np
@@ -162,6 +163,52 @@ def test_wermer_033_fails_with_analytic_witness(wermer):
     # re-verify independently of certify
     resid = abs(complex(wermer.values_at((z,))[0]) - w)
     assert resid >= tube_radius(wermer, (z,))
+
+
+def _wermer_sup_abs_f(r):
+    """sup |F| over |z| <= r: F(t e^{is}) = e^{-is} (t^5 - t + i (t^3 - t)),
+    whose modulus increases in t on [0, 0.3]."""
+    return abs(complex(r ** 5 - r, r ** 3 - r))
+
+
+def test_certify_graph_k_outside_omega_w_fails_with_witness(wermer):
+    K = wermer_compact(0.3)
+    om = suggest_omega(wermer, K, 0.05)
+    omega = OmegaSpec(om.z_center, om.z_radii, om.w_center, (0.3,))
+    assert _wermer_sup_abs_f(0.3) > 0.3 + abs(om.w_center[0])
+    cert = certify(wermer, K, omega, max_depth=30)
+    assert cert.verdict == "FAIL"
+    wit = cert.witness
+    assert wit["check"] == "k_in_omega"
+    z = complex(*wit["z"][0])
+    assert abs(z) <= 0.3
+    f = complex(wermer.values_at((z,))[0])
+    assert abs(f - omega.w_center[0]) >= 0.3 * (1 - 1e-12)
+
+
+def test_k_in_omega_obeys_node_budget(wermer, caplog):
+    """F(D) fits in omega_w with a relative margin of 1e-5 only, which takes
+    well over a million cells to prove; the node budget stops the K tree."""
+    K = wermer_compact(0.3)
+    om = suggest_omega(wermer, K, 0.05)
+    omega = OmegaSpec(om.z_center, om.z_radii, (0j,),
+                      (1.00001 * _wermer_sup_abs_f(0.3),))
+    with caplog.at_level(logging.WARNING, logger="prc.rigor"):
+        cert = certify(wermer, K, omega, max_depth=30, node_budget=2000)
+    k_check = cert.checks["k_in_omega"]
+    assert k_check["status"] == "INCONCLUSIVE"
+    assert k_check["cells_checked"] <= 2000
+    assert cert.verdict == "INCONCLUSIVE"
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages.count("node budget 2000 exhausted in the K in omega tree") == 1
+
+
+@pytest.mark.parametrize("bad", [{"margin": float("nan")}, {"margin": 1.0},
+                                 {"max_depth": -1}, {"node_budget": 0},
+                                 {"inflation": 0.0}])
+def test_certify_validates_options(wermer, bad):
+    with pytest.raises(ManifestError):
+        certify(wermer, wermer_compact(0.3), **bad)
 
 
 def _pass_dict(cert):

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 from conftest import random_system, wermer_m_closed
 from prc import ProblemSystem
 from prc.intervals import ParamBox
-from prc.realpoly import RealPoly
+from prc.realpoly import MAX_TERMS, RealPoly, _eval_box_raw
 from prc.rigor import (FAILED, INCONCLUSIVE, PROVED, Region, bound_L_above,
                        bound_m_below, bound_residual_above, check_leaf,
-                       verify_box, verify_totally_real)
+                       subdivide, verify_box, verify_totally_real)
 from prc.trgeom import GRAPH, big_l_value, m_value
 
 
@@ -248,15 +249,57 @@ def test_verify_proved_leaves_hold_on_samples(wermer):
             assert resid < tube_radius(wermer, z)
 
 
-def test_verify_threads_match_single(wermer):
+def test_node_budget_exhaustion_logged_once_per_tree(wermer, caplog):
     box, region = _wermer_region(wermer, 0.3, 0.05)
-    r1 = verify_box(wermer, box, max_depth=8, region=region, threads=1)
-    r4 = verify_box(wermer, box, max_depth=8, region=region, threads=4)
-    l1 = [(leaf.box.lo, leaf.box.hi, leaf.status) for leaf in r1.leaves()]
-    l4 = [(leaf.box.lo, leaf.box.hi, leaf.status) for leaf in r4.leaves()]
-    assert len(l1) >= 16  # wide enough that a level reaches the pool
-    assert l1 == l4
-    assert r1.report == r4.report
+    with caplog.at_level(logging.WARNING, logger="prc.rigor"):
+        root = verify_box(wermer, box, max_depth=30, region=region, node_budget=51)
+    assert root.status == INCONCLUSIVE
+    assert sum(1 for _ in root.nodes()) <= 51
+    assert [r.getMessage() for r in caplog.records] == [
+        "node budget 51 exhausted in the tube tree"]
+    caplog.clear()
+    disc = Region(((0.0, 0.0, 0.75),))
+    with caplog.at_level(logging.WARNING, logger="prc.rigor"):
+        root = verify_totally_real(wermer, ParamBox(1, [-0.75] * 2, [0.75] * 2),
+                                   max_depth=30, region=disc, node_budget=3)
+    assert root.status == INCONCLUSIVE
+    assert [r.getMessage() for r in caplog.records] == [
+        "node budget 3 exhausted in the totally-real tree"]
+
+
+def test_subdivide_stops_at_first_failed_level():
+    """A FAILED node ends the search once its level is done; the root takes
+    the first failed leaf's witness.  The region clips the root to about
+    [-1, 1]^2, and boxes left of x = -0.4 fail, first at depth 3."""
+    evaluated = []
+
+    def evaluate(box):
+        evaluated.append(box)
+        if box.hi[0] < -0.4:
+            return FAILED, None, {"lo": box.lo}
+        return INCONCLUSIVE, None, None
+
+    root = subdivide(ParamBox(1, [-1, -1], [3, 1]), evaluate, 10, 1000,
+                     Region(((0.0, 0.0, 1.0),)))
+    assert root.status == FAILED
+    assert root.box.hi[0] < 1.01
+    depths = [node.depth for node in root.nodes()]
+    assert max(depths) == 3 and depths.count(3) == 8  # the whole level
+    assert len(evaluated) == len(depths) == 1 + 2 + 4 + 8
+    failed = [leaf for leaf in root.leaves() if leaf.status == FAILED]
+    assert len(failed) == 2
+    assert root.witness == failed[0].witness == {"lo": failed[0].box.lo}
+    assert failed[0].box.hi[1] <= failed[1].box.lo[1]  # the lower one first
+
+
+def test_rounding_guard_caps_term_count():
+    ok = RealPoly(1, {(e, 0): 1.0 + 0j for e in range(MAX_TERMS)})
+    assert len(ok.fast_terms()) == MAX_TERMS
+    big = RealPoly(1, {(e, 0): 1.0 + 0j for e in range(MAX_TERMS + 1)})
+    with pytest.raises(ValueError):
+        big.fast_terms()
+    with pytest.raises(ValueError):
+        _eval_box_raw(big, (0.0, 0.0), (0.5, 0.5))
 
 
 def test_z_only_residual_bounds_sup_over_w_disc():
