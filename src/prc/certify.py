@@ -28,7 +28,7 @@ import numpy as np
 
 from . import rigor
 from .intervals import INFLATION, ParamBox
-from .realpoly import _eval_box_raw
+from .realpoly import dist_upper
 from .rigor import (FAILED, INCONCLUSIVE, PROVED, Region, VerifyNode,
                     _BoxBounds, verify_box, verify_totally_real)
 from .trgeom import (GRAPH, SUBMERSION, ProblemSystem, big_l_value,
@@ -166,22 +166,19 @@ def _enclosing_disc(reg: DiscRegion | BoxRegion) -> tuple[complex, float]:
 
 def _grid_cells(lo: Sequence[float], hi: Sequence[float], per_axis: int,
                 prune: Region | None):
-    """Uniform grid cells over the box, pruned against the region."""
-    dims = len(lo)
-    steps = [(hi[i] - lo[i]) / per_axis if hi[i] > lo[i] else 0.0 for i in range(dims)]
-    idx = [0] * dims
-    while True:
-        cl = [lo[i] + idx[i] * steps[i] if steps[i] else lo[i] for i in range(dims)]
-        ch = [lo[i] + (idx[i] + 1) * steps[i] if steps[i] else hi[i] for i in range(dims)]
-        if prune is None or not prune.outside(cl, ch):
-            yield tuple(cl), tuple(ch)
-        for i in range(dims):
-            idx[i] += 1
-            if idx[i] < (per_axis if steps[i] else 1):
-                break
-            idx[i] = 0
-        else:
-            return
+    """Uniform grid cells over the box, as (cells, dims) arrays of their lower
+    and upper corners, without the cells that miss the region."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    steps = np.where(hi > lo, (hi - lo) / per_axis, 0.0)
+    flat = steps == 0.0
+    idx = np.indices([1 if f else per_axis for f in flat]).reshape(len(lo), -1).T
+    cl = np.where(flat, lo, lo + idx * steps)
+    ch = np.where(flat, hi, lo + (idx + 1) * steps)
+    if prune is not None:
+        inside = prune.clip(cl, ch)[2]
+        cl, ch = cl[inside], ch[inside]
+    return cl, ch
 
 
 def _image_grid(n: int) -> int:
@@ -216,22 +213,14 @@ def suggest_omega(sys: ProblemSystem, K: CompactSpec, inflation: float) -> Omega
         z_radii.append(r + inflation)
 
     lo, hi = _region_bbox(K.regions)
-    prune = _region_discs(K.regions)
-    cells = list(_grid_cells(lo, hi, _image_grid(sys.n), prune))
-    bounds = _BoxBounds(sys)
+    cl, ch = _grid_cells(lo, hi, _image_grid(sys.n), _region_discs(K.regions))
+    vals = _BoxBounds(sys).values(cl, ch)
     w_center, w_radii = [], []
-    for t in sys.tables:
-        rects = [_eval_box_raw(t.value, cl, ch, bounds.tables_for(cl, ch))
-                 for cl, ch in cells]
-        c = complex(0.5 * (min(r[0] for r in rects) + max(r[1] for r in rects)),
-                    0.5 * (min(r[2] for r in rects) + max(r[3] for r in rects)))
-        rad = 0.0
-        for rlo, rhi, ilo, ihi in rects:
-            dre = max(abs(rlo - c.real), abs(rhi - c.real))
-            dim = max(abs(ilo - c.imag), abs(ihi - c.imag))
-            rad = max(rad, math.hypot(dre, dim))
+    for nu in range(sys.rows):
+        rlo, rhi, ilo, ihi = vals[:, nu].T
+        c = complex(0.5 * (rlo.min() + rhi.max()), 0.5 * (ilo.min() + ihi.max()))
         w_center.append(c)
-        w_radii.append(rad + inflation)
+        w_radii.append(float(dist_upper(vals[:, nu], c.real, c.imag).max()) + inflation)
     return OmegaSpec(tuple(z_center), tuple(z_radii), tuple(w_center), tuple(w_radii))
 
 
@@ -275,27 +264,31 @@ def _check_k_in_omega(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec,
     prune = _region_discs(K.regions)
     bb = _BoxBounds(sys)
     w_discs = list(zip(omega.w_center, omega.w_radii))
+    centers = np.array(omega.w_center)
+    radii = np.array(omega.w_radii)
 
-    def evaluate(box: ParamBox):
-        tabs = bb.tables_for(box.lo, box.hi)
-        for t, (oc, orad) in zip(sys.tables, w_discs):
-            rlo, rhi, ilo, ihi = _eval_box_raw(t.value, box.lo, box.hi, tabs)
-            if math.hypot(max(abs(rlo - oc.real), abs(rhi - oc.real)),
-                          max(abs(ilo - oc.imag), abs(ihi - oc.imag))) >= orad:
-                break
-        else:
-            return PROVED, None, None
-        # pointwise check before splitting: a graph point (over a parameter
-        # inside D) outside omega_w is a definite failure
-        pt = rigor._probe_point(box, prune)
-        z = tuple(complex(pt[2 * j], pt[2 * j + 1]) for j in range(sys.n))
-        fv = sys.values_at(z)
-        for nu, (oc, orad) in enumerate(w_discs):
-            if abs(fv[nu] - oc) >= orad * (1.0 - 1e-12):
-                return FAILED, None, {"z": [[c.real, c.imag] for c in z],
-                                      "w": [[float(v.real), float(v.imag)] for v in fv],
-                                      "coordinate": nu}
-        return INCONCLUSIVE, None, None
+    def evaluate(lo, hi):
+        far = dist_upper(bb.values(lo, hi), centers.real, centers.imag) >= radii
+        out = []
+        for missed, l, h in zip(far.any(axis=1).tolist(), lo.tolist(), hi.tolist()):
+            if not missed:
+                out.append((PROVED, None, None))
+                continue
+            # pointwise check before splitting: a graph point (over a parameter
+            # inside D) outside omega_w is a definite failure
+            pt = rigor._probe_point(l, h, prune)
+            z = tuple(complex(pt[2 * j], pt[2 * j + 1]) for j in range(sys.n))
+            fv = sys.values_at(z)
+            witness = None
+            for nu, (oc, orad) in enumerate(w_discs):
+                if abs(fv[nu] - oc) >= orad * (1.0 - 1e-12):
+                    witness = {"z": [[c.real, c.imag] for c in z],
+                               "w": [[float(v.real), float(v.imag)] for v in fv],
+                               "coordinate": nu}
+                    break
+            out.append((INCONCLUSIVE, None, None) if witness is None
+                       else (FAILED, None, witness))
+        return out
 
     lo, hi = _region_bbox(K.regions)
     root = rigor.subdivide(ParamBox(sys.n, lo, hi), evaluate, max_depth,
@@ -681,11 +674,11 @@ def _replay(cert: Certificate) -> bool:
     z_box = omega.z_box(n)
     bb = _BoxBounds(sys_)
 
-    def tube_holds(box: ParamBox) -> bool:
-        return rigor.check_leaf(sys_, box, opts["margin"], region)
+    def tube_holds(lo, hi) -> bool:
+        return bool(rigor.check_leaves(sys_, lo, hi, opts["margin"], region).all())
 
-    def totally_real(box: ParamBox) -> bool:
-        return bb.m_lower(box.lo, box.hi, bb.tables_for(box.lo, box.hi)) > 0.0
+    def totally_real(lo, hi) -> bool:
+        return bool((bb.m_lower(lo, hi) > 0.0).all())
 
     return (_replay_tree(cert.checks["omega_in_tube"]["leaves"], z_box, region,
                          opts["max_depth"], tube_holds)
@@ -698,38 +691,59 @@ def _replay_tree(leaves: list[dict], root: ParamBox, region: Region,
                  max_depth: int, holds) -> bool:
     """Re-derive a subdivision tree from its root and match the recorded leaves.
 
-    Walks the tree depth first, children in split order, the order in which
-    the leaves were recorded.  A node whose box misses the region must be the
-    next recorded leaf, OUTSIDE, with its unclipped box.  Any other node is
-    clipped by Region.clip; it is the next recorded leaf when that leaf has
-    the node's depth (then it must be PROVED with the clipped box, and
-    `holds` must accept the box), and is bisected by ParamBox.split when the
-    next leaf lies deeper.
+    The leaves are recorded depth first, children in split order, so their
+    depths alone fix the shape of the tree: give a leaf at depth d the
+    weight 2^(top - d), top the deepest depth; the leaves under a node at
+    depth k are then the run of total weight 2^(top - k) that starts at the
+    node's first leaf, and its second child's run starts where the first
+    child's half of that weight is used up.  The tree is re-derived from the
+    root level by level, each level clipped in one Region.clip.  A node whose
+    box misses the region must be its run's only leaf, OUTSIDE, with its
+    unclipped box.  Any other node is clipped; it is a recorded leaf when its
+    first leaf has the node's depth (then PROVED, with the clipped box), and
+    is bisected by ParamBox.split when that leaf lies deeper.  So every
+    recorded leaf is reached exactly once, or the replay fails.  `holds(lo,
+    hi)` finally checks all the PROVED boxes in one batch.
     """
-    pos = 0
-    stack = [(root, 0)]
-    while stack:
-        box, depth = stack.pop()
-        if pos == len(leaves):
-            return False  # a gap: this part of the root has no leaf
-        leaf = leaves[pos]
-        clipped = region.clip(box.lo, box.hi)
-        if clipped is not None:
-            box = ParamBox._new(box.n, *clipped)
-            if leaf["depth"] > depth:
-                if depth >= max_depth:
-                    return False
-                b1, b2 = box.split()
-                stack += [(b2, depth + 1), (b1, depth + 1)]
-                continue
-        recorded = (tuple(float(p[0]) for p in leaf["box"]),
-                    tuple(float(p[1]) for p in leaf["box"]))
-        status = "OUTSIDE" if clipped is None else PROVED
-        if ((leaf["status"], leaf["depth"], recorded) != (status, depth, (box.lo, box.hi))
-                or (clipped is not None and not holds(box))):
-            return False
-        pos += 1
-    return pos == len(leaves)
+    depths = [leaf["depth"] for leaf in leaves]
+    if not leaves or not all(isinstance(d, int) and 0 <= d <= max_depth for d in depths):
+        return False
+    top = max(depths)
+    before, weight = [], 0  # total weight of the leaves before each leaf
+    for d in depths:
+        before.append(weight)
+        weight += 1 << (top - d)
+    if weight != 1 << top:
+        return False  # the leaves do not tile the root
+    start = {w: pos for pos, w in enumerate(before)}
+    proved = []
+    frontier = [(root, 0)]
+    depth = 0
+    while frontier:
+        lo, hi, inside = region.clip([box.lo for box, _ in frontier],
+                                     [box.hi for box, _ in frontier])
+        children = []
+        for (box, pos), keep, l, h in zip(frontier, inside.tolist(), lo.tolist(), hi.tolist()):
+            leaf = leaves[pos]
+            if keep:
+                box = ParamBox._new(box.n, tuple(l), tuple(h))
+                if depths[pos] > depth:
+                    second = start.get(before[pos] + (1 << (top - depth - 1)))
+                    if second is None:
+                        return False
+                    b1, b2 = box.split()
+                    children += [(b1, pos), (b2, second)]
+                    continue
+            recorded = (tuple(float(p[0]) for p in leaf["box"]),
+                        tuple(float(p[1]) for p in leaf["box"]))
+            status = PROVED if keep else "OUTSIDE"
+            if (leaf["status"], depths[pos], recorded) != (status, depth, (box.lo, box.hi)):
+                return False
+            if keep:
+                proved.append(box)
+        frontier = children
+        depth += 1
+    return not proved or holds([b.lo for b in proved], [b.hi for b in proved])
 
 
 # ---------------------------------------------------------------------------

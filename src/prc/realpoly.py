@@ -9,6 +9,7 @@ conj / Re / Im become coefficient operations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -18,20 +19,20 @@ from . import expr as ex
 from .intervals import INFLATION, Interval, ParamBox, Rect
 
 _TINY = 1e-300
-# most terms for which the rounding argument of _eval_box_raw holds
+# most terms per polynomial for which the rounding argument of _eval_box_raw holds
 MAX_TERMS = 4095
 
 
 class RealPoly:
     """Polynomial sum of coeff * prod(v_i^e_i) over the 2n real coordinates."""
 
-    __slots__ = ("n", "terms", "_packed", "_fast")
+    __slots__ = ("n", "terms", "_packed", "_pack")
 
     def __init__(self, n: int, terms: dict[tuple[int, ...], complex] | None = None):
         self.n = n
         self.terms: dict[tuple[int, ...], complex] = terms if terms is not None else {}
         self._packed = None
-        self._fast = None
+        self._pack = None
 
     # -- construction -------------------------------------------------------
 
@@ -176,22 +177,15 @@ class RealPoly:
             self._packed = (E, c)
         return self._packed
 
-    def fast_terms(self):
-        """[(nonzero (var, exp) pairs, coeff_re, coeff_im)] in sorted key order.
+    def pack(self) -> TermPack:
+        """This polynomial alone, laid out for _eval_box_raw (cached).
 
         Raises ValueError above MAX_TERMS terms, where the sums of
         _eval_box_raw would no longer be sound.
         """
-        if self._fast is None:
-            if len(self.terms) > MAX_TERMS:
-                raise ValueError(f"{len(self.terms)} terms: interval evaluation is "
-                                 f"sound for at most {MAX_TERMS}")
-            self._fast = [
-                (tuple((v, e) for v, e in enumerate(k) if e), self.terms[k].real,
-                 self.terms[k].imag)
-                for k in sorted(self.terms)
-            ]
-        return self._fast
+        if self._pack is None:
+            self._pack = TermPack((self,))
+        return self._pack
 
     def eval_real(self, xs: Sequence[float]) -> complex:
         """Evaluate at a real-coordinate point (x_1, y_1, ..., x_n, y_n)."""
@@ -223,47 +217,134 @@ class RealPoly:
 
     def eval_box(self, box: ParamBox) -> Rect:
         """Sound rectangle enclosure over the box (first 2n coordinates)."""
-        rlo, rhi, ilo, ihi = _eval_box_raw(self, box.lo, box.hi)
+        rlo, rhi, ilo, ihi = _eval_box_raw(self.pack(), [box.lo], [box.hi])[0, 0].tolist()
         return Rect(Interval(rlo, rhi), Interval(ilo, ihi))
 
 
 # ---------------------------------------------------------------------------
-# Raw float-pair interval kernels (hot path for the rigor module)
+# Batched interval kernels (hot path for the rigor module)
+#
+# Every kernel takes `lo`, `hi` arrays of shape (boxes, coordinates) and
+# evaluates all boxes at once, in the operation order of a loop over one box,
+# so each box's bounds are bit-identical however the boxes are batched:
+#
+# * sums run left to right (a loop over the terms, or np.cumsum along the
+#   summed axis; never the pairwise np.sum);
+# * powers and magnitudes go through Python's float ** int and math.hypot
+#   element by element, since numpy's ** and np.hypot may differ from them in
+#   the last bit;
+# * np.minimum / np.maximum stand for comparisons whose ties only differ in
+#   the sign of a zero, where no later step can see that sign (it is squared,
+#   taken in absolute value, or followed by subtracting a positive widening).
 # ---------------------------------------------------------------------------
 
-def _pow_pair(lo: float, hi: float, k: int) -> tuple[float, float]:
-    if k == 0:
-        return 1.0, 1.0
-    if k == 1:
-        return lo, hi
-    if k % 2 == 0:
-        m = max(abs(lo), abs(hi))
-        if lo <= 0.0 <= hi:
-            mn = 0.0
-        else:
-            mn = min(abs(lo), abs(hi))
-        a, b = mn ** k, m ** k
-    else:
-        a, b = lo ** k, hi ** k
-    d = INFLATION * max(abs(a), abs(b)) + _TINY
-    return a - d, b + d
+def _pow(x: np.ndarray, k: int) -> np.ndarray:
+    """x ** k element by element, exactly as Python's float ** int."""
+    return np.fromiter(map(pow, x.ravel().tolist(), itertools.repeat(k)),
+                       float, x.size).reshape(x.shape)
 
 
-def power_tables(lo: Sequence[float], hi: Sequence[float], max_deg: int):
-    """tables[v][k] = interval enclosure of coordinate v to the power k."""
-    return [[_pow_pair(lo[v], hi[v], k) for k in range(max_deg + 1)]
-            for v in range(len(lo))]
+def hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """math.hypot element by element."""
+    return np.fromiter(map(math.hypot, x.ravel().tolist(), y.ravel().tolist()),
+                       float, x.size).reshape(x.shape)
 
 
-def _eval_box_raw(p: RealPoly, lo: Sequence[float], hi: Sequence[float],
-                  tables=None) -> tuple[float, float, float, float]:
-    """Enclosure (re_lo, re_hi, im_lo, im_hi) of p over the box coordinates.
+def sequential_sum(x: np.ndarray, axis: int) -> np.ndarray:
+    """Left-to-right sum along `axis`, the order of a scalar accumulation."""
+    return np.take(np.cumsum(x, axis=axis), -1, axis=axis)
+
+
+def power_tables(lo: np.ndarray, hi: np.ndarray, max_deg: int):
+    """(tlo, thi) of shape (boxes, coordinates, max_deg + 1): the enclosure
+    of coordinate v to the power k is [tlo[:, v, k], thi[:, v, k]].
+
+    Powers from 2 on are widened outward by INFLATION of their magnitude;
+    even powers of an interval straddling 0 start at 0.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    tlo = np.empty(lo.shape + (max_deg + 1,))
+    thi = np.empty_like(tlo)
+    tlo[..., 0] = thi[..., 0] = 1.0
+    if max_deg >= 1:
+        tlo[..., 1] = lo
+        thi[..., 1] = hi
+    if max_deg >= 2:
+        alo, ahi = np.abs(lo), np.abs(hi)
+        mag = np.maximum(alo, ahi)
+        mig = np.where((lo <= 0.0) & (0.0 <= hi), 0.0, np.minimum(alo, ahi))
+        for k in range(2, max_deg + 1):
+            tlo[..., k] = _pow(mig if k % 2 == 0 else lo, k)
+            thi[..., k] = _pow(mag if k % 2 == 0 else hi, k)
+        d = INFLATION * np.maximum(np.abs(tlo[..., 2:]), np.abs(thi[..., 2:])) + _TINY
+        tlo[..., 2:] -= d
+        thi[..., 2:] += d
+    return tlo, thi
+
+
+class TermPack:
+    """The terms of a list of RealPolys, laid out for _eval_box_raw.
+
+    Terms are ordered by their number of factors, most first, so that factor
+    step s of the monomial products runs over a prefix of them: `steps[s]`
+    holds that prefix's (variable, exponent) of factor s.  Column t of
+    `coeffs` holds (re, im) of term t.  The term contributions of a box are
+    laid out in four blocks of `size` columns and a zero (real lower,
+    imaginary lower, real upper, imaginary upper bounds); `gather[p, c]`
+    lists the columns summed into component c = (re_lo, re_hi, im_lo, im_hi)
+    of polynomial p, in p's sorted term order, padded with zeros.  A term
+    with a zero real (imaginary) coefficient takes no part in the real
+    (imaginary) sums.
+    """
+
+    __slots__ = ("dims", "max_degree", "size", "steps", "coeffs", "gather",
+                 "widen", "empty")
+
+    def __init__(self, polys: Sequence[RealPoly]):
+        terms = []  # (factors, re, im, polynomial)
+        for i, p in enumerate(polys):
+            if len(p.terms) > MAX_TERMS:
+                raise ValueError(f"{len(p.terms)} terms: interval evaluation is "
+                                 f"sound for at most {MAX_TERMS}")
+            for key in sorted(p.terms):
+                c = p.terms[key]
+                terms.append(([(v, e) for v, e in enumerate(key) if e], c.real, c.imag, i))
+        order = sorted(range(len(terms)), key=lambda t: -len(terms[t][0]))
+        column = {t: col for col, t in enumerate(order)}
+        size = len(terms)
+        self.dims = 2 * polys[0].n
+        self.max_degree = max(p.total_degree() for p in polys)
+        self.size = size
+        self.steps = []
+        for s in range(len(terms[order[0]][0]) if terms else 0):
+            factors = [terms[t][0][s] for t in order if len(terms[t][0]) > s]
+            self.steps.append((np.array([v for v, _ in factors], dtype=np.intp),
+                               np.array([e for _, e in factors], dtype=np.intp)))
+        self.coeffs = np.array([[terms[t][1] for t in order],
+                                [terms[t][2] for t in order]])
+        lists = []
+        for i in range(len(polys)):
+            mine = [t for t in range(size) if terms[t][3] == i]
+            for block, part in ((0, 1), (2, 1), (1, 2), (3, 2)):
+                lists.append([block * (size + 1) + column[t] for t in mine if terms[t][part]])
+        width = max(map(len, lists))
+        self.gather = np.array([cols + [size] * (width - len(cols)) for cols in lists],
+                               dtype=np.intp).reshape(len(polys), 4, width)
+        self.widen = INFLATION * (np.array([len(p.terms) for p in polys], dtype=float) + 1)
+        self.empty = np.array([not p.terms for p in polys])
+
+
+def _eval_box_raw(pack: TermPack, lo, hi) -> np.ndarray:
+    """Enclosures (re_lo, re_hi, im_lo, im_hi) of the pack's polynomials over
+    each box, shape (boxes, polynomials, 4); the boxes are the rows of `lo`,
+    `hi`, of which the first 2n coordinates count.
 
     Rounding (u = 2^-53, recursive summation bounds as in Higham, "Accuracy
     and Stability of Numerical Algorithms", ch. 4).  Monomial products are
     widened outward after every multiplication by INFLATION = 2^-40 of their
-    magnitude; the sums over the k terms are not.  They are sound because of
-    that slack:
+    magnitude; the sums over a polynomial's k terms are not.  They are sound
+    because of that slack:
 
     * a non-constant monomial with magnitude M keeps at least
       (2^-40 - 2u) M of slack after its own product and subtraction
@@ -281,52 +362,76 @@ def _eval_box_raw(p: RealPoly, lo: Sequence[float], hi: Sequence[float],
       8191u + O(u^2), and the one u to spare against 2^-40 = 8192u absorbs
       the second-order terms dropped above.
 
-    RealPoly.fast_terms enforces that bound once per polynomial, so this
-    loop carries no check.
+    TermPack enforces that bound once per polynomial, so this kernel carries
+    no check.  A polynomial without terms encloses to exactly 0.
     """
-    fast = p.fast_terms()
-    if not fast:
-        return 0.0, 0.0, 0.0, 0.0
-    if tables is None:
-        tables = power_tables(lo, hi, p.total_degree())
-    rlo = rhi = ilo = ihi = 0.0
-    for exps, vr, vi in fast:
-        mlo, mhi = 1.0, 1.0
-        for var, e in exps:
-            a, b = tables[var][e]
-            p1, p2, p3, p4 = mlo * a, mlo * b, mhi * a, mhi * b
-            mlo = p1 if p1 < p2 else p2
-            if p3 < mlo:
-                mlo = p3
-            if p4 < mlo:
-                mlo = p4
-            mhi = p1 if p1 > p2 else p2
-            if p3 > mhi:
-                mhi = p3
-            if p4 > mhi:
-                mhi = p4
-            d = INFLATION * max(-mlo, mhi, mlo, -mhi) + _TINY
-            mlo -= d
-            mhi += d
-        if vr:
-            a, b = mlo * vr, mhi * vr
-            if a > b:
-                a, b = b, a
-            rlo += a
-            rhi += b
-        if vi:
-            a, b = mlo * vi, mhi * vi
-            if a > b:
-                a, b = b, a
-            ilo += a
-            ihi += b
-    d = INFLATION * (len(fast) + 1)
-    rd = d * max(abs(rlo), abs(rhi)) + _TINY
-    idd = d * max(abs(ilo), abs(ihi)) + _TINY
-    return rlo - rd, rhi + rd, ilo - idd, ihi + idd
+    boxes = len(lo)
+    parts = _term_parts(pack, lo, hi)
+    sums = np.zeros((boxes,) + pack.gather.shape[:2])
+    for cols in np.moveaxis(pack.gather, -1, 0):
+        sums += parts[:, cols]
+    d = pack.widen[:, None] * np.maximum(np.abs(sums[..., 0::2]), np.abs(sums[..., 1::2])) + _TINY
+    sums[..., 0::2] -= d
+    sums[..., 1::2] += d
+    sums[:, pack.empty] = 0.0
+    return sums
 
 
-def mag_upper(bounds: tuple[float, float, float, float]) -> float:
-    """Upper bound of |value| from a raw enclosure tuple."""
-    rlo, rhi, ilo, ihi = bounds
-    return math.hypot(max(abs(rlo), abs(rhi)), max(abs(ilo), abs(ihi))) * (1.0 + INFLATION)
+def _term_parts(pack: TermPack, lo, hi) -> np.ndarray:
+    """The bounds of every term's real and imaginary part over each box, in
+    the layout `TermPack.gather` indexes: shape (boxes, 4 (size + 1))."""
+    boxes = len(lo)
+    mlo, mhi = _monomials(pack, lo, hi)
+    parts = np.zeros((boxes, 4, pack.size + 1))
+    low, high = parts[:, :2, :-1], parts[:, 2:, :-1]
+    np.multiply(mlo[:, None, :], pack.coeffs, out=low)
+    np.multiply(mhi[:, None, :], pack.coeffs, out=high)
+    swap = low > high
+    low[swap], high[swap] = high[swap], low[swap]
+    return parts.reshape(boxes, 4 * (pack.size + 1))
+
+
+def _monomials(pack: TermPack, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Enclosures [mlo, mhi] of every monomial over each box, shape
+    (boxes, size), widened after each factor; 1 for a constant term."""
+    lo = np.asarray(lo, dtype=float)[:, :pack.dims]
+    hi = np.asarray(hi, dtype=float)[:, :pack.dims]
+    boxes = len(lo)
+    tlo, thi = power_tables(lo, hi, pack.max_degree)
+    stride = pack.max_degree + 1
+    tlo = tlo.reshape(boxes, pack.dims * stride)
+    thi = thi.reshape(boxes, pack.dims * stride)
+    mlo = np.ones((boxes, pack.size))
+    mhi = np.ones((boxes, pack.size))
+    for var, exp in pack.steps:
+        k = len(var)
+        idx = var * stride + exp
+        a, b = tlo[:, idx], thi[:, idx]
+        ml, mh = mlo[:, :k], mhi[:, :k]
+        # few temporaries at a time: a level can hold thousands of boxes
+        plo = ml * a
+        phi = plo.copy()
+        for x, y in ((ml, b), (mh, a), (mh, b)):
+            p = x * y
+            np.minimum(plo, p, out=plo)
+            np.maximum(phi, p, out=phi)
+        d = np.abs(plo)
+        np.maximum(d, np.abs(phi), out=d)
+        d *= INFLATION
+        d += _TINY
+        np.subtract(plo, d, out=ml)
+        np.add(phi, d, out=mh)
+    return mlo, mhi
+
+
+def dist_upper(enc: np.ndarray, cx=0.0, cy=0.0) -> np.ndarray:
+    """hypot of the largest real and imaginary distances from enclosures
+    (..., 4) to cx + i cy: |value - (cx + i cy)| up to the rounding of the
+    subtractions and of hypot."""
+    return hypot(np.maximum(np.abs(enc[..., 0] - cx), np.abs(enc[..., 1] - cx)),
+                 np.maximum(np.abs(enc[..., 2] - cy), np.abs(enc[..., 3] - cy)))
+
+
+def mag_upper(enc: np.ndarray) -> np.ndarray:
+    """Upper bounds of |value| from enclosures (..., 4)."""
+    return dist_upper(enc) * (1.0 + INFLATION)

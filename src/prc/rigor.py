@@ -13,10 +13,12 @@ ProblemSystem:
   D(c, r) per coordinate over a z-box, where w is eliminated in closed form:
   for z fixed, sup over w in D(c, r) of |w - f(z)| is |f(z) - c| + r.
 
+All bounds are evaluated for many boxes at once (_BoxBounds, over the
+batched kernels of realpoly), bit for bit as a loop over single boxes would.
 Every subdivision tree is grown by one routine, subdivide: level by level it
-clips each box to an optional region (product of per-coordinate discs, i.e.
-the omega polydisc), evaluates a per-box check, bisects the widest
-coordinate of undecided boxes, and aggregates the statuses.  verify_box
+clips the boxes to an optional region (product of per-coordinate discs, i.e.
+the omega polydisc), evaluates a check on the whole level, bisects the
+widest coordinate of undecided boxes, and aggregates the statuses.  verify_box
 establishes the strict tube inclusion residual < m/(cL) with it; the
 comparison is division-free (residual_upper * c * L_upper < m_lower *
 (1 - margin)) so an infinite radius needs no special casing.  For a graph
@@ -33,8 +35,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
+import numpy as np
+
 from .intervals import INFLATION, ParamBox
-from .realpoly import _eval_box_raw, mag_upper, power_tables
+from .realpoly import _eval_box_raw, dist_upper, hypot, mag_upper, sequential_sum
 from .trgeom import (GRAPH, ProblemSystem, is_totally_real_graph,
                      is_totally_real_submersion, radius_factor)
 
@@ -73,17 +77,6 @@ class Region:
 
     discs: tuple[tuple[float, float, float], ...]
 
-    def outside(self, lo: Sequence[float], hi: Sequence[float]) -> bool:
-        """True when the box provably misses the region in some coordinate."""
-        for j, (cx, cy, r) in enumerate(self.discs):
-            if 2 * j + 1 >= len(lo):
-                break
-            dx = max(lo[2 * j] - cx, cx - hi[2 * j], 0.0)
-            dy = max(lo[2 * j + 1] - cy, cy - hi[2 * j + 1], 0.0)
-            if dx * dx + dy * dy >= (r * r) * _PRUNE_GUARD:
-                return True
-        return False
-
     def probe(self, lo: Sequence[float], hi: Sequence[float]) -> tuple[float, ...]:
         """A point of the box close to (normally inside) the region."""
         pt = []
@@ -96,33 +89,48 @@ class Region:
             pt.append(0.5 * (lo[i] + hi[i]))
         return tuple(pt)
 
-    def clip(self, lo: Sequence[float], hi: Sequence[float]):
-        """AABB of (box intersect region), or None when they are disjoint.
+    def clip(self, lo, hi):
+        """(lo', hi', inside) for boxes given as rows of `lo`, `hi`.
 
-        Sound: the returned box contains every point of the box that lies in
-        the region, and is contained in the input box.
+        Row i of lo', hi' is the AABB of (box i intersect region) when
+        inside[i]; otherwise box i provably misses the region in some
+        coordinate and its row means nothing.  Sound: the clipped box
+        contains every point of the box that lies in the region, and is
+        contained in the box.  Comparisons keep the semantics of Python's
+        max and min, so each row comes out as a loop over single boxes would
+        clip it, signed zeros included.
         """
-        lo = list(lo)
-        hi = list(hi)
-        for j, (cx, cy, r) in enumerate(self.discs):
-            jx, jy = 2 * j, 2 * j + 1
-            if jy >= len(lo):
-                break
-            dx = max(lo[jx] - cx, cx - hi[jx], 0.0)
-            dy = max(lo[jy] - cy, cy - hi[jy], 0.0)
-            if dx * dx + dy * dy >= (r * r) * _PRUNE_GUARD:
-                return None
-            sx = math.sqrt(max(r * r - dy * dy, 0.0)) * _PRUNE_GUARD
-            sy = math.sqrt(max(r * r - dx * dx, 0.0)) * _PRUNE_GUARD
-            lo[jx] = max(lo[jx], cx - sx)
-            hi[jx] = min(hi[jx], cx + sx)
-            lo[jy] = max(lo[jy], cy - sy)
-            hi[jy] = min(hi[jy], cy + sy)
-            if lo[jx] > hi[jx]:
-                lo[jx] = hi[jx] = 0.5 * (lo[jx] + hi[jx])
-            if lo[jy] > hi[jy]:
-                lo[jy] = hi[jy] = 0.5 * (lo[jy] + hi[jy])
-        return tuple(lo), tuple(hi)
+        lo = np.array(lo, dtype=float)
+        hi = np.array(hi, dtype=float)
+        nd = min(len(self.discs), lo.shape[1] // 2)
+        if nd == 0:
+            return lo, hi, np.ones(len(lo), dtype=bool)
+        cx, cy, r = np.array(self.discs[:nd]).T
+        xs, ys = slice(0, 2 * nd, 2), slice(1, 2 * nd, 2)
+        dx = _max(_max(lo[:, xs] - cx, cx - hi[:, xs]), 0.0)
+        dy = _max(_max(lo[:, ys] - cy, cy - hi[:, ys]), 0.0)
+        rr = r * r
+        inside = ~(dx * dx + dy * dy >= rr * _PRUNE_GUARD).any(axis=1)
+        sx = np.sqrt(_max(rr - dy * dy, 0.0)) * _PRUNE_GUARD
+        sy = np.sqrt(_max(rr - dx * dx, 0.0)) * _PRUNE_GUARD
+        for cols, c, s in ((xs, cx, sx), (ys, cy, sy)):
+            a = _max(lo[:, cols], c - s)
+            b = _min(hi[:, cols], c + s)
+            mid = 0.5 * (a + b)
+            crossed = a > b
+            lo[:, cols] = np.where(crossed, mid, a)
+            hi[:, cols] = np.where(crossed, mid, b)
+        return lo, hi, inside
+
+
+def _max(a, b):
+    """Python's max(a, b) element by element: b only where b > a."""
+    return np.where(b > a, b, a)
+
+
+def _min(a, b):
+    """Python's min(a, b) element by element: b only where b < a."""
+    return np.where(b < a, b, a)
 
 
 @dataclass
@@ -170,133 +178,165 @@ class VerifyNode:
 
 
 # ---------------------------------------------------------------------------
-# Raw bound kernels
+# Batched bound kernels
 # ---------------------------------------------------------------------------
 
-class _BoxBounds:
-    """Shared power-table evaluation of all system polynomials over one box."""
+# most complex coordinates for which the rounding argument of _BoxBounds holds
+MAX_N = 180
 
-    __slots__ = ("sys", "maxdeg")
+
+class _BoxBounds:
+    """Bounds of m, L and the residual sum over many boxes at once.
+
+    Each method takes `lo`, `hi` arrays of shape (boxes, 2n), or (boxes, 4n)
+    for a graph residual over w intervals, evaluates the system's
+    polynomials over all boxes with one call of _eval_box_raw, and returns
+    one bound per box, computed in the order of a loop over one box.
+
+    Rounding (u = 2^-53, I = INFLATION = 2^-40 = 8192u, n <= MAX_N so that
+    rows <= 2n <= 360).  The enclosures of _eval_box_raw contain the true
+    ranges with room to spare: after the summation error is paid, their final
+    widening leaves at least (k + 1/2) I >= 1.5 I of each component's
+    magnitude on both sides (see its docstring).
+
+    * m_lower.  Each |B_rj|^2 is at least mig(re)^2 + mig(im)^2; three
+      roundings compute that and a fourth the product with (1 - I), so the
+      result stays below it by (I - 4u) of itself.  The diagonal sum over
+      the rows errs by at most (rows - 1)u of it, and the final subtraction
+      by u, both within that slack.
+      In the off-diagonal sums H_ji = sum_r conj(B_rj) B_ri, a product end
+      p* of two enclosures is rounded by at most u |p*|, and the extra 1.5 I
+      of both factors moves it outward by at least 3 I |p*|; the subtraction
+      (addition) of two ends and the sum over the rows, (rows + 1)u of the
+      magnitudes, stay within that, so the computed real and imaginary
+      ranges of H_ji contain the true ones.  The factor (1 + 4 I) then covers
+      math.hypot (under 1 ulp), the sum over i (n - 2 roundings) and its own
+      product, for n up to 32,765.
+    * L_upper.  Each Levi entry's magnitude is bounded by hypot times
+      (1 + I); squaring, the sum of n^2 squares, sqrt and the final (1 + I)
+      lose at most (n^2 + 9)u / 2 relative, within the 2 I of the two
+      factors for n <= MAX_N.
+    * residual_upper.  Every term is a non-negative sum of correctly rounded
+      operations (or within 1 ulp, for math.hypot), about rows + 4 of them,
+      which the final (1 + I) covers.
+    """
+
+    __slots__ = ("sys", "packs")
 
     def __init__(self, sys: ProblemSystem):
+        if sys.n > MAX_N:
+            raise ValueError(f"n = {sys.n}: box bounds are sound for n <= {MAX_N}")
         self.sys = sys
-        self.maxdeg = sys.max_degree
+        self.packs = sys.packs
 
-    def tables_for(self, lo: Sequence[float], hi: Sequence[float]):
-        nz = 2 * self.sys.n
-        return power_tables(lo[:nz], hi[:nz], self.maxdeg)
+    def values(self, lo, hi) -> np.ndarray:
+        """Enclosures of the defining functions, shape (boxes, rows, 4)."""
+        return _eval_box_raw(self.packs["value"], lo, hi)
 
-    def m_lower(self, lo, hi, tabs) -> float:
-        """Gershgorin lower bound of lambda_min(B* B) over the box.
+    def m_lower(self, lo, hi) -> np.ndarray:
+        """Gershgorin lower bounds of lambda_min(B* B) over the boxes."""
+        return self._m(_eval_box_raw(self.packs["dzbar"], lo, hi))
 
-        Diagonal entries are enclosed tightly via |entry|^2 = re^2 + im^2;
-        off-diagonal entries of B* B are accumulated as rectangle sums of
-        rectangle products so that sign cancellation between rows survives.
-        """
-        sys = self.sys
-        n = sys.n
-        ents = [[_eval_box_raw(t.dzbar[j], lo, hi, tabs) for j in range(n)]
-                for t in sys.tables]
-        los2 = [[0.0] * n for _ in range(sys.rows)]
-        for r in range(sys.rows):
-            for j in range(n):
-                rlo, rhi, ilo, ihi = ents[r][j]
-                re_mig = 0.0 if rlo <= 0.0 <= rhi else min(abs(rlo), abs(rhi))
-                im_mig = 0.0 if ilo <= 0.0 <= ihi else min(abs(ilo), abs(ihi))
-                los2[r][j] = (re_mig * re_mig + im_mig * im_mig) * (1.0 - INFLATION)
-        best = math.inf
-        for j in range(n):
-            diag = sum(los2[r][j] for r in range(sys.rows))
-            off = 0.0
-            for i in range(n):
-                if i == j:
-                    continue
-                # H[j,i] = sum_r conj(B[r,j]) * B[r,i]
-                hr_lo = hr_hi = hi_lo = hi_hi = 0.0
-                for r in range(sys.rows):
-                    alo, ahi, blo, bhi = ents[r][j]
-                    blo, bhi = -bhi, -blo  # conjugate
-                    clo, chi, dlo, dhi = ents[r][i]
-                    # real: a*c - b*d; imag: a*d + b*c
-                    p = (alo * clo, alo * chi, ahi * clo, ahi * chi)
-                    q = (blo * dlo, blo * dhi, bhi * dlo, bhi * dhi)
-                    hr_lo += min(p) - max(q)
-                    hr_hi += max(p) - min(q)
-                    p = (alo * dlo, alo * dhi, ahi * dlo, ahi * dhi)
-                    q = (blo * clo, blo * chi, bhi * clo, bhi * chi)
-                    hi_lo += min(p) + min(q)
-                    hi_hi += max(p) + max(q)
-                off += math.hypot(max(abs(hr_lo), abs(hr_hi)),
-                                  max(abs(hi_lo), abs(hi_hi)))
-            best = min(best, diag - off * (1.0 + 4.0 * INFLATION))
-        return max(0.0, best)
+    def L_upper(self, lo, hi) -> np.ndarray:
+        """Frobenius-norm upper bounds of every Levi matrix over the boxes."""
+        return self._L(_eval_box_raw(self.packs["levi"], lo, hi))
 
-    def L_upper(self, lo, hi, tabs) -> float:
-        sys = self.sys
-        n = sys.n
-        best = 0.0
-        for t in sys.tables:
-            fro2 = 0.0
-            for j in range(n):
-                for k in range(n):
-                    p = t.levi[j][k]
-                    if p.is_zero:
-                        continue
-                    m = mag_upper(_eval_box_raw(p, lo, hi, tabs))
-                    fro2 += m * m
-            best = max(best, math.sqrt(fro2) * (1.0 + INFLATION))
-        return best
-
-    def residual_upper(self, lo, hi, tabs, w_discs=None) -> float:
-        """Upper bound of the residual sum over the box.
+    def residual_upper(self, lo, hi, w_discs=None) -> np.ndarray:
+        """Upper bounds of the residual sum over the boxes.
 
         A graph takes w from `w_discs` ((c_re, c_im, r) per coordinate, the
-        box being a z-box) or else from the w rectangles of a 4n box.  Every
-        term is a non-negative sum of correctly rounded operations, so the
-        final relative inflation covers their rounding.
+        boxes being z-boxes) or else from the w intervals of 4n boxes.
         """
+        return self._residual(self.values(lo, hi), lo, hi, w_discs)
+
+    def tube(self, lo, hi, w_discs):
+        """(m_lower, L_upper, residual_upper) over the boxes, from one
+        evaluation of all the system's polynomials."""
+        enc = _eval_box_raw(self.packs["all"], lo, hi)
+        rows = self.sys.rows
+        dz = rows + rows * self.sys.n
+        return (self._m(enc[:, rows:dz]), self._L(enc[:, dz:]),
+                self._residual(enc[:, :rows], lo, hi, w_discs))
+
+    def _m(self, ents: np.ndarray) -> np.ndarray:
+        """Diagonal entries are enclosed tightly via |entry|^2 = re^2 + im^2;
+        off-diagonal entries of B* B are accumulated as rectangle sums of
+        rectangle products so that sign cancellation between rows survives."""
+        n = self.sys.n
+        ents = ents.reshape(len(ents), self.sys.rows, n, 4)
+        rlo, rhi, ilo, ihi = np.moveaxis(ents, -1, 0)
+        re_mig = np.where((rlo <= 0.0) & (0.0 <= rhi), 0.0,
+                          np.minimum(np.abs(rlo), np.abs(rhi)))
+        im_mig = np.where((ilo <= 0.0) & (0.0 <= ihi), 0.0,
+                          np.minimum(np.abs(ilo), np.abs(ihi)))
+        best = sequential_sum((re_mig * re_mig + im_mig * im_mig) * (1.0 - INFLATION),
+                              axis=1)
+        if n > 1:
+            # H[j,i] = sum_r conj(B[r,j]) * B[r,i], for i != j in order
+            j, i = np.array([(j, i) for j in range(n) for i in range(n) if i != j]).T
+            alo, ahi, blo, bhi = np.moveaxis(ents[:, :, j], -1, 0)
+            blo, bhi = -bhi, -blo  # conjugate
+            clo, chi, dlo, dhi = np.moveaxis(ents[:, :, i], -1, 0)
+            # real: a*c - b*d; imag: a*d + b*c
+            p_lo, p_hi = _product_range(alo, ahi, clo, chi)
+            q_lo, q_hi = _product_range(blo, bhi, dlo, dhi)
+            hr_lo = sequential_sum(p_lo - q_hi, axis=1)
+            hr_hi = sequential_sum(p_hi - q_lo, axis=1)
+            p_lo, p_hi = _product_range(alo, ahi, dlo, dhi)
+            q_lo, q_hi = _product_range(blo, bhi, clo, chi)
+            hi_lo = sequential_sum(p_lo + q_lo, axis=1)
+            hi_hi = sequential_sum(p_hi + q_hi, axis=1)
+            off = hypot(np.maximum(np.abs(hr_lo), np.abs(hr_hi)),
+                        np.maximum(np.abs(hi_lo), np.abs(hi_hi)))
+            off = sequential_sum(off.reshape(len(off), n, n - 1), axis=2)
+            best = best - off * (1.0 + 4.0 * INFLATION)
+        best = best.min(axis=1)
+        return np.where(best > 0.0, best, 0.0)
+
+    def _L(self, enc: np.ndarray) -> np.ndarray:
+        mag = mag_upper(enc)
+        fro2 = sequential_sum((mag * mag).reshape(len(enc), self.sys.rows, self.sys.n ** 2),
+                              axis=2)
+        return (np.sqrt(fro2) * (1.0 + INFLATION)).max(axis=1)
+
+    def _residual(self, vals: np.ndarray, lo, hi, w_discs) -> np.ndarray:
         sys = self.sys
-        total = 0.0
         if sys.kind == GRAPH and w_discs is not None:
-            for t, (cx, cy, r) in zip(sys.tables, w_discs):
-                rlo, rhi, ilo, ihi = _eval_box_raw(t.value, lo, hi, tabs)
-                total += math.hypot(max(abs(rlo - cx), abs(rhi - cx)),
-                                    max(abs(ilo - cy), abs(ihi - cy))) + r
+            cx, cy, r = np.array(w_discs, dtype=float).T
+            terms = dist_upper(vals, cx, cy) + r
         elif sys.kind == GRAPH:
-            if len(lo) != 4 * sys.n:
+            lo = np.asarray(lo, dtype=float)
+            hi = np.asarray(hi, dtype=float)
+            if lo.shape[1] != 4 * sys.n:
                 raise ValueError("graph residual bound needs w intervals or w discs")
-            off = 2 * sys.n
-            for nu, t in enumerate(sys.tables):
-                rlo, rhi, ilo, ihi = _eval_box_raw(t.value, lo, hi, tabs)
-                wr_lo, wr_hi = lo[off + 2 * nu], hi[off + 2 * nu]
-                wi_lo, wi_hi = lo[off + 2 * nu + 1], hi[off + 2 * nu + 1]
-                dre = max(abs(rlo - wr_hi), abs(rhi - wr_lo))
-                dim = max(abs(ilo - wi_hi), abs(ihi - wi_lo))
-                total += math.hypot(dre, dim)
+            rlo, rhi, ilo, ihi = np.moveaxis(vals, -1, 0)
+            w_lo, w_hi = lo[:, 2 * sys.n:], hi[:, 2 * sys.n:]
+            terms = hypot(np.maximum(np.abs(rlo - w_hi[:, 0::2]), np.abs(rhi - w_lo[:, 0::2])),
+                          np.maximum(np.abs(ilo - w_hi[:, 1::2]), np.abs(ihi - w_lo[:, 1::2])))
         else:
-            for t in sys.tables:
-                total += mag_upper(_eval_box_raw(t.value, lo, hi, tabs))
-        return total * (1.0 + INFLATION)
-
-    def tube(self, lo, hi, w_discs) -> tuple[float, float, float]:
-        """(m_lower, L_upper, residual_upper) over the box."""
-        tabs = self.tables_for(lo, hi)
-        return (self.m_lower(lo, hi, tabs), self.L_upper(lo, hi, tabs),
-                self.residual_upper(lo, hi, tabs, w_discs))
+            terms = mag_upper(vals)
+        return sequential_sum(terms, axis=1) * (1.0 + INFLATION)
 
 
-def _tube_holds(m_lo: float, L_up: float, r_up: float, c: float,
-                margin: float) -> bool:
-    """The strict, division-free tube test r_up < m_lo (1 - margin) / (c L_up)."""
-    return m_lo > 0.0 and r_up * (c * L_up) < m_lo * (1.0 - margin)
+def _product_range(alo, ahi, clo, chi):
+    """Least and greatest of the four endpoint products of [alo, ahi] * [clo, chi]."""
+    p1, p2, p3, p4 = alo * clo, alo * chi, ahi * clo, ahi * chi
+    return (np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)),
+            np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)))
 
 
-def _w_discs(sys: ProblemSystem, box: ParamBox, region: Region | None):
-    """The omega discs of the w coordinates for a graph tube check on a z-box
-    (None for a submersion, which has no w)."""
+def _tube_holds(m_lo, L_up, r_up, c: float, margin: float):
+    """The strict, division-free tube test r_up < m_lo (1 - margin) / (c L_up),
+    box by box."""
+    return (m_lo > 0.0) & (r_up * (c * L_up) < m_lo * (1.0 - margin))
+
+
+def _w_discs(sys: ProblemSystem, dim: int, region: Region | None):
+    """The omega discs of the w coordinates for a graph tube check on z-boxes
+    of `dim` coordinates (None for a submersion, which has no w)."""
     if sys.kind != GRAPH:
         return None
-    if box.has_w or region is None or len(region.discs) != 2 * sys.n:
+    if dim != 2 * sys.n or region is None or len(region.discs) != 2 * sys.n:
         raise ValueError("graph tube checks take a z-box and a region with "
                          f"{sys.n} z discs and {sys.n} w discs")
     return region.discs[sys.n:]
@@ -314,14 +354,12 @@ def _radius_from(m_lower: float, L_upper: float, kind: str) -> float:
 
 def bound_m_below(sys: ProblemSystem, box: ParamBox) -> float:
     """Sound lower bound of m_value over the box (0 when vacuous)."""
-    bb = _BoxBounds(sys)
-    return bb.m_lower(box.lo, box.hi, bb.tables_for(box.lo, box.hi))
+    return float(_BoxBounds(sys).m_lower([box.lo], [box.hi])[0])
 
 
 def bound_L_above(sys: ProblemSystem, box: ParamBox) -> float:
     """Sound upper bound of big_l_value over the box (w(M) <= Frobenius norm)."""
-    bb = _BoxBounds(sys)
-    return bb.L_upper(box.lo, box.hi, bb.tables_for(box.lo, box.hi))
+    return float(_BoxBounds(sys).L_upper([box.lo], [box.hi])[0])
 
 
 def bound_residual_above(sys: ProblemSystem, box: ParamBox,
@@ -331,20 +369,19 @@ def bound_residual_above(sys: ProblemSystem, box: ParamBox,
     A graph needs the w part: w intervals on a 4n box, or a z-box together
     with a region whose last n discs are the w discs.
     """
-    bb = _BoxBounds(sys)
-    w_discs = None if region is None else _w_discs(sys, box, region)
-    return bb.residual_upper(box.lo, box.hi, bb.tables_for(box.lo, box.hi),
-                             w_discs)
+    w_discs = None if region is None else _w_discs(sys, box.dim, region)
+    return float(_BoxBounds(sys).residual_upper([box.lo], [box.hi], w_discs)[0])
 
 
 # ---------------------------------------------------------------------------
 # Pointwise violation probe
 # ---------------------------------------------------------------------------
 
-def _probe_point(box: ParamBox, region: Region | None) -> tuple[float, ...]:
+def _probe_point(lo: Sequence[float], hi: Sequence[float],
+                 region: Region | None) -> tuple[float, ...]:
     if region is None:
-        return box.center()
-    return region.probe(box.lo, box.hi)
+        return tuple(0.5 * (a + b) for a, b in zip(lo, hi))
+    return region.probe(lo, hi)
 
 
 def _point_quantities(sys: ProblemSystem, pt: Sequence[float]) -> tuple[float, float]:
@@ -449,17 +486,19 @@ def subdivide(box: ParamBox, evaluate, max_depth: int, node_budget: int,
               region: Region | None = None, name: str = "subdivision") -> VerifyNode:
     """Level-synchronous bisection shared by every subdivision tree.
 
-    Each node's box is first clipped to `region` (when given): a box that
-    misses it becomes an OUTSIDE leaf (PROVED, no value), any other shrinks to
-    the bounding box of its intersection with the region, which is sound and
-    cuts the overhang at the boundary.  `evaluate(box)` then returns
-    (status, value, witness).  PROVED and FAILED nodes are leaves; an
-    INCONCLUSIVE node is bisected by ParamBox.split while it lies above
-    `max_depth` and the tree stays within `node_budget` nodes (the first
-    nodes of a level win; running out is logged once, naming the tree).  The
-    first level with a FAILED node ends the search and the tree stays partial.
-    Statuses are then aggregated bottom-up, FAILED over INCONCLUSIVE over
-    PROVED, and a FAILED node takes the witness of its first FAILED child.
+    Each level's boxes are first clipped to `region` (when given) in one
+    Region.clip: a box that misses it becomes an OUTSIDE leaf (PROVED, no
+    value), any other shrinks to the bounding box of its intersection with
+    the region, which is sound and cuts the overhang at the boundary.
+    `evaluate(lo, hi)` then gets the level's remaining boxes as the rows of
+    two arrays and returns one (status, value, witness) per box.  PROVED and
+    FAILED nodes are leaves; an INCONCLUSIVE node is bisected by
+    ParamBox.split while it lies above `max_depth` and the tree stays within
+    `node_budget` nodes (the first nodes of a level win; running out is
+    logged once, naming the tree).  The first level with a FAILED node ends
+    the search and the tree stays partial.  Statuses are then aggregated
+    bottom-up, FAILED over INCONCLUSIVE over PROVED, and a FAILED node takes
+    the witness of its first FAILED child.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
@@ -468,17 +507,29 @@ def subdivide(box: ParamBox, evaluate, max_depth: int, node_budget: int,
     total_nodes = 1
     budget_logged = False
     while frontier:
-        undecided = []
-        failed = False
-        for node in frontier:
-            if region is not None:
-                clipped = region.clip(node.box.lo, node.box.hi)
-                if clipped is None:
+        lo = np.array([node.box.lo for node in frontier])
+        hi = np.array([node.box.hi for node in frontier])
+        live = frontier
+        if region is not None:
+            clo, chi, inside = region.clip(lo, hi)
+            # a box the clip leaves bit for bit alone keeps its tuples
+            moved = ((clo.view(np.int64) != lo.view(np.int64)).any(axis=1)
+                     | (chi.view(np.int64) != hi.view(np.int64)).any(axis=1))
+            live = []
+            for node, keep, shift, l, h in zip(frontier, inside.tolist(), moved.tolist(),
+                                               clo.tolist(), chi.tolist()):
+                if not keep:
                     node.status = PROVED
                     node.outside = True
                     continue
-                node.box = ParamBox._new(node.box.n, *clipped)
-            node.status, node.value, node.witness = evaluate(node.box)
+                if shift:
+                    node.box = ParamBox._new(box.n, tuple(l), tuple(h))
+                live.append(node)
+            lo, hi = clo[inside], chi[inside]
+        undecided = []
+        failed = False
+        for node, result in zip(live, evaluate(lo, hi) if live else ()):
+            node.status, node.value, node.witness = result
             if node.status == FAILED:
                 failed = True
             elif node.status == INCONCLUSIVE:
@@ -533,19 +584,25 @@ def verify_box(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
     A node's value is (m_lower, L_upper, residual_upper) over its box; the
     root's report aggregates them over the leaves.
     """
-    w_discs = _w_discs(sys, box, region)
+    w_discs = _w_discs(sys, box.dim, region)
     bb = _BoxBounds(sys)
     c_factor = float(radius_factor(sys.kind))
 
-    def evaluate(b: ParamBox):
-        bounds = bb.tube(b.lo, b.hi, w_discs)
-        if _tube_holds(*bounds, c_factor, margin):
-            return PROVED, bounds, None
-        if w_discs is None:
-            wit = _point_violates(sys, _probe_point(b, region))
-        else:
-            wit = _tube_witness(sys, region.probe(b.lo, b.hi), region)
-        return (INCONCLUSIVE if wit is None else FAILED), bounds, wit
+    def evaluate(lo, hi):
+        m, L, r = bb.tube(lo, hi, w_discs)
+        held = _tube_holds(m, L, r, c_factor, margin).tolist()
+        out = []
+        for ok, bounds, l, h in zip(held, zip(m.tolist(), L.tolist(), r.tolist()),
+                                    lo.tolist(), hi.tolist()):
+            if ok:
+                out.append((PROVED, bounds, None))
+                continue
+            if w_discs is None:
+                wit = _point_violates(sys, _probe_point(l, h, region))
+            else:
+                wit = _tube_witness(sys, region.probe(l, h), region)
+            out.append((INCONCLUSIVE if wit is None else FAILED, bounds, wit))
+        return out
 
     root = subdivide(box, evaluate, max_depth, node_budget, region, "tube")
     leaves = list(root.leaves())
@@ -566,30 +623,45 @@ def verify_totally_real(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
     bb = _BoxBounds(sys)
     pointwise = is_totally_real_graph if sys.kind == GRAPH else is_totally_real_submersion
 
-    def evaluate(b: ParamBox):
-        m_lo = bb.m_lower(b.lo, b.hi, bb.tables_for(b.lo, b.hi))
-        if m_lo > 0.0:
-            return PROVED, m_lo, None
-        pt = _probe_point(b, region)
-        z = tuple(complex(pt[2 * j], pt[2 * j + 1]) for j in range(sys.n))
-        res = pointwise(sys, z)
-        if res["totally_real"]:
-            return INCONCLUSIVE, m_lo, None
-        return FAILED, m_lo, {"z": [[c.real, c.imag] for c in z],
-                              "sigma_min": res["sigma_min"]}
+    def evaluate(lo, hi):
+        out = []
+        for m_lo, l, h in zip(bb.m_lower(lo, hi).tolist(), lo.tolist(), hi.tolist()):
+            if m_lo > 0.0:
+                out.append((PROVED, m_lo, None))
+                continue
+            pt = _probe_point(l, h, region)
+            z = tuple(complex(pt[2 * j], pt[2 * j + 1]) for j in range(sys.n))
+            res = pointwise(sys, z)
+            if res["totally_real"]:
+                out.append((INCONCLUSIVE, m_lo, None))
+            else:
+                out.append((FAILED, m_lo, {"z": [[c.real, c.imag] for c in z],
+                                           "sigma_min": res["sigma_min"]}))
+        return out
 
     return subdivide(box, evaluate, max_depth, node_budget, region, "totally-real")
 
 
+def check_leaves(sys: ProblemSystem, lo, hi, margin: float,
+                 region: Region | None = None) -> np.ndarray:
+    """Recompute the bounds on recorded leaf boxes, the rows of `lo`, `hi`,
+    and re-run the tube test on each; a box that misses `region` holds.
+
+    Takes the same boxes and region as verify_box (z-boxes and omega's z and
+    w discs for a graph).
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    w_discs = _w_discs(sys, lo.shape[1], region)
+    held = np.ones(len(lo), dtype=bool)
+    live = held.copy() if region is None else region.clip(lo, hi)[2]
+    if live.any():
+        held[live] = _tube_holds(*_BoxBounds(sys).tube(lo[live], hi[live], w_discs),
+                                 float(radius_factor(sys.kind)), margin)
+    return held
+
+
 def check_leaf(sys: ProblemSystem, box: ParamBox, margin: float,
                region: Region | None = None) -> bool:
-    """Recompute the bounds on a recorded leaf box and re-run the tube test.
-
-    Takes the same box and region as verify_box (a z-box and omega's z and w
-    discs for a graph).
-    """
-    w_discs = _w_discs(sys, box, region)
-    if region is not None and region.outside(box.lo, box.hi):
-        return True
-    return _tube_holds(*_BoxBounds(sys).tube(box.lo, box.hi, w_discs),
-                       float(radius_factor(sys.kind)), margin)
+    """check_leaves for one box."""
+    return bool(check_leaves(sys, [box.lo], [box.hi], margin, region)[0])

@@ -23,7 +23,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import expr as ex
-from .realpoly import RealPoly
+from .realpoly import RealPoly, TermPack
 
 GRAPH = "graph"
 SUBMERSION = "submersion"
@@ -133,11 +133,15 @@ class ProblemSystem:
         return len(self.exprs)
 
     @functools.cached_property
-    def max_degree(self) -> int:
-        """Largest total degree of the value, dbar and Levi polynomials: the
-        power-table depth every box bound needs."""
-        return max(p.total_degree() for t in self.tables
-                   for p in (t.value, *t.dzbar, *(q for row in t.levi for q in row)))
+    def packs(self) -> dict[str, TermPack]:
+        """Term layouts for batched box bounds (realpoly.TermPack): "value"
+        (one polynomial per row), "dzbar" (rows x n, row-major), "levi"
+        (rows x n x n, row-major) and "all" (those three in that order)."""
+        value = [t.value for t in self.tables]
+        dzbar = [p for t in self.tables for p in t.dzbar]
+        levi = [q for t in self.tables for row in t.levi for q in row]
+        return {"value": TermPack(value), "dzbar": TermPack(dzbar),
+                "levi": TermPack(levi), "all": TermPack(value + dzbar + levi)}
 
     def _check_real_valued(self):
         rng = np.random.default_rng(20240901)

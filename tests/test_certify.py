@@ -229,6 +229,39 @@ def test_replay_rejects_duplicated_tube_leaf(wermer_pass_cert):
     assert replay_certificate(certificate_from_dict(data)) is False
 
 
+def _swap_leaves(data):
+    leaves = data["checks"]["omega_in_tube"]["leaves"]
+    leaves[0], leaves[2] = leaves[2], leaves[0]  # depths 9 and 10
+
+
+def _raise_leaf(data):
+    data["checks"]["omega_in_tube"]["leaves"][0]["depth"] -= 1
+
+
+def _text_depth(data):
+    leaf = data["checks"]["omega_in_tube"]["leaves"][0]
+    leaf["depth"] = str(leaf["depth"])
+
+
+def _move_leaf_box(data):
+    data["checks"]["omega_in_tube"]["leaves"][5]["box"][0][0] += 1e-9
+
+
+def _widen_w_disc(data):
+    # K stays inside omega and the tree keeps its shape, but the recomputed
+    # tube bounds no longer hold
+    data["omega"]["w"]["radii"] = [10 * r for r in data["omega"]["w"]["radii"]]
+
+
+@pytest.mark.parametrize("tamper", [_swap_leaves, _raise_leaf, _text_depth,
+                                    _move_leaf_box, _widen_w_disc])
+def test_replay_rejects_tampered_tube_tree(wermer_pass_cert, tamper):
+    data = _pass_dict(wermer_pass_cert)
+    assert [leaf["depth"] for leaf in data["checks"]["omega_in_tube"]["leaves"][:3]] == [9, 9, 10]
+    tamper(data)
+    assert replay_certificate(certificate_from_dict(data)) is False
+
+
 def test_replay_rejects_k_outside_omega(wermer_pass_cert):
     data = _pass_dict(wermer_pass_cert)
     data["omega"]["w"]["radii"] = [0.001]

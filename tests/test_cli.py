@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import json
 import math
 
-from prc.certify import WERMER_F
+from prc.certify import (WERMER_F, CompactSpec, certificate_to_dict, certify,
+                         sanitize_json)
 from prc.cli import main
 
 
@@ -299,3 +301,57 @@ def test_threads_default_is_one():
     args = build_parser().parse_args(["certify", "m.json"])
     assert args.threads == 1
     assert main(["certify", "m.json", "--threads", "0"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# certificate bytes
+# ---------------------------------------------------------------------------
+
+def _wermer_bench_manifest(r, node_budget):
+    return _wermer_manifest(r, {"max_depth": 30, "margin": 1e-6, "inflation": 0.05,
+                                "node_budget": node_budget})
+
+
+def _cap_manifest(radius):
+    return {"kind": "submersion", "n": 2, "k": 2,
+            "functions": ["Im(z1) - 0.05*(Re(z1)^2 + Re(z2)^3)",
+                          "Im(z2) - 0.05*(Re(z2)^2 + Re(z1)^3)"],
+            "compact": {"cap": {"center": [[0.0, 0.0], [0.0, 0.0]],
+                                "radii": [radius, radius]}},
+            "options": {"max_depth": 30, "margin": 1e-6, "inflation": 0.04,
+                        "node_budget": 400_000}}
+
+
+# sha256 of the certificate files `prc certify --out` writes, recorded with
+# the earlier one-box-at-a-time kernels: every bound in a certificate, and
+# every tree, must come out bit for bit the same however boxes are batched.
+GOLDEN_CERTIFICATES = [
+    ("wermer_r0.3", _wermer_bench_manifest(0.3, 150_000), 0,
+     "dee232994bddbbff5cd181576de96941e8cd137e5d15c8f68eeda51261db4d23"),
+    ("wermer_r0.33", _wermer_bench_manifest(0.33, 150_000), 3,
+     "166283b2622c76bca5226604dbfc548a02473bf3a8fb9489c4cc9110fe6216ee"),
+    ("wermer_r0.305", _wermer_bench_manifest(0.305, 40_000), 0,
+     "af4785c0ff62b987f5c60062c26d866f353105dea025707af4e5020cf3b7eb15"),
+    ("cap_r1.0", _cap_manifest(1.0), 0,
+     "1a4a1e318dde53b96229d2cd87c1413ecda453ef0c7a4a5fe21297fafe8294ac"),
+    ("cap_r1.285", _cap_manifest(1.285), 0,
+     "46b59dafa3512e9797dabfdf061213d4b975ae325e8eb46a1120f2dadabb2be0"),
+]
+
+
+def test_certificate_bytes_match_golden_digests(tmp_path):
+    for name, manifest, exit_code, digest in GOLDEN_CERTIFICATES:
+        out = tmp_path / f"{name}.cert.json"
+        assert main(["certify", _write(tmp_path, f"{name}.json", manifest),
+                     "--out", str(out)]) == exit_code, name
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+
+
+def test_example2_certificate_matches_golden_digest(example2):
+    """The example-2 certificate of the library is the cap 1.0 problem, so its
+    bytes are those of the CLI's cap 1.0 certificate."""
+    cert = certify(example2, CompactSpec.submersion_cap((0j, 0j), (1.0, 1.0)),
+                   inflation=0.04, max_depth=30, node_budget=400_000)
+    text = json.dumps(sanitize_json(certificate_to_dict(cert)), indent=2,
+                      sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CERTIFICATES[3][3]

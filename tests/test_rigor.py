@@ -1,16 +1,19 @@
+import itertools
 import logging
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import random_system, wermer_m_closed
 from prc import ProblemSystem
-from prc.intervals import ParamBox
+from prc.intervals import INFLATION, ParamBox
 from prc.realpoly import MAX_TERMS, RealPoly, _eval_box_raw
-from prc.rigor import (FAILED, INCONCLUSIVE, PROVED, Region, bound_L_above,
-                       bound_m_below, bound_residual_above, check_leaf,
-                       subdivide, verify_box, verify_totally_real)
+from prc.rigor import (FAILED, INCONCLUSIVE, MAX_N, PROVED, Region, _BoxBounds,
+                       bound_L_above, bound_m_below, bound_residual_above,
+                       check_leaf, subdivide, verify_box, verify_totally_real)
 from prc.trgeom import GRAPH, big_l_value, m_value
 
 
@@ -273,11 +276,10 @@ def test_subdivide_stops_at_first_failed_level():
     [-1, 1]^2, and boxes left of x = -0.4 fail, first at depth 3."""
     evaluated = []
 
-    def evaluate(box):
-        evaluated.append(box)
-        if box.hi[0] < -0.4:
-            return FAILED, None, {"lo": box.lo}
-        return INCONCLUSIVE, None, None
+    def evaluate(lo, hi):
+        evaluated.extend(lo.tolist())
+        return [(FAILED, None, {"lo": tuple(l)}) if h[0] < -0.4
+                else (INCONCLUSIVE, None, None) for l, h in zip(lo.tolist(), hi.tolist())]
 
     root = subdivide(ParamBox(1, [-1, -1], [3, 1]), evaluate, 10, 1000,
                      Region(((0.0, 0.0, 1.0),)))
@@ -294,12 +296,188 @@ def test_subdivide_stops_at_first_failed_level():
 
 def test_rounding_guard_caps_term_count():
     ok = RealPoly(1, {(e, 0): 1.0 + 0j for e in range(MAX_TERMS)})
-    assert len(ok.fast_terms()) == MAX_TERMS
+    assert ok.pack().size == MAX_TERMS
     big = RealPoly(1, {(e, 0): 1.0 + 0j for e in range(MAX_TERMS + 1)})
     with pytest.raises(ValueError):
-        big.fast_terms()
+        big.pack()
     with pytest.raises(ValueError):
-        _eval_box_raw(big, (0.0, 0.0), (0.5, 0.5))
+        big.eval_box(ParamBox(1, (0.0, 0.0), (0.5, 0.5)))
+
+
+def test_box_bounds_refuse_systems_beyond_rounding_argument():
+    with pytest.raises(ValueError):
+        _BoxBounds(SimpleNamespace(n=MAX_N + 1))
+
+
+# ---------------------------------------------------------------------------
+# batched kernels: one-box reference, batching invariance, exact oracle
+# ---------------------------------------------------------------------------
+
+def _scalar_enclosure(p, lo, hi):
+    """(re_lo, re_hi, im_lo, im_hi) of p over one box by a plain loop: the
+    reference the batched _eval_box_raw must match bit for bit."""
+    def power(a, b, k):
+        if k == 1:
+            return a, b
+        if k % 2 == 0:
+            mig = 0.0 if a <= 0.0 <= b else min(abs(a), abs(b))
+            a, b = mig ** k, max(abs(a), abs(b)) ** k
+        else:
+            a, b = a ** k, b ** k
+        d = INFLATION * max(abs(a), abs(b)) + 1e-300
+        return a - d, b + d
+
+    if not p.terms:
+        return 0.0, 0.0, 0.0, 0.0
+    rlo = rhi = ilo = ihi = 0.0
+    for key in sorted(p.terms):
+        mlo = mhi = 1.0
+        for var, e in enumerate(key):
+            if not e:
+                continue
+            a, b = power(lo[var], hi[var], e)
+            prods = (mlo * a, mlo * b, mhi * a, mhi * b)
+            mlo, mhi = min(prods), max(prods)
+            d = INFLATION * max(abs(mlo), abs(mhi)) + 1e-300
+            mlo, mhi = mlo - d, mhi + d
+        v = p.terms[key]
+        if v.real:
+            a, b = sorted((mlo * v.real, mhi * v.real))
+            rlo, rhi = rlo + a, rhi + b
+        if v.imag:
+            a, b = sorted((mlo * v.imag, mhi * v.imag))
+            ilo, ihi = ilo + a, ihi + b
+    d = INFLATION * (len(p.terms) + 1)
+    rd = d * max(abs(rlo), abs(rhi)) + 1e-300
+    idd = d * max(abs(ilo), abs(ihi)) + 1e-300
+    return rlo - rd, rhi + rd, ilo - idd, ihi + idd
+
+
+def _all_polys(sys_):
+    """The polynomials of sys_.packs["all"], in its order."""
+    return ([t.value for t in sys_.tables] + [p for t in sys_.tables for p in t.dzbar]
+            + [q for t in sys_.tables for row in t.levi for q in row])
+
+
+def _random_boxes(rng, dims, count):
+    """Boxes with some zero-width coordinates and some straddling 0."""
+    lo = rng.uniform(-1.2, 1.0, (count, dims))
+    width = rng.uniform(0.0, 0.5, (count, dims)) * (rng.random((count, dims)) < 0.85)
+    return lo, lo + width
+
+
+@pytest.fixture(scope="module")
+def graph_n2():
+    return ProblemSystem.graph(["conj(z1) + 0.1*z2*conj(z2) - 0.2*z1^2*conj(z2)",
+                                "conj(z2) - 0.3*z1*conj(z1)^2 + 0.05*conj(z1)"], 2)
+
+
+def test_batched_enclosures_match_one_box_reference():
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        sys_ = random_system(rng)
+        polys = _all_polys(sys_)
+        lo, hi = _random_boxes(rng, 2 * sys_.n, 15)
+        enc = _eval_box_raw(sys_.packs["all"], lo, hi)
+        for b in range(len(lo)):
+            for p, got in zip(polys, enc[b].tolist()):
+                assert tuple(got) == _scalar_enclosure(p, lo[b].tolist(), hi[b].tolist())
+
+
+def test_batched_bounds_independent_of_batching(wermer, graph_n2, example2):
+    """m, L and residual bounds of a box are the same bits evaluated alone,
+    in one batch and in a shuffled batch, so certificate bytes cannot depend
+    on how a level is composed; the tube's single evaluation of all
+    polynomials agrees with the three separate bounds."""
+    rng = np.random.default_rng(44)
+    for sys_ in (wermer, graph_n2, example2):
+        n = sys_.n
+        lo, hi = _random_boxes(rng, 2 * n, 40)
+        w_discs = None
+        if sys_.kind == GRAPH:
+            w_discs = tuple((rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.1, 1))
+                            for _ in range(n))
+        bb = _BoxBounds(sys_)
+        batch = np.stack(bb.tube(lo, hi, w_discs))
+        alone = np.stack([np.stack(bb.tube(lo[i:i + 1], hi[i:i + 1], w_discs))[:, 0]
+                          for i in range(len(lo))], axis=1)
+        perm = rng.permutation(len(lo))
+        shuffled = np.stack(bb.tube(lo[perm], hi[perm], w_discs))[:, np.argsort(perm)]
+        separate = np.stack([bb.m_lower(lo, hi), bb.L_upper(lo, hi),
+                             bb.residual_upper(lo, hi, w_discs)])
+        assert batch.tobytes() == alone.tobytes() == shuffled.tobytes() == separate.tobytes()
+
+
+def _exact_value(p, point):
+    re = im = Fraction(0)
+    for key, c in p.terms.items():
+        mono = Fraction(1)
+        for x, e in zip(point, key):
+            mono *= x ** e
+        re += Fraction(c.real) * mono
+        im += Fraction(c.imag) * mono
+    return re, im
+
+
+def test_enclosures_contain_exact_values(wermer, graph_n2, example2):
+    """Each value, dzbar and Levi polynomial, evaluated exactly in rationals
+    at the corners and at seeded interior points of boxes with dyadic
+    endpoints, lies in its batched enclosure."""
+    rng = np.random.default_rng(45)
+    for sys_ in (wermer, graph_n2, example2):
+        polys = _all_polys(sys_)
+        dims = 2 * sys_.n
+        lo = rng.integers(-80, 48, (8, dims)) / 64
+        hi = lo + rng.integers(0, 24, (8, dims)) / 64
+        enc = _eval_box_raw(sys_.packs["all"], lo, hi)
+        for b in range(len(lo)):
+            box = [(Fraction(a), Fraction(c)) for a, c in zip(lo[b].tolist(), hi[b].tolist())]
+            points = list(itertools.product(*box))
+            points += [tuple(a + (c - a) * Fraction(int(rng.integers(1, 97)), 97)
+                             for a, c in box) for _ in range(3)]
+            for p, (rlo, rhi, ilo, ihi) in zip(polys, enc[b].tolist()):
+                for point in points:
+                    re, im = _exact_value(p, point)
+                    assert Fraction(rlo) <= re <= Fraction(rhi)
+                    assert Fraction(ilo) <= im <= Fraction(ihi)
+
+
+def _scalar_clip(discs, lo, hi):
+    """(lo, hi) of one clipped box, or None when it misses, by a plain loop:
+    the reference the batched Region.clip must match bit for bit."""
+    lo, hi = list(lo), list(hi)
+    for j, (cx, cy, r) in enumerate(discs):
+        jx, jy = 2 * j, 2 * j + 1
+        if jy >= len(lo):
+            break
+        dx = max(lo[jx] - cx, cx - hi[jx], 0.0)
+        dy = max(lo[jy] - cy, cy - hi[jy], 0.0)
+        if dx * dx + dy * dy >= (r * r) * (1.0 + 1e-12):
+            return None
+        sx = math.sqrt(max(r * r - dy * dy, 0.0)) * (1.0 + 1e-12)
+        sy = math.sqrt(max(r * r - dx * dx, 0.0)) * (1.0 + 1e-12)
+        lo[jx], hi[jx] = max(lo[jx], cx - sx), min(hi[jx], cx + sx)
+        lo[jy], hi[jy] = max(lo[jy], cy - sy), min(hi[jy], cy + sy)
+        for i in (jx, jy):
+            if lo[i] > hi[i]:
+                lo[i] = hi[i] = 0.5 * (lo[i] + hi[i])
+    return lo, hi
+
+
+def test_batched_clip_matches_one_box_reference():
+    rng = np.random.default_rng(46)
+    for n in (1, 2, 3):
+        discs = tuple((rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(0.2, 1.2))
+                      for _ in range(n + 1))  # one disc more than a z-box uses
+        lo, hi = _random_boxes(rng, 2 * n, 200)
+        lo[:20, 0] = -0.0  # signed zeros pass through as in the scalar clip
+        hi[:20, 0] = np.abs(hi[:20, 0])
+        clo, chi, inside = Region(discs).clip(lo, hi)
+        for b in range(len(lo)):
+            want = _scalar_clip(discs, lo[b].tolist(), hi[b].tolist())
+            assert inside[b] == (want is not None)
+            if want is not None:
+                assert np.array([clo[b], chi[b]]).tobytes() == np.array(want).tobytes()
 
 
 def test_z_only_residual_bounds_sup_over_w_disc():
