@@ -8,8 +8,6 @@ from .certify import (BoxRegion, Certificate, CompactSpec, DiscRegion,
                       suggest_omega, wermer_compact, wermer_system)
 from .expr import (Expr, NormalExpr, ParseError, diff_z, diff_zbar, eval_interval,
                    eval_point, format_expr, normalize, parse)
-from .hullprobe import (SampleCloud, SeparationResult, fragility_check, probe,
-                        sample_compact)
 from .intervals import Interval, ParamBox, Rect
 from .rigor import (BoundReport, Region, VerifyNode, bound_L_above,
                     bound_m_below, bound_residual_above, verify_box,
@@ -22,6 +20,11 @@ from .trgeom import (DegenerateSystemError, ProblemSystem, TubeProfile,
 from .wirtinger import WirtingerFrame, fd_frame, frame, levi_form
 
 __version__ = "0.1.0"
+
+# The hull probe needs scipy's LP solver, whose import costs more than the
+# rest of prc together, so its names are resolved on first use (PEP 562).
+_HULLPROBE = ("SampleCloud", "SeparationResult", "fragility_check", "probe",
+              "sample_compact")
 
 __all__ = [
     "BoundReport", "BoxRegion", "Certificate", "CompactSpec",
@@ -40,3 +43,10 @@ __all__ = [
     "suggest_omega", "tube_profile", "tube_radius", "verify_box",
     "verify_totally_real", "wermer_compact", "wermer_system",
 ]
+
+
+def __getattr__(name):
+    if name in _HULLPROBE:
+        from . import hullprobe
+        return getattr(hullprobe, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,7 @@ import sys as _sys
 
 import numpy as np
 
-from . import hullprobe, trgeom
+from . import trgeom
 from .certify import (DEFAULT_OPTIONS, ManifestError,
                       certificate_to_dict, certify as run_certify,
                       compact_z_bbox, load_manifest, reproduce_example,
@@ -47,7 +47,8 @@ def _setup_logging():
 
 
 def _dump_json(obj, out_path: str | None) -> None:
-    text = json.dumps(sanitize_json(obj), indent=2, sort_keys=True) + "\n"
+    """Write `obj`, already passed through sanitize_json, as JSON."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w") as f:
             f.write(text)
@@ -108,7 +109,7 @@ def cmd_totally_real(args) -> int:
               "results": results}
     if witness is not None:
         report["witness"] = witness
-    _dump_json(report, args.out)
+    _dump_json(sanitize_json(report), args.out)
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
@@ -165,6 +166,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_hull_probe(args) -> int:
+    from . import hullprobe  # loads scipy, which no other command needs
+
     sys_, K, _, _ = _load_manifest_file(args.manifest)
     ambient = 2 * sys_.n if sys_.kind == GRAPH else sys_.n
     q = _parse_point(args.q, ambient)
@@ -190,7 +193,7 @@ def cmd_hull_probe(args) -> int:
             "coefficients": [[c.real, c.imag] for c in result.coefficients],
         }
     }
-    _dump_json(report, args.out)
+    _dump_json(sanitize_json(report), args.out)
     return EXIT_OK
 
 

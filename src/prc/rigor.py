@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
@@ -40,7 +41,7 @@ import numpy as np
 from .intervals import INFLATION, ParamBox
 from .realpoly import _eval_box_raw, dist_upper, hypot, mag_upper, sequential_sum
 from .trgeom import (GRAPH, ProblemSystem, is_totally_real_graph,
-                     is_totally_real_submersion, radius_factor)
+                     is_totally_real_submersion, numerical_radius, radius_factor)
 
 log = logging.getLogger(__name__)
 
@@ -407,8 +408,6 @@ def _point_quantities(sys: ProblemSystem, pt: Sequence[float]) -> tuple[float, f
         half = math.sqrt(((h00 - h11) / 2) ** 2 + abs(h01) ** 2)
         m = max((h00 + h11) / 2 - half, 0.0)
     else:
-        import numpy as np
-
         s = np.linalg.svd(np.array(B), compute_uv=False)
         m = float(s[-1]) ** 2
     if m == 0.0:
@@ -427,10 +426,6 @@ def _point_quantities(sys: ProblemSystem, pt: Sequence[float]) -> tuple[float, f
             half = math.sqrt(((a - d) / 2) ** 2 + abs(b) ** 2)
             w = max(abs((a + d) / 2 + half), abs((a + d) / 2 - half))
         else:
-            import numpy as np
-
-            from .trgeom import numerical_radius
-
             w = numerical_radius(np.array(lev))
         L = max(L, w)
     radius = math.inf if L == 0.0 else m / (radius_factor(sys.kind) * L)
@@ -498,15 +493,19 @@ def subdivide(box: ParamBox, evaluate, max_depth: int, node_budget: int,
     logged once, naming the tree).  The first level with a FAILED node ends
     the search and the tree stays partial.  Statuses are then aggregated
     bottom-up, FAILED over INCONCLUSIVE over PROVED, and a FAILED node takes
-    the witness of its first FAILED child.
+    the witness of its first FAILED child.  When done it logs, at INFO, the
+    tree's status, size, depth and wall time.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
+    start = time.perf_counter()
     root = VerifyNode(box, 0)
     frontier = [root]
     total_nodes = 1
+    split_nodes = 0
     budget_logged = False
     while frontier:
+        depth = frontier[0].depth  # every node of a level has the same depth
         lo = np.array([node.box.lo for node in frontier])
         hi = np.array([node.box.hi for node in frontier])
         live = frontier
@@ -541,12 +540,16 @@ def subdivide(box: ParamBox, evaluate, max_depth: int, node_budget: int,
         if len(splittable) > room and not budget_logged:
             log.warning("node budget %d exhausted in the %s tree", node_budget, name)
             budget_logged = True
+        parents = splittable[:room]
         frontier = []
-        for node in splittable[:room]:
+        for node in parents:
             node.children = [VerifyNode(b, node.depth + 1) for b in node.box.split()]
             frontier += node.children
+        split_nodes += len(parents)
         total_nodes += len(frontier)
     _aggregate(root)
+    log.info("%s tree: %s, %d nodes, %d leaves, depth %d, %.3f s", name, root.status,
+             total_nodes, total_nodes - split_nodes, depth, time.perf_counter() - start)
     return root
 
 

@@ -2,6 +2,7 @@ import cmath
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -201,6 +202,30 @@ def test_k_in_omega_obeys_node_budget(wermer, caplog):
     assert cert.verdict == "INCONCLUSIVE"
     messages = [r.getMessage() for r in caplog.records]
     assert messages.count("node budget 2000 exhausted in the K in omega tree") == 1
+
+
+def test_certify_logs_each_tree_at_info(wermer, caplog):
+    """At INFO each subdivision tree reports its status, size, depth and wall
+    time once; the sizes agree with the certificate."""
+    with caplog.at_level(logging.INFO, logger="prc.rigor"):
+        cert = certify(wermer, wermer_compact(0.3))
+    trees = {}
+    for record in caplog.records:
+        m = re.fullmatch(r"(.+) tree: (\w+), (\d+) nodes, (\d+) leaves, "
+                         r"depth (\d+), \d+\.\d{3} s", record.getMessage())
+        assert m, record.getMessage()
+        assert m[1] not in trees
+        trees[m[1]] = (m[2], int(m[3]), int(m[4]), int(m[5]))
+    assert set(trees) == {"tube", "totally-real", "K in omega"}
+    for status, nodes, leaves, _ in trees.values():
+        assert status == "PROVED"
+        assert nodes == 2 * leaves - 1  # bisection: every inner node has two children
+    checks = cert.checks
+    report = checks["omega_in_tube"]["report"]
+    assert trees["tube"][2:] == (report["leaf_count"], report["depth"])
+    assert trees["totally-real"][2:] == (checks["totally_real"]["leaf_count"],
+                                         checks["totally_real"]["depth"])
+    assert trees["K in omega"][1] >= checks["k_in_omega"]["cells_checked"]
 
 
 @pytest.mark.parametrize("bad", [{"margin": float("nan")}, {"margin": 1.0},

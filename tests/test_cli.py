@@ -2,6 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from prc.certify import (WERMER_F, CompactSpec, certificate_to_dict, certify,
                          sanitize_json)
@@ -355,3 +359,47 @@ def test_example2_certificate_matches_golden_digest(example2):
     text = json.dumps(sanitize_json(certificate_to_dict(cert)), indent=2,
                       sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CERTIFICATES[3][3]
+
+
+# ---------------------------------------------------------------------------
+# import hygiene
+# ---------------------------------------------------------------------------
+
+_COLD_START = """
+import sys
+import prc
+import prc.cli
+code = prc.cli.main(["certify", sys.argv[1], "--out", sys.argv[2]])
+assert code == 0, code
+assert "scipy" not in sys.modules, "import prc or prc certify loaded scipy"
+try:
+    prc.nope
+except AttributeError:
+    pass
+else:
+    raise AssertionError("prc.nope resolved")
+from prc import SampleCloud
+import prc.hullprobe
+assert prc.probe is prc.hullprobe.probe
+assert SampleCloud is prc.hullprobe.SampleCloud
+assert callable(prc.hullprobe.linprog)
+namespace = {}
+exec("from prc import *", namespace)
+missing = [name for name in prc.__all__ if name not in namespace]
+assert not missing, missing
+"""
+
+
+def test_certify_process_does_not_load_scipy(tmp_path):
+    """scipy serves only the hull probe: importing prc and certifying in a
+    fresh interpreter must not load it, while the hull-probe names of the
+    package still resolve on first use."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, _write(tmp_path, "w.json", _wermer_manifest()),
+         str(tmp_path / "w.cert.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
