@@ -10,8 +10,9 @@ The grammar (whitespace insensitive)::
     VAR    := 'z' UINT
 
 Normalization pushes conj to the leaves and eliminates Re/Im, after which the
-expression is a polynomial in the 2n independent variables z_j, conj(z_j) and
-Wirtinger differentiation is exact symbol pushing.
+expression is a polynomial in the 2n independent variables z_j, conj(z_j).
+Expansion into the real coordinates and Wirtinger differentiation belong to
+realpoly.RealPoly; diff_z and diff_zbar here are thin wrappers around it.
 """
 
 from __future__ import annotations
@@ -100,9 +101,6 @@ Expr = Union[Const, Var, Neg, Conj, Re, Im, Add, Sub, Mul, Pow]
 #: An Expr in which conj applies only to variables and Re/Im do not occur.
 NormalExpr = Expr
 
-ZERO = Const(0j)
-ONE = Const(1 + 0j)
-
 
 def max_var_index(e: Expr) -> int:
     if isinstance(e, Var):
@@ -116,6 +114,21 @@ def max_var_index(e: Expr) -> int:
     if isinstance(e, Pow):
         return max_var_index(e.base)
     raise TypeError(f"not an Expr node: {e!r}")
+
+
+def conj_indices(e: NormalExpr) -> set[int]:
+    """The k for which conj(z_k) occurs in the normalized expression e."""
+    if isinstance(e, Var):
+        return {e.index} if e.conjugated else set()
+    if isinstance(e, Const):
+        return set()
+    if isinstance(e, Neg):
+        return conj_indices(e.operand)
+    if isinstance(e, (Add, Sub, Mul)):
+        return conj_indices(e.left) | conj_indices(e.right)
+    if isinstance(e, Pow):
+        return conj_indices(e.base)
+    raise TypeError(f"not a normalized Expr node: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +440,12 @@ def eval_point(e: Expr, z: Sequence[complex]) -> complex:
 
 
 def eval_interval(e: Expr, box: ParamBox) -> Rect:
-    """Sound rectangle enclosure of e over the box.
+    """Sound rectangle enclosure of e, as expanded, over the box.
 
     The expression is canonicalized to a polynomial in the real coordinates
-    (Re z_j, Im z_j) with complex coefficients, so that correlated occurrences
-    of z_j and conj(z_j) cancel exactly before rectangle arithmetic is applied.
+    (Re z_j, Im z_j) with complex coefficients (rounded to nearest), so that
+    correlated occurrences of z_j and conj(z_j) combine in the coefficients
+    before rectangle arithmetic is applied.
     """
     from .realpoly import RealPoly
 
@@ -445,69 +459,19 @@ def eval_interval(e: Expr, box: ParamBox) -> Rect:
 # Wirtinger differentiation (z_j and conj(z_j) as independent variables)
 # ---------------------------------------------------------------------------
 
-def _add(a: Expr, b: Expr) -> Expr:
-    if a == ZERO:
-        return b
-    if b == ZERO:
-        return a
-    return Add(a, b)
+def diff_z(e: Expr, j: int):
+    """d/dz_j of e, expanded to a RealPoly (rounding: RealPoly._wirtinger)."""
+    from .realpoly import RealPoly
+
+    return RealPoly.from_expr(e, max(max_var_index(e), j)).diff_z(j)
 
 
-def _mul(a: Expr, b: Expr) -> Expr:
-    if a == ZERO or b == ZERO:
-        return ZERO
-    if a == ONE:
-        return b
-    if b == ONE:
-        return a
-    return Mul(a, b)
+def diff_zbar(e: Expr, j: int):
+    """d/dconj(z_j) of e, expanded to a RealPoly (rounding: RealPoly._wirtinger).
 
+    For e free of conj(z_j) it is zero only when the expansion of e is exact:
+    rounded coefficients need not be exactly holomorphic.
+    """
+    from .realpoly import RealPoly
 
-def _diff(e: Expr, j: int, conjugated: bool) -> Expr:
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Var):
-        if e.index == j and e.conjugated == conjugated:
-            return ONE
-        return ZERO
-    if isinstance(e, Neg):
-        d = _diff(e.operand, j, conjugated)
-        return ZERO if d == ZERO else Neg(d)
-    if isinstance(e, Add):
-        return _add(_diff(e.left, j, conjugated), _diff(e.right, j, conjugated))
-    if isinstance(e, Sub):
-        dl = _diff(e.left, j, conjugated)
-        dr = _diff(e.right, j, conjugated)
-        if dr == ZERO:
-            return dl
-        if dl == ZERO:
-            return Neg(dr)
-        return Sub(dl, dr)
-    if isinstance(e, Mul):
-        return _add(_mul(_diff(e.left, j, conjugated), e.right),
-                    _mul(e.left, _diff(e.right, j, conjugated)))
-    if isinstance(e, Pow):
-        if e.exponent == 0:
-            return ZERO
-        db = _diff(e.base, j, conjugated)
-        if db == ZERO:
-            return ZERO
-        inner = e.base if e.exponent == 2 else Pow(e.base, e.exponent - 1)
-        if e.exponent == 1:
-            return db
-        return _mul(_mul(Const(complex(e.exponent, 0.0)), inner), db)
-    raise ValueError("expression must be normalized before differentiation")
-
-
-def diff_z(e: Expr, j: int) -> NormalExpr:
-    """Exact symbolic d/dz_j of a normalized expression."""
-    if not is_normal(e):
-        e = normalize(e)
-    return _diff(e, j, conjugated=False)
-
-
-def diff_zbar(e: Expr, j: int) -> NormalExpr:
-    """Exact symbolic d/d(conj z_j); zero for expressions free of conj(z_j)."""
-    if not is_normal(e):
-        e = normalize(e)
-    return _diff(e, j, conjugated=True)
+    return RealPoly.from_expr(e, max(max_var_index(e), j)).diff_zbar(j)

@@ -2,9 +2,11 @@
 
 Every expression over z_j, conj(z_j) expands to a polynomial in the 2n real
 coordinates with complex coefficients (z_j = x_j + i*y_j).  In this form the
-correlated occurrences of z_j and conj(z_j) cancel exactly in coefficient
-arithmetic, which is what makes the interval bounds downstream usable, and
-conj / Re / Im become coefficient operations.
+correlated occurrences of z_j and conj(z_j) combine in coefficient arithmetic
+(rounded to nearest), before any interval is formed, which is what makes the
+interval bounds downstream usable; conj / Re / Im and the Wirtinger
+derivatives d/dz_j = (d/dx_j - i d/dy_j)/2, d/dconj(z_j) = (d/dx_j + i d/dy_j)/2
+become coefficient operations.
 """
 
 from __future__ import annotations
@@ -37,21 +39,11 @@ class RealPoly:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def zero(n: int) -> RealPoly:
-        return RealPoly(n)
-
-    @staticmethod
     def constant(n: int, c: complex) -> RealPoly:
         p = RealPoly(n)
         if c != 0:
             p.terms[(0,) * (2 * n)] = c
         return p
-
-    @staticmethod
-    def coordinate(n: int, real_index: int) -> RealPoly:
-        e = [0] * (2 * n)
-        e[real_index] = 1
-        return RealPoly(n, {tuple(e): 1.0 + 0j})
 
     @staticmethod
     def variable(n: int, j: int, conjugated: bool) -> RealPoly:
@@ -118,11 +110,6 @@ class RealPoly:
                 out._set(k, out.terms.get(k, 0j) + v1 * v2)
         return out
 
-    def scale(self, c: complex) -> RealPoly:
-        if c == 0:
-            return RealPoly(self.n)
-        return RealPoly(self.n, {k: v * c for k, v in self.terms.items()})
-
     def pow(self, k: int) -> RealPoly:
         if k < 0:
             raise ValueError("negative exponent")
@@ -152,6 +139,46 @@ class RealPoly:
             if v.imag != 0.0:
                 out.terms[k] = complex(v.imag, 0.0)
         return out
+
+    # -- derivatives ---------------------------------------------------------
+
+    def diff(self, v: int) -> RealPoly:
+        """Real partial derivative in coordinate t = v-th of (x_1, y_1, ...)
+        (0-based).  A term c t^k becomes (k c) t^(k-1): one rounding per
+        component of the coefficient."""
+        out = RealPoly(self.n)
+        for key, c in self.terms.items():
+            k = key[v]
+            if k:
+                out.terms[key[:v] + (k - 1,) + key[v + 1:]] = complex(k * c.real, k * c.imag)
+        return out
+
+    def diff_z(self, j: int) -> RealPoly:
+        """d/dz_j = (d/dx_j - i d/dy_j)/2 (j is 1-based)."""
+        return self._wirtinger(j, -1.0)
+
+    def diff_zbar(self, j: int) -> RealPoly:
+        """d/dconj(z_j) = (d/dx_j + i d/dy_j)/2 (j is 1-based)."""
+        return self._wirtinger(j, 1.0)
+
+    def _wirtinger(self, j: int, s: float) -> RealPoly:
+        """(d/dx_j + s i d/dy_j)/2 for s = -1 (d/dz_j) or +1 (d/dconj(z_j)).
+
+        Rounding (u = 2^-53, barring overflow and underflow).  A coefficient
+        of the result is A + B, the halved contributions of the x_j-derivative
+        (A = k c / 2 from a term c x_j^k ...) and of the y_j-derivative
+        (B = s i k' c' / 2 from a term c' y_j^k' ...).  Multiplying by s i and
+        by 1/2 is exact, so each component carries at most two roundings, of
+        k c (k' c') and of the sum, and lies within (2u + u^2)(|A| + |B|) of
+        the exact A + B, componentwise.  Small dyadic coefficients give exact
+        results.
+        """
+        out = self.diff(2 * (j - 1)).terms
+        for key, b in self.diff(2 * j - 1).terms.items():
+            sib = complex(-s * b.imag, s * b.real)
+            out[key] = out[key] + sib if key in out else sib
+        return RealPoly(self.n, {key: complex(0.5 * c.real, 0.5 * c.imag)
+                                 for key, c in out.items() if c != 0})
 
     @property
     def is_zero(self) -> bool:
@@ -199,12 +226,7 @@ class RealPoly:
         return total
 
     def eval_point(self, z: Sequence[complex]) -> complex:
-        xs = []
-        for zz in z:
-            zz = complex(zz)
-            xs.append(zz.real)
-            xs.append(zz.imag)
-        return self.eval_real(xs)
+        return self.eval_real(real_coords(z))
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate at many real-coordinate points; xs has shape (m, 2n)."""
@@ -219,6 +241,16 @@ class RealPoly:
         """Sound rectangle enclosure over the box (first 2n coordinates)."""
         rlo, rhi, ilo, ihi = _eval_box_raw(self.pack(), [box.lo], [box.hi])[0, 0].tolist()
         return Rect(Interval(rlo, rhi), Interval(ilo, ihi))
+
+
+def real_coords(z: Sequence[complex]) -> list[float]:
+    """(x_1, y_1, ..., x_n, y_n) of a point (z_1, ..., z_n) of C^n."""
+    xs: list[float] = []
+    for zz in z:
+        zz = complex(zz)
+        xs.append(zz.real)
+        xs.append(zz.imag)
+    return xs
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +396,9 @@ def _eval_box_raw(pack: TermPack, lo, hi) -> np.ndarray:
 
     TermPack enforces that bound once per polynomial, so this kernel carries
     no check.  A polynomial without terms encloses to exactly 0.
+
+    The enclosure is of the polynomial as expanded: its coefficients count as
+    exact, although from_expr and the derivatives rounded them to nearest.
     """
     boxes = len(lo)
     parts = _term_parts(pack, lo, hi)

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
 
 from . import expr as ex
-from .realpoly import RealPoly, TermPack
+from .realpoly import RealPoly, TermPack, real_coords
 
 GRAPH = "graph"
 SUBMERSION = "submersion"
@@ -52,35 +51,30 @@ class TubeProfile:
 
 
 class _FnTable:
-    """Canonical-polynomial derivative table of one defining function."""
+    """Canonical-polynomial derivative table of one defining function:
+    its value, dz[j] = d/dz_j, dzbar[k] = d/dconj(z_k) and
+    levi[j][k] = d2/dz_j dconj(z_k), all as RealPoly."""
 
     __slots__ = ("value", "dz", "dzbar", "levi")
 
     def __init__(self, e: ex.Expr, n: int):
         en = ex.normalize(e)
-        dz_ast = [ex.diff_z(en, j + 1) for j in range(n)]
-        dzbar_ast = [ex.diff_zbar(en, k + 1) for k in range(n)]
-        levi_ast = [[ex.diff_z(dzbar_ast[k], j + 1) for k in range(n)]
-                    for j in range(n)]
+        conj = ex.conj_indices(en)
         self.value = RealPoly.from_expr(en, n)
-        self.dz = [RealPoly.from_expr(a, n) for a in dz_ast]
-        self.dzbar = [RealPoly.from_expr(a, n) for a in dzbar_ast]
-        self.levi = [[RealPoly.from_expr(a, n) for a in row] for row in levi_ast]
-
-
-def _as_real_coords(z: Sequence[complex]) -> list[float]:
-    xs: list[float] = []
-    for zz in z:
-        zz = complex(zz)
-        xs.append(zz.real)
-        xs.append(zz.imag)
-    return xs
+        self.dz = [self.value.diff_z(j + 1) for j in range(n)]
+        # A function free of conj(z_k) has d/dconj(z_k) = 0 exactly, but its
+        # expansion with rounded coefficients need not be exactly holomorphic,
+        # and a residue of the rounding would let bounds of m prove total
+        # reality of a complex submanifold.
+        self.dzbar = [self.value.diff_zbar(k) if k in conj else RealPoly(n)
+                      for k in range(1, n + 1)]
+        self.levi = [[d.diff_z(j + 1) for d in self.dzbar] for j in range(n)]
 
 
 class ProblemSystem:
-    """A graph or submersion system with precomputed symbolic derivative tables.
+    """A graph or submersion system with precomputed derivative tables.
 
-    Immutable after construction; safe to share across threads.
+    Immutable after construction.
     """
 
     def __init__(self, kind: Literal["graph", "submersion"], n: int,
@@ -111,8 +105,6 @@ class ProblemSystem:
         self.k = k
         self.exprs = tuple(ex.normalize(e) for e in exprs)
         self.tables = tuple(_FnTable(e, n) for e in self.exprs)
-        self._lock = threading.Lock()
-        self._u_levi: list[list[RealPoly]] | None = None
         if kind == SUBMERSION:
             self._check_real_valued()
 
@@ -143,6 +135,19 @@ class ProblemSystem:
         return {"value": TermPack(value), "dzbar": TermPack(dzbar),
                 "levi": TermPack(levi), "all": TermPack(value + dzbar + levi)}
 
+    @functools.cached_property
+    def u_levi(self) -> list[list[RealPoly]]:
+        """Levi matrix (2n x 2n) of u(z, w) = sum |w_nu - f_nu(z)|^2 over the
+        2n coordinates (z, w) of a graph system."""
+        n = self.n
+        u: ex.Expr = ex.Const(0j)
+        for nu, f in enumerate(self.exprs):
+            resid = ex.Sub(ex.Var(n + nu + 1), f)
+            u = ex.Add(u, ex.Mul(resid, ex.Conj(resid)))
+        up = RealPoly.from_expr(ex.normalize(u), 2 * n)
+        dzbar = [up.diff_zbar(k + 1) for k in range(2 * n)]
+        return [[d.diff_z(j + 1) for d in dzbar] for j in range(2 * n)]
+
     def _check_real_valued(self):
         rng = np.random.default_rng(20240901)
         pts = rng.standard_normal((_REAL_CHECK_SAMPLES, 2 * self.n))
@@ -158,17 +163,17 @@ class ProblemSystem:
     # -- point evaluation -----------------------------------------------------
 
     def values_at(self, z: Sequence[complex]) -> np.ndarray:
-        xs = _as_real_coords(z)
+        xs = real_coords(z)
         return np.array([t.value.eval_real(xs) for t in self.tables])
 
     def dz_matrix(self, z: Sequence[complex]) -> np.ndarray:
         """rows x n matrix of d(function_r)/dz_j at z."""
-        xs = _as_real_coords(z)
+        xs = real_coords(z)
         return np.array([[t.dz[j].eval_real(xs) for j in range(self.n)]
                          for t in self.tables])
 
     def levi_matrix(self, r: int, z: Sequence[complex]) -> np.ndarray:
-        xs = _as_real_coords(z)
+        xs = real_coords(z)
         t = self.tables[r]
         return np.array([[t.levi[j][k].eval_real(xs) for k in range(self.n)]
                          for j in range(self.n)])
@@ -183,7 +188,7 @@ class ProblemSystem:
 
 def bbar_matrix(sys: ProblemSystem, z: Sequence[complex]) -> np.ndarray:
     """Matrix of d(function_r)/d(conj z_j) at z; shape (rows, n)."""
-    xs = _as_real_coords(z)
+    xs = real_coords(z)
     return np.array([[t.dzbar[j].eval_real(xs) for j in range(sys.n)]
                      for t in sys.tables])
 
@@ -373,28 +378,11 @@ def tube_profile(sys: ProblemSystem, zs: Sequence[Sequence[complex]]) -> TubePro
 # Levi form of u = sum of squared residuals
 # ---------------------------------------------------------------------------
 
-def _u_levi_table_graph(sys: ProblemSystem) -> list[list[RealPoly]]:
-    """Levi matrix (2n x 2n) of u(z,w) = sum |w_nu - f_nu(z)|^2, lazily cached."""
-    with sys._lock:
-        if sys._u_levi is None:
-            n = sys.n
-            nn = 2 * n
-            u: ex.Expr = ex.Const(0j)
-            for nu, f in enumerate(sys.exprs):
-                resid = ex.Sub(ex.Var(n + nu + 1), f)
-                u = ex.Add(u, ex.Mul(resid, ex.Conj(resid)))
-            un = ex.normalize(u)
-            dzb = [ex.diff_zbar(un, k + 1) for k in range(nn)]
-            sys._u_levi = [[RealPoly.from_expr(ex.diff_z(dzb[k], j + 1), nn)
-                            for k in range(nn)] for j in range(nn)]
-        return sys._u_levi
-
-
 def levi_u_graph(sys: ProblemSystem, z: Sequence[complex], w: Sequence[complex],
                  v: Sequence[complex], t: Sequence[complex]) -> dict:
     """Levi form of u = sum |w_nu - f_nu(z)|^2 at (z,w) in direction V = (v,t).
 
-    Returns the direct symbolic value, the expanded second-derivative formula
+    Returns the direct value (from ProblemSystem.u_levi), the expanded second-derivative formula
     and its displayed lower bound; the contract is direct == expanded and
     direct >= lower_bound.
     """
@@ -408,8 +396,8 @@ def levi_u_graph(sys: ProblemSystem, z: Sequence[complex], w: Sequence[complex],
     if len(z) != n or len(w) != n or v.shape != (n,) or t.shape != (n,):
         raise ValueError("dimension mismatch: z, w, v, t must all have length n")
 
-    levi_table = _u_levi_table_graph(sys)
-    xs = _as_real_coords(list(z) + list(w))
+    levi_table = sys.u_levi
+    xs = real_coords(list(z) + list(w))
     V = np.concatenate([v, t])
     direct = 0j
     for j in range(2 * n):
@@ -446,7 +434,7 @@ def levi_u_submersion(sys: ProblemSystem, z: Sequence[complex],
     if len(z) != n or v.shape != (n,):
         raise ValueError("dimension mismatch: z and v must have length n")
 
-    xs = _as_real_coords(z)
+    xs = real_coords(z)
     direct = 0j
     for t in sys.tables:
         rho = t.value.eval_real(xs)

@@ -2,8 +2,9 @@
 
 A WirtingerFrame collects the value, the first Wirtinger derivatives and the
 mixed second-derivative (Levi) matrix of one scalar function at one point.
-Frames are assembled from exact symbolic derivatives; finite differences are
-kept only as a test oracle (fd_frame).
+Frames are assembled from the Wirtinger derivatives of the expression's
+expansion into real coordinates (realpoly.RealPoly), evaluated at the point;
+finite differences are kept only as a test oracle (fd_frame).
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Expr, diff_z, diff_zbar, eval_point, max_var_index, normalize
+from .expr import Expr, eval_point, max_var_index, normalize
+from .realpoly import RealPoly
 
 
 @dataclass(frozen=True)
@@ -31,17 +33,16 @@ class WirtingerFrame:
 
 
 def frame(e: Expr, z: Sequence[complex]) -> WirtingerFrame:
-    """Assemble the frame of e at z from exact symbolic derivatives."""
+    """Assemble the frame of e at z from its RealPoly Wirtinger derivatives."""
     n = len(z)
     if max_var_index(e) > n:
         raise ValueError(f"expression uses z{max_var_index(e)} but point has n={n}")
-    en = normalize(e)
-    dzb = [diff_zbar(en, k + 1) for k in range(n)]
-    grad_z = np.array([eval_point(diff_z(en, j + 1), z) for j in range(n)])
-    grad_zbar = np.array([eval_point(dzb[k], z) for k in range(n)])
-    levi = np.array([[eval_point(diff_z(dzb[k], j + 1), z) for k in range(n)]
-                     for j in range(n)])
-    return WirtingerFrame(eval_point(en, z), grad_z, grad_zbar, levi)
+    p = RealPoly.from_expr(normalize(e), n)
+    dzb = [p.diff_zbar(k + 1) for k in range(n)]
+    grad_z = np.array([p.diff_z(j + 1).eval_point(z) for j in range(n)])
+    grad_zbar = np.array([d.eval_point(z) for d in dzb])
+    levi = np.array([[d.diff_z(j + 1).eval_point(z) for d in dzb] for j in range(n)])
+    return WirtingerFrame(p.eval_point(z), grad_z, grad_zbar, levi)
 
 
 def levi_form(fr: WirtingerFrame, v: Sequence[complex]) -> complex:

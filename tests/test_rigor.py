@@ -525,3 +525,13 @@ def test_verify_totally_real_fails_holomorphic():
     node = verify_totally_real(sys_, ParamBox(1, [-1, -1], [1, 1]), max_depth=5)
     assert node.status == FAILED
     assert node.witness is not None
+
+
+def test_holomorphic_graph_with_rounded_expansion_is_not_proved_totally_real():
+    # the expansion's coefficients are rounded and not exactly holomorphic:
+    # differentiating them leaves a dbar residue of about 1e-16
+    sys_ = ProblemSystem.graph(["0.1*z1^3*(z1+0.3)^4"], 1)
+    assert not sys_.tables[0].value.diff_zbar(1).is_zero
+    assert sys_.tables[0].dzbar[0].is_zero
+    node = verify_totally_real(sys_, ParamBox(1, [0.45, 0.15], [0.55, 0.25]), max_depth=5)
+    assert node.status == FAILED
