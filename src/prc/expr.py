@@ -11,8 +11,8 @@ The grammar (whitespace insensitive)::
 
 Normalization pushes conj to the leaves and eliminates Re/Im, after which the
 expression is a polynomial in the 2n independent variables z_j, conj(z_j).
-Expansion into the real coordinates and Wirtinger differentiation belong to
-realpoly.RealPoly; diff_z and diff_zbar here are thin wrappers around it.
+Expansion and Wirtinger differentiation belong to realpoly.ZPoly; diff_z and
+diff_zbar here are thin wrappers around it.
 """
 
 from __future__ import annotations
@@ -114,21 +114,6 @@ def max_var_index(e: Expr) -> int:
     if isinstance(e, Pow):
         return max_var_index(e.base)
     raise TypeError(f"not an Expr node: {e!r}")
-
-
-def conj_indices(e: NormalExpr) -> set[int]:
-    """The k for which conj(z_k) occurs in the normalized expression e."""
-    if isinstance(e, Var):
-        return {e.index} if e.conjugated else set()
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, Neg):
-        return conj_indices(e.operand)
-    if isinstance(e, (Add, Sub, Mul)):
-        return conj_indices(e.left) | conj_indices(e.right)
-    if isinstance(e, Pow):
-        return conj_indices(e.base)
-    raise TypeError(f"not a normalized Expr node: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +445,15 @@ def eval_interval(e: Expr, box: ParamBox) -> Rect:
 # ---------------------------------------------------------------------------
 
 def diff_z(e: Expr, j: int):
-    """d/dz_j of e, expanded to a RealPoly (rounding: RealPoly._wirtinger)."""
-    from .realpoly import RealPoly
+    """d/dz_j of e as a realpoly.ZPoly, a polynomial in z and conj(z)."""
+    from .realpoly import ZPoly
 
-    return RealPoly.from_expr(e, max(max_var_index(e), j)).diff_z(j)
+    return ZPoly.from_expr(normalize(e), max(max_var_index(e), j)).diff_z(j)
 
 
 def diff_zbar(e: Expr, j: int):
-    """d/dconj(z_j) of e, expanded to a RealPoly (rounding: RealPoly._wirtinger).
+    """d/dconj(z_j) of e as a realpoly.ZPoly; exactly zero when the
+    expansion of e in z and conj(z) is free of conj(z_j)."""
+    from .realpoly import ZPoly
 
-    For e free of conj(z_j) it is zero only when the expansion of e is exact:
-    rounded coefficients need not be exactly holomorphic.
-    """
-    from .realpoly import RealPoly
-
-    return RealPoly.from_expr(e, max(max_var_index(e), j)).diff_zbar(j)
+    return ZPoly.from_expr(normalize(e), max(max_var_index(e), j)).diff_zbar(j)

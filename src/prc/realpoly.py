@@ -1,16 +1,22 @@
-"""Canonical polynomials in the real coordinates (x_1, y_1, ..., x_n, y_n).
+"""Canonical polynomials in z_j, conj(z_j) and in the real coordinates.
 
-Every expression over z_j, conj(z_j) expands to a polynomial in the 2n real
-coordinates with complex coefficients (z_j = x_j + i*y_j).  In this form the
-correlated occurrences of z_j and conj(z_j) combine in coefficient arithmetic
-(rounded to nearest), before any interval is formed, which is what makes the
-interval bounds downstream usable; conj / Re / Im and the Wirtinger
-derivatives d/dz_j = (d/dx_j - i d/dy_j)/2, d/dconj(z_j) = (d/dx_j + i d/dy_j)/2
-become coefficient operations.
+A normalized expression (expr.normalize) is a polynomial in the 2n
+independent variables z_j, conj(z_j) and expands as such into a ZPoly.  There
+the Wirtinger derivatives d/dz_j and d/dconj(z_j) are partial derivatives:
+each coefficient is multiplied by its exponent, and a term free of the
+variable drops out, so d/dconj(z_j) of a function whose expansion is free of
+conj(z_j) is exactly zero, however its coefficients were rounded.
+
+For interval bounds a polynomial is expanded in the 2n real coordinates
+(x_1, y_1, ..., x_n, y_n) with complex coefficients (z_j = x_j + i*y_j): a
+RealPoly.  In this form the correlated occurrences of z_j and conj(z_j)
+combine in coefficient arithmetic (rounded to nearest), before any interval
+is formed, which is what makes the interval bounds downstream usable.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Sequence
@@ -25,59 +31,21 @@ _TINY = 1e-300
 MAX_TERMS = 4095
 
 
-class RealPoly:
-    """Polynomial sum of coeff * prod(v_i^e_i) over the 2n real coordinates."""
+class _Poly:
+    """Sparse polynomial in 2n variables: exponent tuple -> complex coefficient."""
 
-    __slots__ = ("n", "terms", "_packed", "_pack")
+    __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: dict[tuple[int, ...], complex] | None = None):
         self.n = n
         self.terms: dict[tuple[int, ...], complex] = terms if terms is not None else {}
-        self._packed = None
-        self._pack = None
 
-    # -- construction -------------------------------------------------------
-
-    @staticmethod
-    def constant(n: int, c: complex) -> RealPoly:
-        p = RealPoly(n)
+    @classmethod
+    def constant(cls, n: int, c: complex):
+        p = cls(n)
         if c != 0:
             p.terms[(0,) * (2 * n)] = c
         return p
-
-    @staticmethod
-    def variable(n: int, j: int, conjugated: bool) -> RealPoly:
-        """z_j = x_j + i y_j or conj(z_j) = x_j - i y_j (j is 1-based)."""
-        ex_ = [0] * (2 * n)
-        ey = [0] * (2 * n)
-        ex_[2 * (j - 1)] = 1
-        ey[2 * (j - 1) + 1] = 1
-        s = -1j if conjugated else 1j
-        return RealPoly(n, {tuple(ex_): 1.0 + 0j, tuple(ey): s})
-
-    @staticmethod
-    def from_expr(e: ex.Expr, n: int) -> RealPoly:
-        if isinstance(e, ex.Const):
-            return RealPoly.constant(n, e.value)
-        if isinstance(e, ex.Var):
-            return RealPoly.variable(n, e.index, e.conjugated)
-        if isinstance(e, ex.Neg):
-            return -RealPoly.from_expr(e.operand, n)
-        if isinstance(e, ex.Conj):
-            return RealPoly.from_expr(e.operand, n).conj()
-        if isinstance(e, ex.Re):
-            return RealPoly.from_expr(e.operand, n).real_part()
-        if isinstance(e, ex.Im):
-            return RealPoly.from_expr(e.operand, n).imag_part()
-        if isinstance(e, ex.Add):
-            return RealPoly.from_expr(e.left, n) + RealPoly.from_expr(e.right, n)
-        if isinstance(e, ex.Sub):
-            return RealPoly.from_expr(e.left, n) - RealPoly.from_expr(e.right, n)
-        if isinstance(e, ex.Mul):
-            return RealPoly.from_expr(e.left, n) * RealPoly.from_expr(e.right, n)
-        if isinstance(e, ex.Pow):
-            return RealPoly.from_expr(e.base, n).pow(e.exponent)
-        raise TypeError(f"not an Expr node: {e!r}")
 
     # -- algebra -------------------------------------------------------------
 
@@ -87,33 +55,33 @@ class RealPoly:
         else:
             self.terms[key] = val
 
-    def __add__(self, other: RealPoly) -> RealPoly:
-        out = RealPoly(self.n, dict(self.terms))
+    def __add__(self, other):
+        out = type(self)(self.n, dict(self.terms))
         for k, v in other.terms.items():
             out._set(k, out.terms.get(k, 0j) + v)
         return out
 
-    def __sub__(self, other: RealPoly) -> RealPoly:
-        out = RealPoly(self.n, dict(self.terms))
+    def __sub__(self, other):
+        out = type(self)(self.n, dict(self.terms))
         for k, v in other.terms.items():
             out._set(k, out.terms.get(k, 0j) - v)
         return out
 
-    def __neg__(self) -> RealPoly:
-        return RealPoly(self.n, {k: -v for k, v in self.terms.items()})
+    def __neg__(self):
+        return type(self)(self.n, {k: -v for k, v in self.terms.items()})
 
-    def __mul__(self, other: RealPoly) -> RealPoly:
-        out = RealPoly(self.n)
+    def __mul__(self, other):
+        out = type(self)(self.n)
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
                 k = tuple(a + b for a, b in zip(k1, k2))
                 out._set(k, out.terms.get(k, 0j) + v1 * v2)
         return out
 
-    def pow(self, k: int) -> RealPoly:
+    def pow(self, k: int):
         if k < 0:
             raise ValueError("negative exponent")
-        result = RealPoly.constant(self.n, 1.0 + 0j)
+        result = type(self).constant(self.n, 1.0 + 0j)
         base = self
         while k:
             if k & 1:
@@ -122,63 +90,16 @@ class RealPoly:
             k >>= 1
         return result
 
-    def conj(self) -> RealPoly:
-        # variables are real, so conjugation acts on coefficients only
-        return RealPoly(self.n, {k: v.conjugate() for k, v in self.terms.items()})
-
-    def real_part(self) -> RealPoly:
-        out = RealPoly(self.n)
-        for k, v in self.terms.items():
-            if v.real != 0.0:
-                out.terms[k] = complex(v.real, 0.0)
-        return out
-
-    def imag_part(self) -> RealPoly:
-        out = RealPoly(self.n)
-        for k, v in self.terms.items():
-            if v.imag != 0.0:
-                out.terms[k] = complex(v.imag, 0.0)
-        return out
-
-    # -- derivatives ---------------------------------------------------------
-
-    def diff(self, v: int) -> RealPoly:
-        """Real partial derivative in coordinate t = v-th of (x_1, y_1, ...)
-        (0-based).  A term c t^k becomes (k c) t^(k-1): one rounding per
-        component of the coefficient."""
-        out = RealPoly(self.n)
+    def diff(self, v: int):
+        """Partial derivative in the v-th variable t (0-based).  A term
+        c t^k becomes (k c) t^(k-1), one rounding per component of the
+        coefficient; a term free of t drops out."""
+        out = type(self)(self.n)
         for key, c in self.terms.items():
             k = key[v]
             if k:
                 out.terms[key[:v] + (k - 1,) + key[v + 1:]] = complex(k * c.real, k * c.imag)
         return out
-
-    def diff_z(self, j: int) -> RealPoly:
-        """d/dz_j = (d/dx_j - i d/dy_j)/2 (j is 1-based)."""
-        return self._wirtinger(j, -1.0)
-
-    def diff_zbar(self, j: int) -> RealPoly:
-        """d/dconj(z_j) = (d/dx_j + i d/dy_j)/2 (j is 1-based)."""
-        return self._wirtinger(j, 1.0)
-
-    def _wirtinger(self, j: int, s: float) -> RealPoly:
-        """(d/dx_j + s i d/dy_j)/2 for s = -1 (d/dz_j) or +1 (d/dconj(z_j)).
-
-        Rounding (u = 2^-53, barring overflow and underflow).  A coefficient
-        of the result is A + B, the halved contributions of the x_j-derivative
-        (A = k c / 2 from a term c x_j^k ...) and of the y_j-derivative
-        (B = s i k' c' / 2 from a term c' y_j^k' ...).  Multiplying by s i and
-        by 1/2 is exact, so each component carries at most two roundings, of
-        k c (k' c') and of the sum, and lies within (2u + u^2)(|A| + |B|) of
-        the exact A + B, componentwise.  Small dyadic coefficients give exact
-        results.
-        """
-        out = self.diff(2 * (j - 1)).terms
-        for key, b in self.diff(2 * j - 1).terms.items():
-            sib = complex(-s * b.imag, s * b.real)
-            out[key] = out[key] + sib if key in out else sib
-        return RealPoly(self.n, {key: complex(0.5 * c.real, 0.5 * c.imag)
-                                 for key, c in out.items() if c != 0})
 
     @property
     def is_zero(self) -> bool:
@@ -188,10 +109,106 @@ class RealPoly:
         return max((sum(k) for k in self.terms), default=0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RealPoly) and self.n == other.n and self.terms == other.terms
+        return type(other) is type(self) and self.n == other.n and self.terms == other.terms
 
     def __repr__(self) -> str:
-        return f"RealPoly(n={self.n}, {len(self.terms)} terms, deg={self.total_degree()})"
+        return (f"{type(self).__name__}(n={self.n}, {len(self.terms)} terms, "
+                f"deg={self.total_degree()})")
+
+
+class ZPoly(_Poly):
+    """Polynomial in the 2n independent variables (z_1, conj(z_1), ...,
+    z_n, conj(z_n)): the exponents (a_1, b_1, ..., a_n, b_n) stand for
+    prod z_j^a_j conj(z_j)^b_j."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def from_expr(e: ex.Expr, n: int) -> ZPoly:
+        """Expansion of a normalized expression (conj on variables only, no
+        Re or Im)."""
+        if isinstance(e, ex.Const):
+            return ZPoly.constant(n, e.value)
+        if isinstance(e, ex.Var):
+            key = [0] * (2 * n)
+            key[2 * (e.index - 1) + e.conjugated] = 1
+            return ZPoly(n, {tuple(key): 1.0 + 0j})
+        if isinstance(e, ex.Neg):
+            return -ZPoly.from_expr(e.operand, n)
+        if isinstance(e, ex.Add):
+            return ZPoly.from_expr(e.left, n) + ZPoly.from_expr(e.right, n)
+        if isinstance(e, ex.Sub):
+            return ZPoly.from_expr(e.left, n) - ZPoly.from_expr(e.right, n)
+        if isinstance(e, ex.Mul):
+            return ZPoly.from_expr(e.left, n) * ZPoly.from_expr(e.right, n)
+        if isinstance(e, ex.Pow):
+            return ZPoly.from_expr(e.base, n).pow(e.exponent)
+        raise TypeError(f"not a normalized Expr node: {e!r}")
+
+    def diff_z(self, j: int) -> ZPoly:
+        """d/dz_j (j is 1-based)."""
+        return self.diff(2 * (j - 1))
+
+    def diff_zbar(self, j: int) -> ZPoly:
+        """d/dconj(z_j) (j is 1-based)."""
+        return self.diff(2 * j - 1)
+
+    def derivatives(self) -> tuple[list[ZPoly], list[ZPoly], list[list[ZPoly]]]:
+        """(dz, dzbar, levi) with dz[j] = d/dz_j, dzbar[k] = d/dconj(z_k) and
+        levi[j][k] = d2/dz_j dconj(z_k) (0-based j, k).  A Levi coefficient,
+        a_j (b_k c), carries at most two roundings per component."""
+        n = self.n
+        dzbar = [self.diff_zbar(k + 1) for k in range(n)]
+        return ([self.diff_z(j + 1) for j in range(n)], dzbar,
+                [[d.diff_z(j + 1) for d in dzbar] for j in range(n)])
+
+    def eval_point(self, z: Sequence[complex]) -> complex:
+        return self.to_real().eval_point(z)
+
+    def to_real(self) -> RealPoly:
+        """The same polynomial in the real coordinates (z_j = x_j + i y_j).
+
+        Rounding (u = 2^-53): a monomial expands exactly, with integer or
+        integer times i coefficients g (below total degree 53).  A real term
+        that m monomials c z^a conj(z)^b contribute to is the sum of their
+        products c g, each rounded once per component, so each component lies
+        within gamma_m sum |c g| of the exact sum, gamma_m = m u / (1 - m u).
+        """
+        out = RealPoly(self.n)
+        for key, c in self.terms.items():
+            for k, g in _real_monomial(self.n, key):
+                out._set(k, out.terms.get(k, 0j) + c * g)
+        return out
+
+
+@functools.lru_cache(maxsize=4096)
+def _real_monomial(n: int, key: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], complex], ...]:
+    """The terms of prod z_j^a_j conj(z_j)^b_j in the real coordinates."""
+    m = RealPoly.constant(n, 1.0 + 0j)
+    for v, e in enumerate(key):
+        if e:
+            x, y = [0] * (2 * n), [0] * (2 * n)
+            x[v - v % 2] = y[v - v % 2 + 1] = 1
+            # z_j = x_j + i y_j or conj(z_j) = x_j - i y_j
+            zv = RealPoly(n, {tuple(x): 1.0 + 0j, tuple(y): -1j if v % 2 else 1j})
+            m = m * zv.pow(e)
+    return tuple(m.terms.items())
+
+
+class RealPoly(_Poly):
+    """Polynomial sum of coeff * prod(v_i^e_i) over the 2n real coordinates."""
+
+    __slots__ = ("_packed", "_pack")
+
+    def __init__(self, n: int, terms: dict[tuple[int, ...], complex] | None = None):
+        super().__init__(n, terms)
+        self._packed = None
+        self._pack = None
+
+    @staticmethod
+    def from_expr(e: ex.Expr, n: int) -> RealPoly:
+        """Expansion of any expression, through ZPoly (rounding: ZPoly.to_real)."""
+        return ZPoly.from_expr(ex.normalize(e), n).to_real()
 
     # -- evaluation ----------------------------------------------------------
 
@@ -398,7 +415,7 @@ def _eval_box_raw(pack: TermPack, lo, hi) -> np.ndarray:
     no check.  A polynomial without terms encloses to exactly 0.
 
     The enclosure is of the polynomial as expanded: its coefficients count as
-    exact, although from_expr and the derivatives rounded them to nearest.
+    exact, although from_expr and ZPoly.to_real rounded them to nearest.
     """
     boxes = len(lo)
     parts = _term_parts(pack, lo, hi)

@@ -22,7 +22,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import expr as ex
-from .realpoly import RealPoly, TermPack, real_coords
+from .realpoly import RealPoly, TermPack, ZPoly, real_coords
 
 GRAPH = "graph"
 SUBMERSION = "submersion"
@@ -53,22 +53,19 @@ class TubeProfile:
 class _FnTable:
     """Canonical-polynomial derivative table of one defining function:
     its value, dz[j] = d/dz_j, dzbar[k] = d/dconj(z_k) and
-    levi[j][k] = d2/dz_j dconj(z_k), all as RealPoly."""
+    levi[j][k] = d2/dz_j dconj(z_k), all as RealPoly.  All come from one
+    expansion in z and conj(z) (realpoly.ZPoly), so a function holomorphic in
+    z_k, however it is written, has dzbar[k] = 0 exactly."""
 
     __slots__ = ("value", "dz", "dzbar", "levi")
 
-    def __init__(self, e: ex.Expr, n: int):
-        en = ex.normalize(e)
-        conj = ex.conj_indices(en)
-        self.value = RealPoly.from_expr(en, n)
-        self.dz = [self.value.diff_z(j + 1) for j in range(n)]
-        # A function free of conj(z_k) has d/dconj(z_k) = 0 exactly, but its
-        # expansion with rounded coefficients need not be exactly holomorphic,
-        # and a residue of the rounding would let bounds of m prove total
-        # reality of a complex submanifold.
-        self.dzbar = [self.value.diff_zbar(k) if k in conj else RealPoly(n)
-                      for k in range(1, n + 1)]
-        self.levi = [[d.diff_z(j + 1) for d in self.dzbar] for j in range(n)]
+    def __init__(self, e: ex.NormalExpr, n: int):
+        p = ZPoly.from_expr(e, n)
+        dz, dzbar, levi = p.derivatives()
+        self.value = p.to_real()
+        self.dz = [d.to_real() for d in dz]
+        self.dzbar = [d.to_real() for d in dzbar]
+        self.levi = [[d.to_real() for d in row] for row in levi]
 
 
 class ProblemSystem:
@@ -144,9 +141,8 @@ class ProblemSystem:
         for nu, f in enumerate(self.exprs):
             resid = ex.Sub(ex.Var(n + nu + 1), f)
             u = ex.Add(u, ex.Mul(resid, ex.Conj(resid)))
-        up = RealPoly.from_expr(ex.normalize(u), 2 * n)
-        dzbar = [up.diff_zbar(k + 1) for k in range(2 * n)]
-        return [[d.diff_z(j + 1) for d in dzbar] for j in range(2 * n)]
+        levi = ZPoly.from_expr(ex.normalize(u), 2 * n).derivatives()[2]
+        return [[d.to_real() for d in row] for row in levi]
 
     def _check_real_valued(self):
         rng = np.random.default_rng(20240901)

@@ -3,7 +3,7 @@
 A WirtingerFrame collects the value, the first Wirtinger derivatives and the
 mixed second-derivative (Levi) matrix of one scalar function at one point.
 Frames are assembled from the Wirtinger derivatives of the expression's
-expansion into real coordinates (realpoly.RealPoly), evaluated at the point;
+expansion in z and conj(z) (realpoly.ZPoly), evaluated at the point;
 finite differences are kept only as a test oracle (fd_frame).
 """
 
@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import Expr, eval_point, max_var_index, normalize
-from .realpoly import RealPoly
+from .realpoly import ZPoly
 
 
 @dataclass(frozen=True)
@@ -33,16 +33,15 @@ class WirtingerFrame:
 
 
 def frame(e: Expr, z: Sequence[complex]) -> WirtingerFrame:
-    """Assemble the frame of e at z from its RealPoly Wirtinger derivatives."""
+    """Assemble the frame of e at z from its ZPoly Wirtinger derivatives."""
     n = len(z)
     if max_var_index(e) > n:
         raise ValueError(f"expression uses z{max_var_index(e)} but point has n={n}")
-    p = RealPoly.from_expr(normalize(e), n)
-    dzb = [p.diff_zbar(k + 1) for k in range(n)]
-    grad_z = np.array([p.diff_z(j + 1).eval_point(z) for j in range(n)])
-    grad_zbar = np.array([d.eval_point(z) for d in dzb])
-    levi = np.array([[d.diff_z(j + 1).eval_point(z) for d in dzb] for j in range(n)])
-    return WirtingerFrame(p.eval_point(z), grad_z, grad_zbar, levi)
+    p = ZPoly.from_expr(normalize(e), n)
+    dz, dzbar, levi = p.derivatives()
+    return WirtingerFrame(p.eval_point(z), np.array([d.eval_point(z) for d in dz]),
+                          np.array([d.eval_point(z) for d in dzbar]),
+                          np.array([[q.eval_point(z) for q in row] for row in levi]))
 
 
 def levi_form(fr: WirtingerFrame, v: Sequence[complex]) -> complex:

@@ -527,11 +527,24 @@ def test_verify_totally_real_fails_holomorphic():
     assert node.witness is not None
 
 
-def test_holomorphic_graph_with_rounded_expansion_is_not_proved_totally_real():
-    # the expansion's coefficients are rounded and not exactly holomorphic:
-    # differentiating them leaves a dbar residue of about 1e-16
-    sys_ = ProblemSystem.graph(["0.1*z1^3*(z1+0.3)^4"], 1)
-    assert not sys_.tables[0].value.diff_zbar(1).is_zero
+G_ROUNDED = "0.1*z1^3*(z1+0.3)^4"
+
+
+@pytest.mark.parametrize("f", [G_ROUNDED, f"Re({G_ROUNDED}) + i*Im({G_ROUNDED})",
+                               f"{G_ROUNDED} + conj(z1) - conj(z1)"])
+def test_holomorphic_graph_with_rounded_expansion_is_not_proved_totally_real(f):
+    # the real-coordinate expansion of g has rounded coefficients and is not
+    # exactly holomorphic; the derivative tables must be zero all the same,
+    # however the holomorphic function is written
+    sys_ = ProblemSystem.graph([f], 1)
     assert sys_.tables[0].dzbar[0].is_zero
+    assert sys_.tables[0].levi[0][0].is_zero
     node = verify_totally_real(sys_, ParamBox(1, [0.45, 0.15], [0.55, 0.25]), max_depth=5)
     assert node.status == FAILED
+
+
+def test_holomorphic_summand_adds_nothing_to_dbar_tables():
+    mixed = ProblemSystem.graph([f"{G_ROUNDED} + 0.3*conj(z1)^2*z1"], 1).tables[0]
+    alone = ProblemSystem.graph(["0.3*conj(z1)^2*z1"], 1).tables[0]
+    assert mixed.dzbar == alone.dzbar
+    assert mixed.levi == alone.levi
