@@ -373,12 +373,14 @@ def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
 
     tr = verify_totally_real(sys, z_box, max_depth=max_depth, region=z_region,
                              node_budget=node_budget)
+    tr_leaves = tr.leaves()
     tr_check = {
         "status": tr.status,
-        "m_lower": tr.min_m_lower(),
-        "leaf_count": tr.leaf_count(),
-        "depth": tr.max_depth_used(),
-        "leaves": [_tr_leaf_dict(leaf) for leaf in tr.leaves()],
+        "m_lower": min((leaf.value for leaf in tr_leaves if not leaf.outside),
+                       default=math.inf),
+        "leaf_count": len(tr_leaves),
+        "depth": max(leaf.depth for leaf in tr_leaves),
+        "leaves": [_tr_leaf_dict(leaf) for leaf in tr_leaves],
     }
     if tr.witness is not None:
         tr_check["witness"] = tr.witness

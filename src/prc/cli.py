@@ -36,6 +36,8 @@ _DENSITY_DEFAULT = 64
 _ANGLES = 16
 # least admissible value of the integer flags that no library call checks
 _FLAG_MINIMA = {"threads": 1, "grid": 1, "steps": 2}
+# most points of a totally-real mesh: each one is kept and written as JSON
+_MAX_GRID_POINTS = 100_000
 
 
 def _setup_logging():
@@ -88,6 +90,10 @@ def cmd_totally_real(args) -> int:
     sys_, K, _, _ = _load_manifest_file(args.manifest)
     lo, hi = compact_z_bbox(K)
     g = args.grid
+    if g ** len(lo) > _MAX_GRID_POINTS:
+        raise ManifestError(
+            f"--grid {g} asks for grid^(2n) = {g}^{len(lo)} = {g ** len(lo)} points; "
+            f"at most {_MAX_GRID_POINTS} are evaluated, so pass a smaller --grid")
     axes = [np.linspace(lo[i], hi[i], g) if hi[i] > lo[i] else np.array([lo[i]])
             for i in range(len(lo))]
     mesh = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)

@@ -4,10 +4,13 @@ adaptive bisection.
 Bounds are computed from the canonical-polynomial derivative tables of a
 ProblemSystem:
 
-* m_lower: Gershgorin lower bound of lambda_min(B* B) over the interval
-  enclosure of the dbar-matrix B,
-* L_upper: Frobenius-norm upper bound of the numerical radius of each Levi
-  matrix enclosure,
+* m_lower: lower bound of lambda_min(B* B) over the interval enclosure of
+  the dbar-matrix B: Gershgorin, and for n = 2 also the closed form of the
+  2x2 eigenvalue, whichever is larger,
+* L_upper: upper bound of the numerical radius of each Levi matrix
+  enclosure: its Frobenius norm, and for n >= 2 also sqrt(||A||_1 ||A||_inf)
+  (graphs) or the 2x2 Hermitian closed form (submersions, n = 2), whichever
+  is smaller,
 * residual_upper: upper bound of the residual sum.  For a graph the w part
   is either a rectangle per coordinate (4n-coordinate boxes) or an open disc
   D(c, r) per coordinate over a z-box, where w is eliminated in closed form:
@@ -34,12 +37,12 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from .intervals import INFLATION, ParamBox
-from .realpoly import _eval_box_raw, dist_upper, hypot, mag_upper, sequential_sum
+from .realpoly import _TINY, _eval_box_raw, dist_upper, hypot, mag_upper, sequential_sum
 from .trgeom import (GRAPH, ProblemSystem, is_totally_real_graph,
                      is_totally_real_submersion, numerical_radius, radius_factor)
 
@@ -153,29 +156,18 @@ class VerifyNode:
     outside: bool = False
     report: BoundReport | None = None
 
-    def nodes(self) -> Iterator["VerifyNode"]:
-        yield self
-        for c in self.children:
-            yield from c.nodes()
+    def nodes(self) -> list["VerifyNode"]:
+        """Every node of the tree, depth first, children in split order."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            out.append(node)
+            stack += reversed(node.children)
+        return out
 
-    def leaves(self) -> Iterator["VerifyNode"]:
-        if not self.children:
-            yield self
-        else:
-            for c in self.children:
-                yield from c.leaves()
-
-    def leaf_count(self) -> int:
-        return sum(1 for _ in self.leaves())
-
-    def max_depth_used(self) -> int:
-        return max(leaf.depth for leaf in self.leaves())
-
-    def min_m_lower(self) -> float:
-        """Least value over the non-OUTSIDE leaves of a totally-real tree
-        (+inf when there are none)."""
-        vals = [leaf.value for leaf in self.leaves() if not leaf.outside]
-        return min(vals) if vals else math.inf
+    def leaves(self) -> list["VerifyNode"]:
+        """The leaves of the tree, depth first, children in split order."""
+        return [node for node in self.nodes() if not node.children]
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +205,48 @@ class _BoxBounds:
       ranges of H_ji contain the true ones.  The factor (1 + 4 I) then covers
       math.hypot (under 1 ulp), the sum over i (n - 2 roundings) and its own
       product, for n up to 32,765.
+      For n = 2 the bound is also taken from the closed form
+      lambda_min = (a + d)/2 - sqrt(((a - d)/2)^2 + |b|^2) of the Hermitian
+      B* B = [[a, b], [conj b, d]], which grows with a and d and falls with
+      |b|, so it is least at the diagonal lower bounds a, d >= 0 above and
+      the bound b of |H01| (_eig2_min_lower).  It computes
+      2 lambda = (a + d)(1 - I) - h with h = hypot(a - d, 2b).  The product
+      is at most the exact a + d times (1 - I + 2u), as a, d >= 0.  a - d
+      errs by u of itself, 2b is exact and b lacks at most 1 ulp, so h lacks
+      at most 5u of the exact root; where the difference is positive, that
+      root is below a + d, so this loss, and the u of a + d the subtraction
+      errs by, are at most 6u of a + d.  The (1 - I) covers all of them.
+      Where the result is at most _TINY = 1e-300 it is replaced by 0, so
+      a + d is a normal number wherever the bound is used and an underflow
+      of a - d or of hypot (exact, or 2^-1074 absolute) is covered too;
+      halving is then exact.  The larger of the Gershgorin and the
+      closed-form bound is kept, box by box (a NaN closed form leaves the
+      Gershgorin bound).
     * L_upper.  Each Levi entry's magnitude is bounded by hypot times
       (1 + I); squaring, the sum of n^2 squares, sqrt and the final (1 + I)
       lose at most (n^2 + 9)u / 2 relative, within the 2 I of the two
-      factors for n <= MAX_N.
+      factors for n <= MAX_N.  For graphs with n >= 2 the bound is also
+      taken from w(A) <= ||A||_2 <= sqrt(||A||_1 ||A||_inf), on the same
+      magnitude bounds: two sums of n non-negative terms, two square roots,
+      a product and the final (1 + I) lose at most (2n + 2)u relative.  For
+      submersions with n = 2 it is also taken from w(A) <= rho(H) + ||K||_F
+      with H = (A + A*)/2 and K = (A - A*)/2, which holds whether or not the
+      tables of A are exactly conjugate (_levi2_upper).  Both eigenvalues
+      of H grow with its diagonal, and lambda_max and -lambda_min with
+      |H01|, so rho(H) is largest over the box at the bound of |H01| and at
+      the upper ends of Re A00 and Re A11 or at their lower ends.  Its
+      inputs are the enclosure ends, and the exact sum of two ends bounds
+      the sum of two entries, as in interval addition.  Every quantity it
+      computes is a sum, difference, magnitude or hypot of such numbers,
+      each rounding errs by u (hypot by 2u) of its own result, and all of
+      them enter the result with a positive sign; the longest chain (a sum,
+      two hypot and three more sums and products) loses at most 8u
+      relative, which the final (1 + I) covers.  The widening of _eval_box_raw makes every
+      enclosure at least 2 _TINY wide, so the magnitudes that enter h01, the
+      skew part and both norms are at least _TINY, normal numbers, and
+      nothing in these two bounds underflows (the norms take their square
+      roots before the product for that reason).  The smaller of Frobenius
+      and the new bound is kept for each Levi matrix.
     * residual_upper.  Every term is a non-negative sum of correctly rounded
       operations (or within 1 ulp, for math.hypot), about rows + 4 of them,
       which the final (1 + I) covers.
@@ -235,11 +265,12 @@ class _BoxBounds:
         return _eval_box_raw(self.packs["value"], lo, hi)
 
     def m_lower(self, lo, hi) -> np.ndarray:
-        """Gershgorin lower bounds of lambda_min(B* B) over the boxes."""
+        """Lower bounds of lambda_min(B* B) over the boxes (see _m)."""
         return self._m(_eval_box_raw(self.packs["dzbar"], lo, hi))
 
     def L_upper(self, lo, hi) -> np.ndarray:
-        """Frobenius-norm upper bounds of every Levi matrix over the boxes."""
+        """Upper bounds of the numerical radius of every Levi matrix over the
+        boxes (see _L)."""
         return self._L(_eval_box_raw(self.packs["levi"], lo, hi))
 
     def residual_upper(self, lo, hi, w_discs=None) -> np.ndarray:
@@ -262,7 +293,9 @@ class _BoxBounds:
     def _m(self, ents: np.ndarray) -> np.ndarray:
         """Diagonal entries are enclosed tightly via |entry|^2 = re^2 + im^2;
         off-diagonal entries of B* B are accumulated as rectangle sums of
-        rectangle products so that sign cancellation between rows survives."""
+        rectangle products so that sign cancellation between rows survives.
+        Gershgorin turns them into one bound; for n = 2 the closed form of
+        the 2x2 eigenvalue is used where it is larger."""
         n = self.sys.n
         ents = ents.reshape(len(ents), self.sys.rows, n, 4)
         rlo, rhi, ilo, ihi = np.moveaxis(ents, -1, 0)
@@ -287,18 +320,34 @@ class _BoxBounds:
             q_lo, q_hi = _product_range(blo, bhi, clo, chi)
             hi_lo = sequential_sum(p_lo + q_lo, axis=1)
             hi_hi = sequential_sum(p_hi + q_hi, axis=1)
-            off = hypot(np.maximum(np.abs(hr_lo), np.abs(hr_hi)),
-                        np.maximum(np.abs(hi_lo), np.abs(hi_hi)))
+            off = hypot(_mag(hr_lo, hr_hi), _mag(hi_lo, hi_hi))
+            if n == 2:
+                # H10 = conj(H01), and its enclosure is H01's mirrored (the
+                # same endpoint products, summed in the same order), so the
+                # two magnitude bounds are the same number
+                closed = _eig2_min_lower(best[:, 0], best[:, 1], off[:, 0])
             off = sequential_sum(off.reshape(len(off), n, n - 1), axis=2)
             best = best - off * (1.0 + 4.0 * INFLATION)
         best = best.min(axis=1)
+        if n == 2:
+            best = _max(best, closed)
         return np.where(best > 0.0, best, 0.0)
 
     def _L(self, enc: np.ndarray) -> np.ndarray:
-        mag = mag_upper(enc)
-        fro2 = sequential_sum((mag * mag).reshape(len(enc), self.sys.rows, self.sys.n ** 2),
-                              axis=2)
-        return (np.sqrt(fro2) * (1.0 + INFLATION)).max(axis=1)
+        """Frobenius norm of each Levi matrix's entry bounds; for n >= 2 the
+        smaller of that and sqrt(||A||_1 ||A||_inf) (graphs), or of that and
+        the 2x2 Hermitian closed form (submersions, n = 2)."""
+        n = self.sys.n
+        mag = mag_upper(enc).reshape(len(enc), self.sys.rows, n, n)
+        fro2 = sequential_sum((mag * mag).reshape(len(enc), self.sys.rows, n * n), axis=2)
+        L = np.sqrt(fro2) * (1.0 + INFLATION)
+        if n > 1 and self.sys.kind == GRAPH:
+            col = sequential_sum(mag, axis=2).max(axis=2)
+            row = sequential_sum(mag, axis=3).max(axis=2)
+            L = _min(L, np.sqrt(col) * np.sqrt(row) * (1.0 + INFLATION))
+        elif n == 2:
+            L = _min(L, _levi2_upper(enc.reshape(len(enc), self.sys.rows, 4, 4)))
+        return L.max(axis=1)
 
     def _residual(self, vals: np.ndarray, lo, hi, w_discs) -> np.ndarray:
         sys = self.sys
@@ -312,8 +361,8 @@ class _BoxBounds:
                 raise ValueError("graph residual bound needs w intervals or w discs")
             rlo, rhi, ilo, ihi = np.moveaxis(vals, -1, 0)
             w_lo, w_hi = lo[:, 2 * sys.n:], hi[:, 2 * sys.n:]
-            terms = hypot(np.maximum(np.abs(rlo - w_hi[:, 0::2]), np.abs(rhi - w_lo[:, 0::2])),
-                          np.maximum(np.abs(ilo - w_hi[:, 1::2]), np.abs(ihi - w_lo[:, 1::2])))
+            terms = hypot(_mag(rlo - w_hi[:, 0::2], rhi - w_lo[:, 0::2]),
+                          _mag(ilo - w_hi[:, 1::2], ihi - w_lo[:, 1::2]))
         else:
             terms = mag_upper(vals)
         return sequential_sum(terms, axis=1) * (1.0 + INFLATION)
@@ -324,6 +373,41 @@ def _product_range(alo, ahi, clo, chi):
     p1, p2, p3, p4 = alo * clo, alo * chi, ahi * clo, ahi * chi
     return (np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)),
             np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)))
+
+
+def _mag(lo, hi):
+    """max(|lo|, |hi|), the largest magnitude in [lo, hi]."""
+    return np.maximum(np.abs(lo), np.abs(hi))
+
+
+def _eig2_min_lower(a, d, b):
+    """Lower bounds of lambda_min of every Hermitian [[a', b'], [conj b', d']]
+    with a' >= a >= 0, d' >= d >= 0 and |b'| <= b (rounding: see _BoxBounds)."""
+    twice = (a + d) * (1.0 - INFLATION) - hypot(a - d, 2.0 * b)
+    return np.where(twice > _TINY, 0.5 * twice, 0.0)
+
+
+def _levi2_upper(e: np.ndarray) -> np.ndarray:
+    """Upper bounds of the numerical radius of 2x2 matrices A from the
+    enclosures e[..., k, :] of A00, A01, A10, A11 (rounding: see _BoxBounds).
+
+    w(A) <= rho(H) + ||K||_F for H = (A + A*)/2 and K = (A - A*)/2, and
+    2 rho(H) = |a + d| + hypot(a - d, 2|H01|) for a = H00, d = H11.
+    """
+    rlo, rhi, ilo, ihi = np.moveaxis(e, -1, 0)
+    # 2 H01 = A01 + conj(A10), 2 K01 = A01 - conj(A10)
+    h01 = hypot(_mag(rlo[..., 1] + rlo[..., 2], rhi[..., 1] + rhi[..., 2]),
+                _mag(ilo[..., 1] - ihi[..., 2], ihi[..., 1] - ilo[..., 2]))
+    k01 = hypot(_mag(rlo[..., 1] - rhi[..., 2], rhi[..., 1] - rlo[..., 2]),
+                _mag(ilo[..., 1] + ilo[..., 2], ihi[..., 1] + ihi[..., 2]))
+    # both eigenvalues grow with a and d, so the largest |eigenvalue| over
+    # the box is taken with a, d both at their upper or both at their lower ends
+    rho = np.maximum(
+        np.abs(rhi[..., 0] + rhi[..., 3]) + hypot(rhi[..., 0] - rhi[..., 3], h01),
+        np.abs(rlo[..., 0] + rlo[..., 3]) + hypot(rlo[..., 0] - rlo[..., 3], h01))
+    skew = hypot(hypot(_mag(ilo[..., 0], ihi[..., 0]), _mag(ilo[..., 3], ihi[..., 3])),
+                 k01)
+    return (0.5 * rho + skew) * (1.0 + INFLATION)
 
 
 def _tube_holds(m_lo, L_up, r_up, c: float, margin: float):
@@ -359,7 +443,7 @@ def bound_m_below(sys: ProblemSystem, box: ParamBox) -> float:
 
 
 def bound_L_above(sys: ProblemSystem, box: ParamBox) -> float:
-    """Sound upper bound of big_l_value over the box (w(M) <= Frobenius norm)."""
+    """Sound upper bound of big_l_value over the box (see _BoxBounds._L)."""
     return float(_BoxBounds(sys).L_upper([box.lo], [box.hi])[0])
 
 
@@ -608,7 +692,7 @@ def verify_box(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
         return out
 
     root = subdivide(box, evaluate, max_depth, node_budget, region, "tube")
-    leaves = list(root.leaves())
+    leaves = root.leaves()
     bounds = [leaf.value for leaf in leaves if not leaf.outside]
     m_lo = min([math.inf] + [b[0] for b in bounds])
     L_up = max([0.0] + [b[1] for b in bounds])
@@ -621,8 +705,8 @@ def verify_box(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
 def verify_totally_real(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
                         region: Region | None = None,
                         node_budget: int = 500_000) -> VerifyNode:
-    """Prove sigma_min(B)^2 > 0 over the z-box via the Gershgorin lower bound,
-    which is each node's value."""
+    """Prove sigma_min(B)^2 > 0 over the z-box via the m_lower bound of
+    _BoxBounds, which is each node's value."""
     bb = _BoxBounds(sys)
     pointwise = is_totally_real_graph if sys.kind == GRAPH else is_totally_real_submersion
 

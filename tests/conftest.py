@@ -17,6 +17,18 @@ def example2():
     return graph_over_r2_system()
 
 
+def cap_manifest(radius: float, node_budget: int = 400_000) -> dict:
+    """The submersion cap problem (graph_over_r2_system, c = d = 0.05) over
+    the bidisc of the given radius, as a manifest."""
+    return {"kind": "submersion", "n": 2, "k": 2,
+            "functions": ["Im(z1) - 0.05*(Re(z1)^2 + Re(z2)^3)",
+                          "Im(z2) - 0.05*(Re(z2)^2 + Re(z1)^3)"],
+            "compact": {"cap": {"center": [[0.0, 0.0], [0.0, 0.0]],
+                                "radii": [radius, radius]}},
+            "options": {"max_depth": 30, "margin": 1e-6, "inflation": 0.04,
+                        "node_budget": node_budget}}
+
+
 def wermer_m_closed(r: float) -> float:
     return 9 * r ** 8 - 2 * r ** 4 - 4 * r ** 2 + 2
 

@@ -3,10 +3,12 @@ import json
 import logging
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import cap_manifest
 from prc.certify import (CompactSpec, DiscRegion, BoxRegion, ManifestError,
                          OmegaSpec, certificate_from_dict, certificate_to_dict,
                          certify, load_manifest, manifest_hash,
@@ -395,3 +397,43 @@ def test_reproduce_graph_over_r2():
 def test_reproduce_rejects_unknown_params():
     with pytest.raises(ValueError):
         reproduce_example("graph_over_r2", {"bogus": 1})
+
+
+# ---------------------------------------------------------------------------
+# submersion caps at the edge of the 2x2 closed-form bounds
+# ---------------------------------------------------------------------------
+
+def _cap_certificate(radius, node_budget=400_000):
+    sys_, K, omega, opts = load_manifest(cap_manifest(radius, node_budget))
+    return sys_, certify(sys_, K, omega, **opts)
+
+
+@pytest.mark.parametrize("radius", [1.30, 1.32])
+def test_cap_edge_passes_and_replays(radius):
+    """Gershgorin and Frobenius left these caps INCONCLUSIVE at depth 30."""
+    _, cert = _cap_certificate(radius)
+    assert cert.verdict == "PASS"
+    assert replay_certificate(certificate_from_dict(_pass_dict(cert)))
+
+
+def test_cap_r135_fails_with_tube_witness():
+    sys_, cert = _cap_certificate(1.35, node_budget=100_000)
+    assert cert.verdict == "FAIL"
+    wit = cert.witness
+    assert wit["check"] == "omega_in_tube" and wit["w"] is None
+    z = tuple(complex(*c) for c in wit["z"])
+    om = cert.omega
+    assert all(abs(v - c) < r for v, c, r in zip(z, om.z_center, om.z_radii))
+    # re-verify independently of certify
+    assert sum(abs(v) for v in sys_.values_at(z)) >= tube_radius(sys_, z)
+
+
+def test_certificate_written_before_closed_forms_replays():
+    """A prc-certificate/2 file of cap r=1.1 written with the Gershgorin and
+    Frobenius bounds (86 tube leaves): the bounds only improved since, so
+    every recorded leaf still proves."""
+    path = Path(__file__).parent / "data" / "cap_r1.1.cert.json"
+    data = json.loads(path.read_text())
+    assert data["format"] == "prc-certificate/2"
+    assert len(data["checks"]["omega_in_tube"]["leaves"]) == 86
+    assert replay_certificate(certificate_from_dict(data))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import cap_manifest
 from prc.certify import (WERMER_F, CompactSpec, certificate_to_dict, certify,
                          sanitize_json)
 from prc.cli import main
@@ -269,6 +270,19 @@ def test_totally_real_grid_zero_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_totally_real_oversized_mesh_exit_2(tmp_path, capsys):
+    """The default --grid 41 on an n = 2 manifest is 41^4 = 2,825,761 points,
+    refused before any of them is evaluated."""
+    path = _write(tmp_path, "cap.json", cap_manifest(1.285))
+    out = tmp_path / "report.json"
+    assert main(["totally-real", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "grid^(2n)" in err and "2825761" in err
+    assert not out.exists()
+    assert main(["totally-real", path, "--grid", "5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["points"] == 5 ** 4
+
+
 def test_certify_margin_nan_exit_2(tmp_path, capsys):
     path = _write(tmp_path, "w.json", _wermer_manifest())
     assert main(["certify", path, "--margin", "nan"]) == 2
@@ -316,19 +330,12 @@ def _wermer_bench_manifest(r, node_budget):
                                 "node_budget": node_budget})
 
 
-def _cap_manifest(radius):
-    return {"kind": "submersion", "n": 2, "k": 2,
-            "functions": ["Im(z1) - 0.05*(Re(z1)^2 + Re(z2)^3)",
-                          "Im(z2) - 0.05*(Re(z2)^2 + Re(z1)^3)"],
-            "compact": {"cap": {"center": [[0.0, 0.0], [0.0, 0.0]],
-                                "radii": [radius, radius]}},
-            "options": {"max_depth": 30, "margin": 1e-6, "inflation": 0.04,
-                        "node_budget": 400_000}}
-
-
 # sha256 of the certificate files `prc certify --out` writes, recorded with
 # the earlier one-box-at-a-time kernels: every bound in a certificate, and
 # every tree, must come out bit for bit the same however boxes are batched.
+# The two caps were re-recorded when m and L took the 2x2 closed forms for
+# n = 2, which changed their bounds and trees; the Wermer digests (n = 1)
+# never changed.
 GOLDEN_CERTIFICATES = [
     ("wermer_r0.3", _wermer_bench_manifest(0.3, 150_000), 0,
      "dee232994bddbbff5cd181576de96941e8cd137e5d15c8f68eeda51261db4d23"),
@@ -336,10 +343,10 @@ GOLDEN_CERTIFICATES = [
      "166283b2622c76bca5226604dbfc548a02473bf3a8fb9489c4cc9110fe6216ee"),
     ("wermer_r0.305", _wermer_bench_manifest(0.305, 40_000), 0,
      "af4785c0ff62b987f5c60062c26d866f353105dea025707af4e5020cf3b7eb15"),
-    ("cap_r1.0", _cap_manifest(1.0), 0,
-     "1a4a1e318dde53b96229d2cd87c1413ecda453ef0c7a4a5fe21297fafe8294ac"),
-    ("cap_r1.285", _cap_manifest(1.285), 0,
-     "46b59dafa3512e9797dabfdf061213d4b975ae325e8eb46a1120f2dadabb2be0"),
+    ("cap_r1.0", cap_manifest(1.0), 0,
+     "4dde7918315ebbee3f15268f086707cffdd6a74ebc12db7f2bfc0ec08452dc70"),
+    ("cap_r1.285", cap_manifest(1.285), 0,
+     "3e088ee362b825a4b749177f167ad7206722e607e505461a31b5e92587097b4d"),
 ]
 
 

@@ -12,9 +12,10 @@ from prc import ProblemSystem
 from prc.intervals import INFLATION, ParamBox
 from prc.realpoly import MAX_TERMS, RealPoly, _eval_box_raw
 from prc.rigor import (FAILED, INCONCLUSIVE, MAX_N, PROVED, Region, _BoxBounds,
-                       bound_L_above, bound_m_below, bound_residual_above,
-                       check_leaf, subdivide, verify_box, verify_totally_real)
-from prc.trgeom import GRAPH, big_l_value, m_value
+                       _eig2_min_lower, _levi2_upper, bound_L_above, bound_m_below,
+                       bound_residual_above, check_leaf, subdivide, verify_box,
+                       verify_totally_real)
+from prc.trgeom import GRAPH, bbar_matrix, big_l_value, m_value, numerical_radius
 
 
 def _random_zbox(rng, n, width=1.0):
@@ -517,7 +518,7 @@ def test_verify_totally_real_wermer_disc(wermer):
     region = Region(((0.0, 0.0, 0.35),))
     node = verify_totally_real(wermer, box, max_depth=10, region=region)
     assert node.status == PROVED
-    assert node.min_m_lower() > 0
+    assert min(leaf.value for leaf in node.leaves() if not leaf.outside) > 0
 
 
 def test_verify_totally_real_fails_holomorphic():
@@ -548,3 +549,204 @@ def test_holomorphic_summand_adds_nothing_to_dbar_tables():
     alone = ProblemSystem.graph(["0.3*conj(z1)^2*z1"], 1).tables[0]
     assert mixed.dzbar == alone.dzbar
     assert mixed.levi == alone.levi
+
+
+# ---------------------------------------------------------------------------
+# 2x2 closed forms of m and L
+# ---------------------------------------------------------------------------
+
+def _gershgorin_frobenius(sys_, lo, hi):
+    """(m_lower, L_upper) of one box from the Gershgorin bound of
+    lambda_min(B* B) and the Frobenius norm of each Levi matrix, one scalar
+    operation at a time in the order of the batched kernel: the bounds the
+    kernel took before the 2x2 closed forms, bit for bit."""
+    n, I = sys_.n, INFLATION
+    dz = _eval_box_raw(sys_.packs["dzbar"], [lo], [hi])[0].tolist()
+    B = [dz[r * n:(r + 1) * n] for r in range(sys_.rows)]
+
+    def mig(a, b):
+        return 0.0 if a <= 0.0 <= b else min(abs(a), abs(b))
+
+    def prod(a, b, c, d):
+        ps = (a * c, a * d, b * c, b * d)
+        return min(ps), max(ps)
+
+    m = math.inf
+    for j in range(n):
+        diag = 0.0
+        for row in B:
+            x, y = mig(*row[j][:2]), mig(*row[j][2:])
+            diag += (x * x + y * y) * (1.0 - I)
+        off = 0.0
+        for i in range(n):
+            if i == j:
+                continue
+            hr_lo = hr_hi = hi_lo = hi_hi = 0.0
+            for row in B:
+                alo, ahi, ilo, ihi = row[j]
+                blo, bhi = -ihi, -ilo  # conjugate
+                clo, chi, dlo, dhi = row[i]
+                p, q = prod(alo, ahi, clo, chi), prod(blo, bhi, dlo, dhi)
+                hr_lo += p[0] - q[1]
+                hr_hi += p[1] - q[0]
+                p, q = prod(alo, ahi, dlo, dhi), prod(blo, bhi, clo, chi)
+                hi_lo += p[0] + q[0]
+                hi_hi += p[1] + q[1]
+            off += math.hypot(max(abs(hr_lo), abs(hr_hi)), max(abs(hi_lo), abs(hi_hi)))
+        m = min(m, diag - off * (1.0 + 4.0 * I) if n > 1 else diag)
+    levi = _eval_box_raw(sys_.packs["levi"], [lo], [hi])[0].tolist()
+    L = 0.0
+    for r in range(sys_.rows):
+        fro2 = 0.0
+        for rlo, rhi, ilo, ihi in levi[r * n * n:(r + 1) * n * n]:
+            mag = math.hypot(max(abs(rlo), abs(rhi)), max(abs(ilo), abs(ihi))) * (1.0 + I)
+            fro2 += mag * mag
+        L = max(L, math.sqrt(fro2) * (1.0 + I))
+    return (m if m > 0.0 else 0.0), L
+
+
+def _dyadic_boxes(rng, dims, count, scale=64):
+    lo = rng.integers(-80, 48, (count, dims)) / scale
+    return lo, lo + rng.integers(1, 24, (count, dims)) / scale
+
+
+def _systems_n2(rng, graph_n2, example2):
+    systems = [graph_n2, example2]
+    while len(systems) < 8:
+        sys_ = random_system(rng)
+        if sys_.n == 2:
+            systems.append(sys_)
+    return systems
+
+
+def test_new_bounds_no_worse_than_gershgorin_and_frobenius(wermer, graph_n2, example2):
+    """Every m_lower is at least the Gershgorin bound and every L_upper at
+    most the Frobenius bound, bit for bit, so no box the old bounds proved
+    can fail now; where no closed form applies (n = 1, submersions with
+    n >= 3, m for n >= 3) the bounds are the old ones exactly."""
+    rng = np.random.default_rng(46)
+    systems = [wermer] + _systems_n2(rng, graph_n2, example2)
+    while len(systems) < 24:
+        systems.append(random_system(rng))
+    gained = 0
+    for sys_ in systems:
+        lo, hi = _random_boxes(rng, 2 * sys_.n, 12)
+        bb = _BoxBounds(sys_)
+        for l, h, m, L in zip(lo.tolist(), hi.tolist(), bb.m_lower(lo, hi).tolist(),
+                              bb.L_upper(lo, hi).tolist()):
+            m_old, L_old = _gershgorin_frobenius(sys_, l, h)
+            assert m >= m_old and L <= L_old
+            if sys_.n != 2:
+                assert m == m_old
+            if sys_.n == 1 or (sys_.n >= 3 and sys_.kind != GRAPH):
+                assert L == L_old
+            gained += m > m_old or L < L_old
+    assert gained > 0
+
+
+def test_closed_form_bounds_hold_on_sampled_points(graph_n2, example2):
+    """m_lower <= lambda_min(B* B) and L_upper >= the numerical radius of
+    every Levi matrix at seeded interior points of random dyadic boxes."""
+    rng = np.random.default_rng(47)
+    for sys_ in _systems_n2(rng, graph_n2, example2):
+        lo, hi = _dyadic_boxes(rng, 4, 6)
+        bb = _BoxBounds(sys_)
+        for l, h, m, L in zip(lo, hi, bb.m_lower(lo, hi), bb.L_upper(lo, hi)):
+            for x in rng.uniform(l, h, (12, 4)):
+                z = (complex(x[0], x[1]), complex(x[2], x[3]))
+                B = bbar_matrix(sys_, z)
+                assert m <= np.linalg.eigvalsh(B.conj().T @ B)[0] * (1 + 1e-12) + 1e-15
+                for r in range(sys_.rows):
+                    assert numerical_radius(sys_.levi_matrix(r, z)) <= L * (1 + 1e-12)
+
+
+def _exact_eig2(a, d, b2):
+    """((a + d)/2, ((a - d)/2)^2 + |b|^2) of the Hermitian [[a, b], [conj b, d]]:
+    its eigenvalues are c -+ sqrt(s)."""
+    return (a + d) / 2, ((a - d) / 2) ** 2 + b2
+
+
+def _exact_gram(M):
+    """Diagonal and squared off-diagonal magnitude of the 2x2 matrix M* M,
+    for a matrix M of two columns and exact (re, im) entries."""
+    def dot(j, i):  # sum_r conj(M[r][j]) M[r][i]
+        re = sum(row[j][0] * row[i][0] + row[j][1] * row[i][1] for row in M)
+        im = sum(row[j][0] * row[i][1] - row[j][1] * row[i][0] for row in M)
+        return re, im
+    re, im = dot(0, 1)
+    return dot(0, 0)[0], dot(1, 1)[0], re * re + im * im
+
+
+def test_closed_form_bounds_below_exact_corner_values(graph_n2, example2):
+    """At the corners of small dyadic boxes, exact rational arithmetic shows
+    lambda_min(B* B) >= m_lower and ||A||_2 >= w(A) stays <= L_upper for each
+    Levi matrix A (both by squaring, without a square root)."""
+    rng = np.random.default_rng(48)
+    for sys_ in _systems_n2(rng, graph_n2, example2):
+        lo, hi = _dyadic_boxes(rng, 4, 3, scale=1024)
+        bb = _BoxBounds(sys_)
+        for l, h, m, L in zip(lo.tolist(), hi.tolist(), bb.m_lower(lo, hi).tolist(),
+                              bb.L_upper(lo, hi).tolist()):
+            m, L = Fraction(m), Fraction(L)
+            for corner in itertools.product(*[(Fraction(a), Fraction(c))
+                                              for a, c in zip(l, h)]):
+                B = [[_exact_value(t.dzbar[j], corner) for j in range(2)]
+                     for t in sys_.tables]
+                c, s = _exact_eig2(*_exact_gram(B))
+                assert c - m >= 0 and (c - m) ** 2 >= s
+                for t in sys_.tables:
+                    A = [[_exact_value(t.levi[j][k], corner) for k in range(2)]
+                         for j in range(2)]
+                    c, s = _exact_eig2(*_exact_gram(A))
+                    assert L * L - c >= 0 and (L * L - c) ** 2 >= s
+
+
+def test_eig2_min_lower_below_exact_value():
+    """The rounded closed form of lambda_min stays below the exact value of
+    the same formula at its own float inputs, also where the root is far
+    smaller than a + d and cannot absorb the rounding of a + d."""
+    rng = np.random.default_rng(49)
+    count = 4000
+    a = rng.uniform(0.5, 2.0, count)
+    near = rng.random(count) < 0.5
+    d = np.where(near, a * (1.0 + rng.uniform(-1e-6, 1e-6, count)),
+                 rng.uniform(0.5, 2.0, count))
+    b = np.where(near, 1e-7, 0.4) * rng.uniform(0.0, 1.0, count) * (rng.random(count) < 0.9)
+    got = _eig2_min_lower(a, d, b)
+    assert (got > 0).mean() > 0.9
+    for ai, di, bi, lam in zip(a.tolist(), d.tolist(), b.tolist(), got.tolist()):
+        c, s = _exact_eig2(Fraction(ai), Fraction(di), Fraction(bi) ** 2)
+        assert c - Fraction(lam) >= 0 and (c - Fraction(lam)) ** 2 >= s
+
+
+def test_levi2_upper_above_exact_spectral_radius():
+    """On exact (zero-width) enclosures of Hermitian 2x2 matrices, whose
+    numerical radius is the spectral radius |c| + sqrt(s), the rounded bound
+    is at least that radius."""
+    rng = np.random.default_rng(50)
+    count = 4000
+    a, d = rng.uniform(-2.0, 2.0, (2, count))
+    br, bi = rng.uniform(-1.0, 1.0, (2, count)) * (rng.random((2, count)) < 0.9)
+    zero = np.zeros(count)
+    entries = [(a, zero), (br, bi), (br, -bi), (d, zero)]
+    e = np.stack([np.stack([re, re, im, im], axis=-1) for re, im in entries], axis=1)
+    got = _levi2_upper(e)
+    for ai, di, bri, bii, L in zip(a.tolist(), d.tolist(), br.tolist(), bi.tolist(),
+                                   got.tolist()):
+        c, s = _exact_eig2(Fraction(ai), Fraction(di), Fraction(bri) ** 2 + Fraction(bii) ** 2)
+        t = Fraction(L) - abs(c)
+        assert t >= 0 and t * t >= s
+
+
+def test_levi2_upper_above_numerical_radius_of_any_matrix():
+    """Tables that are not exactly conjugate give a Levi matrix with a skew
+    part, which the bound must cover too: on exact enclosures of random
+    complex 2x2 matrices it stays above their numerical radius."""
+    rng = np.random.default_rng(51)
+    A = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+    A[:100] = (A[:100] + A[:100].conj().transpose(0, 2, 1)) / 2
+    A[:50] *= 1j  # skew-Hermitian, then Hermitian, then general matrices
+    flat = A.reshape(200, 4)
+    e = np.stack([flat.real, flat.real, flat.imag, flat.imag], axis=-1)
+    for M, L in zip(A, _levi2_upper(e).tolist()):
+        assert numerical_radius(M) <= L * (1 + 1e-9)
