@@ -270,13 +270,13 @@ def _check_k_in_omega(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec,
     def evaluate(lo, hi):
         far = dist_upper(bb.values(lo, hi), centers.real, centers.imag) >= radii
         out = []
-        for missed, l, h in zip(far.any(axis=1).tolist(), lo.tolist(), hi.tolist()):
+        for missed, pt in zip(far.any(axis=1).tolist(),
+                              rigor.probe_points(lo, hi, prune).tolist()):
             if not missed:
                 out.append((PROVED, None, None))
                 continue
             # pointwise check before splitting: a graph point (over a parameter
             # inside D) outside omega_w is a definite failure
-            pt = rigor._probe_point(l, h, prune)
             z = tuple(complex(pt[2 * j], pt[2 * j + 1]) for j in range(sys.n))
             fv = sys.values_at(z)
             witness = None

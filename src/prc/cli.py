@@ -278,8 +278,7 @@ def main(argv=None) -> int:
     try:
         _check_flags(args)
         return args.fn(args)
-    except (ManifestError, FileNotFoundError, json.JSONDecodeError,
-            ValueError) as exc:
+    except (ManifestError, OSError, json.JSONDecodeError, ValueError) as exc:
         log.error("%s", exc)
         _sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -37,14 +37,15 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from .intervals import INFLATION, ParamBox
-from .realpoly import _TINY, _eval_box_raw, dist_upper, hypot, mag_upper, sequential_sum
+from .realpoly import (_TINY, _eval_box_raw, _max, _min, _pow, cabs, complex_array,
+                       dist_upper, hypot, mag_upper, sequential_sum)
 from .trgeom import (GRAPH, ProblemSystem, is_totally_real_graph,
-                     is_totally_real_submersion, numerical_radius, radius_factor)
+                     is_totally_real_submersion, numerical_radii, radius_factor)
 
 log = logging.getLogger(__name__)
 
@@ -81,18 +82,6 @@ class Region:
 
     discs: tuple[tuple[float, float, float], ...]
 
-    def probe(self, lo: Sequence[float], hi: Sequence[float]) -> tuple[float, ...]:
-        """A point of the box close to (normally inside) the region."""
-        pt = []
-        for j, (cx, cy, r) in enumerate(self.discs):
-            if 2 * j + 1 >= len(lo):
-                break
-            pt.append(min(max(cx, lo[2 * j]), hi[2 * j]))
-            pt.append(min(max(cy, lo[2 * j + 1]), hi[2 * j + 1]))
-        for i in range(len(pt), len(lo)):
-            pt.append(0.5 * (lo[i] + hi[i]))
-        return tuple(pt)
-
     def clip(self, lo, hi):
         """(lo', hi', inside) for boxes given as rows of `lo`, `hi`.
 
@@ -125,16 +114,6 @@ class Region:
             lo[:, cols] = np.where(crossed, mid, a)
             hi[:, cols] = np.where(crossed, mid, b)
         return lo, hi, inside
-
-
-def _max(a, b):
-    """Python's max(a, b) element by element: b only where b > a."""
-    return np.where(b > a, b, a)
-
-
-def _min(a, b):
-    """Python's min(a, b) element by element: b only where b < a."""
-    return np.where(b < a, b, a)
 
 
 @dataclass
@@ -459,102 +438,145 @@ def bound_residual_above(sys: ProblemSystem, box: ParamBox,
 
 
 # ---------------------------------------------------------------------------
-# Pointwise violation probe
+# Pointwise probes
 # ---------------------------------------------------------------------------
 
-def _probe_point(lo: Sequence[float], hi: Sequence[float],
-                 region: Region | None) -> tuple[float, ...]:
-    if region is None:
-        return tuple(0.5 * (a + b) for a, b in zip(lo, hi))
-    return region.probe(lo, hi)
+def probe_points(lo, hi, region: Region | None) -> np.ndarray:
+    """One point of each box, the rows of `lo`, `hi`, close to (normally
+    inside) the region: in the coordinates of a region disc its centre
+    clamped to the box (Python's min(max(c, lo), hi)), in all others (and
+    without a region) the midpoint."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    pts = 0.5 * (lo + hi)
+    nd = 0 if region is None else min(len(region.discs), lo.shape[1] // 2)
+    if nd:
+        c = np.array(region.discs[:nd])[:, :2].ravel()
+        pts[:, :2 * nd] = _min(_max(c, lo[:, :2 * nd]), hi[:, :2 * nd])
+    return pts
 
 
-def _point_quantities(sys: ProblemSystem, pt: Sequence[float]) -> tuple[float, float]:
-    """(residual, tube radius) at a real-coordinate point; low-overhead path."""
-    n = sys.n
-    xs = list(pt[:2 * n])
-    vals = [t.value.eval_real(xs) for t in sys.tables]
+# The probes below compute, for many points at once, what a loop over single
+# points in Python's scalar arithmetic computes, bit for bit: sums run left to
+# right from 0, powers and magnitudes go through Python's ** and abs
+# (realpoly._pow, cabs), Python's max is realpoly._max, and a complex product
+# or quotient with a float takes the float as complex(x, 0.0), as the scalar
+# code did under CPython 3.11.  FAIL witnesses record these values, so
+# certificates depend on every bit of them.
+
+def _pysum(x: np.ndarray) -> np.ndarray:
+    """Python's sum() over the last axis: from 0, left to right."""
+    total = np.zeros(x.shape[:-1])
+    for k in range(x.shape[-1]):
+        total = total + x[..., k]
+    return total
+
+
+def _probe_quantities(sys: ProblemSystem, pts: np.ndarray,
+                      table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(residual, tube radius) at each point, the rows of `pts` (z, then w
+    for a graph), from `table`, the values of sys.point_pack there.  The
+    radius is 0 where m = 0 and inf where L = 0."""
+    n, rows = sys.n, sys.rows
+    vals = table[:, :rows]
+    B = table[:, rows:rows + rows * n].reshape(len(pts), rows, n)
     if sys.kind == GRAPH:
-        off = 2 * n
-        residual = sum(abs(vals[j] - complex(pt[off + 2 * j], pt[off + 2 * j + 1]))
-                       for j in range(n))
-    else:
-        residual = sum(abs(v) for v in vals)
+        w = pts[:, 2 * n:]
+        vals = vals - complex_array(w[:, 0::2], w[:, 1::2])
+    residual = _pysum(cabs(vals))
 
-    B = [[t.dzbar[j].eval_real(xs) for j in range(n)] for t in sys.tables]
+    if n <= 2:
+        sq = _pysum(_pow(cabs(B), 2).swapaxes(1, 2))  # sum over rows of |B_rj|^2
     if n == 1:
         # a column has a single singular value, its norm
-        m = sum(abs(row[0]) ** 2 for row in B)
+        m = sq[:, 0]
     elif n == 2:
-        h00 = sum(abs(row[0]) ** 2 for row in B)
-        h11 = sum(abs(row[1]) ** 2 for row in B)
-        h01 = sum(row[0].conjugate() * row[1] for row in B)
-        half = math.sqrt(((h00 - h11) / 2) ** 2 + abs(h01) ** 2)
-        m = max((h00 + h11) / 2 - half, 0.0)
+        # h01 = sum over rows of conj(B[r, 0]) * B[r, 1]
+        ar, ai = B[:, :, 0].real, -B[:, :, 0].imag
+        br, bi = B[:, :, 1].real, B[:, :, 1].imag
+        h01 = complex_array(_pysum(ar * br - ai * bi), _pysum(ar * bi + ai * br))
+        h00, h11 = sq[:, 0], sq[:, 1]
+        half = np.sqrt(_pow((h00 - h11) / 2, 2) + _pow(cabs(h01), 2))
+        m = _max((h00 + h11) / 2 - half, 0.0)
     else:
-        s = np.linalg.svd(np.array(B), compute_uv=False)
-        m = float(s[-1]) ** 2
-    if m == 0.0:
-        return residual, 0.0
+        m = _pow(np.linalg.svd(B, compute_uv=False)[:, -1], 2)
 
-    L = 0.0
-    for t in sys.tables:
-        lev = [[t.levi[j][k].eval_real(xs) for k in range(n)] for j in range(n)]
-        if n == 1:
-            w = abs(lev[0][0])
-        elif sys.kind != GRAPH and n == 2:
-            # Hermitian 2x2 closed form
-            a = lev[0][0].real
-            d = lev[1][1].real
-            b = 0.5 * (lev[0][1] + lev[1][0].conjugate())
-            half = math.sqrt(((a - d) / 2) ** 2 + abs(b) ** 2)
-            w = max(abs((a + d) / 2 + half), abs((a + d) / 2 - half))
-        else:
-            w = numerical_radius(np.array(lev))
-        L = max(L, w)
-    radius = math.inf if L == 0.0 else m / (radius_factor(sys.kind) * L)
+    radius = np.zeros(len(pts))
+    live = np.nonzero(m != 0.0)[0]
+    if not len(live):
+        return residual, radius
+    # the Levi matrix of every row at every live point, shape (live, rows, n, n)
+    lev = table[live, rows + rows * n:].reshape(len(live), rows, n, n)
+    if n == 1:
+        w = cabs(lev[..., 0, 0])
+    elif sys.kind != GRAPH and n == 2:
+        # Hermitian 2x2 closed form, b = 0.5 * (A01 + conj(A10)); only |b|
+        # counts, which the signs of zeros in b do not change
+        a, d = lev[..., 0, 0].real, lev[..., 1, 1].real
+        b = complex_array(0.5 * (lev[..., 0, 1].real + lev[..., 1, 0].real),
+                          0.5 * (lev[..., 0, 1].imag - lev[..., 1, 0].imag))
+        half = np.sqrt(_pow((a - d) / 2, 2) + _pow(cabs(b), 2))
+        w = _max(np.abs((a + d) / 2 + half), np.abs((a + d) / 2 - half))
+    else:
+        w = numerical_radii(lev.reshape(-1, n, n)).reshape(len(live), rows)
+    L = np.zeros(len(live))
+    for r in range(rows):
+        L = _max(L, w[:, r])
+    finite = L != 0.0
+    radius[live] = np.inf
+    radius[live[finite]] = m[live[finite]] / (radius_factor(sys.kind) * L[finite])
     return residual, radius
 
 
-def _tube_witness(sys: ProblemSystem, z_pt: Sequence[float],
-                  region: Region) -> dict | None:
-    """Graph FAIL witness at a z point: the w of omega farthest from F(z).
+def _tube_probe(sys: ProblemSystem, lo, hi, region: Region | None):
+    """Pointwise tube check of boxes the bounds left undecided: at the probe
+    point of each box, does residual >= radius (1 + guard) hold?  Returns the
+    mask of the boxes where it does, and the FAIL witness of the first one.
 
-    w_nu = c_nu + r_nu (1 - pull) (c_nu - f_nu(z)) / |c_nu - f_nu(z)| lies
-    strictly inside the w disc, and its residual falls short of the sup
-    |f_nu(z) - c_nu| + r_nu by the pull only.  _point_violates re-checks it.
+    For a graph the point is (z, w) with z the probe point of the z-box,
+    required strictly inside omega (else the box is left to its children),
+    and w_nu = c_nu + r_nu (1 - pull) (c_nu - f_nu(z)) / |c_nu - f_nu(z)| the
+    point of the w disc farthest from F(z): its residual falls short of the
+    sup |f_nu(z) - c_nu| + r_nu by the pull only.
     """
     n = sys.n
-    for j, (cx, cy, r) in enumerate(region.discs[:n]):
-        if math.hypot(z_pt[2 * j] - cx, z_pt[2 * j + 1] - cy) >= r * (1.0 - _WITNESS_PULL):
-            return None  # not strictly inside omega: leave it to the children
-    pt = list(z_pt)
-    for t, (cx, cy, r) in zip(sys.tables, region.discs[n:]):
-        away = complex(cx, cy) - t.value.eval_real(z_pt)
-        unit = away / abs(away) if away else 1.0
-        w = complex(cx, cy) + r * (1.0 - _WITNESS_PULL) * unit
-        pt += [w.real, w.imag]
-    return _point_violates(sys, pt)
-
-
-def _point_violates(sys: ProblemSystem, pt: Sequence[float]) -> dict | None:
-    n = sys.n
-    residual, radius = _point_quantities(sys, pt)
-    if math.isinf(radius):
-        return None
-    if residual >= radius * (1.0 + _VIOLATION_GUARD):
-        z = tuple(complex(pt[2 * j], pt[2 * j + 1]) for j in range(n))
-        w = None
-        if sys.kind == GRAPH:
-            off = 2 * n
-            w = tuple(complex(pt[off + 2 * j], pt[off + 2 * j + 1]) for j in range(n))
-        return {
-            "z": [[c.real, c.imag] for c in z],
-            "w": None if w is None else [[c.real, c.imag] for c in w],
-            "residual": residual,
-            "radius": radius,
-        }
-    return None
+    pts = probe_points(lo, hi, region)
+    lanes = np.arange(len(pts))
+    if sys.kind == GRAPH:
+        inside = np.ones(len(pts), dtype=bool)
+        for j, (cx, cy, r) in enumerate(region.discs[:n]):
+            inside &= ~(hypot(pts[:, 2 * j] - cx, pts[:, 2 * j + 1] - cy)
+                        >= r * (1.0 - _WITNESS_PULL))
+        lanes = lanes[inside]
+        pts = pts[inside]
+    violated = np.zeros(len(lo), dtype=bool)
+    if not len(pts):
+        return violated, None
+    table = sys.point_pack.eval(pts[:, :2 * n])
+    if sys.kind == GRAPH:
+        ws = []
+        for j, (cx, cy, r) in enumerate(region.discs[n:]):
+            # unit = away / |away| (1 where away = 0), w = c + k unit, with
+            # away = c - f_nu(z) and k = r (1 - pull)
+            ar, ai = cx - table[:, j].real, cy - table[:, j].imag
+            mag = cabs(complex_array(ar, ai))
+            zero = (ar == 0.0) & (ai == 0.0)
+            mag[zero] = 1.0
+            ur = np.where(zero, 1.0, (ar + ai * 0.0) / mag)
+            ui = np.where(zero, 0.0, (ai - ar * 0.0) / mag)
+            k = r * (1.0 - _WITNESS_PULL)
+            ws += [cx + (k * ur - 0.0 * ui), cy + (k * ui + 0.0 * ur)]
+        pts = np.column_stack([pts] + ws)
+    residual, radius = _probe_quantities(sys, pts, table)
+    bad = ~np.isinf(radius) & (residual >= radius * (1.0 + _VIOLATION_GUARD))
+    violated[lanes[bad]] = True
+    if not bad.any():
+        return violated, None
+    i = int(np.argmax(bad))
+    pt = pts[i].tolist()
+    pairs = [pt[k:k + 2] for k in range(0, len(pt), 2)]  # (re, im) per coordinate
+    return violated, {"z": pairs[:n], "w": pairs[n:] if sys.kind == GRAPH else None,
+                      "residual": float(residual[i]), "radius": float(radius[i])}
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +600,9 @@ def subdivide(box: ParamBox, evaluate, max_depth: int, node_budget: int,
     the search and the tree stays partial.  Statuses are then aggregated
     bottom-up, FAILED over INCONCLUSIVE over PROVED, and a FAILED node takes
     the witness of its first FAILED child.  When done it logs, at INFO, the
-    tree's status, size, depth and wall time.
+    tree's status, size, probe count, depth and wall time; every check
+    probes each box it does not prove pointwise, so the probes are the
+    nodes it left unproved.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
@@ -587,6 +611,7 @@ def subdivide(box: ParamBox, evaluate, max_depth: int, node_budget: int,
     frontier = [root]
     total_nodes = 1
     split_nodes = 0
+    probes = 0
     budget_logged = False
     while frontier:
         depth = frontier[0].depth  # every node of a level has the same depth
@@ -613,6 +638,7 @@ def subdivide(box: ParamBox, evaluate, max_depth: int, node_budget: int,
         failed = False
         for node, result in zip(live, evaluate(lo, hi) if live else ()):
             node.status, node.value, node.witness = result
+            probes += node.status != PROVED
             if node.status == FAILED:
                 failed = True
             elif node.status == INCONCLUSIVE:
@@ -632,8 +658,9 @@ def subdivide(box: ParamBox, evaluate, max_depth: int, node_budget: int,
         split_nodes += len(parents)
         total_nodes += len(frontier)
     _aggregate(root)
-    log.info("%s tree: %s, %d nodes, %d leaves, depth %d, %.3f s", name, root.status,
-             total_nodes, total_nodes - split_nodes, depth, time.perf_counter() - start)
+    log.info("%s tree: %s, %d nodes, %d leaves, %d probes, depth %d, %.3f s", name,
+             root.status, total_nodes, total_nodes - split_nodes, probes, depth,
+             time.perf_counter() - start)
     return root
 
 
@@ -677,19 +704,18 @@ def verify_box(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
 
     def evaluate(lo, hi):
         m, L, r = bb.tube(lo, hi, w_discs)
-        held = _tube_holds(m, L, r, c_factor, margin).tolist()
-        out = []
-        for ok, bounds, l, h in zip(held, zip(m.tolist(), L.tolist(), r.tolist()),
-                                    lo.tolist(), hi.tolist()):
-            if ok:
-                out.append((PROVED, bounds, None))
-                continue
-            if w_discs is None:
-                wit = _point_violates(sys, _probe_point(l, h, region))
-            else:
-                wit = _tube_witness(sys, region.probe(l, h), region)
-            out.append((INCONCLUSIVE if wit is None else FAILED, bounds, wit))
-        return out
+        held = _tube_holds(m, L, r, c_factor, margin)
+        status = np.where(held, PROVED, INCONCLUSIVE).astype(object)
+        witness = [None] * len(held)
+        probed = np.nonzero(~held)[0]
+        if len(probed):
+            violated, wit = _tube_probe(sys, lo[probed], hi[probed], region)
+            status[probed[violated]] = FAILED
+            # a FAILED level ends the search, and the tree keeps the witness
+            # of its first FAILED leaf: only that box needs one
+            if wit is not None:
+                witness[probed[violated][0]] = wit
+        return zip(status.tolist(), zip(m.tolist(), L.tolist(), r.tolist()), witness)
 
     root = subdivide(box, evaluate, max_depth, node_budget, region, "tube")
     leaves = root.leaves()
@@ -712,11 +738,11 @@ def verify_totally_real(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
 
     def evaluate(lo, hi):
         out = []
-        for m_lo, l, h in zip(bb.m_lower(lo, hi).tolist(), lo.tolist(), hi.tolist()):
+        for m_lo, pt in zip(bb.m_lower(lo, hi).tolist(),
+                            probe_points(lo, hi, region).tolist()):
             if m_lo > 0.0:
                 out.append((PROVED, m_lo, None))
                 continue
-            pt = _probe_point(l, h, region)
             z = tuple(complex(pt[2 * j], pt[2 * j + 1]) for j in range(sys.n))
             res = pointwise(sys, z)
             if res["totally_real"]:

@@ -22,7 +22,8 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import expr as ex
-from .realpoly import RealPoly, TermPack, ZPoly, real_coords
+from .realpoly import (PointPack, RealPoly, TermPack, ZPoly, _max, cabs, complex_array,
+                       real_coords)
 
 GRAPH = "graph"
 SUBMERSION = "submersion"
@@ -102,6 +103,13 @@ class ProblemSystem:
         self.k = k
         self.exprs = tuple(ex.normalize(e) for e in exprs)
         self.tables = tuple(_FnTable(e, n) for e in self.exprs)
+        for idx, t in enumerate(self.tables):
+            for name, polys in (("value", [t.value]), ("dz", t.dz), ("dzbar", t.dzbar),
+                                ("Levi", [q for row in t.levi for q in row])):
+                if not all(math.isfinite(c.real) and math.isfinite(c.imag)
+                           for p in polys for c in p.terms.values()):
+                    raise ValueError(f"function #{idx + 1} has a non-finite coefficient "
+                                     f"in its {name} table")
         if kind == SUBMERSION:
             self._check_real_valued()
 
@@ -131,6 +139,14 @@ class ProblemSystem:
         levi = [q for t in self.tables for row in t.levi for q in row]
         return {"value": TermPack(value), "dzbar": TermPack(dzbar),
                 "levi": TermPack(levi), "all": TermPack(value + dzbar + levi)}
+
+    @functools.cached_property
+    def point_pack(self) -> PointPack:
+        """The "all" polynomials of `packs` (values, dzbar, Levi), laid out to
+        evaluate them at many points at once (realpoly.PointPack)."""
+        return PointPack([t.value for t in self.tables]
+                         + [p for t in self.tables for p in t.dzbar]
+                         + [q for t in self.tables for row in t.levi for q in row])
 
     @functools.cached_property
     def u_levi(self) -> list[list[RealPoly]]:
@@ -206,61 +222,109 @@ def m_value(sys: ProblemSystem, z: Sequence[complex]) -> float:
 
 
 def numerical_radius(M: np.ndarray, tol: float = 1e-8) -> float:
-    """w(M) = sup over unit v of |v* M v|.
+    """w(M) = sup over unit v of |v* M v| (see numerical_radii).
 
-    Computed as max over theta of lambda_max((e^{i theta} M + e^{-i theta} M*)/2)
-    on a 512-angle grid with golden-section refinement around the best local
-    maxima.  Satisfies ||M||_2 / 2 <= w(M) <= ||M||_2.
+    Satisfies ||M||_2 / 2 <= w(M) <= ||M||_2.
     """
     M = np.asarray(M, dtype=np.complex128)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("numerical_radius needs a square matrix")
+    return float(numerical_radii(M[None], tol)[0])
+
+
+_GRID = 512
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# lanes whose 512 grid matrices are formed at once
+_GRID_CHUNK = 64
+
+
+def numerical_radii(M: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """w(M_i) for each matrix of a stack M of shape (count, d, d).
+
+    Computed as max over theta of lambda_max((e^{i theta} M + e^{-i theta} M*)/2)
+    on a 512-angle grid with golden-section refinement around the best (at
+    most five) local grid maxima; a Hermitian matrix gives its spectral
+    radius, exactly.  Each matrix is a lane: the refinement runs all lanes
+    at once, each under its own mask, and every lane comes out bit for bit
+    as it would alone (stacked eigvalsh calls LAPACK once per matrix).
+    """
+    M = np.ascontiguousarray(M, dtype=np.complex128)
+    if M.ndim != 3 or M.shape[1] != M.shape[2]:
+        raise ValueError("numerical_radii needs a stack of square matrices")
     if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
         raise ValueError("matrix has non-finite entries")
-    d = M.shape[0]
-    if d == 1:
-        return abs(complex(M[0, 0]))
-    Mh = M.conj().T
-    scale = np.linalg.norm(M, 2)
-    if scale == 0.0:
-        return 0.0
-    if np.max(np.abs(M - Mh)) <= 1e-14 * scale:
-        # Hermitian: the radius is the spectral radius, exactly
-        ev = np.linalg.eigvalsh((M + Mh) / 2)
-        return float(max(abs(ev[0]), abs(ev[-1])))
+    if M.shape[1] == 1:
+        return cabs(M[:, 0, 0])
+    out = np.zeros(len(M))
+    if len(M) == 0:
+        return out
+    Mh = M.conj().swapaxes(1, 2)
+    scale = np.linalg.norm(M, 2, axis=(1, 2))
+    herm = np.abs(M - Mh).max(axis=(1, 2)) <= 1e-14 * scale
+    lanes = (scale != 0.0) & herm
+    if lanes.any():
+        ev = np.linalg.eigvalsh((M[lanes] + Mh[lanes]) / 2)
+        out[lanes] = _max(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
+    lanes = (scale != 0.0) & ~herm
+    if lanes.any():
+        out[lanes] = _refined_radii(M[lanes], Mh[lanes], scale[lanes], tol)
+    return out
 
-    def g(theta: float) -> float:
-        ph = complex(math.cos(theta), math.sin(theta))
-        H = (ph * M + np.conj(ph) * Mh) / 2
-        return float(np.linalg.eigvalsh(H)[-1])
 
-    grid = 512
-    thetas = [2 * math.pi * i / grid for i in range(grid)]
-    vals = [g(t) for t in thetas]
-    best = max(vals)
+def _phase(theta: np.ndarray) -> np.ndarray:
+    """e^{i theta} from math.cos and math.sin, shaped (len(theta), 1, 1)."""
+    return complex_array(np.fromiter(map(math.cos, theta.tolist()), float, len(theta)),
+                         np.fromiter(map(math.sin, theta.tolist()), float, len(theta))
+                         )[:, None, None]
 
-    # refine every strict local grid maximum near the top
-    candidates = [i for i in range(grid)
-                  if vals[i] >= vals[(i - 1) % grid] and vals[i] >= vals[(i + 1) % grid]
-                  and vals[i] >= best - 0.05 * scale]
-    candidates.sort(key=lambda i: -vals[i])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    for i in candidates[:5]:
-        a = thetas[i] - 2 * math.pi / grid
-        b = thetas[i] + 2 * math.pi / grid
-        c = b - invphi * (b - a)
-        dd = a + invphi * (b - a)
-        fc, fd = g(c), g(dd)
-        while b - a > min(tol, 1e-8):
-            if fc > fd:
-                b, dd, fd = dd, c, fc
-                c = b - invphi * (b - a)
-                fc = g(c)
-            else:
-                a, c, fc = c, dd, fd
-                dd = a + invphi * (b - a)
-                fd = g(dd)
-        best = max(best, fc, fd)
+
+def _lambda_max(M, Mh, ph) -> np.ndarray:
+    """lambda_max((ph M + conj(ph) M*)/2), the phases ph broadcast against
+    the matrices."""
+    return np.linalg.eigvalsh((ph * M + np.conj(ph) * Mh) / 2)[..., -1]
+
+
+def _refined_radii(M, Mh, scale, tol) -> np.ndarray:
+    count = len(M)
+    step = 2 * math.pi / _GRID
+    thetas = 2 * math.pi * np.arange(_GRID) / _GRID
+    grid = _phase(thetas)
+    vals = np.empty((count, _GRID))
+    for s in range(0, count, _GRID_CHUNK):
+        vals[s:s + _GRID_CHUNK] = _lambda_max(M[s:s + _GRID_CHUNK, None],
+                                              Mh[s:s + _GRID_CHUNK, None], grid)
+    best = vals.max(axis=1)
+
+    # refine every strict local grid maximum near the top, the best first
+    top = ((vals >= np.roll(vals, 1, axis=1)) & (vals >= np.roll(vals, -1, axis=1))
+           & (vals >= (best - 0.05 * scale)[:, None]))
+    order = np.argsort(np.where(top, -vals, np.inf), axis=1, kind="stable")[:, :5]
+    stop = min(tol, 1e-8)
+    for slot in range(order.shape[1]):
+        lanes = np.nonzero(top[np.arange(count), order[:, slot]])[0]
+        if not len(lanes):
+            break
+        a = thetas[order[lanes, slot]] - step
+        b = thetas[order[lanes, slot]] + step
+        c = b - _INVPHI * (b - a)
+        d = a + _INVPHI * (b - a)
+        m, mh = M[lanes], Mh[lanes]
+        fc = _lambda_max(m, mh, _phase(c))
+        fd = _lambda_max(m, mh, _phase(d))
+        live = np.nonzero(b - a > stop)[0]
+        while len(live):
+            left = fc[live] > fd[live]
+            lo_, hi_ = live[left], live[~left]
+            # a maximum left of d: drop (d, b]; else drop [a, c)
+            b[lo_], d[lo_], fd[lo_] = d[lo_], c[lo_], fc[lo_]
+            c[lo_] = b[lo_] - _INVPHI * (b[lo_] - a[lo_])
+            a[hi_], c[hi_], fc[hi_] = c[hi_], d[hi_], fd[hi_]
+            d[hi_] = a[hi_] + _INVPHI * (b[hi_] - a[hi_])
+            f = _lambda_max(m[live], mh[live], _phase(np.where(left, c[live], d[live])))
+            fc[lo_] = f[left]
+            fd[hi_] = f[~left]
+            live = live[b[live] - a[live] > stop]
+        best[lanes] = _max(_max(best[lanes], fc), fd)
     return best
 
 

@@ -207,26 +207,30 @@ def test_k_in_omega_obeys_node_budget(wermer, caplog):
 
 
 def test_certify_logs_each_tree_at_info(wermer, caplog):
-    """At INFO each subdivision tree reports its status, size, depth and wall
-    time once; the sizes agree with the certificate."""
+    """At INFO each subdivision tree reports its status, size, probe count,
+    depth and wall time once; the sizes agree with the certificate."""
     with caplog.at_level(logging.INFO, logger="prc.rigor"):
         cert = certify(wermer, wermer_compact(0.3))
     trees = {}
     for record in caplog.records:
-        m = re.fullmatch(r"(.+) tree: (\w+), (\d+) nodes, (\d+) leaves, "
+        m = re.fullmatch(r"(.+) tree: (\w+), (\d+) nodes, (\d+) leaves, (\d+) probes, "
                          r"depth (\d+), \d+\.\d{3} s", record.getMessage())
         assert m, record.getMessage()
         assert m[1] not in trees
-        trees[m[1]] = (m[2], int(m[3]), int(m[4]), int(m[5]))
+        trees[m[1]] = (m[2], int(m[3]), int(m[4]), int(m[5]), int(m[6]))
     assert set(trees) == {"tube", "totally-real", "K in omega"}
-    for status, nodes, leaves, _ in trees.values():
+    for status, nodes, leaves, probes, _ in trees.values():
         assert status == "PROVED"
         assert nodes == 2 * leaves - 1  # bisection: every inner node has two children
+        assert probes == nodes - leaves  # a PROVED tree probed exactly its inner nodes
+    assert trees["tube"][1:] == (659, 330, 329, 12)
     checks = cert.checks
     report = checks["omega_in_tube"]["report"]
-    assert trees["tube"][2:] == (report["leaf_count"], report["depth"])
-    assert trees["totally-real"][2:] == (checks["totally_real"]["leaf_count"],
-                                         checks["totally_real"]["depth"])
+    _, _, leaves, _, depth = trees["tube"]
+    assert (leaves, depth) == (report["leaf_count"], report["depth"])
+    _, _, leaves, _, depth = trees["totally-real"]
+    assert (leaves, depth) == (checks["totally_real"]["leaf_count"],
+                               checks["totally_real"]["depth"])
     assert trees["K in omega"][1] >= checks["k_in_omega"]["cells_checked"]
 
 
@@ -426,6 +430,12 @@ def test_cap_r135_fails_with_tube_witness():
     assert all(abs(v - c) < r for v, c, r in zip(z, om.z_center, om.z_radii))
     # re-verify independently of certify
     assert sum(abs(v) for v in sys_.values_at(z)) >= tube_radius(sys_, z)
+    # the witness the scalar per-box probe found, to the last bit
+    assert json.dumps(wit) == json.dumps({
+        "z": [[-1.264716006586855, -0.5454606879154006],
+              [-0.043437500000000004, 1.3679418116410096]],
+        "w": None, "residual": 2.094425468221254, "radius": 2.0935907491392998,
+        "check": "omega_in_tube"})
 
 
 def test_certificate_written_before_closed_forms_replays():

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import cap_manifest
 from prc.certify import (WERMER_F, CompactSpec, certificate_to_dict, certify,
                          sanitize_json)
@@ -79,6 +81,27 @@ def test_totally_real_malformed_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     assert main(["totally-real", str(p), "--threads", "1"]) == 2
+
+
+def test_directory_as_manifest_exit_2(tmp_path, capsys):
+    assert main(["certify", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_directory_as_out_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, "w.json", _wermer_manifest())
+    assert main(["certify", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("f", ["conj(z1) + 10^400*z1^2 - 10^400*z1^2",
+                               "conj(z1) + 10^200*10^200*z1*conj(z1)^2"])
+def test_non_finite_coefficient_exit_2(tmp_path, capsys, f):
+    m = _wermer_manifest()
+    m["functions"] = [f]
+    path = _write(tmp_path, "w.json", m)
+    assert main(["certify", path]) == 2
+    assert "function #1 has a non-finite coefficient" in capsys.readouterr().err
 
 
 def test_unknown_manifest_key_exit_2(tmp_path):

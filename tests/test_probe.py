@@ -1,0 +1,345 @@
+"""The batched pointwise probes of rigor against the scalar code they
+replaced, kept here as the reference: every probe point, residual, radius
+and witness must come out bit for bit the same."""
+
+import math
+
+import numpy as np
+import pytest
+
+from conftest import cap_manifest, random_graph_system, random_submersion_system
+from prc import ProblemSystem
+from prc import rigor
+from prc.certify import certify, load_manifest, wermer_compact
+from prc.rigor import GRAPH, Region, probe_points
+from prc.trgeom import numerical_radii, numerical_radius, radius_factor
+
+
+# ---------------------------------------------------------------------------
+# scalar reference
+# ---------------------------------------------------------------------------
+
+def _scalar_probe(lo, hi, region):
+    if region is None:
+        return tuple(0.5 * (a + b) for a, b in zip(lo, hi))
+    pt = []
+    for j, (cx, cy, r) in enumerate(region.discs):
+        if 2 * j + 1 >= len(lo):
+            break
+        pt.append(min(max(cx, lo[2 * j]), hi[2 * j]))
+        pt.append(min(max(cy, lo[2 * j + 1]), hi[2 * j + 1]))
+    for i in range(len(pt), len(lo)):
+        pt.append(0.5 * (lo[i] + hi[i]))
+    return tuple(pt)
+
+
+def _scalar_numerical_radius(M, tol=1e-8):
+    M = np.asarray(M, dtype=np.complex128)
+    d = M.shape[0]
+    if d == 1:
+        return abs(complex(M[0, 0]))
+    Mh = M.conj().T
+    scale = np.linalg.norm(M, 2)
+    if scale == 0.0:
+        return 0.0
+    if np.max(np.abs(M - Mh)) <= 1e-14 * scale:
+        ev = np.linalg.eigvalsh((M + Mh) / 2)
+        return float(max(abs(ev[0]), abs(ev[-1])))
+
+    def g(theta):
+        ph = complex(math.cos(theta), math.sin(theta))
+        H = (ph * M + np.conj(ph) * Mh) / 2
+        return float(np.linalg.eigvalsh(H)[-1])
+
+    grid = 512
+    thetas = [2 * math.pi * i / grid for i in range(grid)]
+    vals = [g(t) for t in thetas]
+    best = max(vals)
+    candidates = [i for i in range(grid)
+                  if vals[i] >= vals[(i - 1) % grid] and vals[i] >= vals[(i + 1) % grid]
+                  and vals[i] >= best - 0.05 * scale]
+    candidates.sort(key=lambda i: -vals[i])
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    for i in candidates[:5]:
+        a = thetas[i] - 2 * math.pi / grid
+        b = thetas[i] + 2 * math.pi / grid
+        c = b - invphi * (b - a)
+        dd = a + invphi * (b - a)
+        fc, fd = g(c), g(dd)
+        while b - a > min(tol, 1e-8):
+            if fc > fd:
+                b, dd, fd = dd, c, fc
+                c = b - invphi * (b - a)
+                fc = g(c)
+            else:
+                a, c, fc = c, dd, fd
+                dd = a + invphi * (b - a)
+                fd = g(dd)
+        best = max(best, fc, fd)
+    return best
+
+
+def _point_quantities(sys, pt):
+    """(residual, tube radius) at a real-coordinate point."""
+    n = sys.n
+    xs = list(pt[:2 * n])
+    vals = [t.value.eval_real(xs) for t in sys.tables]
+    if sys.kind == GRAPH:
+        off = 2 * n
+        residual = sum(abs(vals[j] - complex(pt[off + 2 * j], pt[off + 2 * j + 1]))
+                       for j in range(n))
+    else:
+        residual = sum(abs(v) for v in vals)
+
+    B = [[t.dzbar[j].eval_real(xs) for j in range(n)] for t in sys.tables]
+    if n == 1:
+        m = sum(abs(row[0]) ** 2 for row in B)
+    elif n == 2:
+        h00 = sum(abs(row[0]) ** 2 for row in B)
+        h11 = sum(abs(row[1]) ** 2 for row in B)
+        h01 = sum(row[0].conjugate() * row[1] for row in B)
+        half = math.sqrt(((h00 - h11) / 2) ** 2 + abs(h01) ** 2)
+        m = max((h00 + h11) / 2 - half, 0.0)
+    else:
+        s = np.linalg.svd(np.array(B), compute_uv=False)
+        m = float(s[-1]) ** 2
+    if m == 0.0:
+        return residual, 0.0
+
+    L = 0.0
+    for t in sys.tables:
+        lev = [[t.levi[j][k].eval_real(xs) for k in range(n)] for j in range(n)]
+        if n == 1:
+            w = abs(lev[0][0])
+        elif sys.kind != GRAPH and n == 2:
+            a = lev[0][0].real
+            d = lev[1][1].real
+            b = 0.5 * (lev[0][1] + lev[1][0].conjugate())
+            half = math.sqrt(((a - d) / 2) ** 2 + abs(b) ** 2)
+            w = max(abs((a + d) / 2 + half), abs((a + d) / 2 - half))
+        else:
+            w = _scalar_numerical_radius(np.array(lev))
+        L = max(L, w)
+    radius = math.inf if L == 0.0 else m / (radius_factor(sys.kind) * L)
+    return residual, radius
+
+
+def _point_violates(sys, pt):
+    n = sys.n
+    residual, radius = _point_quantities(sys, pt)
+    if math.isinf(radius):
+        return None
+    if residual >= radius * (1.0 + 1e-9):
+        z = tuple(complex(pt[2 * j], pt[2 * j + 1]) for j in range(n))
+        w = None
+        if sys.kind == GRAPH:
+            off = 2 * n
+            w = tuple(complex(pt[off + 2 * j], pt[off + 2 * j + 1]) for j in range(n))
+        return {"z": [[c.real, c.imag] for c in z],
+                "w": None if w is None else [[c.real, c.imag] for c in w],
+                "residual": residual, "radius": radius}
+    return None
+
+
+def _tube_witness(sys, z_pt, region):
+    n = sys.n
+    for j, (cx, cy, r) in enumerate(region.discs[:n]):
+        if math.hypot(z_pt[2 * j] - cx, z_pt[2 * j + 1] - cy) >= r * (1.0 - 1e-9):
+            return None
+    pt = list(z_pt)
+    for t, (cx, cy, r) in zip(sys.tables, region.discs[n:]):
+        away = complex(cx, cy) - t.value.eval_real(z_pt)
+        unit = away / abs(away) if away else 1.0
+        w = complex(cx, cy) + r * (1.0 - 1e-9) * unit
+        pt += [w.real, w.imag]
+    return _point_violates(sys, pt)
+
+
+def _scalar_tube_probe(sys, lo, hi, region):
+    """The per-box witnesses of the scalar tube probe."""
+    out = []
+    for l, h in zip(np.asarray(lo).tolist(), np.asarray(hi).tolist()):
+        if sys.kind == GRAPH:
+            out.append(_tube_witness(sys, _scalar_probe(l, h, region), region))
+        else:
+            out.append(_point_violates(sys, _scalar_probe(l, h, region)))
+    return out
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _assert_probe_matches(sys_, lo, hi, region):
+    violated, witness = rigor._tube_probe(sys_, lo, hi, region)
+    ref = _scalar_tube_probe(sys_, lo, hi, region)
+    assert violated.tolist() == [w is not None for w in ref]
+    first = next((w for w in ref if w is not None), None)
+    assert repr(witness) == repr(first)  # repr tells -0.0 from 0.0
+    return int(violated.sum())
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+def test_probe_points_match_scalar_probe():
+    rng = np.random.default_rng(81)
+    for n in (1, 2, 3):
+        for extra in (0, 2 * n):  # z-boxes, and boxes with w coordinates too
+            dims = 2 * n + extra
+            lo = rng.uniform(-2, 1, (200, dims))
+            hi = lo + rng.uniform(0, 1, (200, dims)) * (rng.random((200, dims)) < 0.8)
+            lo[:5] = -0.0
+            hi[:5] = 0.0
+            lo[5:10], hi[5:10] = 0.0, -0.0
+            discs = ((0.0, -0.0, 1.0),) + tuple(
+                (float(rng.normal()), float(rng.normal()), 1.0)
+                for _ in range(rng.integers(0, 2 * n)))
+            for region in (None, Region(discs)):
+                got = probe_points(lo, hi, region)
+                want = [_scalar_probe(l, h, region)
+                        for l, h in zip(lo.tolist(), hi.tolist())]
+                assert (_bits(got) == _bits(want)).all()
+
+
+def test_point_pack_matches_eval_real():
+    """Every table of a system at once, real and imaginary parts and signs of
+    zeros, as RealPoly.eval_real gives them one point at a time."""
+    rng = np.random.default_rng(80)
+    for sys_ in _systems(rng):
+        polys = ([t.value for t in sys_.tables] + [p for t in sys_.tables for p in t.dzbar]
+                 + [q for t in sys_.tables for row in t.levi for q in row])
+        xs = rng.uniform(-1.5, 1.5, (30, 2 * sys_.n))
+        xs[:3] = [[0.0], [-0.0], [1.0]]
+        got = sys_.point_pack.eval(xs)
+        want = np.array([[p.eval_real(row) for p in polys] for row in xs.tolist()])
+        assert (_bits(got.real) == _bits(want.real)).all()
+        assert (_bits(got.imag) == _bits(want.imag)).all()
+
+
+def _systems(rng):
+    systems = [ProblemSystem.graph(["z1"], 1),  # m == 0: radius 0
+               ProblemSystem.graph(["conj(z1)"], 1),  # L == 0: radius inf
+               ProblemSystem.graph(["conj(z1) + z2", "conj(z2) + z1*z2"], 2),  # L == 0
+               ProblemSystem.submersion(["Im(z1) - Re(z2)", "Im(z2)"], 2, 2),  # L == 0
+               ProblemSystem.graph(["conj(z1)*conj(z2)", "conj(z2)*conj(z1)"], 2)]  # m == 0
+    for n in (1, 2, 3):
+        for _ in range(3):
+            systems.append(random_graph_system(rng, n))
+            systems.append(random_submersion_system(rng, n, int(rng.integers(1, n + 1))))
+    return systems
+
+
+def test_probe_quantities_match_scalar_reference():
+    rng = np.random.default_rng(82)
+    branches = set()
+    for sys_ in _systems(rng):
+        n = sys_.n
+        dims = 4 * n if sys_.kind == GRAPH else 2 * n
+        pts = rng.uniform(-1.2, 1.2, (40, dims))
+        pts[0] = 0.0
+        table = sys_.point_pack.eval(pts[:, :2 * n])
+        residual, radius = rigor._probe_quantities(sys_, pts, table)
+        want = [_point_quantities(sys_, pt) for pt in pts.tolist()]
+        assert (_bits(residual) == _bits([r for r, _ in want])).all()
+        assert (_bits(radius) == _bits([r for _, r in want])).all()
+        branches.update(radius[(radius == 0.0) | np.isinf(radius)].tolist())
+    assert branches == {0.0, math.inf}
+
+
+@pytest.mark.parametrize("kind", ["graph", "submersion"])
+def test_tube_probe_matches_scalar_reference_on_random_boxes(kind):
+    rng = np.random.default_rng(83 if kind == "graph" else 84)
+    fails = 0
+    for n in (1, 2, 3):
+        for _ in range(2):
+            if kind == "graph":
+                sys_ = random_graph_system(rng, n)
+                region = Region(((0.0, 0.0, 1.0),) * n
+                                + tuple((float(rng.normal()), float(rng.normal()), 0.5)
+                                        for _ in range(n)))
+            else:
+                sys_ = random_submersion_system(rng, n, int(rng.integers(1, n + 1)))
+                region = None if rng.integers(0, 2) else Region(((0.0, 0.0, 0.8),) * n)
+            lo = rng.uniform(-1.0, 0.8, (30, 2 * n))
+            hi = lo + rng.uniform(0.0, 0.4, (30, 2 * n))
+            fails += _assert_probe_matches(sys_, lo, hi, region)
+    assert 0 < fails < 6 * 30
+
+
+def test_numerical_radii_match_scalar_reference():
+    rng = np.random.default_rng(85)
+    for d in (1, 2, 3):
+        M = rng.normal(size=(150, d, d)) + 1j * rng.normal(size=(150, d, d))
+        M[0] = 0.0
+        M[1] = M[1] + M[1].conj().T  # Hermitian
+        M[2] = np.diag(rng.normal(size=d))
+        M[3, 0, 0] = 1e-300
+        got = numerical_radii(M)
+        want = [_scalar_numerical_radius(m) for m in M]
+        assert (_bits(got) == _bits(want)).all()
+        assert numerical_radius(M[4]) == want[4]
+
+
+def test_probe_quantities_match_scalar_reference_at_many_points():
+    """Systems whose Levi matrices the scalar reference handles fast (n = 1, a
+    2x2 submersion, an n = 3 graph with Hermitian Levi matrices), at enough
+    points that Python's float ** 2 and numpy's x * x differ somewhere."""
+    rng = np.random.default_rng(86)
+    graph3 = ProblemSystem.graph([f"conj(z{j}) + 0.3*z{j}*conj(z{j}) + 0.1*z{k}*conj(z{k})"
+                                  for j, k in ((1, 2), (2, 3), (3, 1))], 3)
+    cap = load_manifest(cap_manifest(1.0))[0]
+    for sys_ in (ProblemSystem.graph(["conj(z1) + 2*z1^2*conj(z1)"], 1), cap, graph3):
+        n = sys_.n
+        pts = rng.uniform(-1.5, 1.5, (1500, 4 * n if sys_.kind == GRAPH else 2 * n))
+        table = sys_.point_pack.eval(pts[:, :2 * n])
+        residual, radius = rigor._probe_quantities(sys_, pts, table)
+        want = [_point_quantities(sys_, pt) for pt in pts.tolist()]
+        assert (_bits(residual) == _bits([r for r, _ in want])).all()
+        assert (_bits(radius) == _bits([r for _, r in want])).all()
+
+
+def _assert_witness_is_first_of_level(sys_, cert, calls):
+    """The certificate's witness is the scalar probe's first violating box of
+    the last (failing) level, which has several."""
+    ref = _scalar_tube_probe(sys_, *calls[-1])
+    assert sum(w is not None for w in ref) >= 2
+    wit = dict(cert.witness)
+    assert wit.pop("check") == "omega_in_tube"
+    assert repr(wit) == repr(next(w for w in ref if w is not None))
+
+
+def _recording_probe(monkeypatch):
+    """Record the arguments of every _tube_probe call of a certify run."""
+    calls = []
+    probe = rigor._tube_probe
+
+    def record(sys_, lo, hi, region):
+        calls.append((np.array(lo), np.array(hi), region))
+        return probe(sys_, lo, hi, region)
+
+    monkeypatch.setattr(rigor, "_tube_probe", record)
+    return calls
+
+
+def test_wermer_r033_fail_probes_match_scalar_reference(wermer, monkeypatch):
+    calls = _recording_probe(monkeypatch)
+    cert = certify(wermer, wermer_compact(0.33), max_depth=30, node_budget=150_000)
+    monkeypatch.undo()
+    assert cert.verdict == "FAIL"
+    assert sum(len(lo) for lo, _, _ in calls) > 100
+    fails = sum(_assert_probe_matches(wermer, lo, hi, region) for lo, hi, region in calls)
+    assert fails >= 1
+    _assert_witness_is_first_of_level(wermer, cert, calls)
+
+
+def test_cap_r135_fail_probes_match_scalar_reference(monkeypatch):
+    sys_, K, omega, opts = load_manifest(cap_manifest(1.35, 100_000))
+    calls = _recording_probe(monkeypatch)
+    cert = certify(sys_, K, omega, **opts)
+    monkeypatch.undo()
+    assert cert.verdict == "FAIL"
+    fails = sum(_assert_probe_matches(sys_, lo, hi, region) for lo, hi, region in calls)
+    assert fails >= 1
+    _assert_witness_is_first_of_level(sys_, cert, calls)

@@ -194,6 +194,14 @@ def test_totally_real_submersion_degenerate_row_errors():
         is_totally_real_submersion(sys_, (0.5 + 0j,))
 
 
+@pytest.mark.parametrize("f", ["conj(z2) + 10^400*z1^2 - 10^400*z1^2",
+                               "conj(z2) + 10^200*10^200*z1*conj(z1)^2"])
+def test_non_finite_coefficient_rejected(f):
+    """inf - inf leaves a NaN coefficient, 10^200*10^200 an infinite one."""
+    with pytest.raises(ValueError, match="function #2 has a non-finite coefficient"):
+        ProblemSystem.graph(["conj(z1)", f], 2)
+
+
 # ---------------------------------------------------------------------------
 # tube radius / profile
 # ---------------------------------------------------------------------------
