@@ -393,6 +393,7 @@ def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
     tube_check = {
         "status": tube_root.status,
         "report": asdict(tube_root.report),
+        "split_scale": list(tube_root.split_scale),
         "leaves": [_leaf_dict(leaf) for leaf in tube_root.leaves()],
     }
     if tube_root.witness is not None:
@@ -600,7 +601,10 @@ def omega_from_json(data: dict, kind: str) -> OmegaSpec:
         raise ManifestError(f"bad omega spec: {exc}") from exc
 
 
-CERTIFICATE_FORMAT = "prc-certificate/2"   # /2: z-only tube leaves
+# /2: z-only tube leaves; /3: and the tube tree's split scale
+CERTIFICATE_FORMAT = "prc-certificate/3"
+# formats certificate_from_dict reads: a /2 tube tree was bisected by unit weights
+READABLE_FORMATS = ("prc-certificate/2", CERTIFICATE_FORMAT)
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
@@ -618,9 +622,9 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def certificate_from_dict(data: dict) -> Certificate:
-    if data.get("format") != CERTIFICATE_FORMAT:
-        raise ValueError(f"certificate format {data.get('format')!r} is not "
-                         f"{CERTIFICATE_FORMAT!r}; re-run certify")
+    if data.get("format") not in READABLE_FORMATS:
+        raise ValueError(f"certificate format {data.get('format')!r} is not one of "
+                         f"{', '.join(READABLE_FORMATS)}; re-run certify")
 
     def unsan(obj):
         if isinstance(obj, dict):
@@ -650,6 +654,9 @@ def replay_certificate(cert: Certificate) -> bool:
     subdivision trees from the z-box of omega (see _replay_tree): every
     recorded leaf must be reached exactly once, none may be missing or extra,
     none may lie deeper than max_depth, and each one's bounds are recomputed.
+    The tube tree is bisected by its recorded split_scale (unit weights when
+    there is none, as in a /2 file), which must be 2n finite positive floats;
+    it only decides where boxes are cut, so it needs no check of its own.
     Malformed content replays False.
     """
     if cert.verdict != "PASS":
@@ -672,6 +679,11 @@ def _replay(cert: Certificate) -> bool:
     if _check_k_in_omega(sys_, K, omega, opts["max_depth"],
                          opts["node_budget"])["status"] != PROVED:
         return False
+    tube = cert.checks["omega_in_tube"]
+    scale = tube.get("split_scale", [1.0] * (2 * n))
+    if not (isinstance(scale, list) and len(scale) == 2 * n
+            and all(type(s) is float and 0.0 < s < math.inf for s in scale)):
+        return False
     region = omega.region()
     z_box = omega.z_box(n)
     bb = _BoxBounds(sys_)
@@ -682,15 +694,15 @@ def _replay(cert: Certificate) -> bool:
     def totally_real(lo, hi) -> bool:
         return bool((bb.m_lower(lo, hi) > 0.0).all())
 
-    return (_replay_tree(cert.checks["omega_in_tube"]["leaves"], z_box, region,
-                         opts["max_depth"], tube_holds)
+    return (_replay_tree(tube["leaves"], z_box, region, opts["max_depth"],
+                         tube_holds, tuple(scale))
             and _replay_tree(cert.checks["totally_real"]["leaves"], z_box,
                              Region(region.discs[:n]), opts["max_depth"],
                              totally_real))
 
 
 def _replay_tree(leaves: list[dict], root: ParamBox, region: Region,
-                 max_depth: int, holds) -> bool:
+                 max_depth: int, holds, scale: tuple[float, ...] | None = None) -> bool:
     """Re-derive a subdivision tree from its root and match the recorded leaves.
 
     The leaves are recorded depth first, children in split order, so their
@@ -703,9 +715,10 @@ def _replay_tree(leaves: list[dict], root: ParamBox, region: Region,
     box misses the region must be its run's only leaf, OUTSIDE, with its
     unclipped box.  Any other node is clipped; it is a recorded leaf when its
     first leaf has the node's depth (then PROVED, with the clipped box), and
-    is bisected by ParamBox.split when that leaf lies deeper.  So every
-    recorded leaf is reached exactly once, or the replay fails.  `holds(lo,
-    hi)` finally checks all the PROVED boxes in one batch.
+    is bisected at rigor.split_coords(scale), as subdivide bisected it, when
+    that leaf lies deeper.  So every recorded leaf is reached exactly once, or the
+    replay fails.  `holds(lo, hi)` finally checks all the PROVED boxes in one
+    batch.
     """
     depths = [leaf["depth"] for leaf in leaves]
     if not leaves or not all(isinstance(d, int) and 0 <= d <= max_depth for d in depths):
@@ -725,7 +738,9 @@ def _replay_tree(leaves: list[dict], root: ParamBox, region: Region,
         lo, hi, inside = region.clip([box.lo for box, _ in frontier],
                                      [box.hi for box, _ in frontier])
         children = []
-        for (box, pos), keep, l, h in zip(frontier, inside.tolist(), lo.tolist(), hi.tolist()):
+        coords = rigor.split_coords(lo, hi, scale)
+        for (box, pos), keep, l, h, coord in zip(frontier, inside.tolist(), lo.tolist(),
+                                                 hi.tolist(), coords):
             leaf = leaves[pos]
             if keep:
                 box = ParamBox._new(box.n, tuple(l), tuple(h))
@@ -733,7 +748,7 @@ def _replay_tree(leaves: list[dict], root: ParamBox, region: Region,
                     second = start.get(before[pos] + (1 << (top - depth - 1)))
                     if second is None:
                         return False
-                    b1, b2 = box.split()
+                    b1, b2 = box.split(coord)
                     children += [(b1, pos), (b2, second)]
                     continue
             recorded = (tuple(float(p[0]) for p in leaf["box"]),

@@ -26,9 +26,16 @@ establishes the strict tube inclusion residual < m/(cL) with it; the
 comparison is division-free (residual_upper * c * L_upper < m_lower *
 (1 - margin)) so an infinite radius needs no special casing.  For a graph
 the bisected box holds the z coordinates only and the w discs come from the
-region, so the tree is 2n-dimensional instead of 4n-dimensional.
-verify_totally_real proves m_lower > 0 with it, and certify's K-in-omega
-check uses it too.
+region, so the tree is 2n-dimensional instead of 4n-dimensional.  The tube
+tree weighs each width by how fast the residual can change along that
+coordinate (split_scale), the smear rule of interval branch-and-bound (Ratz
+and Csendes, J. Global Optim. 7 (1995) 183-207); any weights tile the box, so
+they move no proof.  verify_totally_real proves m_lower > 0 with subdivide,
+and certify's K-in-omega check uses it too; both keep unit weights.
+
+Boxes a check leaves undecided are probed pointwise at probe_points: the
+box's midpoint when it lies strictly inside the region, else the region's
+centre clamped to the box.
 """
 
 from __future__ import annotations
@@ -42,8 +49,8 @@ from typing import Any
 import numpy as np
 
 from .intervals import INFLATION, ParamBox
-from .realpoly import (_TINY, _eval_box_raw, _max, _min, _pow, cabs, complex_array,
-                       dist_upper, hypot, mag_upper, sequential_sum)
+from .realpoly import (_TINY, TermPack, _eval_box_raw, _max, _min, _pow, cabs,
+                       complex_array, dist_upper, hypot, mag_upper, sequential_sum)
 from .trgeom import (GRAPH, ProblemSystem, is_totally_real_graph,
                      is_totally_real_submersion, numerical_radii, radius_factor)
 
@@ -123,7 +130,7 @@ class VerifyNode:
     `value` is what the check evaluated on the node's clipped box: the m
     lower bound in a totally-real tree, (m_lower, L_upper, residual_upper)
     in a tube tree, nothing for an OUTSIDE node.  Only the root of a tube
-    tree carries a report.
+    tree carries a report and the split scale its tree was bisected by.
     """
 
     box: ParamBox
@@ -134,6 +141,7 @@ class VerifyNode:
     witness: dict | None = None
     outside: bool = False
     report: BoundReport | None = None
+    split_scale: tuple[float, ...] | None = None
 
     def nodes(self) -> list["VerifyNode"]:
         """Every node of the tree, depth first, children in split order."""
@@ -437,22 +445,50 @@ def bound_residual_above(sys: ProblemSystem, box: ParamBox,
     return float(_BoxBounds(sys).residual_upper([box.lo], [box.hi], w_discs)[0])
 
 
+def split_scale(sys: ProblemSystem, box: ParamBox) -> tuple[float, ...]:
+    """Weights of the z coordinates for bisecting a tube tree over `box`.
+
+    s_v is the sum over rows of an upper bound of |d value_r / dx_v| over
+    the box, from one enclosure of every partial derivative of the value
+    tables, so that width_v * s_v bounds how far the residual can move along
+    coordinate v.  A zero weight takes the smallest positive one; when none
+    is positive, or one is not finite, every weight is 1.  The weights only
+    choose where boxes are cut, so no proof depends on them.
+    """
+    dims = 2 * sys.n
+    grads = TermPack([t.value.diff(v) for v in range(dims) for t in sys.tables])
+    enc = _eval_box_raw(grads, [box.lo[:dims]], [box.hi[:dims]])[0]
+    s = sequential_sum(mag_upper(enc).reshape(dims, sys.rows), axis=1).tolist()
+    positive = [x for x in s if x > 0.0]
+    if not positive or not all(map(math.isfinite, s)):
+        return (1.0,) * dims
+    return tuple(x if x > 0.0 else min(positive) for x in s)
+
+
 # ---------------------------------------------------------------------------
 # Pointwise probes
 # ---------------------------------------------------------------------------
 
 def probe_points(lo, hi, region: Region | None) -> np.ndarray:
-    """One point of each box, the rows of `lo`, `hi`, close to (normally
-    inside) the region: in the coordinates of a region disc its centre
-    clamped to the box (Python's min(max(c, lo), hi)), in all others (and
-    without a region) the midpoint."""
+    """One point of each box, the rows of `lo`, `hi`: its midpoint, unless
+    that misses the region.  The midpoint is kept when it lies strictly
+    inside every region disc that fits the box's length, by
+    math.hypot(x - cx, y - cy) < r (1 - _WITNESS_PULL), the test a graph
+    witness must pass.  Otherwise, in the coordinates of those discs, the
+    point is their centres clamped to the box (Python's min(max(c, lo), hi)),
+    the point of the box nearest each centre, and in all other coordinates
+    the midpoint.  Each row depends on its own box only."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     pts = 0.5 * (lo + hi)
     nd = 0 if region is None else min(len(region.discs), lo.shape[1] // 2)
     if nd:
-        c = np.array(region.discs[:nd])[:, :2].ravel()
-        pts[:, :2 * nd] = _min(_max(c, lo[:, :2 * nd]), hi[:, :2 * nd])
+        cx, cy, r = np.array(region.discs[:nd]).T
+        inside = (hypot(pts[:, 0:2 * nd:2] - cx, pts[:, 1:2 * nd:2] - cy)
+                  < r * (1.0 - _WITNESS_PULL)).all(axis=1)
+        out = ~inside
+        c = np.column_stack([cx, cy]).ravel()
+        pts[out, :2 * nd] = _min(_max(c, lo[out, :2 * nd]), hi[out, :2 * nd])
     return pts
 
 
@@ -583,8 +619,19 @@ def _tube_probe(sys: ProblemSystem, lo, hi, region: Region | None):
 # Bisection, and the two rigor checks built on it
 # ---------------------------------------------------------------------------
 
+def split_coords(lo, hi, scale: tuple[float, ...] | None = None) -> list[int]:
+    """The coordinate each box, a row of `lo`, `hi`, is bisected along: the
+    v of the largest (hi_v - lo_v) * scale[v] (unit weights when `scale` is
+    None, the widest coordinate), ties going to the lowest v."""
+    widths = np.asarray(hi) - np.asarray(lo)
+    if scale is not None:
+        widths = widths * np.array(scale)
+    return np.argmax(widths, axis=1).tolist()
+
+
 def subdivide(box: ParamBox, evaluate, max_depth: int, node_budget: int,
-              region: Region | None = None, name: str = "subdivision") -> VerifyNode:
+              region: Region | None = None, name: str = "subdivision",
+              scale: tuple[float, ...] | None = None) -> VerifyNode:
     """Level-synchronous bisection shared by every subdivision tree.
 
     Each level's boxes are first clipped to `region` (when given) in one
@@ -593,21 +640,22 @@ def subdivide(box: ParamBox, evaluate, max_depth: int, node_budget: int,
     the region, which is sound and cuts the overhang at the boundary.
     `evaluate(lo, hi)` then gets the level's remaining boxes as the rows of
     two arrays and returns one (status, value, witness) per box.  PROVED and
-    FAILED nodes are leaves; an INCONCLUSIVE node is bisected by
-    ParamBox.split while it lies above `max_depth` and the tree stays within
-    `node_budget` nodes (the first nodes of a level win; running out is
-    logged once, naming the tree).  The first level with a FAILED node ends
-    the search and the tree stays partial.  Statuses are then aggregated
-    bottom-up, FAILED over INCONCLUSIVE over PROVED, and a FAILED node takes
-    the witness of its first FAILED child.  When done it logs, at INFO, the
-    tree's status, size, probe count, depth and wall time; every check
-    probes each box it does not prove pointwise, so the probes are the
-    nodes it left unproved.
+    FAILED nodes are leaves; an INCONCLUSIVE node is bisected at
+    split_coords(scale) (the root keeps `scale`) while it lies above
+    `max_depth` and the tree stays within `node_budget` nodes (the first
+    nodes of a level win; running out is logged once, naming the tree).  The
+    first level with a FAILED node ends the search and the tree stays
+    partial.  Statuses are then aggregated bottom-up, FAILED over
+    INCONCLUSIVE over PROVED, and a FAILED node takes the witness of its
+    first FAILED child.  When done it logs, at INFO, the
+    tree's status, size, probe count, depth and wall time, and its split
+    scale when one is given; every check probes each box it does not prove
+    pointwise, so the probes are the nodes it left unproved.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     start = time.perf_counter()
-    root = VerifyNode(box, 0)
+    root = VerifyNode(box, 0, split_scale=scale)
     frontier = [root]
     total_nodes = 1
     split_nodes = 0
@@ -634,33 +682,35 @@ def subdivide(box: ParamBox, evaluate, max_depth: int, node_budget: int,
                     node.box = ParamBox._new(box.n, tuple(l), tuple(h))
                 live.append(node)
             lo, hi = clo[inside], chi[inside]
-        undecided = []
+        undecided = []  # rows of lo, hi
         failed = False
-        for node, result in zip(live, evaluate(lo, hi) if live else ()):
+        for row, (node, result) in enumerate(zip(live, evaluate(lo, hi) if live else ())):
             node.status, node.value, node.witness = result
             probes += node.status != PROVED
             if node.status == FAILED:
                 failed = True
             elif node.status == INCONCLUSIVE:
-                undecided.append(node)
+                undecided.append(row)
         if failed:
             break  # witnesses trump further refinement
-        splittable = [node for node in undecided if node.depth < max_depth]
+        splittable = undecided if depth < max_depth else []
         room = max(0, (node_budget - total_nodes) // 2)
         if len(splittable) > room and not budget_logged:
             log.warning("node budget %d exhausted in the %s tree", node_budget, name)
             budget_logged = True
         parents = splittable[:room]
         frontier = []
-        for node in parents:
-            node.children = [VerifyNode(b, node.depth + 1) for b in node.box.split()]
+        for row, coord in zip(parents, split_coords(lo[parents], hi[parents], scale)):
+            node = live[row]
+            node.children = [VerifyNode(b, depth + 1) for b in node.box.split(coord)]
             frontier += node.children
         split_nodes += len(parents)
         total_nodes += len(frontier)
     _aggregate(root)
-    log.info("%s tree: %s, %d nodes, %d leaves, %d probes, depth %d, %.3f s", name,
+    log.info("%s tree: %s, %d nodes, %d leaves, %d probes, depth %d, %.3f s%s", name,
              root.status, total_nodes, total_nodes - split_nodes, probes, depth,
-             time.perf_counter() - start)
+             time.perf_counter() - start, "" if scale is None else
+             ", split scale (" + ", ".join(f"{s:.6g}" for s in scale) + ")")
     return root
 
 
@@ -696,7 +746,9 @@ def verify_box(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
     INCONCLUSIVE: bisection depth (or the node budget) was exhausted.
 
     A node's value is (m_lower, L_upper, residual_upper) over its box; the
-    root's report aggregates them over the leaves.
+    root's report aggregates them over the leaves.  Undecided boxes are
+    bisected by the weights split_scale gives over `box`, which the root
+    keeps as its split_scale.
     """
     w_discs = _w_discs(sys, box.dim, region)
     bb = _BoxBounds(sys)
@@ -717,7 +769,8 @@ def verify_box(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
                 witness[probed[violated][0]] = wit
         return zip(status.tolist(), zip(m.tolist(), L.tolist(), r.tolist()), witness)
 
-    root = subdivide(box, evaluate, max_depth, node_budget, region, "tube")
+    root = subdivide(box, evaluate, max_depth, node_budget, region, "tube",
+                     split_scale(sys, box))
     leaves = root.leaves()
     bounds = [leaf.value for leaf in leaves if not leaf.outside]
     m_lo = min([math.inf] + [b[0] for b in bounds])

@@ -208,17 +208,23 @@ def test_k_in_omega_obeys_node_budget(wermer, caplog):
 
 def test_certify_logs_each_tree_at_info(wermer, caplog):
     """At INFO each subdivision tree reports its status, size, probe count,
-    depth and wall time once; the sizes agree with the certificate."""
+    depth and wall time once, and the tube tree its split scale; the sizes
+    and the scale agree with the certificate."""
     with caplog.at_level(logging.INFO, logger="prc.rigor"):
         cert = certify(wermer, wermer_compact(0.3))
-    trees = {}
+    trees, scales = {}, {}
     for record in caplog.records:
         m = re.fullmatch(r"(.+) tree: (\w+), (\d+) nodes, (\d+) leaves, (\d+) probes, "
-                         r"depth (\d+), \d+\.\d{3} s", record.getMessage())
+                         r"depth (\d+), \d+\.\d{3} s(?:, split scale \((.+)\))?",
+                         record.getMessage())
         assert m, record.getMessage()
         assert m[1] not in trees
         trees[m[1]] = (m[2], int(m[3]), int(m[4]), int(m[5]), int(m[6]))
+        scales[m[1]] = m[7]
     assert set(trees) == {"tube", "totally-real", "K in omega"}
+    assert scales["totally-real"] is None and scales["K in omega"] is None
+    assert scales["tube"] == ", ".join(
+        f"{s:.6g}" for s in cert.checks["omega_in_tube"]["split_scale"])
     for status, nodes, leaves, probes, _ in trees.values():
         assert status == "PROVED"
         assert nodes == 2 * leaves - 1  # bisection: every inner node has two children
@@ -313,7 +319,7 @@ def test_replay_rejects_negative_margin(wermer_pass_cert):
 
 def test_certificate_format_1_rejected(wermer_pass_cert):
     data = _pass_dict(wermer_pass_cert)
-    assert data["format"] == "prc-certificate/2"
+    assert data["format"] == "prc-certificate/3"
     data["format"] = "prc-certificate/1"
     with pytest.raises(ValueError):
         certificate_from_dict(data)
@@ -430,12 +436,65 @@ def test_cap_r135_fails_with_tube_witness():
     assert all(abs(v - c) < r for v, c, r in zip(z, om.z_center, om.z_radii))
     # re-verify independently of certify
     assert sum(abs(v) for v in sys_.values_at(z)) >= tube_radius(sys_, z)
-    # the witness the scalar per-box probe found, to the last bit
+    # the witness the scalar per-box probe finds, to the last bit, at the
+    # midpoint of a box of the scaled-split tree
     assert json.dumps(wit) == json.dumps({
-        "z": [[-1.264716006586855, -0.5454606879154006],
-              [-0.043437500000000004, 1.3679418116410096]],
-        "w": None, "residual": 2.094425468221254, "radius": 2.0935907491392998,
+        "z": [[-0.14365602821810391, -1.3749763916954398],
+              [1.262575836469551, -0.553828125]],
+        "w": None, "residual": 2.110026489249495, "radius": 2.1063547529322144,
         "check": "omega_in_tube"})
+
+
+# ---------------------------------------------------------------------------
+# the split scale of the tube tree
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def cap_pass_dict():
+    """cap r=1.25: a PASS whose tube tree the split scale shapes."""
+    _, cert = _cap_certificate(1.25)
+    assert cert.verdict == "PASS"
+    return _pass_dict(cert)
+
+
+def _replays(data):
+    return replay_certificate(certificate_from_dict(data))
+
+
+def test_cap_certificate_records_its_split_scale(cap_pass_dict):
+    data = json.loads(json.dumps(cap_pass_dict))
+    assert data["format"] == "prc-certificate/3"
+    sx1, sy1, sx2, sy2 = data["checks"]["omega_in_tube"]["split_scale"]
+    # Im z_l enters rho_l with slope 1, Re z with slope 0.05 * (2x + 3x^2)
+    assert sy1 == sy2 and 1.0 <= sy1 < 1.0 + 1e-11 and sx1 == sx2 < 0.5
+    assert _replays(data)
+    # only where boxes are cut depends on the scale: doubling it, which
+    # changes no comparison, still replays
+    data["checks"]["omega_in_tube"]["split_scale"] = [2.0 * s for s in (sx1, sy1, sx2, sy2)]
+    assert _replays(data)
+
+
+@pytest.mark.parametrize("scale", [
+    "swapped", [1.0, 1.0, 1.0], [1.0] * 5, [0.0, 1.0, 0.3, 1.0], [-0.3, 1.0, 0.3, 1.0],
+    ["nan", 1.0, 0.3, 1.0], [float("nan"), 1.0, 0.3, 1.0], ["inf", 1.0, 0.3, 1.0],
+    [0.3, 1.0, 0.3, float("inf")], "1.0", ["0.3", "1.0", "0.3", "1.0"], 1.0, None,
+    [0.3, 1, 0.3, 1], [True, 1.0, 0.3, 1.0]])
+def test_replay_rejects_bad_split_scale(cap_pass_dict, scale):
+    data = json.loads(json.dumps(cap_pass_dict))
+    tube = data["checks"]["omega_in_tube"]
+    if scale == "swapped":
+        sx1, sy1, sx2, sy2 = tube["split_scale"]
+        scale = [sy1, sx1, sy2, sx2]
+    tube["split_scale"] = scale
+    assert _replays(data) is False
+
+
+def test_replay_rejects_deleted_split_scale(cap_pass_dict):
+    """Without its scale a /3 tube tree is re-derived by unit weights, which
+    cut the boxes elsewhere."""
+    data = json.loads(json.dumps(cap_pass_dict))
+    del data["checks"]["omega_in_tube"]["split_scale"]
+    assert _replays(data) is False
 
 
 def test_certificate_written_before_closed_forms_replays():

@@ -357,20 +357,31 @@ def _wermer_bench_manifest(r, node_budget):
 # the earlier one-box-at-a-time kernels: every bound in a certificate, and
 # every tree, must come out bit for bit the same however boxes are batched.
 # The two caps were re-recorded when m and L took the 2x2 closed forms for
-# n = 2, which changed their bounds and trees; the Wermer digests (n = 1)
-# never changed.
+# n = 2, which changed their bounds and trees.  All five were re-recorded
+# when certificates became prc-certificate/3 with the tube tree's split
+# scale; of them only the trees of wermer_r0.33 (a FAIL, found sooner by
+# midpoint probes) and cap_r1.285 (bisected by the scale) changed.
 GOLDEN_CERTIFICATES = [
     ("wermer_r0.3", _wermer_bench_manifest(0.3, 150_000), 0,
-     "dee232994bddbbff5cd181576de96941e8cd137e5d15c8f68eeda51261db4d23"),
+     "a2134ee4fc7bf43714c471f9e367dfe6d64f9312d5b7c83326a4afe79fb91496"),
     ("wermer_r0.33", _wermer_bench_manifest(0.33, 150_000), 3,
-     "166283b2622c76bca5226604dbfc548a02473bf3a8fb9489c4cc9110fe6216ee"),
+     "d8534be7c40eec635cd8596fb145fcb1ac1cee9f2d48472acfe3732b52311cf3"),
     ("wermer_r0.305", _wermer_bench_manifest(0.305, 40_000), 0,
-     "af4785c0ff62b987f5c60062c26d866f353105dea025707af4e5020cf3b7eb15"),
+     "79fc5f9bf303b7db90ff7c51bd63ddcec664982b350e83fe98f9471bb03e74e7"),
     ("cap_r1.0", cap_manifest(1.0), 0,
-     "4dde7918315ebbee3f15268f086707cffdd6a74ebc12db7f2bfc0ec08452dc70"),
+     "4c399ba8c5b17e0fdd37c5786a3d2813187eda6c40d64404d58d816d28a18bfa"),
     ("cap_r1.285", cap_manifest(1.285), 0,
-     "3e088ee362b825a4b749177f167ad7206722e607e505461a31b5e92587097b4d"),
+     "da486464e301226f2719c443bab62369c28d2aff0b4daf10345f94e069f57586"),
 ]
+
+# The prc-certificate/2 digests of the problems whose trees the split scale
+# leaves alone: the Wermer scales are equal in x and y, and cap 1.0 proves at
+# its root.
+FORMAT_2_DIGESTS = {
+    "wermer_r0.3": "dee232994bddbbff5cd181576de96941e8cd137e5d15c8f68eeda51261db4d23",
+    "wermer_r0.305": "af4785c0ff62b987f5c60062c26d866f353105dea025707af4e5020cf3b7eb15",
+    "cap_r1.0": "4dde7918315ebbee3f15268f086707cffdd6a74ebc12db7f2bfc0ec08452dc70",
+}
 
 
 def test_certificate_bytes_match_golden_digests(tmp_path):
@@ -379,6 +390,12 @@ def test_certificate_bytes_match_golden_digests(tmp_path):
         assert main(["certify", _write(tmp_path, f"{name}.json", manifest),
                      "--out", str(out)]) == exit_code, name
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+        if name in FORMAT_2_DIGESTS:
+            data = json.loads(out.read_text())
+            data["format"] = "prc-certificate/2"
+            del data["checks"]["omega_in_tube"]["split_scale"]
+            text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+            assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_2_DIGESTS[name]
 
 
 def test_example2_certificate_matches_golden_digest(example2):

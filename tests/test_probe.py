@@ -10,9 +10,9 @@ import pytest
 from conftest import cap_manifest, random_graph_system, random_submersion_system
 from prc import ProblemSystem
 from prc import rigor
-from prc.certify import certify, load_manifest, wermer_compact
+from prc.certify import CompactSpec, DiscRegion, certify, load_manifest, wermer_compact
 from prc.rigor import GRAPH, Region, probe_points
-from prc.trgeom import numerical_radii, numerical_radius, radius_factor
+from prc.trgeom import numerical_radii, numerical_radius, radius_factor, tube_radius
 
 
 # ---------------------------------------------------------------------------
@@ -20,17 +20,21 @@ from prc.trgeom import numerical_radii, numerical_radius, radius_factor
 # ---------------------------------------------------------------------------
 
 def _scalar_probe(lo, hi, region):
+    """The midpoint when it lies strictly inside every region disc that fits
+    the box, else those discs' centres clamped to the box (and the midpoint
+    in the remaining coordinates)."""
+    mid = tuple(0.5 * (a + b) for a, b in zip(lo, hi))
     if region is None:
-        return tuple(0.5 * (a + b) for a, b in zip(lo, hi))
+        return mid
+    discs = region.discs[:len(lo) // 2]
+    if all(math.hypot(mid[2 * j] - cx, mid[2 * j + 1] - cy) < r * (1.0 - 1e-9)
+           for j, (cx, cy, r) in enumerate(discs)):
+        return mid
     pt = []
-    for j, (cx, cy, r) in enumerate(region.discs):
-        if 2 * j + 1 >= len(lo):
-            break
+    for j, (cx, cy, r) in enumerate(discs):
         pt.append(min(max(cx, lo[2 * j]), hi[2 * j]))
         pt.append(min(max(cy, lo[2 * j + 1]), hi[2 * j + 1]))
-    for i in range(len(pt), len(lo)):
-        pt.append(0.5 * (lo[i] + hi[i]))
-    return tuple(pt)
+    return tuple(pt) + mid[len(pt):]
 
 
 def _scalar_numerical_radius(M, tol=1e-8):
@@ -203,6 +207,55 @@ def test_probe_points_match_scalar_probe():
                 assert (_bits(got) == _bits(want)).all()
 
 
+def test_probe_point_is_the_midpoint_exactly_when_strictly_inside():
+    """Every probe point lies in its box; it is the midpoint where that lies
+    strictly inside every disc (by the witness pull), and else the centres
+    clamped to the box."""
+    rng = np.random.default_rng(87)
+    for n in (1, 2):
+        region = Region(tuple((float(rng.normal(scale=0.3)), float(rng.normal(scale=0.3)),
+                               float(rng.uniform(0.5, 1.0))) for _ in range(n)))
+        lo = rng.uniform(-1.5, 1.2, (400, 2 * n))
+        hi = lo + rng.uniform(0.0, 0.8, (400, 2 * n))
+        # boxes whose midpoint sits on the shrunken circle of the first disc
+        cx, cy, r = region.discs[0]
+        t = rng.uniform(0, 2 * math.pi, 20)
+        edge = r * (1.0 - 1e-9)
+        lo[:20, 0], lo[:20, 1] = cx + edge * np.cos(t) - 0.1, cy + edge * np.sin(t) - 0.1
+        hi[:20, :2] = lo[:20, :2] + 0.2
+        pts = probe_points(lo, hi, region)
+        assert ((lo <= pts) & (pts <= hi)).all()
+        mid = 0.5 * (lo + hi)
+        inside = np.array([all(math.hypot(m[2 * j] - dx, m[2 * j + 1] - dy) < dr * (1.0 - 1e-9)
+                               for j, (dx, dy, dr) in enumerate(region.discs))
+                           for m in mid.tolist()])
+        centres = np.array([c for dx, dy, _ in region.discs for c in (dx, dy)])
+        clamped = np.minimum(np.maximum(centres, lo), hi)
+        assert 10 < inside.sum() < 390
+        assert (pts[inside] == mid[inside]).all()
+        assert (pts[~inside] == clamped[~inside]).all()
+
+
+def test_graph_n2_fail_found_within_200_tube_leaves():
+    """Over the 0.4-bidisc the graph_n2 system FAILs; probes at box midpoints
+    find the witness in 64 tube leaves (1,412 when every box was probed at
+    the point nearest omega's centre)."""
+    sys_ = ProblemSystem.graph(["conj(z1) + 0.1*z2*conj(z2) - 0.2*z1^2*conj(z2)",
+                                "conj(z2) - 0.3*z1*conj(z1)^2 + 0.05*conj(z1)"], 2)
+    cert = certify(sys_, CompactSpec.graph_over([DiscRegion(0j, 0.4)] * 2),
+                   max_depth=24, node_budget=400_000)
+    assert cert.verdict == "FAIL"
+    assert len(cert.checks["omega_in_tube"]["leaves"]) <= 200
+    wit = cert.witness
+    assert wit["check"] == "omega_in_tube"
+    z = tuple(complex(*c) for c in wit["z"])
+    w = tuple(complex(*c) for c in wit["w"])
+    om = cert.omega
+    assert all(abs(v - c) < r for v, c, r in zip(z, om.z_center, om.z_radii))
+    assert all(abs(v - c) < r for v, c, r in zip(w, om.w_center, om.w_radii))
+    assert sum(abs(a - f) for a, f in zip(w, sys_.values_at(z))) >= tube_radius(sys_, z)
+
+
 def test_point_pack_matches_eval_real():
     """Every table of a system at once, real and imaginary parts and signs of
     zeros, as RealPoly.eval_real gives them one point at a time."""
@@ -323,15 +376,27 @@ def _recording_probe(monkeypatch):
     return calls
 
 
-def test_wermer_r033_fail_probes_match_scalar_reference(wermer, monkeypatch):
+def _wermer_fail_probes_match_scalar_reference(wermer, monkeypatch, radius, probes):
     calls = _recording_probe(monkeypatch)
-    cert = certify(wermer, wermer_compact(0.33), max_depth=30, node_budget=150_000)
+    cert = certify(wermer, wermer_compact(radius), max_depth=30, node_budget=150_000)
     monkeypatch.undo()
     assert cert.verdict == "FAIL"
-    assert sum(len(lo) for lo, _, _ in calls) > 100
+    assert sum(len(lo) for lo, _, _ in calls) == probes
     fails = sum(_assert_probe_matches(wermer, lo, hi, region) for lo, hi, region in calls)
     assert fails >= 1
     _assert_witness_is_first_of_level(wermer, cert, calls)
+
+
+def test_wermer_r033_fail_probes_match_scalar_reference(wermer, monkeypatch):
+    """r = 0.33 FAILs after 27 probes (86 tube leaves before probes moved to
+    box midpoints)."""
+    _wermer_fail_probes_match_scalar_reference(wermer, monkeypatch, 0.33, 27)
+
+
+def test_wermer_r03075_fail_probes_match_scalar_reference(wermer, monkeypatch):
+    """Just above the largest certifiable radius the FAIL search still takes
+    over a hundred probes."""
+    _wermer_fail_probes_match_scalar_reference(wermer, monkeypatch, 0.3075, 203)
 
 
 def test_cap_r135_fail_probes_match_scalar_reference(monkeypatch):

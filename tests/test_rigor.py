@@ -13,8 +13,8 @@ from prc.intervals import INFLATION, ParamBox
 from prc.realpoly import MAX_TERMS, RealPoly, _eval_box_raw
 from prc.rigor import (FAILED, INCONCLUSIVE, MAX_N, PROVED, Region, _BoxBounds,
                        _eig2_min_lower, _levi2_upper, bound_L_above, bound_m_below,
-                       bound_residual_above, check_leaf, subdivide, verify_box,
-                       verify_totally_real)
+                       bound_residual_above, check_leaf, split_coords, split_scale,
+                       subdivide, verify_box, verify_totally_real)
 from prc.trgeom import GRAPH, bbar_matrix, big_l_value, m_value, numerical_radius
 
 
@@ -254,7 +254,9 @@ def test_verify_proved_leaves_hold_on_samples(wermer):
 
 
 def test_node_budget_exhaustion_logged_once_per_tree(wermer, caplog):
-    box, region = _wermer_region(wermer, 0.3, 0.05)
+    # a PASS that needs 112 tube leaves (the wider z disc of radius 0.3 has a
+    # FAIL witness that the probes find within 51 nodes)
+    box, region = _wermer_region(wermer, 0.28, 0.05)
     with caplog.at_level(logging.WARNING, logger="prc.rigor"):
         root = verify_box(wermer, box, max_depth=30, region=region, node_budget=51)
     assert root.status == INCONCLUSIVE
@@ -269,6 +271,27 @@ def test_node_budget_exhaustion_logged_once_per_tree(wermer, caplog):
     assert root.status == INCONCLUSIVE
     assert [r.getMessage() for r in caplog.records] == [
         "node budget 3 exhausted in the totally-real tree"]
+
+
+def test_split_scale_bounds_the_slopes_of_the_residual():
+    """s_v bounds sum_r |d rho_r / dx_v| over the box, a zero weight takes
+    the smallest positive one, and constant functions give unit weights."""
+    sys_ = ProblemSystem.submersion(["Im(z1) - 3*Re(z2)", "Im(z2) + 0.5*Re(z2)^2"], 2, 2)
+    box = ParamBox(2, [-1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 2.0, 1.0])
+    sx1, sy1, sx2, sy2 = split_scale(sys_, box)
+    # x1 enters neither function; |d/dx2| <= 3 + |x2| <= 5; y1 and y2 slope 1
+    assert sx1 == min(sy1, sx2, sy2) == sy1
+    assert 1.0 <= sy1 == sy2 < 1.0 + 1e-11 and 5.0 <= sx2 < 5.0 + 1e-10
+    assert split_scale(ProblemSystem.graph(["2 + i"], 1), ParamBox(1, [0, 0], [1, 1])) \
+        == (1.0, 1.0)
+
+
+def test_split_coords_weigh_widths_and_break_ties_low():
+    lo = np.zeros((3, 4))
+    hi = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 1.0, 2.0], [4.0, 1.0, 1.0, 1.0]])
+    assert split_coords(lo, hi) == [0, 1, 0]
+    assert split_coords(lo, hi, (1.0, 3.0, 1.0, 3.0)) == [1, 1, 0]
+    assert split_coords(lo, hi, (1.0, 1.0, 1.0, 4.0)) == [3, 3, 0]
 
 
 def test_subdivide_stops_at_first_failed_level():
