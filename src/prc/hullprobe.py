@@ -218,6 +218,20 @@ def _monomial_values(points: np.ndarray, monos) -> np.ndarray:
     return vals
 
 
+# Active-set constants.  The first two set the cost, not the answer: the loop
+# stops only when every cloud point satisfies the gauge, whatever they are.
+# 4 nt start points give the LP 64 nt rows at 16 angles, far more than its
+# 2 nt unknowns, so the first round is seldom unbounded.
+_START_PER_MONOMIAL = 4
+# A basic optimum has 2 nt active rows; nt points a round bring them in
+# within a few rounds while each round's LP stays small.
+_ADD_PER_MONOMIAL = 1
+# A point outside the active set is added when its gauge exceeds 1 by more
+# than this.  The objective then exceeds the full LP's by at most this
+# relative amount beyond the solver's own tolerance, far below the margin.
+_GAUGE_TOL = 1e-9
+
+
 def probe(cloud: SampleCloud, q: Sequence[complex], degree: int,
           angles: int = 16, margin: float = 0.05) -> SeparationResult:
     """Search for a degree-bounded polynomial separating q from the cloud.
@@ -232,6 +246,28 @@ def probe(cloud: SampleCloud, q: Sequence[complex], degree: int,
     optimum exceeds (1 + margin) * sec(pi/angles).  Multiplying the
     coefficients by e^{i phi_a} maps the feasible set onto itself, so the
     objectives Re(e^{i phi_a} p(q)) all share this one optimum.
+
+    At an optimum only a few of the angles * |cloud| rows are active, so the
+    LP is solved over an active set S of cloud points, all angles each
+    (Kelley's cutting planes).  S starts as 4 nt points evenly strided
+    through the cloud, nt the number of monomials.  Each round solves the LP
+    over S, evaluates the polygon gauge max_a Re(e^{i phi_a} p(s)) of its
+    solution at every cloud point, and adds the points outside S whose gauge
+    exceeds 1 + 1e-9, at most nt, the most violated first.  It stops when
+    there are none.  That answer is the full LP's optimum: the LP over S has
+    fewer rows, so its optimum is at least the full one, and its solution is
+    feasible on the whole cloud, so it is at most the full one.  In the worst
+    case S grows to the whole cloud, which is the full LP.
+
+    Each round is solved in dual form, min sum(y) s.t. A_S^T y = obj, y >= 0,
+    with presolve off; the coefficients are the multipliers of its equality,
+    passed as two inequality blocks.  The primal is degenerate (at q = 0 the
+    optimum p = 1 makes every angle-0 row active) and the dual simplex takes
+    far more iterations on it.  A dual that is infeasible means the primal
+    is unbounded over S: S becomes the whole cloud, and if it is still
+    unbounded there, some p vanishes on the cloud with p(q) != 0.  Then q is
+    separated with objective inf, and the coefficients are the cloud's
+    smallest right singular vector, scaled to p(q) = 1.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -246,31 +282,71 @@ def probe(cloud: SampleCloud, q: Sequence[complex], degree: int,
     mvals = _monomial_values(cloud.points, monos)          # (s, t)
     qvals = _monomial_values(q[None, :], monos)[0]         # (t,)
     nt = len(monos)
-
-    phis = 2 * np.pi * np.arange(angles) / angles
-    rot = np.exp(1j * phis)                                # (a,)
-    # constraint rows: Re(e^{i phi} sum_t c_t M_t(s)) <= 1
-    rotated = rot[None, :, None] * mvals[:, None, :]       # (s, a, t)
-    A = np.empty((len(cloud.points) * angles, 2 * nt))
-    A[:, 0::2] = rotated.real.reshape(-1, nt)
-    A[:, 1::2] = -rotated.imag.reshape(-1, nt)
-    b = np.ones(len(A))
-
+    count = len(mvals)
+    rot = np.exp(2j * np.pi * np.arange(angles) / angles)  # (a,)
     obj = np.empty(2 * nt)
     obj[0::2] = qvals.real
     obj[1::2] = -qvals.imag
-    res = linprog(-obj, A_ub=A, b_ub=b, bounds=(None, None), method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"LP solver failed with status {res.status}: "
-                           f"{res.message}")
-    best_obj = -res.fun
 
-    coeffs = res.x[0::2] + 1j * res.x[1::2]
+    k = min(count, _START_PER_MONOMIAL * nt)
+    active = np.arange(k) * count // k
+    while True:
+        coeffs, best_obj = _solve_dual(mvals[active], rot, obj)
+        if coeffs is None:
+            if len(active) == count:
+                coeffs, best_obj = _null_polynomial(mvals, qvals), math.inf
+                break
+            active = np.arange(count)
+            continue
+        gauge = np.max((rot[None, :] * (mvals @ coeffs)[:, None]).real, axis=1)
+        gauge[active] = -np.inf
+        over = np.nonzero(gauge > 1.0 + _GAUGE_TOL)[0]
+        if not len(over):
+            break
+        worst = over[np.argsort(-gauge[over], kind="stable")[:_ADD_PER_MONOMIAL * nt]]
+        active = np.union1d(active, worst)
+
     ratio = _ratio(coeffs, mvals, qvals)
     separated = best_obj > (1.0 + margin) / math.cos(math.pi / angles)
     return SeparationResult(separated=bool(separated), degree=degree,
                             coefficients=coeffs, monomials=monos, ratio=ratio,
                             angles=angles, margin=margin, objective=float(best_obj))
+
+
+def _solve_dual(mvals: np.ndarray, rot: np.ndarray, obj: np.ndarray):
+    """The LP max obj.x s.t. Re(e^{i phi_a} p_x(s)) <= 1 over the points whose
+    monomial values are the rows of `mvals`, solved as its dual.  Returns
+    (coefficients, optimum), or (None, None) when the dual is infeasible, that
+    is when the LP is unbounded."""
+    nt = mvals.shape[1]
+    # constraint rows Re(e^{i phi} sum_t c_t M_t(s)) <= 1, one column each
+    rotated = (rot[None, :, None] * mvals[:, None, :]).reshape(-1, nt)  # (s a, t)
+    At = np.empty((2 * nt, len(rotated)))
+    At[0::2] = rotated.real.T
+    At[1::2] = -rotated.imag.T
+    res = linprog(np.ones(len(rotated)), A_ub=np.vstack([At, -At]),
+                  b_ub=np.concatenate([obj, -obj]), bounds=(0, None),
+                  method="highs", options={"presolve": False})
+    if res.status == 2:
+        return None, None
+    if res.status != 0:
+        raise RuntimeError(f"LP solver failed with status {res.status}: "
+                           f"{res.message}")
+    m = res.ineqlin.marginals
+    # d(optimum)/d(obj) is the primal solution; obj is the bound of the
+    # first block and -obj that of the second
+    x = m[:2 * nt] - m[2 * nt:]
+    return x[0::2] + 1j * x[1::2], res.fun
+
+
+def _null_polynomial(mvals: np.ndarray, qvals: np.ndarray) -> np.ndarray:
+    """Coefficients of the polynomial that is smallest on the cloud relative
+    to its coefficients (the last right singular vector of `mvals`), scaled
+    so that its value at q is 1."""
+    # full_matrices only when there are fewer points than monomials, so that
+    # Vh is square and holds the null space
+    v = np.linalg.svd(mvals, full_matrices=len(mvals) < mvals.shape[1])[2][-1].conj()
+    return v / (qvals @ v)
 
 
 def _ratio(coeffs: np.ndarray, mvals: np.ndarray, qvals: np.ndarray) -> float:

@@ -508,11 +508,18 @@ def _pysum(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _probe_quantities(sys: ProblemSystem, pts: np.ndarray,
-                      table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _probe_quantities(sys: ProblemSystem, pts: np.ndarray, table: np.ndarray,
+                      violations_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(residual, tube radius) at each point, the rows of `pts` (z, then w
     for a graph), from `table`, the values of sys.point_pack there.  The
-    radius is 0 where m = 0 and inf where L = 0."""
+    radius is 0 where m = 0 and inf where L = 0.
+
+    With `violations_only`, numerical radii are computed only where the
+    residual could reach the radius.  Since w(A) <= ||A||_2 <= ||A||_F, the
+    radius is at least m / (c max_r ||A_r||_F); where the residual is below
+    that by a relative 1e-6, far more than the rounding of either side, that
+    lower bound is returned as the radius, and the residual stays under it.
+    Elsewhere the radius is the same bits as without the option."""
     n, rows = sys.n, sys.rows
     vals = table[:, :rows]
     B = table[:, rows:rows + rows * n].reshape(len(pts), rows, n)
@@ -554,6 +561,13 @@ def _probe_quantities(sys: ProblemSystem, pts: np.ndarray,
         half = np.sqrt(_pow((a - d) / 2, 2) + _pow(cabs(b), 2))
         w = _max(np.abs((a + d) / 2 + half), np.abs((a + d) / 2 - half))
     else:
+        if violations_only:
+            frob = np.sqrt(np.max(np.sum(np.abs(lev) ** 2, axis=(2, 3)), axis=1))
+            with np.errstate(divide="ignore"):  # frob = 0 means L = 0, radius inf
+                floor = m[live] / (radius_factor(sys.kind) * frob)
+            safe = residual[live] < floor * (1.0 - 1e-6)
+            radius[live[safe]] = floor[safe]
+            live, lev = live[~safe], lev[~safe]
         w = numerical_radii(lev.reshape(-1, n, n)).reshape(len(live), rows)
     L = np.zeros(len(live))
     for r in range(rows):
@@ -603,7 +617,7 @@ def _tube_probe(sys: ProblemSystem, lo, hi, region: Region | None):
             k = r * (1.0 - _WITNESS_PULL)
             ws += [cx + (k * ur - 0.0 * ui), cy + (k * ui + 0.0 * ur)]
         pts = np.column_stack([pts] + ws)
-    residual, radius = _probe_quantities(sys, pts, table)
+    residual, radius = _probe_quantities(sys, pts, table, violations_only=True)
     bad = ~np.isinf(radius) & (residual >= radius * (1.0 + _VIOLATION_GUARD))
     violated[lanes[bad]] = True
     if not bad.any():

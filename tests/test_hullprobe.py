@@ -1,8 +1,13 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import prc.hullprobe
 from prc.certify import BoxRegion, CompactSpec, wermer_compact
+from prc.cli import main
 from prc.hullprobe import (SampleCloud, _monomial_values, fragility_check,
                            monomial_basis, probe, sample_compact)
 
@@ -175,3 +180,157 @@ def test_single_lp_matches_all_rotated_objectives(wermer):
         best = max(best, -res.fun)
     got = probe(cloud, q, degree=2, angles=angles).objective
     assert abs(got - best) <= 1e-9 * abs(best)
+
+
+# ---------------------------------------------------------------------------
+# the active-set LP against the single full LP
+# ---------------------------------------------------------------------------
+
+def _full_lp(cloud, q, degree, angles=16):
+    """Reference oracle: the separation LP over every cloud point and angle
+    in one primal solve.  Returns the optimum, inf when it is unbounded."""
+    monos = monomial_basis(cloud.ambient_dim, degree)
+    mvals = _monomial_values(cloud.points, monos)
+    qvals = _monomial_values(np.asarray(q, dtype=complex)[None, :], monos)[0]
+    rot = np.exp(2j * np.pi * np.arange(angles) / angles)
+    rotated = (rot[None, :, None] * mvals[:, None, :]).reshape(-1, len(monos))
+    A = np.empty((len(rotated), 2 * len(monos)))
+    A[:, 0::2] = rotated.real
+    A[:, 1::2] = -rotated.imag
+    c = np.empty(2 * len(monos))
+    c[0::2] = qvals.real
+    c[1::2] = -qvals.imag
+    res = linprog(-c, A_ub=A, b_ub=np.ones(len(A)), bounds=(None, None),
+                  method="highs")
+    if res.status == 3:
+        return math.inf
+    assert res.status == 0
+    return -res.fun
+
+
+def _gauge(res, cloud):
+    """max over the angles of Re(e^{i phi_a} p(s)) at every cloud point."""
+    rot = np.exp(2j * np.pi * np.arange(res.angles) / res.angles)
+    p = _monomial_values(cloud.points, res.monomials) @ res.coefficients
+    return np.max((rot[None, :] * p[:, None]).real, axis=1)
+
+
+def _assert_matches_full_lp(cloud, q, degree):
+    res = probe(cloud, q, degree)
+    best = _full_lp(cloud, q, degree)
+    bar = 1.05 / math.cos(math.pi / 16)
+    assert res.separated == (best > bar)
+    assert abs(res.objective - best) <= 1e-9 * abs(best)
+    assert np.max(_gauge(res, cloud)) <= 1.0 + 1e-7
+    # the coefficients attain the objective at q
+    qvals = _monomial_values(np.asarray(q, dtype=complex)[None, :], res.monomials)[0]
+    assert abs((qvals @ res.coefficients).real - best) <= 1e-7 * abs(best)
+
+
+def _random_queries(rng, dim, count):
+    return [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(count)]
+
+
+@pytest.mark.parametrize("density", [8, 12, 16])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_active_set_matches_full_lp_wermer(wermer, density, degree):
+    cloud = sample_compact(wermer, wermer_compact(1.0), density=density)
+    rng = np.random.default_rng(100 * density + degree)
+    queries = [np.array([0j, 0j]), np.array([0j, 2 + 0j])]
+    for q in queries + _random_queries(rng, 2, 3):
+        _assert_matches_full_lp(cloud, q, degree)
+
+
+def test_active_set_matches_full_lp_circle(circle_cloud):
+    rng = np.random.default_rng(7)
+    for degree in (1, 3, 6):
+        for q in [np.array([0j]), np.array([1.5 + 0j])] + _random_queries(rng, 1, 3):
+            _assert_matches_full_lp(circle_cloud, q, degree)
+
+
+def test_active_set_matches_full_lp_submersion_cap(example2):
+    K = CompactSpec.submersion_cap((0j, 0j), (1.0, 1.0))
+    cloud = sample_compact(example2, K, density=6)
+    rng = np.random.default_rng(11)
+    for degree in (1, 2, 3):
+        for q in [cloud.points[0]] + _random_queries(rng, 2, 2):
+            _assert_matches_full_lp(cloud, q, degree)
+
+
+def test_active_set_grows_past_an_unbounded_start():
+    """The strided start set lies on the line w = 0, where w vanishes, so its
+    LP is unbounded; the one point off the line bounds the full LP."""
+    t = np.linspace(-1.0, 1.0, 100)
+    pts = np.concatenate([np.column_stack([t, np.zeros(100)]), [[0.0, 1.0]]])
+    cloud = SampleCloud(points=pts.astype(complex))
+    q = np.array([0j, 0.5 + 0j])
+    _assert_matches_full_lp(cloud, q, 1)
+    assert math.isfinite(probe(cloud, q, 1).objective)
+
+
+def test_probe_repeats_byte_for_byte(wermer):
+    cloud = sample_compact(wermer, wermer_compact(1.0), density=16)
+    for q, degree in (([0j, 0j], 4), ([0j, 2 + 0j], 3)):
+        a, b = probe(cloud, q, degree), probe(cloud, q, degree)
+        assert a.coefficients.tobytes() == b.coefficients.tobytes()
+        assert (a.objective, a.ratio, a.separated) == (b.objective, b.ratio, b.separated)
+
+
+def test_every_lp_passes_a_2d_a_ub(wermer, monkeypatch):
+    """Tracing hooks read the shape of the A_ub keyword of every solve."""
+    shapes = []
+
+    def spy(*args, **kwargs):
+        assert kwargs["A_ub"].ndim == 2
+        shapes.append(kwargs["A_ub"].shape)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(prc.hullprobe, "linprog", spy)
+    cloud = sample_compact(wermer, wermer_compact(1.0), density=16)
+    probe(cloud, [0j, 2 + 0j], degree=2)
+    probe(cloud, [0j, 0j], degree=3)
+    assert len(shapes) >= 2
+    # the dual form: one row per real unknown and sign, far fewer columns
+    # than the 16 * |cloud| rows of the full LP
+    assert all(rows == 4 * 6 or rows == 4 * 10 for rows, _ in shapes)
+    assert all(cols < 16 * len(cloud.points) for _, cols in shapes)
+
+
+# ---------------------------------------------------------------------------
+# an unbounded LP: a polynomial vanishes on the cloud but not at q
+# ---------------------------------------------------------------------------
+
+def _holomorphic_graph_manifest():
+    return {"kind": "graph", "n": 1, "functions": ["z1"],
+            "compact": {"region": [{"shape": "disc", "center": [0, 0], "radius": 1}]}}
+
+
+def test_unbounded_lp_separates_with_infinite_objective(tmp_path):
+    from prc.certify import load_manifest
+
+    sys_, K, _, _ = load_manifest(_holomorphic_graph_manifest())
+    cloud = sample_compact(sys_, K, density=8)
+    q = [0j, 1 + 0j]
+    assert _full_lp(cloud, q, 1) == math.inf
+    res = probe(cloud, q, degree=1)
+    assert res.separated
+    assert res.objective == math.inf
+    # the coefficients are those of w - z1, scaled to p(q) = 1
+    qvals = _monomial_values(np.array([q]), res.monomials)[0]
+    assert abs(qvals @ res.coefficients - 1) <= 1e-12
+    mvals = _monomial_values(cloud.points, res.monomials)
+    assert np.max(np.abs(mvals @ res.coefficients)) <= 1e-12
+    assert res.ratio > 1e9
+
+
+def test_unbounded_lp_cli_exit_0(tmp_path):
+    path = tmp_path / "holo.json"
+    path.write_text(json.dumps(_holomorphic_graph_manifest()))
+    out = tmp_path / "probe.json"
+    code = main(["hull-probe", str(path), "--q", "0,0,1,0", "--degree", "1",
+                 "--density", "8", "--out", str(out)])
+    assert code == 0
+    rep = json.loads(out.read_text())["hull_probe"]
+    assert rep["separated"] is True
+    assert rep["objective"] == "inf"
+    assert rep["fragile"] is False

@@ -301,6 +301,38 @@ def test_probe_quantities_match_scalar_reference():
     assert branches == {0.0, math.inf}
 
 
+def test_violations_only_keeps_every_violation():
+    """Skipping numerical radii where the residual is under the Frobenius
+    lower bound of the radius leaves the violation mask as it was, and every
+    radius it does compute the same bits."""
+    rng = np.random.default_rng(87)
+    graph_n2 = ProblemSystem.graph(["conj(z1) + 0.1*z2*conj(z2) - 0.2*z1^2*conj(z2)",
+                                    "conj(z2) - 0.3*z1*conj(z1)^2 + 0.05*conj(z1)"], 2)
+    guard = 1.0 + rigor._VIOLATION_GUARD
+    skipped = computed = nbad = 0
+    for sys_ in [graph_n2] + _systems(rng):
+        n = sys_.n
+        pts = rng.uniform(-1.2, 1.2, (60, 4 * n if sys_.kind == GRAPH else 2 * n))
+        table = sys_.point_pack.eval(pts[:, :2 * n])
+        if sys_.kind == GRAPH:  # w near F(z), so small residuals occur too
+            f = table[:30, :n]
+            pts[:30, 2 * n::2] = f.real + rng.uniform(-1e-3, 1e-3, f.shape)
+            pts[:30, 2 * n + 1::2] = f.imag + rng.uniform(-1e-3, 1e-3, f.shape)
+        residual, radius = rigor._probe_quantities(sys_, pts, table)
+        res2, rad2 = rigor._probe_quantities(sys_, pts, table, violations_only=True)
+        assert (_bits(res2) == _bits(residual)).all()
+        same = _bits(rad2) == _bits(radius)
+        assert (residual[~same] < rad2[~same]).all()
+        assert (rad2[~same] <= radius[~same] * (1 + 1e-12)).all()  # up to rounding
+        bad = ~np.isinf(radius) & (residual >= radius * guard)
+        nbad += int(bad.sum())
+        assert (bad == (~np.isinf(rad2) & (residual >= rad2 * guard))).all()
+        if n >= 2 and not (sys_.kind != GRAPH and n == 2):
+            skipped += int((~same).sum())
+            computed += int((same & (radius > 0) & ~np.isinf(radius)).sum())
+    assert skipped > 0 and computed > 0 and nbad > 0
+
+
 @pytest.mark.parametrize("kind", ["graph", "submersion"])
 def test_tube_probe_matches_scalar_reference_on_random_boxes(kind):
     rng = np.random.default_rng(83 if kind == "graph" else 84)
