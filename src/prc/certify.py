@@ -31,8 +31,7 @@ from .intervals import INFLATION, ParamBox
 from .realpoly import dist_upper
 from .rigor import (FAILED, INCONCLUSIVE, PROVED, Region, VerifyNode,
                     _BoxBounds, verify_box, verify_totally_real)
-from .trgeom import (GRAPH, SUBMERSION, ProblemSystem, big_l_value,
-                     bbar_matrix, m_value, tube_radius)
+from .trgeom import GRAPH, SUBMERSION, ProblemSystem, bbar_matrix, tube_profile
 
 
 class ManifestError(ValueError):
@@ -269,25 +268,21 @@ def _check_k_in_omega(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec,
 
     def evaluate(lo, hi):
         far = dist_upper(bb.values(lo, hi), centers.real, centers.imag) >= radii
-        out = []
-        for missed, pt in zip(far.any(axis=1).tolist(),
-                              rigor.probe_points(lo, hi, prune).tolist()):
-            if not missed:
-                out.append((PROVED, None, None))
-                continue
-            # pointwise check before splitting: a graph point (over a parameter
-            # inside D) outside omega_w is a definite failure
-            z = tuple(complex(pt[2 * j], pt[2 * j + 1]) for j in range(sys.n))
-            fv = sys.values_at(z)
-            witness = None
+        out = [(PROVED, None, None)] * len(lo)
+        missed = np.nonzero(far.any(axis=1))[0]
+        if not len(missed):
+            return out
+        # pointwise check before splitting: a graph point (over a parameter
+        # inside D) outside omega_w is a definite failure
+        pts = rigor.probe_points(lo[missed], hi[missed], prune)
+        for i, pt, fv in zip(missed.tolist(), pts.tolist(), sys.evaluate("value", pts)):
+            out[i] = (INCONCLUSIVE, None, None)
             for nu, (oc, orad) in enumerate(w_discs):
                 if abs(fv[nu] - oc) >= orad * (1.0 - 1e-12):
-                    witness = {"z": [[c.real, c.imag] for c in z],
-                               "w": [[float(v.real), float(v.imag)] for v in fv],
-                               "coordinate": nu}
+                    out[i] = (FAILED, None, {
+                        "z": [pt[k:k + 2] for k in range(0, len(pt), 2)],
+                        "w": [[float(v.real), float(v.imag)] for v in fv], "coordinate": nu})
                     break
-            out.append((INCONCLUSIVE, None, None) if witness is None
-                       else (FAILED, None, witness))
         return out
 
     lo, hi = _region_bbox(K.regions)
@@ -834,25 +829,22 @@ def _reproduce_wermer(params: dict) -> dict:
     spot = []
     for r in (0.1, 0.3, r_max_stated, 1.0):
         z = (complex(r, 0.0),)
-        m = m_value(sys_, z)
-        L = big_l_value(sys_, z)
+        pt = tube_profile(sys_, [z]).points[0]
         dfdzbar = complex(bbar_matrix(sys_, z)[0, 0])
         closed_df = -(1 + 1j) + 2j * r * r + 3 * r ** 4
         spot.append({
             "r": r,
-            "m": m, "m_closed_form": _wermer_m_closed(r),
-            "L": L, "L_closed_form": _wermer_L_closed(r),
+            "m": pt.m, "m_closed_form": _wermer_m_closed(r),
+            "L": pt.L, "L_closed_form": _wermer_L_closed(r),
             "dfdzbar": [dfdzbar.real, dfdzbar.imag],
             "dfdzbar_closed_form": [closed_df.real, closed_df.imag],
-            "radius": tube_radius(sys_, z),
+            "radius": pt.radius,
         })
 
     # recompute inf m / sup L over |z| <= 1/sqrt(3); both are radial
-    rs = np.linspace(0.0, r_max_stated, 2001)
-    m_vals = np.array([m_value(sys_, (complex(r, 0),)) for r in rs])
-    L_vals = np.array([big_l_value(sys_, (complex(r, 0),)) for r in rs])
-    inf_m = float(m_vals.min())
-    sup_L = float(L_vals.max())
+    scan = tube_profile(sys_, [(complex(r, 0),) for r in np.linspace(0.0, r_max_stated, 2001)])
+    inf_m = min(pt.m for pt in scan.points)
+    sup_L = max(pt.L for pt in scan.points)
     exact_inf_m = Fraction(9, 81) - Fraction(2, 9) - Fraction(4, 3) + 2
     exact_sup_L = 2 * math.sqrt(2) / math.sqrt(3)
     stated_inf_m = 1.0

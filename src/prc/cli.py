@@ -22,7 +22,7 @@ from .certify import (DEFAULT_OPTIONS, ManifestError,
                       certificate_to_dict, certify as run_certify,
                       compact_z_bbox, load_manifest, reproduce_example,
                       sanitize_json, validate_options)
-from .trgeom import GRAPH, is_totally_real_graph, is_totally_real_submersion
+from .trgeom import GRAPH
 
 log = logging.getLogger("prc")
 
@@ -97,24 +97,16 @@ def cmd_totally_real(args) -> int:
     axes = [np.linspace(lo[i], hi[i], g) if hi[i] > lo[i] else np.array([lo[i]])
             for i in range(len(lo))]
     mesh = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
-    results = []
-    all_ok = True
-    witness = None
-    for row in mesh:
-        z = tuple(complex(row[2 * j], row[2 * j + 1]) for j in range(sys_.n))
-        res = (is_totally_real_graph(sys_, z) if sys_.kind == GRAPH
-               else is_totally_real_submersion(sys_, z))
-        ok = bool(res["totally_real"])
-        entry = {"z": [[c.real, c.imag] for c in z],
-                 "sigma_min": res["sigma_min"], "totally_real": ok}
-        if not ok and witness is None:
-            witness = entry
-        all_ok = all_ok and ok
-        results.append(entry)
+    res = trgeom.totally_real(sys_, mesh)
+    results = [{"z": [row[k:k + 2] for k in range(0, len(row), 2)], "sigma_min": s,
+                "totally_real": ok}
+               for row, s, ok in zip(mesh.tolist(), res["sigma_min"].tolist(),
+                                     res["totally_real"].tolist())]
+    all_ok = all(entry["totally_real"] for entry in results)
     report = {"grid": g, "points": len(results), "all_totally_real": all_ok,
               "results": results}
-    if witness is not None:
-        report["witness"] = witness
+    if not all_ok:
+        report["witness"] = next(e for e in results if not e["totally_real"])
     _dump_json(sanitize_json(report), args.out)
     return EXIT_OK if all_ok else EXIT_FAIL
 

@@ -114,7 +114,7 @@ def _sample_graph(sys: ProblemSystem, K: CompactSpec, density: int,
     xs = np.empty((len(zs), 2 * sys.n))
     xs[:, 0::2] = zs.real
     xs[:, 1::2] = zs.imag
-    fvals = np.stack([t.value.eval_batch(xs) for t in sys.tables], axis=1)
+    fvals = sys.evaluate("value", xs)
     pts = np.concatenate([zs, fvals], axis=1)
     return SampleCloud(points=pts, meta={"density": density, "seed": seed,
                                          "kind": GRAPH, "count": len(pts)})
@@ -135,7 +135,7 @@ def _sample_submersion(sys: ProblemSystem, K: CompactSpec, density: int,
     tables = sys.tables
 
     def residuals(pts: np.ndarray) -> np.ndarray:
-        return np.stack([t.value.eval_batch(pts).real for t in tables], axis=1)
+        return sys.evaluate("value", pts).real
 
     def jacobian(pts: np.ndarray) -> np.ndarray:
         # real Jacobian rows: d rho_l / dx_j = 2 Re(d rho_l/dz_j),

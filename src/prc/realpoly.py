@@ -11,7 +11,8 @@ For interval bounds a polynomial is expanded in the 2n real coordinates
 (x_1, y_1, ..., x_n, y_n) with complex coefficients (z_j = x_j + i*y_j): a
 RealPoly.  In this form the correlated occurrences of z_j and conj(z_j)
 combine in coefficient arithmetic (rounded to nearest), before any interval
-is formed, which is what makes the interval bounds downstream usable.
+is formed, which is what makes the interval bounds downstream usable.  Point
+values, of one polynomial or of many at many points, all come from PointPack.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .intervals import INFLATION, Interval, ParamBox, Rect
 _TINY = 1e-300
 # most terms per polynomial for which the rounding argument of _eval_box_raw holds
 MAX_TERMS = 4095
+# most points PointPack.eval takes at once
+_CHUNK = 4096
 
 
 class _Poly:
@@ -198,12 +201,12 @@ def _real_monomial(n: int, key: tuple[int, ...]) -> tuple[tuple[tuple[int, ...],
 class RealPoly(_Poly):
     """Polynomial sum of coeff * prod(v_i^e_i) over the 2n real coordinates."""
 
-    __slots__ = ("_packed", "_pack")
+    __slots__ = ("_pack", "_point_pack")
 
     def __init__(self, n: int, terms: dict[tuple[int, ...], complex] | None = None):
         super().__init__(n, terms)
-        self._packed = None
         self._pack = None
+        self._point_pack = None
 
     @staticmethod
     def from_expr(e: ex.Expr, n: int) -> RealPoly:
@@ -211,15 +214,6 @@ class RealPoly(_Poly):
         return ZPoly.from_expr(ex.normalize(e), n).to_real()
 
     # -- evaluation ----------------------------------------------------------
-
-    def packed(self):
-        """(exponent_matrix, coeff_vector) cache for vectorized evaluation."""
-        if self._packed is None:
-            keys = sorted(self.terms)
-            E = np.array(keys, dtype=np.int64).reshape(len(keys), 2 * self.n)
-            c = np.array([self.terms[k] for k in keys], dtype=np.complex128)
-            self._packed = (E, c)
-        return self._packed
 
     def pack(self) -> TermPack:
         """This polynomial alone, laid out for _eval_box_raw (cached).
@@ -231,28 +225,18 @@ class RealPoly(_Poly):
             self._pack = TermPack((self,))
         return self._pack
 
-    def eval_real(self, xs: Sequence[float]) -> complex:
-        """Evaluate at a real-coordinate point (x_1, y_1, ..., x_n, y_n)."""
-        total = 0j
-        for k, v in self.terms.items():
-            m = 1.0
-            for x, e in zip(xs, k):
-                if e:
-                    m *= x ** e
-            total += v * m
-        return total
+    def point_pack(self) -> PointPack:
+        """This polynomial alone, laid out for PointPack.eval (cached)."""
+        if self._point_pack is None:
+            self._point_pack = PointPack((self,))
+        return self._point_pack
 
     def eval_point(self, z: Sequence[complex]) -> complex:
-        return self.eval_real(real_coords(z))
+        return complex(self.point_pack().eval([real_coords(z)])[0, 0])
 
-    def eval_batch(self, xs: np.ndarray) -> np.ndarray:
+    def eval_batch(self, xs) -> np.ndarray:
         """Evaluate at many real-coordinate points; xs has shape (m, 2n)."""
-        E, c = self.packed()
-        if len(c) == 0:
-            return np.zeros(xs.shape[0], dtype=np.complex128)
-        # powers[i, t, v] = xs[i, v] ** E[t, v]
-        powers = xs[:, None, :] ** E[None, :, :]
-        return powers.prod(axis=2) @ c
+        return self.point_pack().eval(xs)[:, 0]
 
     def eval_box(self, box: ParamBox) -> Rect:
         """Sound rectangle enclosure over the box (first 2n coordinates)."""
@@ -412,7 +396,9 @@ class TermPack:
 
 class PointPack:
     """The terms of a list of RealPolys, laid out to evaluate them all at many
-    points at once, bit for bit as RealPoly.eval_real evaluates each at one.
+    points at once, bit for bit as a loop over the terms of each at one point
+    evaluates it in Python's scalar arithmetic; every point evaluation of the
+    package goes through it.
 
     That is, per point: a monomial is 1.0 times its factors x_v ** e in
     variable order (Python's float ** int, taken once per pair (v, e));
@@ -454,8 +440,13 @@ class PointPack:
                                 for r in rows], dtype=np.intp)
 
     def eval(self, xs) -> np.ndarray:
-        """Values at the rows of xs (real coordinates), shape (points, polynomials)."""
-        x = np.asarray(xs, dtype=float)[:, self.var]
+        """Values at the rows of xs (real coordinates), shape (points,
+        polynomials); _CHUNK rows at a time, which bounds the temporaries."""
+        xs = np.asarray(xs, dtype=float)
+        if len(xs) > _CHUNK:
+            return np.concatenate([self.eval(xs[s:s + _CHUNK])
+                                   for s in range(0, len(xs), _CHUNK)])
+        x = xs[:, self.var]
         powers = np.fromiter(map(pow, x.ravel().tolist(), self.exp * len(x)),
                              float, x.size).reshape(x.shape)
         m = np.ones((len(x), self.size))

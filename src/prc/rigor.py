@@ -35,7 +35,11 @@ and certify's K-in-omega check uses it too; both keep unit weights.
 
 Boxes a check leaves undecided are probed pointwise at probe_points: the
 box's midpoint when it lies strictly inside the region, else the region's
-centre clamped to the box.
+centre clamped to the box.  A level's probe points are evaluated at once
+(ProblemSystem.point_pack), and the pointwise quantities come from the
+batched functions of trgeom (m_values, L_values, radii, totally_real), the
+ones its one-point functions are views on, so a FAIL witness and any later
+check of it read the same bits.
 """
 
 from __future__ import annotations
@@ -49,10 +53,10 @@ from typing import Any
 import numpy as np
 
 from .intervals import INFLATION, ParamBox
-from .realpoly import (_TINY, TermPack, _eval_box_raw, _max, _min, _pow, cabs,
-                       complex_array, dist_upper, hypot, mag_upper, sequential_sum)
-from .trgeom import (GRAPH, ProblemSystem, is_totally_real_graph,
-                     is_totally_real_submersion, numerical_radii, radius_factor)
+from .realpoly import (_TINY, TermPack, _eval_box_raw, _max, _min, cabs, complex_array,
+                       dist_upper, hypot, mag_upper, sequential_sum)
+from .trgeom import (GRAPH, L_values, ProblemSystem, _pysum, m_values, radii,
+                     radius_factor, totally_real)
 
 log = logging.getLogger(__name__)
 
@@ -414,14 +418,6 @@ def _w_discs(sys: ProblemSystem, dim: int, region: Region | None):
     return region.discs[sys.n:]
 
 
-def _radius_from(m_lower: float, L_upper: float, kind: str) -> float:
-    if m_lower <= 0.0:
-        return 0.0
-    if L_upper == 0.0:
-        return math.inf
-    return m_lower / (radius_factor(kind) * L_upper)
-
-
 # -- public one-shot bound API ------------------------------------------------
 
 def bound_m_below(sys: ProblemSystem, box: ParamBox) -> float:
@@ -492,27 +488,12 @@ def probe_points(lo, hi, region: Region | None) -> np.ndarray:
     return pts
 
 
-# The probes below compute, for many points at once, what a loop over single
-# points in Python's scalar arithmetic computes, bit for bit: sums run left to
-# right from 0, powers and magnitudes go through Python's ** and abs
-# (realpoly._pow, cabs), Python's max is realpoly._max, and a complex product
-# or quotient with a float takes the float as complex(x, 0.0), as the scalar
-# code did under CPython 3.11.  FAIL witnesses record these values, so
-# certificates depend on every bit of them.
-
-def _pysum(x: np.ndarray) -> np.ndarray:
-    """Python's sum() over the last axis: from 0, left to right."""
-    total = np.zeros(x.shape[:-1])
-    for k in range(x.shape[-1]):
-        total = total + x[..., k]
-    return total
-
-
 def _probe_quantities(sys: ProblemSystem, pts: np.ndarray, table: np.ndarray,
                       violations_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(residual, tube radius) at each point, the rows of `pts` (z, then w
-    for a graph), from `table`, the values of sys.point_pack there.  The
-    radius is 0 where m = 0 and inf where L = 0.
+    for a graph), from `table`, the values of sys.point_pack there: the
+    residual sum in Python's scalar arithmetic, and m_values, L_values and
+    radii of trgeom.  The radius is 0 where m = 0 and inf where L = 0.
 
     With `violations_only`, numerical radii are computed only where the
     residual could reach the radius.  Since w(A) <= ||A||_2 <= ||A||_F, the
@@ -520,61 +501,24 @@ def _probe_quantities(sys: ProblemSystem, pts: np.ndarray, table: np.ndarray,
     that by a relative 1e-6, far more than the rounding of either side, that
     lower bound is returned as the radius, and the residual stays under it.
     Elsewhere the radius is the same bits as without the option."""
-    n, rows = sys.n, sys.rows
-    vals = table[:, :rows]
-    B = table[:, rows:rows + rows * n].reshape(len(pts), rows, n)
+    n = sys.n
+    vals, B, lev = sys.split(table)
     if sys.kind == GRAPH:
         w = pts[:, 2 * n:]
         vals = vals - complex_array(w[:, 0::2], w[:, 1::2])
     residual = _pysum(cabs(vals))
-
-    if n <= 2:
-        sq = _pysum(_pow(cabs(B), 2).swapaxes(1, 2))  # sum over rows of |B_rj|^2
-    if n == 1:
-        # a column has a single singular value, its norm
-        m = sq[:, 0]
-    elif n == 2:
-        # h01 = sum over rows of conj(B[r, 0]) * B[r, 1]
-        ar, ai = B[:, :, 0].real, -B[:, :, 0].imag
-        br, bi = B[:, :, 1].real, B[:, :, 1].imag
-        h01 = complex_array(_pysum(ar * br - ai * bi), _pysum(ar * bi + ai * br))
-        h00, h11 = sq[:, 0], sq[:, 1]
-        half = np.sqrt(_pow((h00 - h11) / 2, 2) + _pow(cabs(h01), 2))
-        m = _max((h00 + h11) / 2 - half, 0.0)
-    else:
-        m = _pow(np.linalg.svd(B, compute_uv=False)[:, -1], 2)
-
+    m = m_values(sys, B)
     radius = np.zeros(len(pts))
     live = np.nonzero(m != 0.0)[0]
-    if not len(live):
-        return residual, radius
-    # the Levi matrix of every row at every live point, shape (live, rows, n, n)
-    lev = table[live, rows + rows * n:].reshape(len(live), rows, n, n)
-    if n == 1:
-        w = cabs(lev[..., 0, 0])
-    elif sys.kind != GRAPH and n == 2:
-        # Hermitian 2x2 closed form, b = 0.5 * (A01 + conj(A10)); only |b|
-        # counts, which the signs of zeros in b do not change
-        a, d = lev[..., 0, 0].real, lev[..., 1, 1].real
-        b = complex_array(0.5 * (lev[..., 0, 1].real + lev[..., 1, 0].real),
-                          0.5 * (lev[..., 0, 1].imag - lev[..., 1, 0].imag))
-        half = np.sqrt(_pow((a - d) / 2, 2) + _pow(cabs(b), 2))
-        w = _max(np.abs((a + d) / 2 + half), np.abs((a + d) / 2 - half))
-    else:
-        if violations_only:
-            frob = np.sqrt(np.max(np.sum(np.abs(lev) ** 2, axis=(2, 3)), axis=1))
-            with np.errstate(divide="ignore"):  # frob = 0 means L = 0, radius inf
-                floor = m[live] / (radius_factor(sys.kind) * frob)
-            safe = residual[live] < floor * (1.0 - 1e-6)
-            radius[live[safe]] = floor[safe]
-            live, lev = live[~safe], lev[~safe]
-        w = numerical_radii(lev.reshape(-1, n, n)).reshape(len(live), rows)
-    L = np.zeros(len(live))
-    for r in range(rows):
-        L = _max(L, w[:, r])
-    finite = L != 0.0
-    radius[live] = np.inf
-    radius[live[finite]] = m[live[finite]] / (radius_factor(sys.kind) * L[finite])
+    lev = lev[live]
+    if violations_only and n > 1 and (sys.kind == GRAPH or n > 2):  # numerical radii
+        frob = np.sqrt(np.max(np.sum(np.abs(lev) ** 2, axis=(2, 3)), axis=1))
+        with np.errstate(divide="ignore"):  # frob = 0 means L = 0, radius inf
+            floor = m[live] / (radius_factor(sys.kind) * frob)
+        safe = residual[live] < floor * (1.0 - 1e-6)
+        radius[live[safe]] = floor[safe]
+        live, lev = live[~safe], lev[~safe]
+    radius[live] = radii(sys.kind, m[live], L_values(sys, lev))
     return residual, radius
 
 
@@ -790,7 +734,8 @@ def verify_box(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
     m_lo = min([math.inf] + [b[0] for b in bounds])
     L_up = max([0.0] + [b[1] for b in bounds])
     r_up = max([0.0] + [b[2] for b in bounds])
-    root.report = BoundReport(m_lo, L_up, r_up, _radius_from(m_lo, L_up, sys.kind),
+    radius = float(radii(sys.kind, np.array([m_lo]), np.array([L_up]))[0])
+    root.report = BoundReport(m_lo, L_up, r_up, radius,
                               max(leaf.depth for leaf in leaves), len(leaves))
     return root
 
@@ -799,25 +744,26 @@ def verify_totally_real(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
                         region: Region | None = None,
                         node_budget: int = 500_000) -> VerifyNode:
     """Prove sigma_min(B)^2 > 0 over the z-box via the m_lower bound of
-    _BoxBounds, which is each node's value."""
+    _BoxBounds, which is each node's value.  The boxes a level leaves
+    unproved are probed at their probe points with one trgeom.totally_real
+    call; a point where the test fails is a FAILED leaf's witness."""
     bb = _BoxBounds(sys)
-    pointwise = is_totally_real_graph if sys.kind == GRAPH else is_totally_real_submersion
 
     def evaluate(lo, hi):
-        out = []
-        for m_lo, pt in zip(bb.m_lower(lo, hi).tolist(),
-                            probe_points(lo, hi, region).tolist()):
-            if m_lo > 0.0:
-                out.append((PROVED, m_lo, None))
-                continue
-            z = tuple(complex(pt[2 * j], pt[2 * j + 1]) for j in range(sys.n))
-            res = pointwise(sys, z)
-            if res["totally_real"]:
-                out.append((INCONCLUSIVE, m_lo, None))
-            else:
-                out.append((FAILED, m_lo, {"z": [[c.real, c.imag] for c in z],
-                                           "sigma_min": res["sigma_min"]}))
-        return out
+        m_lo = bb.m_lower(lo, hi).tolist()
+        status = [PROVED if m > 0.0 else INCONCLUSIVE for m in m_lo]
+        witness = [None] * len(m_lo)
+        probed = [i for i, st in enumerate(status) if st == INCONCLUSIVE]
+        if probed:
+            pts = probe_points(lo[probed], hi[probed], region)
+            res = totally_real(sys, pts)
+            for i, pt, ok, s in zip(probed, pts.tolist(), res["totally_real"].tolist(),
+                                    res["sigma_min"].tolist()):
+                if not ok:
+                    status[i] = FAILED
+                    witness[i] = {"z": [pt[k:k + 2] for k in range(0, len(pt), 2)],
+                                  "sigma_min": s}
+        return zip(status, m_lo, witness)
 
     return subdivide(box, evaluate, max_depth, node_budget, region, "totally-real")
 

@@ -10,6 +10,12 @@ submersion system (2n-k real-valued functions), this module computes:
 * the pointwise tube radius m/(2L) (graph) or m/L (submersion), and
 * the two-sided Levi expansions of u = sum of squared residuals that make
   u strictly plurisubharmonic inside the tube.
+
+Each pointwise quantity has one implementation, batched over many points:
+m_values, L_values, radii and totally_real, on tables that
+ProblemSystem.point_pack evaluates.  The one-point functions (m_value,
+big_l_value, tube_radius, tube_profile, is_totally_real_*, bbar_matrix) are
+views on them, so they read the same bits as the probes of rigor.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import expr as ex
-from .realpoly import (PointPack, RealPoly, TermPack, ZPoly, _max, cabs, complex_array,
-                       real_coords)
+from .realpoly import (PointPack, RealPoly, TermPack, ZPoly, _max, _pow, cabs,
+                       complex_array, real_coords)
 
 GRAPH = "graph"
 SUBMERSION = "submersion"
@@ -130,23 +136,26 @@ class ProblemSystem:
         return len(self.exprs)
 
     @functools.cached_property
-    def packs(self) -> dict[str, TermPack]:
-        """Term layouts for batched box bounds (realpoly.TermPack): "value"
-        (one polynomial per row), "dzbar" (rows x n, row-major), "levi"
-        (rows x n x n, row-major) and "all" (those three in that order)."""
+    def polys(self) -> dict[str, list[RealPoly]]:
+        """The tables as flat lists: "value" (one polynomial per row), "dzbar"
+        (rows x n, row-major), "levi" (rows x n x n, row-major) and "all"
+        (those three in that order)."""
         value = [t.value for t in self.tables]
         dzbar = [p for t in self.tables for p in t.dzbar]
         levi = [q for t in self.tables for row in t.levi for q in row]
-        return {"value": TermPack(value), "dzbar": TermPack(dzbar),
-                "levi": TermPack(levi), "all": TermPack(value + dzbar + levi)}
+        return {"value": value, "dzbar": dzbar, "levi": levi,
+                "all": value + dzbar + levi}
+
+    @functools.cached_property
+    def packs(self) -> dict[str, TermPack]:
+        """Each list of `polys` laid out for batched box bounds (realpoly.TermPack)."""
+        return {name: TermPack(polys) for name, polys in self.polys.items()}
 
     @functools.cached_property
     def point_pack(self) -> PointPack:
-        """The "all" polynomials of `packs` (values, dzbar, Levi), laid out to
-        evaluate them at many points at once (realpoly.PointPack)."""
-        return PointPack([t.value for t in self.tables]
-                         + [p for t in self.tables for p in t.dzbar]
-                         + [q for t in self.tables for row in t.levi for q in row])
+        """polys["all"] laid out to evaluate them at many points at once
+        (realpoly.PointPack); `split` takes its values apart."""
+        return PointPack(self.polys["all"])
 
     @functools.cached_property
     def u_levi(self) -> list[list[RealPoly]]:
@@ -162,66 +171,166 @@ class ProblemSystem:
 
     def _check_real_valued(self):
         rng = np.random.default_rng(20240901)
-        pts = rng.standard_normal((_REAL_CHECK_SAMPLES, 2 * self.n))
-        for idx, t in enumerate(self.tables):
-            vals = t.value.eval_batch(pts)
-            bad = np.abs(vals.imag) > 1e-9 * (1.0 + np.abs(vals))
+        vals = self.evaluate("value", rng.standard_normal((_REAL_CHECK_SAMPLES, 2 * self.n)))
+        for idx, col in enumerate(vals.T):
+            bad = np.abs(col.imag) > 1e-9 * (1.0 + np.abs(col))
             if bad.any():
                 i = int(np.argmax(bad))
                 raise DegenerateSystemError(
                     f"submersion function #{idx + 1} is not real-valued "
-                    f"(Im = {vals.imag[i]:.3e} at a sample point)")
+                    f"(Im = {col.imag[i]:.3e} at a sample point)")
 
     # -- point evaluation -----------------------------------------------------
 
+    def evaluate(self, part: str, xs) -> np.ndarray:
+        """The polynomials of polys[part] at the rows of xs (real
+        coordinates), shape (points, polynomials)."""
+        return np.stack([p.eval_batch(xs) for p in self.polys[part]], axis=1)
+
+    def split(self, table: np.ndarray):
+        """(values, dbar-matrices, Levi matrices) from `table`, the values of
+        point_pack at some points: shapes (points, rows), (points, rows, n)
+        and (points, rows, n, n)."""
+        n, rows = self.n, self.rows
+        return (table[:, :rows], table[:, rows:rows + rows * n].reshape(-1, rows, n),
+                table[:, rows + rows * n:].reshape(-1, rows, n, n))
+
+    def tables_at(self, zs: Sequence[Sequence[complex]]):
+        """split of the tables at the points zs of C^n."""
+        xs = np.array([real_coords(z) for z in zs], dtype=float).reshape(len(zs), 2 * self.n)
+        return self.split(self.point_pack.eval(xs))
+
     def values_at(self, z: Sequence[complex]) -> np.ndarray:
-        xs = real_coords(z)
-        return np.array([t.value.eval_real(xs) for t in self.tables])
+        return self.evaluate("value", [real_coords(z)])[0]
 
     def dz_matrix(self, z: Sequence[complex]) -> np.ndarray:
         """rows x n matrix of d(function_r)/dz_j at z."""
-        xs = real_coords(z)
-        return np.array([[t.dz[j].eval_real(xs) for j in range(self.n)]
-                         for t in self.tables])
+        return np.array([[p.eval_point(z) for p in t.dz] for t in self.tables])
 
     def levi_matrix(self, r: int, z: Sequence[complex]) -> np.ndarray:
-        xs = real_coords(z)
-        t = self.tables[r]
-        return np.array([[t.levi[j][k].eval_real(xs) for k in range(self.n)]
-                         for j in range(self.n)])
+        return self.tables_at([z])[2][0, r]
 
     def __repr__(self) -> str:
         return f"ProblemSystem({self.kind}, n={self.n}, k={self.k}, rows={self.rows})"
 
 
 # ---------------------------------------------------------------------------
-# dbar-matrix, m, L
+# m, L and the tube radius at many points
+#
+# The batched functions below compute, for many points at once, what a loop
+# over single points in Python's scalar arithmetic computes, bit for bit: sums
+# run left to right from 0, powers and magnitudes go through Python's ** and
+# abs (realpoly._pow, cabs), Python's max is realpoly._max, and a complex
+# product or quotient with a float takes the float as complex(x, 0.0), as the
+# scalar code did under CPython 3.11.  FAIL witnesses record these values, so
+# certificates depend on every bit of them; the one-point functions are views
+# on the same code, so they read the same bits.
 # ---------------------------------------------------------------------------
 
-def bbar_matrix(sys: ProblemSystem, z: Sequence[complex]) -> np.ndarray:
-    """Matrix of d(function_r)/d(conj z_j) at z; shape (rows, n)."""
-    xs = real_coords(z)
-    return np.array([[t.dzbar[j].eval_real(xs) for j in range(sys.n)]
-                     for t in sys.tables])
+def _pysum(x: np.ndarray) -> np.ndarray:
+    """Python's sum() over the last axis: from 0, left to right."""
+    total = np.zeros(x.shape[:-1])
+    for k in range(x.shape[-1]):
+        total = total + x[..., k]
+    return total
 
 
-def m_value(sys: ProblemSystem, z: Sequence[complex]) -> float:
-    """sigma_min(B)^2, the infimum over unit v of the squared dbar-residual sum.
+def m_values(sys: ProblemSystem, B: np.ndarray) -> np.ndarray:
+    """sigma_min(B_i)^2 for each dbar-matrix of a stack B of shape (points,
+    rows, n): the infimum over unit v of the squared dbar-residual sum.
 
     Conjugating v leaves singular values unchanged, so the graph-case infimum
     over ||B conj(v)||^2 equals the submersion-case infimum over ||B v||^2.
+    For n <= 2 it is taken in closed form from the Hermitian B* B.
     """
-    B = bbar_matrix(sys, z)
-    if min(B.shape) == 1:
-        # a single row/column has exactly one singular value, its 2-norm
-        smin = float(np.linalg.norm(B))
+    n = sys.n
+    if n <= 2:
+        sq = _pysum(_pow(cabs(B), 2).swapaxes(1, 2))  # sum over rows of |B_rj|^2
+    if n == 1:
+        # a column has a single singular value, its norm
+        return sq[:, 0]
+    if n == 2:
+        # h01 = sum over rows of conj(B[r, 0]) * B[r, 1]
+        ar, ai = B[:, :, 0].real, -B[:, :, 0].imag
+        br, bi = B[:, :, 1].real, B[:, :, 1].imag
+        h01 = complex_array(_pysum(ar * br - ai * bi), _pysum(ar * bi + ai * br))
+        h00, h11 = sq[:, 0], sq[:, 1]
+        half = np.sqrt(_pow((h00 - h11) / 2, 2) + _pow(cabs(h01), 2))
+        return _max((h00 + h11) / 2 - half, 0.0)
+    return _pow(np.linalg.svd(B, compute_uv=False)[:, -1], 2)
+
+
+def L_values(sys: ProblemSystem, lev: np.ndarray) -> np.ndarray:
+    """The largest numerical radius among the Levi matrices of the rows at
+    each point, lev of shape (points, rows, n, n).  Closed forms for n = 1
+    and for 2x2 submersion (Hermitian) matrices; numerical_radii otherwise."""
+    n = sys.n
+    if n == 1:
+        w = cabs(lev[..., 0, 0])
+    elif sys.kind != GRAPH and n == 2:
+        # Hermitian 2x2 closed form, b = 0.5 * (A01 + conj(A10)); only |b|
+        # counts, which the signs of zeros in b do not change
+        a, d = lev[..., 0, 0].real, lev[..., 1, 1].real
+        b = complex_array(0.5 * (lev[..., 0, 1].real + lev[..., 1, 0].real),
+                          0.5 * (lev[..., 0, 1].imag - lev[..., 1, 0].imag))
+        half = np.sqrt(_pow((a - d) / 2, 2) + _pow(cabs(b), 2))
+        w = _max(np.abs((a + d) / 2 + half), np.abs((a + d) / 2 - half))
     else:
-        s = np.linalg.svd(B, compute_uv=False)
-        smin = float(s[-1])
-    return smin * smin
+        w = numerical_radii(lev.reshape(-1, n, n)).reshape(len(lev), sys.rows)
+    L = np.zeros(len(lev))
+    for r in range(sys.rows):
+        L = _max(L, w[:, r])
+    return L
 
 
-def numerical_radius(M: np.ndarray, tol: float = 1e-8) -> float:
+def radius_factor(kind: str) -> int:
+    """Denominator factor c in radius = m/(c*L): 2 for graphs, 1 for submersions."""
+    return 2 if kind == GRAPH else 1
+
+
+def radii(kind: str, m: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """The tube radius m/(cL) point by point (c = radius_factor(kind)): 0
+    where m = 0, else inf where L = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = m / (radius_factor(kind) * L)
+    return np.where(m == 0.0, 0.0, np.where(L == 0.0, np.inf, r))
+
+
+def tube_profile(sys: ProblemSystem, zs: Sequence[Sequence[complex]]) -> TubeProfile:
+    """(z, m, L, radius) at each point of zs."""
+    zs = [tuple(complex(c) for c in z) for z in zs]
+    _, B, lev = sys.tables_at(zs)
+    m, L = m_values(sys, B), L_values(sys, lev)
+    rows = zip(zs, m.tolist(), L.tolist(), radii(sys.kind, m, L).tolist())
+    return TubeProfile(sys.kind, tuple(TubePoint(*row) for row in rows))
+
+
+def m_value(sys: ProblemSystem, z: Sequence[complex]) -> float:
+    """m_values at one point."""
+    return float(m_values(sys, sys.tables_at([z])[1])[0])
+
+
+def big_l_value(sys: ProblemSystem, z: Sequence[complex]) -> float:
+    """L_values at one point: max over defining functions of sup over unit v
+    of |Levi form at z in direction v|."""
+    return float(L_values(sys, sys.tables_at([z])[2])[0])
+
+
+def tube_radius(sys: ProblemSystem, z: Sequence[complex]) -> float:
+    """m/(2L) for graphs, m/L for submersions; +inf when L=0 < m; 0 when m=0."""
+    return tube_profile(sys, [z]).points[0].radius
+
+
+def bbar_matrix(sys: ProblemSystem, z: Sequence[complex]) -> np.ndarray:
+    """Matrix of d(function_r)/d(conj z_j) at z; shape (rows, n)."""
+    return sys.tables_at([z])[1][0]
+
+
+# ---------------------------------------------------------------------------
+# Numerical radius
+# ---------------------------------------------------------------------------
+
+def numerical_radius(M: np.ndarray) -> float:
     """w(M) = sup over unit v of |v* M v| (see numerical_radii).
 
     Satisfies ||M||_2 / 2 <= w(M) <= ||M||_2.
@@ -229,16 +338,18 @@ def numerical_radius(M: np.ndarray, tol: float = 1e-8) -> float:
     M = np.asarray(M, dtype=np.complex128)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("numerical_radius needs a square matrix")
-    return float(numerical_radii(M[None], tol)[0])
+    return float(numerical_radii(M[None])[0])
 
 
 _GRID = 512
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # lanes whose 512 grid matrices are formed at once
 _GRID_CHUNK = 64
+# width of the angle bracket at which golden-section refinement stops
+_STOP = 1e-8
 
 
-def numerical_radii(M: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def numerical_radii(M: np.ndarray) -> np.ndarray:
     """w(M_i) for each matrix of a stack M of shape (count, d, d).
 
     Computed as max over theta of lambda_max((e^{i theta} M + e^{-i theta} M*)/2)
@@ -267,7 +378,7 @@ def numerical_radii(M: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         out[lanes] = _max(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
     lanes = (scale != 0.0) & ~herm
     if lanes.any():
-        out[lanes] = _refined_radii(M[lanes], Mh[lanes], scale[lanes], tol)
+        out[lanes] = _refined_radii(M[lanes], Mh[lanes], scale[lanes])
     return out
 
 
@@ -284,7 +395,7 @@ def _lambda_max(M, Mh, ph) -> np.ndarray:
     return np.linalg.eigvalsh((ph * M + np.conj(ph) * Mh) / 2)[..., -1]
 
 
-def _refined_radii(M, Mh, scale, tol) -> np.ndarray:
+def _refined_radii(M, Mh, scale) -> np.ndarray:
     count = len(M)
     step = 2 * math.pi / _GRID
     thetas = 2 * math.pi * np.arange(_GRID) / _GRID
@@ -299,7 +410,6 @@ def _refined_radii(M, Mh, scale, tol) -> np.ndarray:
     top = ((vals >= np.roll(vals, 1, axis=1)) & (vals >= np.roll(vals, -1, axis=1))
            & (vals >= (best - 0.05 * scale)[:, None]))
     order = np.argsort(np.where(top, -vals, np.inf), axis=1, kind="stable")[:, :5]
-    stop = min(tol, 1e-8)
     for slot in range(order.shape[1]):
         lanes = np.nonzero(top[np.arange(count), order[:, slot]])[0]
         if not len(lanes):
@@ -311,7 +421,7 @@ def _refined_radii(M, Mh, scale, tol) -> np.ndarray:
         m, mh = M[lanes], Mh[lanes]
         fc = _lambda_max(m, mh, _phase(c))
         fd = _lambda_max(m, mh, _phase(d))
-        live = np.nonzero(b - a > stop)[0]
+        live = np.nonzero(b - a > _STOP)[0]
         while len(live):
             left = fc[live] > fd[live]
             lo_, hi_ = live[left], live[~left]
@@ -323,24 +433,8 @@ def _refined_radii(M, Mh, scale, tol) -> np.ndarray:
             f = _lambda_max(m[live], mh[live], _phase(np.where(left, c[live], d[live])))
             fc[lo_] = f[left]
             fd[hi_] = f[~left]
-            live = live[b[live] - a[live] > stop]
+            live = live[b[live] - a[live] > _STOP]
         best[lanes] = _max(_max(best[lanes], fc), fd)
-    return best
-
-
-def big_l_value(sys: ProblemSystem, z: Sequence[complex], tol: float = 1e-8) -> float:
-    """max over defining functions of sup_{||v||=1} |Levi form at z in direction v|."""
-    best = 0.0
-    for r in range(sys.rows):
-        M = sys.levi_matrix(r, z)
-        if sys.kind == SUBMERSION:
-            # real-valued functions have Hermitian Levi matrices
-            H = (M + M.conj().T) / 2
-            ev = np.linalg.eigvalsh(H)
-            w = float(max(abs(ev[0]), abs(ev[-1]))) if len(ev) else 0.0
-        else:
-            w = numerical_radius(M, tol)
-        best = max(best, w)
     return best
 
 
@@ -348,90 +442,54 @@ def big_l_value(sys: ProblemSystem, z: Sequence[complex], tol: float = 1e-8) -> 
 # Total reality
 # ---------------------------------------------------------------------------
 
-def _scaled_tol(tol: float | None, sigma_max: float) -> float:
-    return 1e-8 * (1.0 + sigma_max) if tol is None else tol
+def totally_real(sys: ProblemSystem, xs) -> dict:
+    """Total-reality test at each point, the rows of xs (real coordinates),
+    with the tolerance t = 1e-8 (1 + sigma_max) of the point's dbar-matrix B.
 
-
-def is_totally_real_graph(sys: ProblemSystem, z: Sequence[complex],
-                          tol: float | None = None) -> dict:
-    """Graph total-reality test at z.
-
-    Totally real iff sigma_min of the dbar-matrix exceeds tol; otherwise the
-    returned witness is a unit right-singular vector for sigma_min, i.e. the
-    complex-tangent direction.
+    A graph is totally real where sigma_min(B) > t; "witness_v" holds, per
+    point, the conjugate of a unit right-singular vector for sigma_min, the
+    complex-tangent direction where the test fails.  A submersion is where B
+    has rank n, counting the singular values above t ("rank"); a vanishing
+    row of B raises DegenerateSystemError, since for real-valued rho it means
+    d(rho) = 0.  Graphs take a full SVD and submersions singular values only,
+    stacked over the points; the two variants differ in the last bit.
+    Returns arrays over the points: "totally_real", "sigma_min", and
+    "witness_v" or "rank".
     """
+    xs = np.asarray(xs, dtype=float)
+    B = sys.evaluate("dzbar", xs).reshape(len(xs), sys.rows, sys.n)
+    if sys.kind == GRAPH:
+        _, s, Vh = np.linalg.svd(B)
+        return {"totally_real": s[:, -1] > 1e-8 * (1.0 + s[:, 0]), "sigma_min": s[:, -1],
+                "witness_v": np.conj(Vh[:, -1])}
+    dead = np.argwhere(np.linalg.norm(B, axis=2) <= 1e-12)
+    if len(dead):
+        i, r = dead[0]
+        z = [complex(xs[i, 2 * j], xs[i, 2 * j + 1]) for j in range(sys.n)]
+        raise DegenerateSystemError(
+            f"function #{r + 1} has zero differential at z={z}: not a submersion")
+    s = np.linalg.svd(B, compute_uv=False)
+    rank = np.sum(s > 1e-8 * (1.0 + s[:, :1]), axis=1)
+    return {"totally_real": rank == sys.n, "rank": rank, "sigma_min": s[:, -1]}
+
+
+def is_totally_real_graph(sys: ProblemSystem, z: Sequence[complex]) -> dict:
+    """totally_real of a graph at one point; "witness_v" is None where it holds."""
     if sys.kind != GRAPH:
         raise ValueError("is_totally_real_graph needs a graph system")
-    B = bbar_matrix(sys, z)
-    U, s, Vh = np.linalg.svd(B)
-    sigma_min = float(s[-1])
-    t = _scaled_tol(tol, float(s[0]))
-    ok = sigma_min > t
-    return {
-        "totally_real": bool(ok),
-        "sigma_min": sigma_min,
-        "witness_v": None if ok else np.conj(Vh[-1]),
-    }
+    res = totally_real(sys, [real_coords(z)])
+    ok = bool(res["totally_real"][0])
+    return {"totally_real": ok, "sigma_min": float(res["sigma_min"][0]),
+            "witness_v": None if ok else res["witness_v"][0]}
 
 
-def is_totally_real_submersion(sys: ProblemSystem, z: Sequence[complex],
-                               tol: float | None = None) -> dict:
-    """Submersion total-reality test: rank of the dbar-matrix must equal n."""
+def is_totally_real_submersion(sys: ProblemSystem, z: Sequence[complex]) -> dict:
+    """totally_real of a submersion at one point."""
     if sys.kind != SUBMERSION:
         raise ValueError("is_totally_real_submersion needs a submersion system")
-    A = bbar_matrix(sys, z)
-    row_norms = np.linalg.norm(A, axis=1)
-    dead = np.nonzero(row_norms <= 1e-12)[0]
-    if len(dead):
-        # for real-valued rho a vanishing dbar-row means d(rho) = 0 there
-        raise DegenerateSystemError(
-            f"function #{int(dead[0]) + 1} has zero differential at z={list(z)}: "
-            "not a submersion")
-    s = np.linalg.svd(A, compute_uv=False)
-    sigma_max = float(s[0])
-    t = _scaled_tol(tol, sigma_max)
-    rank = int(np.sum(s > t))
-    return {
-        "totally_real": rank == sys.n,
-        "rank": rank,
-        "sigma_min": float(s[-1]) if len(s) >= sys.n else 0.0,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Tube radius
-# ---------------------------------------------------------------------------
-
-def radius_factor(kind: str) -> int:
-    """Denominator factor c in radius = m/(c*L): 2 for graphs, 1 for submersions."""
-    return 2 if kind == GRAPH else 1
-
-
-def tube_radius(sys: ProblemSystem, z: Sequence[complex]) -> float:
-    """m/(2L) for graphs, m/L for submersions; +inf when L=0 < m; 0 when m=0."""
-    m = m_value(sys, z)
-    if m == 0.0:
-        return 0.0
-    L = big_l_value(sys, z)
-    if L == 0.0:
-        return math.inf
-    return m / (radius_factor(sys.kind) * L)
-
-
-def tube_profile(sys: ProblemSystem, zs: Sequence[Sequence[complex]]) -> TubeProfile:
-    pts = []
-    for z in zs:
-        z = tuple(complex(c) for c in z)
-        m = m_value(sys, z)
-        L = big_l_value(sys, z)
-        if m == 0.0:
-            r = 0.0
-        elif L == 0.0:
-            r = math.inf
-        else:
-            r = m / (radius_factor(sys.kind) * L)
-        pts.append(TubePoint(z, m, L, r))
-    return TubeProfile(sys.kind, tuple(pts))
+    res = totally_real(sys, [real_coords(z)])
+    return {"totally_real": bool(res["totally_real"][0]), "rank": int(res["rank"][0]),
+            "sigma_min": float(res["sigma_min"][0])}
 
 
 # ---------------------------------------------------------------------------
@@ -457,21 +515,19 @@ def levi_u_graph(sys: ProblemSystem, z: Sequence[complex], w: Sequence[complex],
         raise ValueError("dimension mismatch: z, w, v, t must all have length n")
 
     levi_table = sys.u_levi
-    xs = real_coords(list(z) + list(w))
+    zw = z + w
     V = np.concatenate([v, t])
     direct = 0j
     for j in range(2 * n):
         for k in range(2 * n):
-            ljk = levi_table[j][k].eval_real(xs)
+            ljk = levi_table[j][k].eval_point(zw)
             if ljk != 0:
                 direct += ljk * V[j] * np.conj(V[k])
     direct = float(direct.real)
 
-    fvals = sys.values_at(z)
+    fvals, Dzb, lev = (a[0] for a in sys.tables_at([z]))
     Dz = sys.dz_matrix(z)
-    Dzb = bbar_matrix(sys, z)
-    levi_forms = np.array([v @ sys.levi_matrix(r, z) @ np.conj(v)
-                           for r in range(n)])
+    levi_forms = np.array([v @ lev[r] @ np.conj(v) for r in range(n)])
 
     first = 2.0 * float(np.sum((np.conj(fvals) - np.conj(w)) * levi_forms).real)
     middle = float(np.sum(np.abs(Dz @ v - t) ** 2))
@@ -494,23 +550,21 @@ def levi_u_submersion(sys: ProblemSystem, z: Sequence[complex],
     if len(z) != n or v.shape != (n,):
         raise ValueError("dimension mismatch: z and v must have length n")
 
-    xs = real_coords(z)
     direct = 0j
     for t in sys.tables:
-        rho = t.value.eval_real(xs)
+        rho = t.value.eval_point(z)
         for j in range(n):
-            dzj = t.dz[j].eval_real(xs)
+            dzj = t.dz[j].eval_point(z)
             for k in range(n):
                 # d2(rho^2)/dz_j dzbar_k = 2 rho * levi_jk + 2 dz_j * dzbar_k
-                ljk = 2.0 * rho * t.levi[j][k].eval_real(xs) \
-                    + 2.0 * dzj * t.dzbar[k].eval_real(xs)
+                ljk = 2.0 * rho * t.levi[j][k].eval_point(z) \
+                    + 2.0 * dzj * t.dzbar[k].eval_point(z)
                 direct += ljk * v[j] * np.conj(v[k])
     direct = float(direct.real)
 
-    rho_vals = sys.values_at(z).real
-    levi_forms = np.array([(v @ sys.levi_matrix(r, z) @ np.conj(v)).real
-                           for r in range(sys.rows)])
-    A = bbar_matrix(sys, z)
+    rho_vals, A, lev = (a[0] for a in sys.tables_at([z]))
+    rho_vals = rho_vals.real
+    levi_forms = np.array([(v @ lev[r] @ np.conj(v)).real for r in range(sys.rows)])
     # in the v_j conj(v_k) Levi convention used throughout, the dbar term of
     # the expansion is sum_l |sum_j (d rho_l / d conj(z_j)) conj(v_j)|^2
     dbar_term = 2.0 * float(np.sum(np.abs(A @ np.conj(v)) ** 2))

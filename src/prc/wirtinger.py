@@ -2,9 +2,9 @@
 
 A WirtingerFrame collects the value, the first Wirtinger derivatives and the
 mixed second-derivative (Levi) matrix of one scalar function at one point.
-Frames are assembled from the Wirtinger derivatives of the expression's
-expansion in z and conj(z) (realpoly.ZPoly), evaluated at the point;
-finite differences are kept only as a test oracle (fd_frame).
+Frames are assembled from the derivative table that a ProblemSystem builds
+for each defining function (trgeom._FnTable), evaluated at the point; finite
+differences are kept only as a test oracle (fd_frame).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import Expr, eval_point, max_var_index, normalize
-from .realpoly import ZPoly
+from .trgeom import _FnTable
 
 
 @dataclass(frozen=True)
@@ -33,15 +33,14 @@ class WirtingerFrame:
 
 
 def frame(e: Expr, z: Sequence[complex]) -> WirtingerFrame:
-    """Assemble the frame of e at z from its ZPoly Wirtinger derivatives."""
+    """Assemble the frame of e at z from its derivative table (trgeom._FnTable)."""
     n = len(z)
     if max_var_index(e) > n:
         raise ValueError(f"expression uses z{max_var_index(e)} but point has n={n}")
-    p = ZPoly.from_expr(normalize(e), n)
-    dz, dzbar, levi = p.derivatives()
-    return WirtingerFrame(p.eval_point(z), np.array([d.eval_point(z) for d in dz]),
-                          np.array([d.eval_point(z) for d in dzbar]),
-                          np.array([[q.eval_point(z) for q in row] for row in levi]))
+    t = _FnTable(normalize(e), n)
+    return WirtingerFrame(t.value.eval_point(z), np.array([d.eval_point(z) for d in t.dz]),
+                          np.array([d.eval_point(z) for d in t.dzbar]),
+                          np.array([[q.eval_point(z) for q in row] for row in t.levi]))
 
 
 def levi_form(fr: WirtingerFrame, v: Sequence[complex]) -> complex:

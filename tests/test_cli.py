@@ -398,6 +398,47 @@ def test_certificate_bytes_match_golden_digests(tmp_path):
             assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_2_DIGESTS[name]
 
 
+# sha256 of `prc totally-real` reports and of a certificate whose FAIL is a
+# total-reality witness, recorded while each point was tested one at a time:
+# the stacked test must give every verdict and sigma_min bit for bit.
+_TR_FAIL_GRAPH = {
+    "kind": "graph", "n": 2,
+    "functions": ["conj(z1) + z1*conj(z1)", "conj(z2) + 0.3*z1*conj(z2)"],
+    "compact": {"region": [{"shape": "box", "re": [-1.5, 0.5], "im": [-1, 1]},
+                           {"shape": "disc", "center": [0, 0], "radius": 0.5}]}}
+_TR_FAIL_CERT = {
+    "kind": "graph", "n": 2,
+    "functions": ["conj(z1)^2 + z1 + 0.1*z2*conj(z2)", "conj(z2) + 0.2*z1^2"],
+    "compact": {"region": [{"shape": "disc", "center": [0, 0], "radius": 0.5}] * 2}}
+
+
+@pytest.mark.parametrize("name, argv, manifest, exit_code, digest", [
+    ("wermer_r0.3", ["totally-real"], _wermer_manifest(0.3), 0,
+     "4fc461fe134f4da272a4c78bcf1f90477baca1bc05de1bdce088f6136312898d"),
+    ("graph_not_totally_real", ["totally-real", "--grid", "9"], _TR_FAIL_GRAPH, 3,
+     "f6f7a8bf474cd5acf40f90e315e3a4f19fa91e2eb8413f5b7b8418c2cabe3283"),
+    ("certify_totally_real_fail", ["certify"], _TR_FAIL_CERT, 3,
+     "c5c8728ea68099823e142883e719f530579451c56c0d74943cda6b358eca3e7d"),
+])
+def test_totally_real_outputs_match_golden_digests(tmp_path, name, argv, manifest,
+                                                   exit_code, digest):
+    out = tmp_path / "out.json"
+    assert main([argv[0], _write(tmp_path, "m.json", manifest), *argv[1:],
+                 "--out", str(out)]) == exit_code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+    if argv == ["certify"]:
+        assert json.loads(out.read_text())["witness"]["check"] == "totally_real"
+
+
+def test_totally_real_zero_differential_exit_2(tmp_path, capsys):
+    """The first grid point where Im(z1)^2 has a zero differential is named."""
+    m = {"kind": "submersion", "n": 1, "k": 1, "functions": ["Im(z1)^2"],
+         "compact": {"cap": {"center": [[0.0, 0.0]], "radii": [1.0]}}}
+    assert main(["totally-real", _write(tmp_path, "m.json", m), "--grid", "5"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: function #1 has zero differential at z=[(-1+0j)]: not a submersion\n")
+
+
 def test_example2_certificate_matches_golden_digest(example2):
     """The example-2 certificate of the library is the cap 1.0 problem, so its
     bytes are those of the CLI's cap 1.0 certificate."""

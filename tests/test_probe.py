@@ -1,6 +1,7 @@
-"""The batched pointwise probes of rigor against the scalar code they
-replaced, kept here as the reference: every probe point, residual, radius
-and witness must come out bit for bit the same."""
+"""The batched pointwise code of rigor and trgeom against the scalar code it
+replaced, kept here as the reference: every polynomial value, probe point,
+residual, radius, total-reality test and witness must come out bit for bit
+the same."""
 
 import math
 
@@ -12,12 +13,54 @@ from prc import ProblemSystem
 from prc import rigor
 from prc.certify import CompactSpec, DiscRegion, certify, load_manifest, wermer_compact
 from prc.rigor import GRAPH, Region, probe_points
-from prc.trgeom import numerical_radii, numerical_radius, radius_factor, tube_radius
+from prc.trgeom import (DegenerateSystemError, big_l_value, is_totally_real_graph,
+                        is_totally_real_submersion, m_value, numerical_radii,
+                        numerical_radius, radius_factor, totally_real, tube_profile,
+                        tube_radius)
 
 
 # ---------------------------------------------------------------------------
 # scalar reference
 # ---------------------------------------------------------------------------
+
+def _eval_real(p, xs):
+    """A RealPoly at a real-coordinate point (x_1, y_1, ..., x_n, y_n), one
+    term at a time in insertion order."""
+    total = 0j
+    for k, v in p.terms.items():
+        m = 1.0
+        for x, e in zip(xs, k):
+            if e:
+                m *= x ** e
+        total += v * m
+    return total
+
+
+def _scalar_bbar(sys, xs):
+    return np.array([[_eval_real(t.dzbar[j], xs) for j in range(sys.n)] for t in sys.tables])
+
+
+def _scalar_totally_real_graph(sys, xs):
+    U, s, Vh = np.linalg.svd(_scalar_bbar(sys, xs))
+    sigma_min = float(s[-1])
+    ok = sigma_min > 1e-8 * (1.0 + float(s[0]))
+    return {"totally_real": bool(ok), "sigma_min": sigma_min,
+            "witness_v": None if ok else np.conj(Vh[-1])}
+
+
+def _scalar_totally_real_submersion(sys, xs):
+    A = _scalar_bbar(sys, xs)
+    dead = np.nonzero(np.linalg.norm(A, axis=1) <= 1e-12)[0]
+    if len(dead):
+        z = [complex(xs[2 * j], xs[2 * j + 1]) for j in range(sys.n)]
+        raise DegenerateSystemError(
+            f"function #{int(dead[0]) + 1} has zero differential at z={z}: "
+            "not a submersion")
+    s = np.linalg.svd(A, compute_uv=False)
+    rank = int(np.sum(s > 1e-8 * (1.0 + float(s[0]))))
+    return {"totally_real": rank == sys.n, "rank": rank,
+            "sigma_min": float(s[-1]) if len(s) >= sys.n else 0.0}
+
 
 def _scalar_probe(lo, hi, region):
     """The midpoint when it lies strictly inside every region disc that fits
@@ -86,16 +129,24 @@ def _scalar_numerical_radius(M, tol=1e-8):
 def _point_quantities(sys, pt):
     """(residual, tube radius) at a real-coordinate point."""
     n = sys.n
-    xs = list(pt[:2 * n])
-    vals = [t.value.eval_real(xs) for t in sys.tables]
+    vals = [_eval_real(t.value, pt[:2 * n]) for t in sys.tables]
     if sys.kind == GRAPH:
         off = 2 * n
         residual = sum(abs(vals[j] - complex(pt[off + 2 * j], pt[off + 2 * j + 1]))
                        for j in range(n))
     else:
         residual = sum(abs(v) for v in vals)
+    m, L = _point_m_L(sys, pt[:2 * n])
+    if m == 0.0:
+        return residual, 0.0
+    radius = math.inf if L == 0.0 else m / (radius_factor(sys.kind) * L)
+    return residual, radius
 
-    B = [[t.dzbar[j].eval_real(xs) for j in range(n)] for t in sys.tables]
+
+def _point_m_L(sys, xs):
+    """(m, L) at a real-coordinate point."""
+    n = sys.n
+    B = [[_eval_real(t.dzbar[j], xs) for j in range(n)] for t in sys.tables]
     if n == 1:
         m = sum(abs(row[0]) ** 2 for row in B)
     elif n == 2:
@@ -107,12 +158,10 @@ def _point_quantities(sys, pt):
     else:
         s = np.linalg.svd(np.array(B), compute_uv=False)
         m = float(s[-1]) ** 2
-    if m == 0.0:
-        return residual, 0.0
 
     L = 0.0
     for t in sys.tables:
-        lev = [[t.levi[j][k].eval_real(xs) for k in range(n)] for j in range(n)]
+        lev = [[_eval_real(t.levi[j][k], xs) for k in range(n)] for j in range(n)]
         if n == 1:
             w = abs(lev[0][0])
         elif sys.kind != GRAPH and n == 2:
@@ -124,8 +173,7 @@ def _point_quantities(sys, pt):
         else:
             w = _scalar_numerical_radius(np.array(lev))
         L = max(L, w)
-    radius = math.inf if L == 0.0 else m / (radius_factor(sys.kind) * L)
-    return residual, radius
+    return m, L
 
 
 def _point_violates(sys, pt):
@@ -152,7 +200,7 @@ def _tube_witness(sys, z_pt, region):
             return None
     pt = list(z_pt)
     for t, (cx, cy, r) in zip(sys.tables, region.discs[n:]):
-        away = complex(cx, cy) - t.value.eval_real(z_pt)
+        away = complex(cx, cy) - _eval_real(t.value, z_pt)
         unit = away / abs(away) if away else 1.0
         w = complex(cx, cy) + r * (1.0 - 1e-9) * unit
         pt += [w.real, w.imag]
@@ -258,17 +306,21 @@ def test_graph_n2_fail_found_within_200_tube_leaves():
 
 def test_point_pack_matches_eval_real():
     """Every table of a system at once, real and imaginary parts and signs of
-    zeros, as RealPoly.eval_real gives them one point at a time."""
+    zeros, as the scalar loop _eval_real gives them one point at a time; and
+    so do RealPoly.eval_batch and eval_point, one polynomial at a time."""
     rng = np.random.default_rng(80)
     for sys_ in _systems(rng):
         polys = ([t.value for t in sys_.tables] + [p for t in sys_.tables for p in t.dzbar]
                  + [q for t in sys_.tables for row in t.levi for q in row])
         xs = rng.uniform(-1.5, 1.5, (30, 2 * sys_.n))
         xs[:3] = [[0.0], [-0.0], [1.0]]
-        got = sys_.point_pack.eval(xs)
-        want = np.array([[p.eval_real(row) for p in polys] for row in xs.tolist()])
-        assert (_bits(got.real) == _bits(want.real)).all()
-        assert (_bits(got.imag) == _bits(want.imag)).all()
+        want = np.array([[_eval_real(p, row) for p in polys] for row in xs.tolist()])
+        for got in (sys_.point_pack.eval(xs),
+                    np.stack([p.eval_batch(xs) for p in polys], axis=1)):
+            assert (_bits(got.real) == _bits(want.real)).all()
+            assert (_bits(got.imag) == _bits(want.imag)).all()
+        z = [complex(*xs[5, k:k + 2]) for k in range(0, 2 * sys_.n, 2)]
+        assert repr([p.eval_point(z) for p in polys]) == repr(want[5].tolist())
 
 
 def _systems(rng):
@@ -299,6 +351,81 @@ def test_probe_quantities_match_scalar_reference():
         assert (_bits(radius) == _bits([r for _, r in want])).all()
         branches.update(radius[(radius == 0.0) | np.isinf(radius)].tolist())
     assert branches == {0.0, math.inf}
+
+
+def test_one_point_functions_match_probe_quantities():
+    """m_value, big_l_value, tube_radius and tube_profile read the bits the
+    tube probe reads: m and L as the scalar reference gives them (which
+    _probe_quantities matches), and the radius of _probe_quantities."""
+    rng = np.random.default_rng(88)
+    for sys_ in _systems(rng):
+        n = sys_.n
+        pts = rng.uniform(-1.2, 1.2, (25, 4 * n if sys_.kind == GRAPH else 2 * n))
+        pts[0] = 0.0
+        _, radius = rigor._probe_quantities(sys_, pts, sys_.point_pack.eval(pts[:, :2 * n]))
+        zs = [tuple(complex(*pt[k:k + 2]) for k in range(0, 2 * n, 2)) for pt in pts.tolist()]
+        prof = tube_profile(sys_, zs)
+        for z, xs, r, pt in zip(zs, pts.tolist(), radius.tolist(), prof.points):
+            m, L = _point_m_L(sys_, xs[:2 * n])
+            assert pt.z == z
+            assert _bits([pt.m, m_value(sys_, z)]).tolist() == _bits([m, m]).tolist()
+            assert _bits([pt.L, big_l_value(sys_, z)]).tolist() == _bits([L, L]).tolist()
+            assert _bits([pt.radius, tube_radius(sys_, z)]).tolist() == _bits([r, r]).tolist()
+
+
+@pytest.mark.parametrize("kind", ["graph", "submersion"])
+def test_totally_real_matches_scalar_reference(kind):
+    """The stacked total-reality test against the one-point scalar code:
+    the verdict, sigma_min and rank or witness direction, bit for bit, and
+    the one-point functions are views on it."""
+    rng = np.random.default_rng(89 if kind == "graph" else 90)
+    if kind == "graph":
+        # a holomorphic row and a dbar-matrix of rank one; B = 0
+        systems = [ProblemSystem.graph(["z1^2 + conj(z2)", "conj(z2)"], 2),
+                   ProblemSystem.graph(["z1"], 1)]
+        systems += [random_graph_system(rng, n) for n in (1, 2, 3) for _ in range(3)]
+    else:
+        # dbar rows parallel where Re(z2) = 0
+        systems = [ProblemSystem.submersion(["Im(z1)", "2*Im(z1) + Re(z2)^2"], 2, 2)]
+        systems += [random_submersion_system(rng, n, int(rng.integers(1, n + 1)))
+                    for n in (1, 2, 3) for _ in range(3)]
+    failed = 0
+    for sys_ in systems:
+        n = sys_.n
+        xs = rng.uniform(-1.5, 1.5, (40, 2 * n))
+        xs[:10, 2:3] = 0.0
+        got = totally_real(sys_, xs)
+        for i, row in enumerate(xs.tolist()):
+            z = tuple(complex(*row[k:k + 2]) for k in range(0, 2 * n, 2))
+            if kind == "graph":
+                want = _scalar_totally_real_graph(sys_, row)
+                view = is_totally_real_graph(sys_, z)
+                assert repr(view["witness_v"]) == repr(want["witness_v"])
+                if want["witness_v"] is not None:
+                    assert repr(got["witness_v"][i]) == repr(want["witness_v"])
+            else:
+                want = _scalar_totally_real_submersion(sys_, row)
+                view = is_totally_real_submersion(sys_, z)
+                assert got["rank"][i] == want["rank"] == view["rank"]
+            assert got["totally_real"][i] == want["totally_real"] == view["totally_real"]
+            assert _bits([got["sigma_min"][i], view["sigma_min"]]).tolist() \
+                == _bits([want["sigma_min"]] * 2).tolist()
+            failed += not want["totally_real"]
+    assert failed >= 10
+
+
+def test_totally_real_names_the_first_zero_differential():
+    """A vanishing dbar-row raises at the first such point of the batch, with
+    the message the one-point test gives there."""
+    sys_ = ProblemSystem.submersion(["Im(z1)^2"], 1, 1)
+    xs = np.array([[0.3, 0.5], [-1.0, 0.0], [2.0, -0.0], [0.1, 0.2]])
+    with pytest.raises(DegenerateSystemError) as ref:
+        _scalar_totally_real_submersion(sys_, xs[1].tolist())
+    with pytest.raises(DegenerateSystemError) as got:
+        totally_real(sys_, xs)
+    assert str(got.value) == str(ref.value) == \
+        "function #1 has zero differential at z=[(-1+0j)]: not a submersion"
+    assert totally_real(sys_, xs[[0, 3]])["totally_real"].tolist() == [True, True]
 
 
 def test_violations_only_keeps_every_violation():
