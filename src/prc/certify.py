@@ -675,6 +675,8 @@ def _replay(cert: Certificate) -> bool:
                          opts["node_budget"])["status"] != PROVED:
         return False
     tube = cert.checks["omega_in_tube"]
+    if not isinstance(tube, dict):
+        return False
     scale = tube.get("split_scale", [1.0] * (2 * n))
     if not (isinstance(scale, list) and len(scale) == 2 * n
             and all(type(s) is float and 0.0 < s < math.inf for s in scale)):

@@ -270,7 +270,9 @@ def main(argv=None) -> int:
     try:
         _check_flags(args)
         return args.fn(args)
-    except (ManifestError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (ManifestError, OSError, json.JSONDecodeError, ValueError, OverflowError) as exc:
+        if isinstance(exc, OverflowError):
+            exc = "floating-point overflow: the problem's values leave the range of doubles"
         log.error("%s", exc)
         _sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

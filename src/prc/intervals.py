@@ -4,8 +4,8 @@ Interval and Rect hold the enclosures that expr.eval_interval returns; they
 check that their bounds are finite and ordered and carry no arithmetic.
 Bounds are computed by the batched kernels of realpoly and rigor, which widen
 monomial products outward by INFLATION = 2^-40 of their magnitude and argue
-every other rounding in writing (realpoly._eval_box_raw, rigor._BoxBounds);
-INFLATION is recorded in certificates.
+every other rounding in writing (realpoly.power_tables, realpoly._eval_box_raw,
+rigor._BoxBounds); INFLATION is recorded in certificates.
 """
 
 from __future__ import annotations

@@ -28,8 +28,10 @@ from . import expr as ex
 from .intervals import INFLATION, Interval, ParamBox, Rect
 
 _TINY = 1e-300
-# most terms per polynomial for which the rounding argument of _eval_box_raw holds
+# most terms per polynomial, and highest degree, for which the rounding
+# arguments of _eval_box_raw and power_tables hold
 MAX_TERMS = 4095
+MAX_DEGREE = 4096
 # most points PointPack.eval takes at once
 _CHUNK = 4096
 
@@ -218,8 +220,9 @@ class RealPoly(_Poly):
     def pack(self) -> TermPack:
         """This polynomial alone, laid out for _eval_box_raw (cached).
 
-        Raises ValueError above MAX_TERMS terms, where the sums of
-        _eval_box_raw would no longer be sound.
+        Raises ValueError above MAX_TERMS terms or MAX_DEGREE, where the
+        sums of _eval_box_raw or the powers of power_tables would no longer
+        be sound.
         """
         if self._pack is None:
             self._pack = TermPack((self,))
@@ -261,14 +264,25 @@ def real_coords(z: Sequence[complex]) -> list[float]:
 # evaluates all boxes at once, in the operation order of a loop over one box,
 # so each box's bounds are bit-identical however the boxes are batched:
 #
-# * sums run left to right (a loop over the terms, or np.cumsum along the
-#   summed axis; never the pairwise np.sum);
-# * powers and magnitudes go through Python's float ** int and math.hypot
-#   element by element, since numpy's ** and np.hypot may differ from them in
-#   the last bit;
+# * sums run left to right (a loop over the terms, or np.add.accumulate along
+#   the summed axis; never the pairwise np.sum);
+# * powers are product chains, x^k = x^(k-1) * x, in plain numpy products,
+#   which are correctly rounded wherever they run (numpy's ** and np.power are
+#   not, and may depend on the CPU and on an element's place in the array);
+# * magnitudes are np.hypot, the C library's hypot (the one abs(complex)
+#   takes), called once per element whatever the batch;
 # * np.minimum / np.maximum stand for comparisons whose ties only differ in
 #   the sign of a zero, where no later step can see that sign (it is squared,
-#   taken in absolute value, or followed by subtracting a positive widening).
+#   taken in absolute value, added to a sum that starts from +0.0, or followed
+#   by subtracting a positive widening).
+#
+# The kernels run under np.errstate: a box far enough out that a power
+# overflows gets infinite bounds, still sound, or NaN ones, which prove
+# nothing, and no warning.
+#
+# The pointwise probes of rigor and trgeom are another matter: they compute
+# bit for bit what Python's scalar arithmetic does, through _pow, hypot and
+# cabs below, one element at a time.
 # ---------------------------------------------------------------------------
 
 def _pow(x: np.ndarray, k: int) -> np.ndarray:
@@ -278,7 +292,8 @@ def _pow(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """math.hypot element by element."""
+    """math.hypot element by element (the probes' test of a point against a
+    disc; the box kernels take np.hypot)."""
     return np.fromiter(map(math.hypot, x.ravel().tolist(), y.ravel().tolist()),
                        float, x.size).reshape(x.shape)
 
@@ -311,35 +326,62 @@ def _min(a, b):
 
 def sequential_sum(x: np.ndarray, axis: int) -> np.ndarray:
     """Left-to-right sum along `axis`, the order of a scalar accumulation."""
-    return np.take(np.cumsum(x, axis=axis), -1, axis=axis)
+    return np.add.accumulate(x, axis=axis).take(-1, axis=axis)
 
 
-def power_tables(lo: np.ndarray, hi: np.ndarray, max_deg: int):
-    """(tlo, thi) of shape (boxes, coordinates, max_deg + 1): the enclosure
-    of coordinate v to the power k is [tlo[:, v, k], thi[:, v, k]].
+def power_tables(lo: np.ndarray, hi: np.ndarray, max_deg: int) -> np.ndarray:
+    """Enclosures of the powers of each coordinate over each box, shape
+    (2, boxes, coordinates, max_deg + 1): coordinate v to the power k lies in
+    [tables[0, :, v, k], tables[1, :, v, k]].
 
-    Powers from 2 on are widened outward by INFLATION of their magnitude;
-    even powers of an interval straddling 0 start at 0.
+    Odd powers are [lo^k, hi^k]; even powers are [mig^k, mag^k], with mag the
+    largest magnitude in [lo, hi] and mig the least (0 when the interval
+    straddles 0).  Since lo <= hi, mig = max(lo, -hi, 0) and mag =
+    max(-lo, hi).  Each end is a product chain x^k = x^(k-1) * x of its own
+    base (never numpy's **), and from k = 2 on the pair is widened outward
+    by d = INFLATION * M + _TINY, M = max(-lower end, upper end) the larger
+    magnitude of its two ends (rounding is monotone, so the ends stay
+    ordered).
+
+    Rounding (u = 2^-53, INFLATION = 2^-40 = 8192u).  While the partial
+    powers are normal numbers, the k - 1 products of a chain err by at most
+    gamma_{k-1} = (k-1)u / (1 - (k-1)u) of the exact x^k, and the
+    subtraction (addition) of d by u of its result; for k <= MAX_DEGREE =
+    4096 that is under 4097u + O(u^2) of M, within the 8192u of d.  For
+    |x| < 1 the partial powers decrease, so once one is subnormal each later
+    product adds at most 2^-1075 absolute error and shrinks the earlier error
+    by |x|: under (k-1) 2^-1075 in all, far below _TINY = 1e-300; for
+    |x| >= 1 no partial power underflows.  A chain that overflows gives an
+    infinite end, and the widening then gives infinite or NaN ends: an
+    infinite end is still a sound bound, and a NaN end makes every bound
+    computed from it NaN, which no comparison takes for a proof.  TermPack
+    enforces the degree bound, so this carries no check.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    tlo = np.empty(lo.shape + (max_deg + 1,))
-    thi = np.empty_like(tlo)
-    tlo[..., 0] = thi[..., 0] = 1.0
+    tables = np.empty((2,) + lo.shape + (max_deg + 1,))
+    tables[..., 0] = 1.0
     if max_deg >= 1:
-        tlo[..., 1] = lo
-        thi[..., 1] = hi
+        tables[0, ..., 1] = lo
+        tables[1, ..., 1] = hi
     if max_deg >= 2:
-        alo, ahi = np.abs(lo), np.abs(hi)
-        mag = np.maximum(alo, ahi)
-        mig = np.where((lo <= 0.0) & (0.0 <= hi), 0.0, np.minimum(alo, ahi))
+        base = np.empty((4,) + lo.shape)  # lo, hi, mig, mag
+        base[0] = lo
+        base[1] = hi
+        np.maximum(lo, -hi, out=base[2])
+        np.maximum(base[2], 0.0, out=base[2])
+        np.maximum(-lo, hi, out=base[3])
+        power = base
         for k in range(2, max_deg + 1):
-            tlo[..., k] = _pow(mig if k % 2 == 0 else lo, k)
-            thi[..., k] = _pow(mag if k % 2 == 0 else hi, k)
-        d = INFLATION * np.maximum(np.abs(tlo[..., 2:]), np.abs(thi[..., 2:])) + _TINY
-        tlo[..., 2:] -= d
-        thi[..., 2:] += d
-    return tlo, thi
+            power = power * base
+            tables[..., k] = power[2:] if k % 2 == 0 else power[:2]
+        ends = tables[..., 2:]
+        d = np.maximum(-ends[0], ends[1])
+        d *= INFLATION
+        d += _TINY
+        ends[0] -= d
+        ends[1] += d
+    return tables
 
 
 class TermPack:
@@ -347,14 +389,15 @@ class TermPack:
 
     Terms are ordered by their number of factors, most first, so that factor
     step s of the monomial products runs over a prefix of them: `steps[s]`
-    holds that prefix's (variable, exponent) of factor s.  Column t of
-    `coeffs` holds (re, im) of term t.  The term contributions of a box are
-    laid out in four blocks of `size` columns and a zero (real lower,
-    imaginary lower, real upper, imaginary upper bounds); `gather[p, c]`
-    lists the columns summed into component c = (re_lo, re_hi, im_lo, im_hi)
-    of polynomial p, in p's sorted term order, padded with zeros.  A term
-    with a zero real (imaginary) coefficient takes no part in the real
-    (imaginary) sums.
+    holds that prefix's factor s, as the column v (max_degree + 1) + e of
+    x_v^e in the flattened power tables of a box.  Column t of `coeffs`
+    holds (re, im) of term t.  The term contributions of a box are laid out
+    in four blocks of `size` columns and a zero (real lower, imaginary lower,
+    real upper, imaginary upper bounds); `gather[s, p, c]` is the s-th
+    column summed into component c = (re_lo, re_hi, im_lo, im_hi) of
+    polynomial p, in p's sorted term order, padded with zeros.  A term with
+    a zero real (imaginary) coefficient takes no part in the real
+    (imaginary) sums.  `empty` lists the polynomials without terms.
     """
 
     __slots__ = ("dims", "max_degree", "size", "steps", "coeffs", "gather",
@@ -366,6 +409,9 @@ class TermPack:
             if len(p.terms) > MAX_TERMS:
                 raise ValueError(f"{len(p.terms)} terms: interval evaluation is "
                                  f"sound for at most {MAX_TERMS}")
+            if p.total_degree() > MAX_DEGREE:
+                raise ValueError(f"degree {p.total_degree()}: interval evaluation is "
+                                 f"sound up to degree {MAX_DEGREE}")
             for key in sorted(p.terms):
                 c = p.terms[key]
                 terms.append(([(v, e) for v, e in enumerate(key) if e], c.real, c.imag, i))
@@ -375,11 +421,11 @@ class TermPack:
         self.dims = 2 * polys[0].n
         self.max_degree = max(p.total_degree() for p in polys)
         self.size = size
-        self.steps = []
-        for s in range(len(terms[order[0]][0]) if terms else 0):
-            factors = [terms[t][0][s] for t in order if len(terms[t][0]) > s]
-            self.steps.append((np.array([v for v, _ in factors], dtype=np.intp),
-                               np.array([e for _, e in factors], dtype=np.intp)))
+        stride = self.max_degree + 1
+        self.steps = [np.array([v * stride + e for v, e in (terms[t][0][s] for t in order
+                                                            if len(terms[t][0]) > s)],
+                               dtype=np.intp)
+                      for s in range(len(terms[order[0]][0]) if terms else 0)]
         self.coeffs = np.array([[terms[t][1] for t in order],
                                 [terms[t][2] for t in order]])
         lists = []
@@ -388,10 +434,11 @@ class TermPack:
             for block, part in ((0, 1), (2, 1), (1, 2), (3, 2)):
                 lists.append([block * (size + 1) + column[t] for t in mine if terms[t][part]])
         width = max(map(len, lists))
-        self.gather = np.array([cols + [size] * (width - len(cols)) for cols in lists],
-                               dtype=np.intp).reshape(len(polys), 4, width)
+        gather = np.array([cols + [size] * (width - len(cols)) for cols in lists],
+                          dtype=np.intp).reshape(len(polys), 4, width)
+        self.gather = np.ascontiguousarray(gather.transpose(2, 0, 1))
         self.widen = INFLATION * (np.array([len(p.terms) for p in polys], dtype=float) + 1)
-        self.empty = np.array([not p.terms for p in polys])
+        self.empty = [i for i, p in enumerate(polys) if not p.terms]
 
 
 class PointPack:
@@ -459,6 +506,7 @@ class PointPack:
         return complex_array(sums[:, 0], sums[:, 1])
 
 
+@np.errstate(all="ignore")
 def _eval_box_raw(pack: TermPack, lo, hi) -> np.ndarray:
     """Enclosures (re_lo, re_hi, im_lo, im_hi) of the pack's polynomials over
     each box, shape (boxes, polynomials, 4); the boxes are the rows of `lo`,
@@ -470,6 +518,8 @@ def _eval_box_raw(pack: TermPack, lo, hi) -> np.ndarray:
     magnitude; the sums over a polynomial's k terms are not.  They are sound
     because of that slack:
 
+    * power_tables encloses every power (see its docstring), and a
+      monomial is the product of its factors' enclosures;
     * a non-constant monomial with magnitude M keeps at least
       (2^-40 - 2u) M of slack after its own product and subtraction
       roundings, and the product with the coefficient v costs u |v| M more,
@@ -486,21 +536,24 @@ def _eval_box_raw(pack: TermPack, lo, hi) -> np.ndarray:
       8191u + O(u^2), and the one u to spare against 2^-40 = 8192u absorbs
       the second-order terms dropped above.
 
-    TermPack enforces that bound once per polynomial, so this kernel carries
-    no check.  A polynomial without terms encloses to exactly 0.
+    TermPack enforces that bound, and the degree bound of power_tables,
+    once per polynomial, so this kernel carries no check.  A polynomial
+    without terms encloses to exactly 0.  A box whose powers or products
+    overflow gets inf or NaN ends (see power_tables), and no warning.
 
     The enclosure is of the polynomial as expanded: its coefficients count as
     exact, although from_expr and ZPoly.to_real rounded them to nearest.
     """
     boxes = len(lo)
     parts = _term_parts(pack, lo, hi)
-    sums = np.zeros((boxes,) + pack.gather.shape[:2])
-    for cols in np.moveaxis(pack.gather, -1, 0):
+    sums = np.zeros((boxes,) + pack.gather.shape[1:])
+    for cols in pack.gather:
         sums += parts[:, cols]
-    d = pack.widen[:, None] * np.maximum(np.abs(sums[..., 0::2]), np.abs(sums[..., 1::2])) + _TINY
+    d = pack.widen[:, None] * np.maximum(-sums[..., 0::2], sums[..., 1::2]) + _TINY
     sums[..., 0::2] -= d
     sums[..., 1::2] += d
-    sums[:, pack.empty] = 0.0
+    if pack.empty:
+        sums[:, pack.empty] = 0.0
     return sums
 
 
@@ -508,55 +561,47 @@ def _term_parts(pack: TermPack, lo, hi) -> np.ndarray:
     """The bounds of every term's real and imaginary part over each box, in
     the layout `TermPack.gather` indexes: shape (boxes, 4 (size + 1))."""
     boxes = len(lo)
-    mlo, mhi = _monomials(pack, lo, hi)
+    prods = _monomials(pack, lo, hi)[:, :, None, :] * pack.coeffs  # (2, boxes, 2, size)
     parts = np.zeros((boxes, 4, pack.size + 1))
-    low, high = parts[:, :2, :-1], parts[:, 2:, :-1]
-    np.multiply(mlo[:, None, :], pack.coeffs, out=low)
-    np.multiply(mhi[:, None, :], pack.coeffs, out=high)
-    swap = low > high
-    low[swap], high[swap] = high[swap], low[swap]
+    np.minimum(prods[0], prods[1], out=parts[:, :2, :-1])
+    np.maximum(prods[0], prods[1], out=parts[:, 2:, :-1])
     return parts.reshape(boxes, 4 * (pack.size + 1))
 
 
-def _monomials(pack: TermPack, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Enclosures [mlo, mhi] of every monomial over each box, shape
-    (boxes, size), widened after each factor; 1 for a constant term."""
+def _monomials(pack: TermPack, lo, hi) -> np.ndarray:
+    """Enclosures of every monomial over each box, shape (2, boxes, size):
+    lower ends, then upper ends, widened after each factor like the powers
+    (see power_tables); 1 for a constant term.  The first factor's ends are
+    the monomial's (its product with 1.0 is exact); after that the ends are
+    the least and greatest of the four end products."""
     lo = np.asarray(lo, dtype=float)[:, :pack.dims]
     hi = np.asarray(hi, dtype=float)[:, :pack.dims]
     boxes = len(lo)
-    tlo, thi = power_tables(lo, hi, pack.max_degree)
-    stride = pack.max_degree + 1
-    tlo = tlo.reshape(boxes, pack.dims * stride)
-    thi = thi.reshape(boxes, pack.dims * stride)
-    mlo = np.ones((boxes, pack.size))
-    mhi = np.ones((boxes, pack.size))
-    for var, exp in pack.steps:
-        k = len(var)
-        idx = var * stride + exp
-        a, b = tlo[:, idx], thi[:, idx]
-        ml, mh = mlo[:, :k], mhi[:, :k]
-        # few temporaries at a time: a level can hold thousands of boxes
-        plo = ml * a
-        phi = plo.copy()
-        for x, y in ((ml, b), (mh, a), (mh, b)):
-            p = x * y
-            np.minimum(plo, p, out=plo)
-            np.maximum(phi, p, out=phi)
-        d = np.abs(plo)
-        np.maximum(d, np.abs(phi), out=d)
+    tables = power_tables(lo, hi, pack.max_degree).reshape(
+        2, boxes, pack.dims * (pack.max_degree + 1))
+    m = np.ones((2, boxes, pack.size))
+    for step, idx in enumerate(pack.steps):
+        k = len(idx)
+        low, high = ends = tables[:, :, idx]
+        if step:
+            prods = (m[:, None, :, :k] * ends[None]).reshape(4, boxes, k)
+            low, high = prods.min(axis=0), prods.max(axis=0)
+        d = np.maximum(-low, high)
         d *= INFLATION
         d += _TINY
-        np.subtract(plo, d, out=ml)
-        np.add(phi, d, out=mh)
-    return mlo, mhi
+        np.subtract(low, d, out=m[0, :, :k])
+        np.add(high, d, out=m[1, :, :k])
+    return m
 
 
+@np.errstate(all="ignore")
 def dist_upper(enc: np.ndarray, cx=0.0, cy=0.0) -> np.ndarray:
-    """hypot of the largest real and imaginary distances from enclosures
+    """np.hypot of the largest real and imaginary distances from enclosures
     (..., 4) to cx + i cy: |value - (cx + i cy)| up to the rounding of the
-    subtractions and of hypot."""
-    return hypot(np.maximum(np.abs(enc[..., 0] - cx), np.abs(enc[..., 1] - cx)),
-                 np.maximum(np.abs(enc[..., 2] - cy), np.abs(enc[..., 3] - cy)))
+    subtractions and of hypot.  As lo <= hi, the largest distance of
+    [lo, hi] from c is max(c - lo, hi - c), up to the sign of a zero."""
+    return np.hypot(np.maximum(cx - enc[..., 0], enc[..., 1] - cx),
+                    np.maximum(cy - enc[..., 2], enc[..., 3] - cy))
 
 
 def mag_upper(enc: np.ndarray) -> np.ndarray:

@@ -92,7 +92,20 @@ class Region:
     """
 
     discs: tuple[tuple[float, float, float], ...]
+    # the discs as arrays, built once: (center_re, center_im, radius) in a
+    # row per disc, the centres' coordinates in box order, and radius^2
+    table: np.ndarray = field(init=False, repr=False, compare=False)
+    centers: np.ndarray = field(init=False, repr=False, compare=False)
+    rr: np.ndarray = field(init=False, repr=False, compare=False)
 
+    @np.errstate(all="ignore")
+    def __post_init__(self):
+        table = np.array(self.discs, dtype=float).reshape(-1, 3)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "centers", table[:, :2].ravel())
+        object.__setattr__(self, "rr", table[:, 2] * table[:, 2])
+
+    @np.errstate(all="ignore")
     def clip(self, lo, hi):
         """(lo', hi', inside) for boxes given as rows of `lo`, `hi`.
 
@@ -109,21 +122,22 @@ class Region:
         nd = min(len(self.discs), lo.shape[1] // 2)
         if nd == 0:
             return lo, hi, np.ones(len(lo), dtype=bool)
-        cx, cy, r = np.array(self.discs[:nd]).T
-        xs, ys = slice(0, 2 * nd, 2), slice(1, 2 * nd, 2)
-        dx = _max(_max(lo[:, xs] - cx, cx - hi[:, xs]), 0.0)
-        dy = _max(_max(lo[:, ys] - cy, cy - hi[:, ys]), 0.0)
-        rr = r * r
-        inside = ~(dx * dx + dy * dy >= rr * _PRUNE_GUARD).any(axis=1)
-        sx = np.sqrt(_max(rr - dy * dy, 0.0)) * _PRUNE_GUARD
-        sy = np.sqrt(_max(rr - dx * dx, 0.0)) * _PRUNE_GUARD
-        for cols, c, s in ((xs, cx, sx), (ys, cy, sy)):
-            a = _max(lo[:, cols], c - s)
-            b = _min(hi[:, cols], c + s)
-            mid = 0.5 * (a + b)
-            crossed = a > b
-            lo[:, cols] = np.where(crossed, mid, a)
-            hi[:, cols] = np.where(crossed, mid, b)
+        # x and y coordinates side by side, as in the box
+        c, rr, zlo, zhi = self.centers[:2 * nd], self.rr[:nd], lo[:, :2 * nd], hi[:, :2 * nd]
+        d = _max(_max(zlo - c, c - zhi), 0.0)
+        d2 = d * d
+        inside = ~(d2[:, 0::2] + d2[:, 1::2] >= rr * _PRUNE_GUARD).any(axis=1)
+        # the half-chord along x at distance dy from the centre, and along y at dx
+        s = np.empty_like(d)
+        s[:, 0::2] = rr - d2[:, 1::2]
+        s[:, 1::2] = rr - d2[:, 0::2]
+        s = np.sqrt(_max(s, 0.0)) * _PRUNE_GUARD
+        a = _max(zlo, c - s)
+        b = _min(zhi, c + s)
+        mid = 0.5 * (a + b)
+        crossed = a > b
+        zlo[...] = np.where(crossed, mid, a)
+        zhi[...] = np.where(crossed, mid, b)
         return lo, hi, inside
 
 
@@ -175,13 +189,21 @@ class _BoxBounds:
     Each method takes `lo`, `hi` arrays of shape (boxes, 2n), or (boxes, 4n)
     for a graph residual over w intervals, evaluates the system's
     polynomials over all boxes with one call of _eval_box_raw, and returns
-    one bound per box, computed in the order of a loop over one box.
+    one bound per box, computed in the order of a loop over one box.  Every
+    operation is a plain numpy one, applied to whole arrays: products, sums
+    and square roots are correctly rounded, and magnitudes are np.hypot, the
+    C library's hypot, which is within 1 ulp (the budget math.hypot was
+    given before) and the same bits for an element wherever it sits in the
+    batch.  Boxes whose enclosures overflow get infinite bounds, still
+    sound, or NaN ones, which no comparison takes for a proof (see
+    realpoly.power_tables), and no warning.
 
     Rounding (u = 2^-53, I = INFLATION = 2^-40 = 8192u, n <= MAX_N so that
     rows <= 2n <= 360).  The enclosures of _eval_box_raw contain the true
     ranges with room to spare: after the summation error is paid, their final
     widening leaves at least (k + 1/2) I >= 1.5 I of each component's
-    magnitude on both sides (see its docstring).
+    magnitude on both sides (see its docstring).  Below, "hypot" is np.hypot
+    and errs by at most 1 ulp, 2u of its result.
 
     * m_lower.  Each |B_rj|^2 is at least mig(re)^2 + mig(im)^2; three
       roundings compute that and a fourth the product with (1 - I), so the
@@ -194,7 +216,7 @@ class _BoxBounds:
       (addition) of two ends and the sum over the rows, (rows + 1)u of the
       magnitudes, stay within that, so the computed real and imaginary
       ranges of H_ji contain the true ones.  The factor (1 + 4 I) then covers
-      math.hypot (under 1 ulp), the sum over i (n - 2 roundings) and its own
+      hypot (under 1 ulp), the sum over i (n - 2 roundings) and its own
       product, for n up to 32,765.
       For n = 2 the bound is also taken from the closed form
       lambda_min = (a + d)/2 - sqrt(((a - d)/2)^2 + |b|^2) of the Hermitian
@@ -239,31 +261,41 @@ class _BoxBounds:
       roots before the product for that reason).  The smaller of Frobenius
       and the new bound is kept for each Levi matrix.
     * residual_upper.  Every term is a non-negative sum of correctly rounded
-      operations (or within 1 ulp, for math.hypot), about rows + 4 of them,
+      operations (or within 1 ulp, for hypot), about rows + 4 of them,
       which the final (1 + I) covers.
     """
 
-    __slots__ = ("sys", "packs")
+    __slots__ = ("sys", "packs", "conj_cols", "cols")
 
     def __init__(self, sys: ProblemSystem):
         if sys.n > MAX_N:
             raise ValueError(f"n = {sys.n}: box bounds are sound for n <= {MAX_N}")
         self.sys = sys
         self.packs = sys.packs
+        # for each off-diagonal entry H[j, i] of B* B, i != j in order: the
+        # columns of a dbar row's enclosures that give the ends of Re and Im
+        # of conj(B[r, j]) (Im negated: (-ihi, -ilo)) and of B[r, i]
+        j, i = np.array([(j, i) for j in range(sys.n) for i in range(sys.n) if i != j],
+                        dtype=np.intp).reshape(-1, 2).T
+        self.conj_cols = 4 * j[:, None] + np.array([0, 1, 3, 2])
+        self.cols = 4 * i[:, None] + np.arange(4)
 
     def values(self, lo, hi) -> np.ndarray:
         """Enclosures of the defining functions, shape (boxes, rows, 4)."""
         return _eval_box_raw(self.packs["value"], lo, hi)
 
+    @np.errstate(all="ignore")
     def m_lower(self, lo, hi) -> np.ndarray:
         """Lower bounds of lambda_min(B* B) over the boxes (see _m)."""
         return self._m(_eval_box_raw(self.packs["dzbar"], lo, hi))
 
+    @np.errstate(all="ignore")
     def L_upper(self, lo, hi) -> np.ndarray:
         """Upper bounds of the numerical radius of every Levi matrix over the
         boxes (see _L)."""
         return self._L(_eval_box_raw(self.packs["levi"], lo, hi))
 
+    @np.errstate(all="ignore")
     def residual_upper(self, lo, hi, w_discs=None) -> np.ndarray:
         """Upper bounds of the residual sum over the boxes.
 
@@ -272,6 +304,7 @@ class _BoxBounds:
         """
         return self._residual(self.values(lo, hi), lo, hi, w_discs)
 
+    @np.errstate(all="ignore")
     def tube(self, lo, hi, w_discs):
         """(m_lower, L_upper, residual_upper) over the boxes, from one
         evaluation of all the system's polynomials."""
@@ -287,31 +320,31 @@ class _BoxBounds:
         rectangle products so that sign cancellation between rows survives.
         Gershgorin turns them into one bound; for n = 2 the closed form of
         the 2x2 eigenvalue is used where it is larger."""
-        n = self.sys.n
-        ents = ents.reshape(len(ents), self.sys.rows, n, 4)
-        rlo, rhi, ilo, ihi = np.moveaxis(ents, -1, 0)
-        re_mig = np.where((rlo <= 0.0) & (0.0 <= rhi), 0.0,
-                          np.minimum(np.abs(rlo), np.abs(rhi)))
-        im_mig = np.where((ilo <= 0.0) & (0.0 <= ihi), 0.0,
-                          np.minimum(np.abs(ilo), np.abs(ihi)))
-        best = sequential_sum((re_mig * re_mig + im_mig * im_mig) * (1.0 - INFLATION),
-                              axis=1)
+        n, rows, boxes = self.sys.n, self.sys.rows, len(ents)
+        ents = ents.reshape(boxes, rows, n, 4)
+        # the least magnitudes of the real and imaginary parts, max(lo, -hi, 0)
+        mig = np.maximum(np.maximum(ents[..., 0::2], -ents[..., 1::2]), 0.0)
+        sq = mig * mig
+        best = sequential_sum((sq[..., 0] + sq[..., 1]) * (1.0 - INFLATION), axis=1)
         if n > 1:
-            # H[j,i] = sum_r conj(B[r,j]) * B[r,i], for i != j in order
-            j, i = np.array([(j, i) for j in range(n) for i in range(n) if i != j]).T
-            alo, ahi, blo, bhi = np.moveaxis(ents[:, :, j], -1, 0)
-            blo, bhi = -bhi, -blo  # conjugate
-            clo, chi, dlo, dhi = np.moveaxis(ents[:, :, i], -1, 0)
-            # real: a*c - b*d; imag: a*d + b*c
-            p_lo, p_hi = _product_range(alo, ahi, clo, chi)
-            q_lo, q_hi = _product_range(blo, bhi, dlo, dhi)
-            hr_lo = sequential_sum(p_lo - q_hi, axis=1)
-            hr_hi = sequential_sum(p_hi - q_lo, axis=1)
-            p_lo, p_hi = _product_range(alo, ahi, dlo, dhi)
-            q_lo, q_hi = _product_range(blo, bhi, clo, chi)
-            hi_lo = sequential_sum(p_lo + q_lo, axis=1)
-            hi_hi = sequential_sum(p_hi + q_hi, axis=1)
-            off = hypot(_mag(hr_lo, hr_hi), _mag(hi_lo, hi_hi))
+            # H[j,i] = sum_r conj(B[r,j]) * B[r,i]: with a + ib = conj(B[r,j])
+            # and c + id = B[r,i], real part a*c - b*d, imaginary part a*d + b*c;
+            # the four end products of each of a*c, a*d, b*c, b*d at once
+            flat = ents.reshape(boxes, rows, 4 * n)
+            pairs = len(self.cols)
+            ab = flat[:, :, self.conj_cols] * _CONJ
+            cd = flat[:, :, self.cols]
+            prods = (ab.reshape(boxes, rows, pairs, 2, 1, 2, 1)
+                     * cd.reshape(boxes, rows, pairs, 1, 2, 1, 2)).reshape(
+                         boxes, rows, pairs, 2, 2, 4)
+            plo, phi = prods.min(axis=-1), prods.max(axis=-1)
+            h = np.empty((boxes, rows, pairs, 4))  # ends of Re, then of Im
+            np.subtract(plo[..., 0, 0], phi[..., 1, 1], out=h[..., 0])
+            np.subtract(phi[..., 0, 0], plo[..., 1, 1], out=h[..., 1])
+            np.add(plo[..., 0, 1], plo[..., 1, 0], out=h[..., 2])
+            np.add(phi[..., 0, 1], phi[..., 1, 0], out=h[..., 3])
+            h = sequential_sum(h, axis=1)
+            off = np.hypot(_mag(h[..., 0], h[..., 1]), _mag(h[..., 2], h[..., 3]))
             if n == 2:
                 # H10 = conj(H01), and its enclosure is H01's mirrored (the
                 # same endpoint products, summed in the same order), so the
@@ -343,38 +376,36 @@ class _BoxBounds:
     def _residual(self, vals: np.ndarray, lo, hi, w_discs) -> np.ndarray:
         sys = self.sys
         if sys.kind == GRAPH and w_discs is not None:
-            cx, cy, r = np.array(w_discs, dtype=float).T
+            cx, cy, r = np.asarray(w_discs, dtype=float).T
             terms = dist_upper(vals, cx, cy) + r
         elif sys.kind == GRAPH:
             lo = np.asarray(lo, dtype=float)
             hi = np.asarray(hi, dtype=float)
             if lo.shape[1] != 4 * sys.n:
                 raise ValueError("graph residual bound needs w intervals or w discs")
-            rlo, rhi, ilo, ihi = np.moveaxis(vals, -1, 0)
+            rlo, rhi, ilo, ihi = vals[..., 0], vals[..., 1], vals[..., 2], vals[..., 3]
             w_lo, w_hi = lo[:, 2 * sys.n:], hi[:, 2 * sys.n:]
-            terms = hypot(_mag(rlo - w_hi[:, 0::2], rhi - w_lo[:, 0::2]),
-                          _mag(ilo - w_hi[:, 1::2], ihi - w_lo[:, 1::2]))
+            terms = np.hypot(_mag(rlo - w_hi[:, 0::2], rhi - w_lo[:, 0::2]),
+                             _mag(ilo - w_hi[:, 1::2], ihi - w_lo[:, 1::2]))
         else:
             terms = mag_upper(vals)
         return sequential_sum(terms, axis=1) * (1.0 + INFLATION)
 
 
-def _product_range(alo, ahi, clo, chi):
-    """Least and greatest of the four endpoint products of [alo, ahi] * [clo, chi]."""
-    p1, p2, p3, p4 = alo * clo, alo * chi, ahi * clo, ahi * chi
-    return (np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)),
-            np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)))
+# signs that turn the ends (rlo, rhi, ihi, ilo) of an entry into those of its conjugate
+_CONJ = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 def _mag(lo, hi):
-    """max(|lo|, |hi|), the largest magnitude in [lo, hi]."""
-    return np.maximum(np.abs(lo), np.abs(hi))
+    """max(-lo, hi), the largest magnitude in [lo, hi] (lo <= hi), up to the
+    sign of a zero."""
+    return np.maximum(-lo, hi)
 
 
 def _eig2_min_lower(a, d, b):
     """Lower bounds of lambda_min of every Hermitian [[a', b'], [conj b', d']]
     with a' >= a >= 0, d' >= d >= 0 and |b'| <= b (rounding: see _BoxBounds)."""
-    twice = (a + d) * (1.0 - INFLATION) - hypot(a - d, 2.0 * b)
+    twice = (a + d) * (1.0 - INFLATION) - np.hypot(a - d, 2.0 * b)
     return np.where(twice > _TINY, 0.5 * twice, 0.0)
 
 
@@ -385,22 +416,23 @@ def _levi2_upper(e: np.ndarray) -> np.ndarray:
     w(A) <= rho(H) + ||K||_F for H = (A + A*)/2 and K = (A - A*)/2, and
     2 rho(H) = |a + d| + hypot(a - d, 2|H01|) for a = H00, d = H11.
     """
-    rlo, rhi, ilo, ihi = np.moveaxis(e, -1, 0)
+    rlo, rhi, ilo, ihi = e[..., 0], e[..., 1], e[..., 2], e[..., 3]
     # 2 H01 = A01 + conj(A10), 2 K01 = A01 - conj(A10)
-    h01 = hypot(_mag(rlo[..., 1] + rlo[..., 2], rhi[..., 1] + rhi[..., 2]),
-                _mag(ilo[..., 1] - ihi[..., 2], ihi[..., 1] - ilo[..., 2]))
-    k01 = hypot(_mag(rlo[..., 1] - rhi[..., 2], rhi[..., 1] - rlo[..., 2]),
-                _mag(ilo[..., 1] + ilo[..., 2], ihi[..., 1] + ihi[..., 2]))
+    h01 = np.hypot(_mag(rlo[..., 1] + rlo[..., 2], rhi[..., 1] + rhi[..., 2]),
+                   _mag(ilo[..., 1] - ihi[..., 2], ihi[..., 1] - ilo[..., 2]))
+    k01 = np.hypot(_mag(rlo[..., 1] - rhi[..., 2], rhi[..., 1] - rlo[..., 2]),
+                   _mag(ilo[..., 1] + ilo[..., 2], ihi[..., 1] + ihi[..., 2]))
     # both eigenvalues grow with a and d, so the largest |eigenvalue| over
     # the box is taken with a, d both at their upper or both at their lower ends
     rho = np.maximum(
-        np.abs(rhi[..., 0] + rhi[..., 3]) + hypot(rhi[..., 0] - rhi[..., 3], h01),
-        np.abs(rlo[..., 0] + rlo[..., 3]) + hypot(rlo[..., 0] - rlo[..., 3], h01))
-    skew = hypot(hypot(_mag(ilo[..., 0], ihi[..., 0]), _mag(ilo[..., 3], ihi[..., 3])),
-                 k01)
+        np.abs(rhi[..., 0] + rhi[..., 3]) + np.hypot(rhi[..., 0] - rhi[..., 3], h01),
+        np.abs(rlo[..., 0] + rlo[..., 3]) + np.hypot(rlo[..., 0] - rlo[..., 3], h01))
+    skew = np.hypot(np.hypot(_mag(ilo[..., 0], ihi[..., 0]), _mag(ilo[..., 3], ihi[..., 3])),
+                    k01)
     return (0.5 * rho + skew) * (1.0 + INFLATION)
 
 
+@np.errstate(all="ignore")
 def _tube_holds(m_lo, L_up, r_up, c: float, margin: float):
     """The strict, division-free tube test r_up < m_lo (1 - margin) / (c L_up),
     box by box."""
@@ -415,7 +447,7 @@ def _w_discs(sys: ProblemSystem, dim: int, region: Region | None):
     if dim != 2 * sys.n or region is None or len(region.discs) != 2 * sys.n:
         raise ValueError("graph tube checks take a z-box and a region with "
                          f"{sys.n} z discs and {sys.n} w discs")
-    return region.discs[sys.n:]
+    return region.table[sys.n:]
 
 
 # -- public one-shot bound API ------------------------------------------------
@@ -479,7 +511,7 @@ def probe_points(lo, hi, region: Region | None) -> np.ndarray:
     pts = 0.5 * (lo + hi)
     nd = 0 if region is None else min(len(region.discs), lo.shape[1] // 2)
     if nd:
-        cx, cy, r = np.array(region.discs[:nd]).T
+        cx, cy, r = region.table[:nd].T
         inside = (hypot(pts[:, 0:2 * nd:2] - cx, pts[:, 1:2 * nd:2] - cy)
                   < r * (1.0 - _WITNESS_PULL)).all(axis=1)
         out = ~inside

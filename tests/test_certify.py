@@ -290,8 +290,12 @@ def _widen_w_disc(data):
     data["omega"]["w"]["radii"] = [10 * r for r in data["omega"]["w"]["radii"]]
 
 
+def _tube_as_list(data):
+    data["checks"]["omega_in_tube"] = data["checks"]["omega_in_tube"]["leaves"]
+
+
 @pytest.mark.parametrize("tamper", [_swap_leaves, _raise_leaf, _text_depth,
-                                    _move_leaf_box, _widen_w_disc])
+                                    _move_leaf_box, _widen_w_disc, _tube_as_list])
 def test_replay_rejects_tampered_tube_tree(wermer_pass_cert, tamper):
     data = _pass_dict(wermer_pass_cert)
     assert [leaf["depth"] for leaf in data["checks"]["omega_in_tube"]["leaves"][:3]] == [9, 9, 10]
@@ -506,3 +510,21 @@ def test_certificate_written_before_closed_forms_replays():
     assert data["format"] == "prc-certificate/2"
     assert len(data["checks"]["omega_in_tube"]["leaves"]) == 86
     assert replay_certificate(certificate_from_dict(data))
+
+
+def test_certificate_written_before_product_chain_powers_replays():
+    """A prc-certificate/3 file of Wermer r=0.3 written while the box kernels
+    took powers from float ** int and magnitudes from math.hypot: the tree
+    is today's, some leaf bounds differ in their last bits, and every
+    recorded leaf still proves."""
+    path = Path(__file__).parent / "data" / "wermer_r0.3.cert.json"
+    data = json.loads(path.read_text())
+    assert data["format"] == "prc-certificate/3"
+    leaves = data["checks"]["omega_in_tube"]["leaves"]
+    assert len(leaves) == 330
+    assert replay_certificate(certificate_from_dict(data))
+    sys_, K, _, _ = load_manifest(dict(data["problem"], options=None))
+    fresh = _pass_dict(certify(sys_, K, max_depth=30, node_budget=150_000))
+    fresh = fresh["checks"]["omega_in_tube"]["leaves"]
+    assert [leaf["box"] for leaf in fresh] == [leaf["box"] for leaf in leaves]
+    assert fresh != leaves

@@ -104,6 +104,18 @@ def test_non_finite_coefficient_exit_2(tmp_path, capsys, f):
     assert "function #1 has a non-finite coefficient" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radius", [1e100, 1e40])
+def test_overflowing_disc_exit_2(tmp_path, capsys, radius):
+    """Wermer over a disc so large that its powers leave the doubles: the box
+    bounds give inf or NaN, which proves nothing, and the pointwise probe's
+    float ** int overflows, which the CLI reports as an input error."""
+    path = _write(tmp_path, "w.json", _wermer_manifest(radius))
+    assert main(["certify", path, "--out", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: floating-point overflow")
+    assert "Traceback" not in err
+
+
 def test_unknown_manifest_key_exit_2(tmp_path):
     m = _wermer_manifest()
     m["surprise"] = 1
@@ -361,25 +373,29 @@ def _wermer_bench_manifest(r, node_budget):
 # when certificates became prc-certificate/3 with the tube tree's split
 # scale; of them only the trees of wermer_r0.33 (a FAIL, found sooner by
 # midpoint probes) and cap_r1.285 (bisected by the scale) changed.
+# wermer_r0.3, wermer_r0.305 and cap_r1.285, and the /2 digests of the two
+# Wermer problems, were re-recorded when the box kernels moved to product-chain
+# powers and the C library's hypot: some leaf bounds changed in their last
+# bits, with the same trees, verdicts and omega.
 GOLDEN_CERTIFICATES = [
     ("wermer_r0.3", _wermer_bench_manifest(0.3, 150_000), 0,
-     "a2134ee4fc7bf43714c471f9e367dfe6d64f9312d5b7c83326a4afe79fb91496"),
+     "a5a5728ebea042d5ded626b99755f153ba9f82fcd2143ea9e6e1dcf9aa5db674"),
     ("wermer_r0.33", _wermer_bench_manifest(0.33, 150_000), 3,
      "d8534be7c40eec635cd8596fb145fcb1ac1cee9f2d48472acfe3732b52311cf3"),
     ("wermer_r0.305", _wermer_bench_manifest(0.305, 40_000), 0,
-     "79fc5f9bf303b7db90ff7c51bd63ddcec664982b350e83fe98f9471bb03e74e7"),
+     "a406beb6250003d274ddee1876d21f42036cd2953ea31146ff96cce60b907afe"),
     ("cap_r1.0", cap_manifest(1.0), 0,
      "4c399ba8c5b17e0fdd37c5786a3d2813187eda6c40d64404d58d816d28a18bfa"),
     ("cap_r1.285", cap_manifest(1.285), 0,
-     "da486464e301226f2719c443bab62369c28d2aff0b4daf10345f94e069f57586"),
+     "1c9872ed2ee4e91fefc852b0252ed913f25cd01bb260dabb1d7ad8640c648f6a"),
 ]
 
 # The prc-certificate/2 digests of the problems whose trees the split scale
 # leaves alone: the Wermer scales are equal in x and y, and cap 1.0 proves at
 # its root.
 FORMAT_2_DIGESTS = {
-    "wermer_r0.3": "dee232994bddbbff5cd181576de96941e8cd137e5d15c8f68eeda51261db4d23",
-    "wermer_r0.305": "af4785c0ff62b987f5c60062c26d866f353105dea025707af4e5020cf3b7eb15",
+    "wermer_r0.3": "5ed0f5f7f8da9427359f27a24eee6a08bc241d2009262a01601d9f237c0abc96",
+    "wermer_r0.305": "8a7c558a8b5ffe19151e2d2739f07d180aa4285a823b9572481ba1e96575167e",
     "cap_r1.0": "4dde7918315ebbee3f15268f086707cffdd6a74ebc12db7f2bfc0ec08452dc70",
 }
 

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -10,11 +11,13 @@ import pytest
 from conftest import random_system, wermer_m_closed
 from prc import ProblemSystem
 from prc.intervals import INFLATION, ParamBox
-from prc.realpoly import MAX_TERMS, RealPoly, _eval_box_raw
+from prc import realpoly, rigor, trgeom
+from prc.realpoly import (MAX_DEGREE, MAX_TERMS, RealPoly, TermPack, _eval_box_raw,
+                          power_tables)
 from prc.rigor import (FAILED, INCONCLUSIVE, MAX_N, PROVED, Region, _BoxBounds,
                        _eig2_min_lower, _levi2_upper, bound_L_above, bound_m_below,
-                       bound_residual_above, check_leaf, split_coords, split_scale,
-                       subdivide, verify_box, verify_totally_real)
+                       bound_residual_above, check_leaf, check_leaves, split_coords,
+                       split_scale, subdivide, verify_box, verify_totally_real)
 from prc.trgeom import GRAPH, bbar_matrix, big_l_value, m_value, numerical_radius
 
 
@@ -328,6 +331,115 @@ def test_rounding_guard_caps_term_count():
         big.eval_box(ParamBox(1, (0.0, 0.0), (0.5, 0.5)))
 
 
+def test_rounding_guard_caps_degree():
+    ok = RealPoly(1, {(MAX_DEGREE, 0): 1.0 + 0j, (0, 1): 1.0 + 0j})
+    assert ok.pack().max_degree == MAX_DEGREE
+    big = RealPoly(1, {(MAX_DEGREE - 1, 2): 1.0 + 0j})
+    with pytest.raises(ValueError):
+        big.pack()
+    with pytest.raises(ValueError):
+        TermPack([ok, big])
+
+
+def _exact_power_range(lo, hi, k):
+    """The exact range of x^k over [lo, hi], in rationals."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if k % 2:
+        return lo ** k, hi ** k
+    mig = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+    return mig ** k, max(abs(lo), abs(hi)) ** k
+
+
+def test_power_tables_enclose_exact_powers():
+    """Every power up to degree 12 of dyadic intervals (straddling 0, of tiny
+    and of large magnitude, degenerate) lies in its product-chain table
+    entry, checked exactly in rationals."""
+    rng = np.random.default_rng(47)
+    count = 60
+    scale = 2.0 ** rng.choice([-340, -90, -3, 0, 4, 60, 80], (count, 2))
+    lo = rng.integers(-2 ** 20, 2 ** 20, (count, 2)) * scale / 2 ** 20
+    hi = lo + rng.integers(0, 2 ** 20, (count, 2)) * scale / 2 ** 20
+    hi[:10, 0] = lo[:10, 0]
+    lo[10:20, 1], hi[10:20, 1] = -np.abs(lo[10:20, 1]), np.abs(hi[10:20, 1])
+    tables = power_tables(lo, hi, 12)
+    assert tables.shape == (2, count, 2, 13)
+    assert (tables[:, :, :, 0] == 1.0).all()
+    assert (tables[0, :, :, 1] == lo).all() and (tables[1, :, :, 1] == hi).all()
+    for b, v in itertools.product(range(count), range(2)):
+        for k in range(2, 13):
+            want_lo, want_hi = _exact_power_range(lo[b, v], hi[b, v], k)
+            assert Fraction(tables[0, b, v, k]) <= want_lo
+            assert want_hi <= Fraction(tables[1, b, v, k])
+
+
+def test_power_tables_are_product_chains():
+    """Each end before its widening is x^(k-1) * x, one rounding per factor,
+    whatever the batch: not numpy's ** or the C library's pow."""
+    rng = np.random.default_rng(48)
+    lo = rng.uniform(-3.0, 2.0, (300, 3))
+    hi = lo + rng.uniform(0.0, 2.0, (300, 3))
+    tables = power_tables(lo, hi, 9)
+    for b, v in itertools.product(range(0, 300, 7), range(3)):
+        a, c = lo[b, v], hi[b, v]
+        mig = 0.0 if a <= 0.0 <= c else min(abs(a), abs(c))
+        for k in range(2, 10):
+            x, y = (mig, max(abs(a), abs(c))) if k % 2 == 0 else (a, c)
+            x, y = _chain(x, k), _chain(y, k)
+            d = INFLATION * max(abs(x), abs(y)) + 1e-300
+            assert (tables[0, b, v, k], tables[1, b, v, k]) == (x - d, y + d)
+
+
+def test_overflowing_boxes_never_prove_and_raise_nothing(wermer, graph_n2, example2):
+    """Boxes so far out that their powers overflow get inf or NaN bounds:
+    no kernel raises or warns, and the tube test proves none of them."""
+    rng = np.random.default_rng(49)
+    for sys_ in (wermer, graph_n2, example2):
+        dims = 2 * sys_.n
+        lo = rng.uniform(1.0, 9.0, (12, dims)) * 10.0 ** rng.integers(110, 150, (12, dims))
+        lo *= rng.choice([-1.0, 1.0], (12, dims))
+        hi = lo + np.abs(lo) * rng.uniform(0.0, 0.5, (12, dims))
+        lo[:3], hi[:3] = -1e150, 1e150
+        region = None
+        if sys_.kind == GRAPH:
+            region = Region(((0.0, 0.0, 1e300),) * sys_.n + ((0.0, 0.0, 1.0),) * sys_.n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bb = _BoxBounds(sys_)
+            m, L, r = bb.tube(lo, hi, None if region is None else region.discs[sys_.n:])
+            assert not np.isfinite(r).any()
+            bb.values(lo, hi)
+            bb.m_lower(lo, hi)
+            bb.L_upper(lo, hi)
+            assert region is None or region.clip(lo, hi)[2].all()
+            assert not check_leaves(sys_, lo, hi, 1e-6, region).any()
+
+
+def test_box_kernels_make_no_per_element_python_calls(monkeypatch, wermer, graph_n2,
+                                                      example2):
+    """The box bounds and the clip are plain numpy arithmetic: none of them
+    goes through the per-element helpers of the pointwise probes."""
+    def refuse(*args):
+        raise AssertionError("per-element Python arithmetic in a box kernel")
+
+    for module in (realpoly, rigor, trgeom):
+        for name in ("_pow", "hypot", "cabs"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(math, "hypot", refuse)
+    monkeypatch.setattr(realpoly, "pow", refuse, raising=False)
+    rng = np.random.default_rng(50)
+    systems = [wermer, graph_n2, example2, ProblemSystem.graph(["conj(z1) + z2*z3",
+                                                                "conj(z2)", "conj(z3)^2"], 3)]
+    for sys_ in systems:
+        lo, hi = _random_boxes(rng, 2 * sys_.n, 20)
+        bb = _BoxBounds(sys_)
+        w_discs = ((0.1, 0.2, 0.5),) * sys_.n if sys_.kind == GRAPH else None
+        bb.tube(lo, hi, w_discs)
+        bb.values(lo, hi)
+        bb.m_lower(lo, hi)
+        Region(((0.0, 0.1, 0.8),) * (2 * sys_.n)).clip(lo, hi)
+
+
 def test_box_bounds_refuse_systems_beyond_rounding_argument():
     with pytest.raises(ValueError):
         _BoxBounds(SimpleNamespace(n=MAX_N + 1))
@@ -337,6 +449,14 @@ def test_box_bounds_refuse_systems_beyond_rounding_argument():
 # batched kernels: one-box reference, batching invariance, exact oracle
 # ---------------------------------------------------------------------------
 
+def _chain(x, k):
+    """x^k as the product chain x^(k-1) * x, one rounding per product."""
+    p = x
+    for _ in range(k - 1):
+        p = p * x
+    return p
+
+
 def _scalar_enclosure(p, lo, hi):
     """(re_lo, re_hi, im_lo, im_hi) of p over one box by a plain loop: the
     reference the batched _eval_box_raw must match bit for bit."""
@@ -345,9 +465,9 @@ def _scalar_enclosure(p, lo, hi):
             return a, b
         if k % 2 == 0:
             mig = 0.0 if a <= 0.0 <= b else min(abs(a), abs(b))
-            a, b = mig ** k, max(abs(a), abs(b)) ** k
+            a, b = _chain(mig, k), _chain(max(abs(a), abs(b)), k)
         else:
-            a, b = a ** k, b ** k
+            a, b = _chain(a, k), _chain(b, k)
         d = INFLATION * max(abs(a), abs(b)) + 1e-300
         return a - d, b + d
 
@@ -582,7 +702,8 @@ def _gershgorin_frobenius(sys_, lo, hi):
     """(m_lower, L_upper) of one box from the Gershgorin bound of
     lambda_min(B* B) and the Frobenius norm of each Levi matrix, one scalar
     operation at a time in the order of the batched kernel: the bounds the
-    kernel took before the 2x2 closed forms, bit for bit."""
+    kernel took before the 2x2 closed forms, bit for bit.  Magnitudes are
+    abs(complex(x, y)), the C library's hypot, as np.hypot is."""
     n, I = sys_.n, INFLATION
     dz = _eval_box_raw(sys_.packs["dzbar"], [lo], [hi])[0].tolist()
     B = [dz[r * n:(r + 1) * n] for r in range(sys_.rows)]
@@ -615,14 +736,14 @@ def _gershgorin_frobenius(sys_, lo, hi):
                 p, q = prod(alo, ahi, dlo, dhi), prod(blo, bhi, clo, chi)
                 hi_lo += p[0] + q[0]
                 hi_hi += p[1] + q[1]
-            off += math.hypot(max(abs(hr_lo), abs(hr_hi)), max(abs(hi_lo), abs(hi_hi)))
+            off += abs(complex(max(abs(hr_lo), abs(hr_hi)), max(abs(hi_lo), abs(hi_hi))))
         m = min(m, diag - off * (1.0 + 4.0 * I) if n > 1 else diag)
     levi = _eval_box_raw(sys_.packs["levi"], [lo], [hi])[0].tolist()
     L = 0.0
     for r in range(sys_.rows):
         fro2 = 0.0
         for rlo, rhi, ilo, ihi in levi[r * n * n:(r + 1) * n * n]:
-            mag = math.hypot(max(abs(rlo), abs(rhi)), max(abs(ilo), abs(ihi))) * (1.0 + I)
+            mag = abs(complex(max(abs(rlo), abs(rhi)), max(abs(ilo), abs(ihi)))) * (1.0 + I)
             fro2 += mag * mag
         L = max(L, math.sqrt(fro2) * (1.0 + I))
     return (m if m > 0.0 else 0.0), L
