@@ -262,7 +262,6 @@ def _check_k_in_omega(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec,
     # ... and F(D) inside omega_w, by adaptive enclosure refinement
     prune = _region_discs(K.regions)
     bb = _BoxBounds(sys)
-    w_discs = list(zip(omega.w_center, omega.w_radii))
     centers = np.array(omega.w_center)
     radii = np.array(omega.w_radii)
 
@@ -275,14 +274,14 @@ def _check_k_in_omega(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec,
         # pointwise check before splitting: a graph point (over a parameter
         # inside D) outside omega_w is a definite failure
         pts = rigor.probe_points(lo[missed], hi[missed], prune)
-        for i, pt, fv in zip(missed.tolist(), pts.tolist(), sys.evaluate("value", pts)):
+        fv = sys.evaluate("value", pts)
+        off = np.hypot(fv.real - centers.real, fv.imag - centers.imag) >= radii * (1.0 - 1e-12)
+        for i, pt, f, bad in zip(missed.tolist(), pts.tolist(), fv.tolist(), off.tolist()):
             out[i] = (INCONCLUSIVE, None, None)
-            for nu, (oc, orad) in enumerate(w_discs):
-                if abs(fv[nu] - oc) >= orad * (1.0 - 1e-12):
-                    out[i] = (FAILED, None, {
-                        "z": [pt[k:k + 2] for k in range(0, len(pt), 2)],
-                        "w": [[float(v.real), float(v.imag)] for v in fv], "coordinate": nu})
-                    break
+            if any(bad):
+                out[i] = (FAILED, None, {
+                    "z": [pt[k:k + 2] for k in range(0, len(pt), 2)],
+                    "w": [[v.real, v.imag] for v in f], "coordinate": bad.index(True)})
         return out
 
     lo, hi = _region_bbox(K.regions)

@@ -202,8 +202,8 @@ def cmd_reproduce(args) -> int:
         params["max_depth"] = args.max_depth
     if args.margin is not None:
         params["margin"] = args.margin
-    if args.inflation is not None and args.name == "wermer":
-        params["inflation"] = args.inflation
+    if args.inflation is not None:  # graph_over_r2 calls its inflation eps
+        params["inflation" if args.name == "wermer" else "eps"] = args.inflation
     report = reproduce_example(args.name, params)
     _dump_json(report, args.out)
     return EXIT_OK

@@ -273,6 +273,8 @@ def probe(cloud: SampleCloud, q: Sequence[complex], degree: int,
         raise ValueError("degree must be >= 1")
     if angles < 8:
         raise ValueError("angles must be >= 8")
+    if not 0.0 <= margin < math.inf:
+        raise ValueError(f"margin must be finite and >= 0, got {margin!r}")
     q = np.asarray(q, dtype=np.complex128)
     if q.shape != (cloud.ambient_dim,):
         raise ValueError(f"query point has dimension {q.shape}, "
@@ -355,12 +357,6 @@ def _ratio(coeffs: np.ndarray, mvals: np.ndarray, qvals: np.ndarray) -> float:
     if cloud_max == 0.0:
         return math.inf if at_q > 0 else 0.0
     return at_q / cloud_max
-
-
-def evaluate_polynomial(result: SeparationResult, points: np.ndarray) -> np.ndarray:
-    """Evaluate the separating polynomial on arbitrary ambient points."""
-    return _monomial_values(np.asarray(points, dtype=np.complex128),
-                            result.monomials) @ result.coefficients
 
 
 def fragility_check(result: SeparationResult, q: Sequence[complex],

@@ -12,14 +12,16 @@ For interval bounds a polynomial is expanded in the 2n real coordinates
 RealPoly.  In this form the correlated occurrences of z_j and conj(z_j)
 combine in coefficient arithmetic (rounded to nearest), before any interval
 is formed, which is what makes the interval bounds downstream usable.  Point
-values, of one polynomial or of many at many points, all come from PointPack.
+values, of one polynomial or of many at many points, all come from PointPack,
+in the plain numpy arithmetic of the interval kernels (product-chain powers,
+left-to-right sums, each polynomial's terms in sorted key order), so they
+depend neither on a point's batch nor on the order a polynomial's terms were
+inserted in.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from typing import Sequence
 
 import numpy as np
@@ -258,11 +260,13 @@ def real_coords(z: Sequence[complex]) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Batched interval kernels (hot path for the rigor module)
+# Batched kernels (hot path for the rigor module)
 #
-# Every kernel takes `lo`, `hi` arrays of shape (boxes, coordinates) and
-# evaluates all boxes at once, in the operation order of a loop over one box,
-# so each box's bounds are bit-identical however the boxes are batched:
+# Every interval kernel takes `lo`, `hi` arrays of shape (boxes, coordinates)
+# and evaluates all boxes at once, in the operation order of a loop over one
+# box, so each box's bounds are bit-identical however the boxes are batched.
+# PointPack and the pointwise quantities of trgeom and rigor do the same over
+# points, by the same rules:
 #
 # * sums run left to right (a loop over the terms, or np.add.accumulate along
 #   the summed axis; never the pairwise np.sum);
@@ -276,34 +280,11 @@ def real_coords(z: Sequence[complex]) -> list[float]:
 #   taken in absolute value, added to a sum that starts from +0.0, or followed
 #   by subtracting a positive widening).
 #
-# The kernels run under np.errstate: a box far enough out that a power
-# overflows gets infinite bounds, still sound, or NaN ones, which prove
-# nothing, and no warning.
-#
-# The pointwise probes of rigor and trgeom are another matter: they compute
-# bit for bit what Python's scalar arithmetic does, through _pow, hypot and
-# cabs below, one element at a time.
+# The interval kernels run under np.errstate: a box far enough out that a
+# power overflows gets infinite bounds, still sound, or NaN ones, which prove
+# nothing, and no warning.  The pointwise ones raise OverflowError instead
+# (finite_or_overflow): a probe value that left the doubles is no evidence.
 # ---------------------------------------------------------------------------
-
-def _pow(x: np.ndarray, k: int) -> np.ndarray:
-    """x ** k element by element, exactly as Python's float ** int."""
-    return np.fromiter(map(pow, x.ravel().tolist(), itertools.repeat(k)),
-                       float, x.size).reshape(x.shape)
-
-
-def hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """math.hypot element by element (the probes' test of a point against a
-    disc; the box kernels take np.hypot)."""
-    return np.fromiter(map(math.hypot, x.ravel().tolist(), y.ravel().tolist()),
-                       float, x.size).reshape(x.shape)
-
-
-def cabs(z: np.ndarray) -> np.ndarray:
-    """abs(complex) element by element.  CPython takes it from the C library's
-    hypot, which differs from math.hypot in the last bit on about 0.6% of
-    random inputs."""
-    return np.fromiter(map(abs, z.ravel().tolist()), float, z.size).reshape(z.shape)
-
 
 def complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """The complex array with these parts, signed zeros and all (re + 1j * im
@@ -312,6 +293,13 @@ def complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     out.real = re
     out.imag = im
     return out
+
+
+def finite_or_overflow(x: np.ndarray, what: str) -> np.ndarray:
+    """x, unless some element is infinite or NaN: then OverflowError."""
+    if not np.isfinite(x).all():
+        raise OverflowError(f"{what} is not finite at some point")
+    return x
 
 
 def _max(a, b):
@@ -384,55 +372,61 @@ def power_tables(lo: np.ndarray, hi: np.ndarray, max_deg: int) -> np.ndarray:
     return tables
 
 
+def _layout(polys: Sequence[RealPoly], stride: int):
+    """The terms of `polys`, polynomial by polynomial in sorted key order,
+    reordered by their number of factors, most first, so that factor step s
+    of the monomial products runs over a prefix of them.  Returns (steps,
+    coeffs, rows): `steps[s]` holds that prefix's factor s, as the column
+    v * stride + e of x_v^e in a flattened table of powers; `coeffs` the
+    coefficients in that order; `rows[p]` the columns of polynomial p's terms
+    in its sorted key order."""
+    terms = [([(v, e) for v, e in enumerate(key) if e], p.terms[key], i)
+             for i, p in enumerate(polys) for key in sorted(p.terms)]
+    order = sorted(range(len(terms)), key=lambda t: -len(terms[t][0]))
+    steps = [np.array([v * stride + e for v, e in (terms[t][0][s] for t in order
+                                                   if len(terms[t][0]) > s)],
+                      dtype=np.intp)
+             for s in range(len(terms[order[0]][0]) if terms else 0)]
+    coeffs = np.array([terms[t][1] for t in order], dtype=np.complex128)
+    column = {t: col for col, t in enumerate(order)}
+    rows = [[] for _ in polys]
+    for t, (_, _, i) in enumerate(terms):
+        rows[i].append(column[t])
+    return steps, coeffs, rows
+
+
 class TermPack:
     """The terms of a list of RealPolys, laid out for _eval_box_raw.
 
-    Terms are ordered by their number of factors, most first, so that factor
-    step s of the monomial products runs over a prefix of them: `steps[s]`
-    holds that prefix's factor s, as the column v (max_degree + 1) + e of
-    x_v^e in the flattened power tables of a box.  Column t of `coeffs`
-    holds (re, im) of term t.  The term contributions of a box are laid out
-    in four blocks of `size` columns and a zero (real lower, imaginary lower,
-    real upper, imaginary upper bounds); `gather[s, p, c]` is the s-th
-    column summed into component c = (re_lo, re_hi, im_lo, im_hi) of
-    polynomial p, in p's sorted term order, padded with zeros.  A term with
-    a zero real (imaginary) coefficient takes no part in the real
-    (imaginary) sums.  `empty` lists the polynomials without terms.
+    `steps` and `coeffs` (rows re, im) are those of _layout, with the
+    columns of the flattened power tables of a box (stride max_degree + 1).
+    The term contributions of a box are laid out in four blocks of `size`
+    columns and a zero (real lower, imaginary lower, real upper, imaginary
+    upper bounds); `gather[s, p, c]` is the s-th column summed into
+    component c = (re_lo, re_hi, im_lo, im_hi) of polynomial p, in p's
+    sorted term order, padded with zeros.  A term with a zero real
+    (imaginary) coefficient takes no part in the real (imaginary) sums.
+    `empty` lists the polynomials without terms.
     """
 
     __slots__ = ("dims", "max_degree", "size", "steps", "coeffs", "gather",
                  "widen", "empty")
 
     def __init__(self, polys: Sequence[RealPoly]):
-        terms = []  # (factors, re, im, polynomial)
-        for i, p in enumerate(polys):
+        for p in polys:
             if len(p.terms) > MAX_TERMS:
                 raise ValueError(f"{len(p.terms)} terms: interval evaluation is "
                                  f"sound for at most {MAX_TERMS}")
             if p.total_degree() > MAX_DEGREE:
                 raise ValueError(f"degree {p.total_degree()}: interval evaluation is "
                                  f"sound up to degree {MAX_DEGREE}")
-            for key in sorted(p.terms):
-                c = p.terms[key]
-                terms.append(([(v, e) for v, e in enumerate(key) if e], c.real, c.imag, i))
-        order = sorted(range(len(terms)), key=lambda t: -len(terms[t][0]))
-        column = {t: col for col, t in enumerate(order)}
-        size = len(terms)
         self.dims = 2 * polys[0].n
         self.max_degree = max(p.total_degree() for p in polys)
-        self.size = size
-        stride = self.max_degree + 1
-        self.steps = [np.array([v * stride + e for v, e in (terms[t][0][s] for t in order
-                                                            if len(terms[t][0]) > s)],
-                               dtype=np.intp)
-                      for s in range(len(terms[order[0]][0]) if terms else 0)]
-        self.coeffs = np.array([[terms[t][1] for t in order],
-                                [terms[t][2] for t in order]])
-        lists = []
-        for i in range(len(polys)):
-            mine = [t for t in range(size) if terms[t][3] == i]
-            for block, part in ((0, 1), (2, 1), (1, 2), (3, 2)):
-                lists.append([block * (size + 1) + column[t] for t in mine if terms[t][part]])
+        self.steps, c, rows = _layout(polys, self.max_degree + 1)
+        self.coeffs = np.array([c.real, c.imag])
+        self.size = size = len(c)
+        lists = [[block * (size + 1) + col for col in cols if self.coeffs[part - 1, col]]
+                 for cols in rows for block, part in ((0, 1), (2, 1), (1, 2), (3, 2))]
         width = max(map(len, lists))
         gather = np.array([cols + [size] * (width - len(cols)) for cols in lists],
                           dtype=np.intp).reshape(len(polys), 4, width)
@@ -443,66 +437,52 @@ class TermPack:
 
 class PointPack:
     """The terms of a list of RealPolys, laid out to evaluate them all at many
-    points at once, bit for bit as a loop over the terms of each at one point
-    evaluates it in Python's scalar arithmetic; every point evaluation of the
-    package goes through it.
+    points at once; every point evaluation of the package goes through it.
 
-    That is, per point: a monomial is 1.0 times its factors x_v ** e in
-    variable order (Python's float ** int, taken once per pair (v, e));
-    a term v * m is CPython's complex * float, which takes m as
-    complex(m, 0.0), so its parts are (vr m - vi 0.0, vr 0.0 + vi m); and each
-    polynomial sums its terms in insertion order, from 0.0.  Terms are ordered
-    by their number of factors, most first, so that factor step s runs over a
-    prefix of them (`steps[s]` indexes the pairs (`var`, `exp`)).  Row p of
-    `gather` lists the term columns of polynomial p in insertion order, after
-    and padded with column `size`, which holds 0.0: a sum that starts from +0.0
-    is never -0.0, so the padding adds nothing.
+    Per point, in the arithmetic of the interval kernels: x_v^e is a product
+    chain, a monomial is 1.0 times its factors in variable order, a term is
+    the monomial times the real and the imaginary part of its coefficient,
+    and each polynomial sums its terms left to right from 0.0, in sorted key
+    order, as TermPack does, so two polynomials equal term for term evaluate
+    to the same bits.  `steps` and `coeffs` (rows re, im) are those of
+    _layout, with the columns of the flattened power table of a point
+    (stride max_degree + 1).  Row p of `gather` lists the term columns
+    of polynomial p, after and padded with column `size`, which holds 0.0: a
+    sum that starts from +0.0 is never -0.0, so the padding adds nothing.
     """
 
-    __slots__ = ("size", "var", "exp", "steps", "cre", "cim", "re0", "im0", "gather")
+    __slots__ = ("dims", "max_degree", "size", "steps", "coeffs", "gather")
 
     def __init__(self, polys: Sequence[RealPoly]):
-        pairs: dict[tuple[int, int], int] = {}
-        terms = []  # (pair indices in variable order, coefficient)
-        rows = []
-        for p in polys:
-            rows.append([])
-            for key, c in p.terms.items():
-                rows[-1].append(len(terms))
-                terms.append(([pairs.setdefault((v, e), len(pairs))
-                               for v, e in enumerate(key) if e], c))
-        order = sorted(range(len(terms)), key=lambda t: -len(terms[t][0]))
-        column = {t: col for col, t in enumerate(order)}
-        self.size = size = len(terms)
-        self.var = np.array([v for v, _ in pairs], dtype=np.intp)
-        self.exp = [e for _, e in pairs]
-        self.steps = [np.array([terms[t][0][s] for t in order if len(terms[t][0]) > s],
+        self.dims = 2 * polys[0].n
+        self.max_degree = max(p.total_degree() for p in polys)
+        self.steps, c, rows = _layout(polys, self.max_degree + 1)
+        self.coeffs = np.array([c.real, c.imag])
+        self.size = size = len(c)
+        width = max(map(len, rows))
+        self.gather = np.array([[size] + r + [size] * (width - len(r)) for r in rows],
                                dtype=np.intp)
-                      for s in range(len(terms[order[0]][0]) if terms else 0)]
-        c = np.array([terms[t][1] for t in order], dtype=np.complex128)
-        self.cre, self.cim = c.real.copy(), c.imag.copy()
-        self.re0, self.im0 = self.cim * 0.0, self.cre * 0.0
-        width = max(map(len, rows), default=0)
-        self.gather = np.array([[size] + [column[t] for t in r] + [size] * (width - len(r))
-                                for r in rows], dtype=np.intp)
 
+    @np.errstate(all="ignore")
     def eval(self, xs) -> np.ndarray:
         """Values at the rows of xs (real coordinates), shape (points,
-        polynomials); _CHUNK rows at a time, which bounds the temporaries."""
+        polynomials); _CHUNK rows at a time, which bounds the temporaries.
+        Raises OverflowError where a value is not finite."""
         xs = np.asarray(xs, dtype=float)
         if len(xs) > _CHUNK:
             return np.concatenate([self.eval(xs[s:s + _CHUNK])
                                    for s in range(0, len(xs), _CHUNK)])
-        x = xs[:, self.var]
-        powers = np.fromiter(map(pow, x.ravel().tolist(), self.exp * len(x)),
-                             float, x.size).reshape(x.shape)
-        m = np.ones((len(x), self.size))
+        powers = np.ones((len(xs), self.dims, self.max_degree + 1))
+        for k in range(1, self.max_degree + 1):
+            powers[..., k] = powers[..., k - 1] * xs[:, :self.dims]
+        powers = powers.reshape(len(xs), -1)
+        m = np.ones((len(xs), self.size))
         for idx in self.steps:
             m[:, :len(idx)] *= powers[:, idx]
-        parts = np.zeros((len(x), 2, self.size + 1))
-        parts[:, 0, :-1] = self.cre * m - self.re0
-        parts[:, 1, :-1] = self.im0 + self.cim * m
-        sums = np.cumsum(parts[:, :, self.gather], axis=-1)[..., -1]
+        parts = np.zeros((len(xs), 2, self.size + 1))
+        np.multiply(self.coeffs, m[:, None, :], out=parts[:, :, :-1])
+        sums = finite_or_overflow(sequential_sum(parts[:, :, self.gather], axis=-1),
+                                  "a polynomial value")
         return complex_array(sums[:, 0], sums[:, 1])
 
 

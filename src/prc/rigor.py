@@ -39,7 +39,10 @@ centre clamped to the box.  A level's probe points are evaluated at once
 (ProblemSystem.point_pack), and the pointwise quantities come from the
 batched functions of trgeom (m_values, L_values, radii, totally_real), the
 ones its one-point functions are views on, so a FAIL witness and any later
-check of it read the same bits.
+check of it read the same bits.  Probes only look for witnesses, which are
+evidence checked in floating point with a 1e-9 guard, never part of a proof;
+they are plain numpy arithmetic like the bounds, and raise OverflowError
+rather than build a witness on a value that left the doubles.
 """
 
 from __future__ import annotations
@@ -53,10 +56,10 @@ from typing import Any
 import numpy as np
 
 from .intervals import INFLATION, ParamBox
-from .realpoly import (_TINY, TermPack, _eval_box_raw, _max, _min, cabs, complex_array,
-                       dist_upper, hypot, mag_upper, sequential_sum)
-from .trgeom import (GRAPH, L_values, ProblemSystem, _pysum, m_values, radii,
-                     radius_factor, totally_real)
+from .realpoly import (_TINY, TermPack, _eval_box_raw, _max, _min, dist_upper,
+                       finite_or_overflow, mag_upper, sequential_sum)
+from .trgeom import (GRAPH, L_values, ProblemSystem, m_values, radii, radius_factor,
+                     totally_real)
 
 log = logging.getLogger(__name__)
 
@@ -501,7 +504,7 @@ def probe_points(lo, hi, region: Region | None) -> np.ndarray:
     """One point of each box, the rows of `lo`, `hi`: its midpoint, unless
     that misses the region.  The midpoint is kept when it lies strictly
     inside every region disc that fits the box's length, by
-    math.hypot(x - cx, y - cy) < r (1 - _WITNESS_PULL), the test a graph
+    np.hypot(x - cx, y - cy) < r (1 - _WITNESS_PULL), the test a graph
     witness must pass.  Otherwise, in the coordinates of those discs, the
     point is their centres clamped to the box (Python's min(max(c, lo), hi)),
     the point of the box nearest each centre, and in all other coordinates
@@ -512,7 +515,7 @@ def probe_points(lo, hi, region: Region | None) -> np.ndarray:
     nd = 0 if region is None else min(len(region.discs), lo.shape[1] // 2)
     if nd:
         cx, cy, r = region.table[:nd].T
-        inside = (hypot(pts[:, 0:2 * nd:2] - cx, pts[:, 1:2 * nd:2] - cy)
+        inside = (np.hypot(pts[:, 0:2 * nd:2] - cx, pts[:, 1:2 * nd:2] - cy)
                   < r * (1.0 - _WITNESS_PULL)).all(axis=1)
         out = ~inside
         c = np.column_stack([cx, cy]).ravel()
@@ -520,12 +523,14 @@ def probe_points(lo, hi, region: Region | None) -> np.ndarray:
     return pts
 
 
+@np.errstate(all="ignore")
 def _probe_quantities(sys: ProblemSystem, pts: np.ndarray, table: np.ndarray,
                       violations_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(residual, tube radius) at each point, the rows of `pts` (z, then w
     for a graph), from `table`, the values of sys.point_pack there: the
-    residual sum in Python's scalar arithmetic, and m_values, L_values and
-    radii of trgeom.  The radius is 0 where m = 0 and inf where L = 0.
+    residual sum of np.hypot magnitudes, left to right, and m_values,
+    L_values and radii of trgeom.  The radius is 0 where m = 0 and inf where
+    L = 0; a residual that is not finite raises OverflowError.
 
     With `violations_only`, numerical radii are computed only where the
     residual could reach the radius.  Since w(A) <= ||A||_2 <= ||A||_F, the
@@ -535,18 +540,17 @@ def _probe_quantities(sys: ProblemSystem, pts: np.ndarray, table: np.ndarray,
     Elsewhere the radius is the same bits as without the option."""
     n = sys.n
     vals, B, lev = sys.split(table)
+    re, im = vals.real, vals.imag
     if sys.kind == GRAPH:
-        w = pts[:, 2 * n:]
-        vals = vals - complex_array(w[:, 0::2], w[:, 1::2])
-    residual = _pysum(cabs(vals))
+        re, im = re - pts[:, 2 * n::2], im - pts[:, 2 * n + 1::2]
+    residual = finite_or_overflow(sequential_sum(np.hypot(re, im), axis=1), "residual")
     m = m_values(sys, B)
     radius = np.zeros(len(pts))
     live = np.nonzero(m != 0.0)[0]
     lev = lev[live]
     if violations_only and n > 1 and (sys.kind == GRAPH or n > 2):  # numerical radii
         frob = np.sqrt(np.max(np.sum(np.abs(lev) ** 2, axis=(2, 3)), axis=1))
-        with np.errstate(divide="ignore"):  # frob = 0 means L = 0, radius inf
-            floor = m[live] / (radius_factor(sys.kind) * frob)
+        floor = m[live] / (radius_factor(sys.kind) * frob)  # frob = 0: L = 0, radius inf
         safe = residual[live] < floor * (1.0 - 1e-6)
         radius[live[safe]] = floor[safe]
         live, lev = live[~safe], lev[~safe]
@@ -554,6 +558,7 @@ def _probe_quantities(sys: ProblemSystem, pts: np.ndarray, table: np.ndarray,
     return residual, radius
 
 
+@np.errstate(all="ignore")
 def _tube_probe(sys: ProblemSystem, lo, hi, region: Region | None):
     """Pointwise tube check of boxes the bounds left undecided: at the probe
     point of each box, does residual >= radius (1 + guard) hold?  Returns the
@@ -571,7 +576,7 @@ def _tube_probe(sys: ProblemSystem, lo, hi, region: Region | None):
     if sys.kind == GRAPH:
         inside = np.ones(len(pts), dtype=bool)
         for j, (cx, cy, r) in enumerate(region.discs[:n]):
-            inside &= ~(hypot(pts[:, 2 * j] - cx, pts[:, 2 * j + 1] - cy)
+            inside &= ~(np.hypot(pts[:, 2 * j] - cx, pts[:, 2 * j + 1] - cy)
                         >= r * (1.0 - _WITNESS_PULL))
         lanes = lanes[inside]
         pts = pts[inside]
@@ -585,13 +590,10 @@ def _tube_probe(sys: ProblemSystem, lo, hi, region: Region | None):
             # unit = away / |away| (1 where away = 0), w = c + k unit, with
             # away = c - f_nu(z) and k = r (1 - pull)
             ar, ai = cx - table[:, j].real, cy - table[:, j].imag
-            mag = cabs(complex_array(ar, ai))
-            zero = (ar == 0.0) & (ai == 0.0)
-            mag[zero] = 1.0
-            ur = np.where(zero, 1.0, (ar + ai * 0.0) / mag)
-            ui = np.where(zero, 0.0, (ai - ar * 0.0) / mag)
+            mag = np.hypot(ar, ai)
             k = r * (1.0 - _WITNESS_PULL)
-            ws += [cx + (k * ur - 0.0 * ui), cy + (k * ui + 0.0 * ur)]
+            ws += [cx + k * np.where(mag == 0.0, 1.0, ar / mag),
+                   cy + k * np.where(mag == 0.0, 0.0, ai / mag)]
         pts = np.column_stack([pts] + ws)
     residual, radius = _probe_quantities(sys, pts, table, violations_only=True)
     bad = ~np.isinf(radius) & (residual >= radius * (1.0 + _VIOLATION_GUARD))

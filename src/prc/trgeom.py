@@ -13,9 +13,12 @@ submersion system (2n-k real-valued functions), this module computes:
 
 Each pointwise quantity has one implementation, batched over many points:
 m_values, L_values, radii and totally_real, on tables that
-ProblemSystem.point_pack evaluates.  The one-point functions (m_value,
-big_l_value, tube_radius, tube_profile, is_totally_real_*, bbar_matrix) are
-views on them, so they read the same bits as the probes of rigor.
+ProblemSystem.point_pack evaluates.  They are plain numpy arithmetic (squares
+as products, magnitudes from np.hypot, sums left to right), each point's bits
+independent of its batch, and they raise OverflowError where a value leaves
+the doubles.  The one-point functions (m_value, big_l_value, tube_radius,
+tube_profile, is_totally_real_*, bbar_matrix) are views on them, so they read
+the same bits as the probes of rigor.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import expr as ex
-from .realpoly import (PointPack, RealPoly, TermPack, ZPoly, _max, _pow, cabs,
-                       complex_array, real_coords)
+from .realpoly import (PointPack, RealPoly, TermPack, ZPoly, _max, complex_array,
+                       finite_or_overflow, real_coords, sequential_sum)
 
 GRAPH = "graph"
 SUBMERSION = "submersion"
@@ -217,24 +220,14 @@ class ProblemSystem:
 # ---------------------------------------------------------------------------
 # m, L and the tube radius at many points
 #
-# The batched functions below compute, for many points at once, what a loop
-# over single points in Python's scalar arithmetic computes, bit for bit: sums
-# run left to right from 0, powers and magnitudes go through Python's ** and
-# abs (realpoly._pow, cabs), Python's max is realpoly._max, and a complex
-# product or quotient with a float takes the float as complex(x, 0.0), as the
-# scalar code did under CPython 3.11.  FAIL witnesses record these values, so
-# certificates depend on every bit of them; the one-point functions are views
-# on the same code, so they read the same bits.
+# In the arithmetic of realpoly's batched kernels: sums run left to right,
+# squares are products, magnitudes np.hypot, and Python's max is
+# realpoly._max.  Each point's bits depend on that point only, and the
+# one-point functions are views on the same code, so they read the bits a
+# FAIL witness records.  A value that leaves the doubles raises OverflowError.
 # ---------------------------------------------------------------------------
 
-def _pysum(x: np.ndarray) -> np.ndarray:
-    """Python's sum() over the last axis: from 0, left to right."""
-    total = np.zeros(x.shape[:-1])
-    for k in range(x.shape[-1]):
-        total = total + x[..., k]
-    return total
-
-
+@np.errstate(all="ignore")
 def m_values(sys: ProblemSystem, B: np.ndarray) -> np.ndarray:
     """sigma_min(B_i)^2 for each dbar-matrix of a stack B of shape (points,
     rows, n): the infimum over unit v of the squared dbar-residual sum.
@@ -245,42 +238,48 @@ def m_values(sys: ProblemSystem, B: np.ndarray) -> np.ndarray:
     """
     n = sys.n
     if n <= 2:
-        sq = _pysum(_pow(cabs(B), 2).swapaxes(1, 2))  # sum over rows of |B_rj|^2
+        mag = np.hypot(B.real, B.imag)
+        sq = sequential_sum(mag * mag, axis=1)  # sum over rows of |B_rj|^2
     if n == 1:
         # a column has a single singular value, its norm
-        return sq[:, 0]
-    if n == 2:
-        # h01 = sum over rows of conj(B[r, 0]) * B[r, 1]
+        m = sq[:, 0]
+    elif n == 2:
+        # |h01|, h01 = sum over rows of conj(B[r, 0]) * B[r, 1]
         ar, ai = B[:, :, 0].real, -B[:, :, 0].imag
         br, bi = B[:, :, 1].real, B[:, :, 1].imag
-        h01 = complex_array(_pysum(ar * br - ai * bi), _pysum(ar * bi + ai * br))
+        h01 = np.hypot(sequential_sum(ar * br - ai * bi, axis=1),
+                       sequential_sum(ar * bi + ai * br, axis=1))
         h00, h11 = sq[:, 0], sq[:, 1]
-        half = np.sqrt(_pow((h00 - h11) / 2, 2) + _pow(cabs(h01), 2))
-        return _max((h00 + h11) / 2 - half, 0.0)
-    return _pow(np.linalg.svd(B, compute_uv=False)[:, -1], 2)
+        d = (h00 - h11) / 2
+        m = _max((h00 + h11) / 2 - np.sqrt(d * d + h01 * h01), 0.0)
+    else:
+        s = np.linalg.svd(B, compute_uv=False)[:, -1]
+        m = s * s
+    return finite_or_overflow(m, "m")
 
 
+@np.errstate(all="ignore")
 def L_values(sys: ProblemSystem, lev: np.ndarray) -> np.ndarray:
     """The largest numerical radius among the Levi matrices of the rows at
     each point, lev of shape (points, rows, n, n).  Closed forms for n = 1
     and for 2x2 submersion (Hermitian) matrices; numerical_radii otherwise."""
     n = sys.n
     if n == 1:
-        w = cabs(lev[..., 0, 0])
+        w = np.hypot(lev[..., 0, 0].real, lev[..., 0, 0].imag)
     elif sys.kind != GRAPH and n == 2:
-        # Hermitian 2x2 closed form, b = 0.5 * (A01 + conj(A10)); only |b|
-        # counts, which the signs of zeros in b do not change
+        # Hermitian 2x2 closed form, |b| for b = 0.5 * (A01 + conj(A10))
         a, d = lev[..., 0, 0].real, lev[..., 1, 1].real
-        b = complex_array(0.5 * (lev[..., 0, 1].real + lev[..., 1, 0].real),
-                          0.5 * (lev[..., 0, 1].imag - lev[..., 1, 0].imag))
-        half = np.sqrt(_pow((a - d) / 2, 2) + _pow(cabs(b), 2))
+        b = np.hypot(0.5 * (lev[..., 0, 1].real + lev[..., 1, 0].real),
+                     0.5 * (lev[..., 0, 1].imag - lev[..., 1, 0].imag))
+        h = (a - d) / 2
+        half = np.sqrt(h * h + b * b)
         w = _max(np.abs((a + d) / 2 + half), np.abs((a + d) / 2 - half))
     else:
         w = numerical_radii(lev.reshape(-1, n, n)).reshape(len(lev), sys.rows)
     L = np.zeros(len(lev))
     for r in range(sys.rows):
         L = _max(L, w[:, r])
-    return L
+    return finite_or_overflow(L, "L")
 
 
 def radius_factor(kind: str) -> int:
@@ -365,7 +364,7 @@ def numerical_radii(M: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
         raise ValueError("matrix has non-finite entries")
     if M.shape[1] == 1:
-        return cabs(M[:, 0, 0])
+        return np.hypot(M[:, 0, 0].real, M[:, 0, 0].imag)
     out = np.zeros(len(M))
     if len(M) == 0:
         return out

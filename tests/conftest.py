@@ -29,6 +29,15 @@ def cap_manifest(radius: float, node_budget: int = 400_000) -> dict:
                         "node_budget": node_budget}}
 
 
+def chain(x: float, k: int) -> float:
+    """x^k as the product chain x^(k-1) * x, one rounding per product: the
+    powers of the box kernels and of the point evaluator."""
+    p = x
+    for _ in range(k - 1):
+        p = p * x
+    return p
+
+
 def wermer_m_closed(r: float) -> float:
     return 9 * r ** 8 - 2 * r ** 4 - 4 * r ** 2 + 2
 

@@ -238,6 +238,16 @@ def test_hull_probe_wermer_far_point(tmp_path):
     assert rep["fragile"] is False
 
 
+@pytest.mark.parametrize("margin", ["nan", "-0.5", "inf"])
+def test_hull_probe_bad_margin_exit_2(tmp_path, capsys, margin):
+    """A NaN margin reported every query not separated, and a negative one
+    the origin of Wermer K_1 (ratio 1.0) separated, both with exit 0."""
+    path = _write(tmp_path, "w.json", _wermer_manifest(1.0))
+    assert main(["hull-probe", path, "--q", "0,0,0,2", "--degree", "2",
+                 "--density", "24", f"--margin={margin}"]) == 2
+    assert "margin must be finite and >= 0" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # reproduce
 # ---------------------------------------------------------------------------
@@ -249,6 +259,13 @@ def test_reproduce_graph_over_r2_cli(tmp_path):
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["certification"]["verdict"] == "PASS"
+
+
+def test_reproduce_graph_over_r2_takes_inflation_as_eps(tmp_path):
+    out = tmp_path / "rep.json"
+    assert main(["reproduce", "graph_over_r2", "--inflation", "0.03",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["params"]["eps"] == 0.03
 
 
 def test_stdout_default(tmp_path, capsys):
@@ -376,12 +393,14 @@ def _wermer_bench_manifest(r, node_budget):
 # wermer_r0.3, wermer_r0.305 and cap_r1.285, and the /2 digests of the two
 # Wermer problems, were re-recorded when the box kernels moved to product-chain
 # powers and the C library's hypot: some leaf bounds changed in their last
-# bits, with the same trees, verdicts and omega.
+# bits, with the same trees, verdicts and omega.  wermer_r0.33 was
+# re-recorded when the pointwise probe took the same arithmetic: its witness
+# moved in the last bits, with the same tree and leaf boxes.
 GOLDEN_CERTIFICATES = [
     ("wermer_r0.3", _wermer_bench_manifest(0.3, 150_000), 0,
      "a5a5728ebea042d5ded626b99755f153ba9f82fcd2143ea9e6e1dcf9aa5db674"),
     ("wermer_r0.33", _wermer_bench_manifest(0.33, 150_000), 3,
-     "d8534be7c40eec635cd8596fb145fcb1ac1cee9f2d48472acfe3732b52311cf3"),
+     "bed64580fb31ac37e38e53a91b8b2678965ca8b296a148885cbbe43dd7cff1b1"),
     ("wermer_r0.305", _wermer_bench_manifest(0.305, 40_000), 0,
      "a406beb6250003d274ddee1876d21f42036cd2953ea31146ff96cce60b907afe"),
     ("cap_r1.0", cap_manifest(1.0), 0,
@@ -416,7 +435,9 @@ def test_certificate_bytes_match_golden_digests(tmp_path):
 
 # sha256 of `prc totally-real` reports and of a certificate whose FAIL is a
 # total-reality witness, recorded while each point was tested one at a time:
-# the stacked test must give every verdict and sigma_min bit for bit.
+# the stacked test must give every verdict and sigma_min bit for bit.  The
+# wermer_r0.3 report was re-recorded when point values took product-chain
+# powers and sorted-order sums: 88 of its 1,681 sigma_min moved in the last bit.
 _TR_FAIL_GRAPH = {
     "kind": "graph", "n": 2,
     "functions": ["conj(z1) + z1*conj(z1)", "conj(z2) + 0.3*z1*conj(z2)"],
@@ -430,7 +451,7 @@ _TR_FAIL_CERT = {
 
 @pytest.mark.parametrize("name, argv, manifest, exit_code, digest", [
     ("wermer_r0.3", ["totally-real"], _wermer_manifest(0.3), 0,
-     "4fc461fe134f4da272a4c78bcf1f90477baca1bc05de1bdce088f6136312898d"),
+     "72352f41322e97c3a0153b2dd22964cf5795f442d7d10d6bdc24ddb23316ac72"),
     ("graph_not_totally_real", ["totally-real", "--grid", "9"], _TR_FAIL_GRAPH, 3,
      "f6f7a8bf474cd5acf40f90e315e3a4f19fa91e2eb8413f5b7b8418c2cabe3283"),
     ("certify_totally_real_fail", ["certify"], _TR_FAIL_CERT, 3,

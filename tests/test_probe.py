@@ -1,19 +1,22 @@
-"""The batched pointwise code of rigor and trgeom against the scalar code it
-replaced, kept here as the reference: every polynomial value, probe point,
-residual, radius, total-reality test and witness must come out bit for bit
-the same."""
+"""The batched pointwise code of rigor and trgeom against a scalar reference,
+one point at a time in the same arithmetic (powers as product chains, sums
+left to right, each polynomial's terms in sorted key order, magnitudes from
+abs(complex), which is the C library's hypot, and complex-times-float as a
+product of each part): every polynomial value, probe point, residual, radius,
+total-reality test and witness must come out bit for bit the same."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import cap_manifest, random_graph_system, random_submersion_system
+from conftest import cap_manifest, chain, random_graph_system, random_submersion_system
 from prc import ProblemSystem
-from prc import rigor
+from prc import rigor, trgeom
 from prc.certify import CompactSpec, DiscRegion, certify, load_manifest, wermer_compact
 from prc.rigor import GRAPH, Region, probe_points
-from prc.trgeom import (DegenerateSystemError, big_l_value, is_totally_real_graph,
+from prc.trgeom import (DegenerateSystemError, L_values, big_l_value, is_totally_real_graph,
                         is_totally_real_submersion, m_value, numerical_radii,
                         numerical_radius, radius_factor, totally_real, tube_profile,
                         tube_radius)
@@ -25,15 +28,18 @@ from prc.trgeom import (DegenerateSystemError, big_l_value, is_totally_real_grap
 
 def _eval_real(p, xs):
     """A RealPoly at a real-coordinate point (x_1, y_1, ..., x_n, y_n), one
-    term at a time in insertion order."""
-    total = 0j
-    for k, v in p.terms.items():
+    term at a time in sorted key order, from 0.0: the monomial is 1.0 times
+    its factors in variable order, and the term's parts are the coefficient's
+    parts times the monomial."""
+    re = im = 0.0
+    for k in sorted(p.terms):
         m = 1.0
         for x, e in zip(xs, k):
             if e:
-                m *= x ** e
-        total += v * m
-    return total
+                m *= chain(x, e)
+        re += p.terms[k].real * m
+        im += p.terms[k].imag * m
+    return complex(re, im)
 
 
 def _scalar_bbar(sys, xs):
@@ -70,7 +76,7 @@ def _scalar_probe(lo, hi, region):
     if region is None:
         return mid
     discs = region.discs[:len(lo) // 2]
-    if all(math.hypot(mid[2 * j] - cx, mid[2 * j + 1] - cy) < r * (1.0 - 1e-9)
+    if all(abs(complex(mid[2 * j] - cx, mid[2 * j + 1] - cy)) < r * (1.0 - 1e-9)
            for j, (cx, cy, r) in enumerate(discs)):
         return mid
     pt = []
@@ -148,16 +154,16 @@ def _point_m_L(sys, xs):
     n = sys.n
     B = [[_eval_real(t.dzbar[j], xs) for j in range(n)] for t in sys.tables]
     if n == 1:
-        m = sum(abs(row[0]) ** 2 for row in B)
+        m = sum(abs(row[0]) * abs(row[0]) for row in B)
     elif n == 2:
-        h00 = sum(abs(row[0]) ** 2 for row in B)
-        h11 = sum(abs(row[1]) ** 2 for row in B)
-        h01 = sum(row[0].conjugate() * row[1] for row in B)
-        half = math.sqrt(((h00 - h11) / 2) ** 2 + abs(h01) ** 2)
-        m = max((h00 + h11) / 2 - half, 0.0)
+        h00 = sum(abs(row[0]) * abs(row[0]) for row in B)
+        h11 = sum(abs(row[1]) * abs(row[1]) for row in B)
+        h01 = abs(sum(row[0].conjugate() * row[1] for row in B))
+        d = (h00 - h11) / 2
+        m = max((h00 + h11) / 2 - math.sqrt(d * d + h01 * h01), 0.0)
     else:
-        s = np.linalg.svd(np.array(B), compute_uv=False)
-        m = float(s[-1]) ** 2
+        s = float(np.linalg.svd(np.array(B), compute_uv=False)[-1])
+        m = s * s
 
     L = 0.0
     for t in sys.tables:
@@ -167,8 +173,10 @@ def _point_m_L(sys, xs):
         elif sys.kind != GRAPH and n == 2:
             a = lev[0][0].real
             d = lev[1][1].real
-            b = 0.5 * (lev[0][1] + lev[1][0].conjugate())
-            half = math.sqrt(((a - d) / 2) ** 2 + abs(b) ** 2)
+            b = abs(complex(0.5 * (lev[0][1].real + lev[1][0].real),
+                            0.5 * (lev[0][1].imag - lev[1][0].imag)))
+            h = (a - d) / 2
+            half = math.sqrt(h * h + b * b)
             w = max(abs((a + d) / 2 + half), abs((a + d) / 2 - half))
         else:
             w = _scalar_numerical_radius(np.array(lev))
@@ -196,14 +204,16 @@ def _point_violates(sys, pt):
 def _tube_witness(sys, z_pt, region):
     n = sys.n
     for j, (cx, cy, r) in enumerate(region.discs[:n]):
-        if math.hypot(z_pt[2 * j] - cx, z_pt[2 * j + 1] - cy) >= r * (1.0 - 1e-9):
+        if abs(complex(z_pt[2 * j] - cx, z_pt[2 * j + 1] - cy)) >= r * (1.0 - 1e-9):
             return None
     pt = list(z_pt)
     for t, (cx, cy, r) in zip(sys.tables, region.discs[n:]):
-        away = complex(cx, cy) - _eval_real(t.value, z_pt)
-        unit = away / abs(away) if away else 1.0
-        w = complex(cx, cy) + r * (1.0 - 1e-9) * unit
-        pt += [w.real, w.imag]
+        f = _eval_real(t.value, z_pt)
+        ar, ai = cx - f.real, cy - f.imag
+        mag = abs(complex(ar, ai))
+        ur, ui = (ar / mag, ai / mag) if mag else (1.0, 0.0)
+        k = r * (1.0 - 1e-9)
+        pt += [cx + k * ur, cy + k * ui]
     return _point_violates(sys, pt)
 
 
@@ -274,7 +284,7 @@ def test_probe_point_is_the_midpoint_exactly_when_strictly_inside():
         pts = probe_points(lo, hi, region)
         assert ((lo <= pts) & (pts <= hi)).all()
         mid = 0.5 * (lo + hi)
-        inside = np.array([all(math.hypot(m[2 * j] - dx, m[2 * j + 1] - dy) < dr * (1.0 - 1e-9)
+        inside = np.array([all(abs(complex(m[2 * j] - dx, m[2 * j + 1] - dy)) < dr * (1.0 - 1e-9)
                                for j, (dx, dy, dr) in enumerate(region.discs))
                            for m in mid.tolist()])
         centres = np.array([c for dx, dy, _ in region.discs for c in (dx, dy)])
@@ -497,7 +507,8 @@ def test_numerical_radii_match_scalar_reference():
 def test_probe_quantities_match_scalar_reference_at_many_points():
     """Systems whose Levi matrices the scalar reference handles fast (n = 1, a
     2x2 submersion, an n = 3 graph with Hermitian Levi matrices), at enough
-    points that Python's float ** 2 and numpy's x * x differ somewhere."""
+    points that a power, magnitude or sum taken otherwise than the reference
+    takes it would differ somewhere in the last bit."""
     rng = np.random.default_rng(86)
     graph3 = ProblemSystem.graph([f"conj(z{j}) + 0.3*z{j}*conj(z{j}) + 0.1*z{k}*conj(z{k})"
                                   for j, k in ((1, 2), (2, 3), (3, 1))], 3)
@@ -567,3 +578,55 @@ def test_cap_r135_fail_probes_match_scalar_reference(monkeypatch):
     fails = sum(_assert_probe_matches(sys_, lo, hi, region) for lo, hi, region in calls)
     assert fails >= 1
     _assert_witness_is_first_of_level(sys_, cert, calls)
+
+
+@pytest.mark.parametrize("x", [1e40, 1e100])
+def test_tube_profile_raises_where_values_leave_the_doubles(wermer, x):
+    """Wermer's m overflows at |z| = 1e40 and its tables at 1e100.  numpy
+    gives inf there without raising, so the pointwise layer raises
+    OverflowError itself, quietly, and returns no inf or 0 built on it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            tube_profile(wermer, [(0j,), (complex(x, -x),)])
+
+
+def test_tables_L_and_residual_raise_where_values_leave_the_doubles(wermer, example2):
+    lev = np.zeros((1, 2, 2, 2), dtype=complex)
+    lev[0, 0, 0, 0], lev[0, 0, 1, 1] = 1e200, -1e200  # ((a - d) / 2)^2 overflows
+    pts = np.array([[0.1, 0.0, 1.7e308, 1.7e308]])  # |f(z) - w| overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="polynomial value"):
+            wermer.values_at((1e100 + 0j,))
+        with pytest.raises(OverflowError, match="L"):
+            L_values(example2, lev)
+        with pytest.raises(OverflowError, match="residual"):
+            rigor._probe_quantities(wermer, pts, wermer.point_pack.eval(pts[:, :2]))
+
+
+def test_point_probes_make_no_per_element_python_calls(monkeypatch, wermer, example2):
+    """The pointwise layer is plain numpy arithmetic, apart from _phase, which
+    maps math.cos and math.sin over the angles of numerical_radii (numpy's
+    own loops for them can differ from CPU to CPU); here it is replaced."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-element Python arithmetic in a pointwise probe")
+
+    monkeypatch.setattr(trgeom, "_phase",
+                        lambda t: (np.cos(t) + 1j * np.sin(t))[:, None, None])
+    monkeypatch.setattr(np, "fromiter", refuse)
+    monkeypatch.setattr(math, "hypot", refuse)
+    graph_n2 = ProblemSystem.graph(["conj(z1) + 0.1*z2*conj(z2) - 0.2*z1^2*conj(z2)",
+                                    "conj(z2) - 0.3*z1*conj(z1)^2 + 0.05*conj(z1)"], 2)
+    rng = np.random.default_rng(91)
+    for sys_ in (wermer, example2, graph_n2):
+        n = sys_.n
+        lo = rng.uniform(-0.5, 0.3, (40, 2 * n))
+        hi = lo + rng.uniform(0.0, 0.2, (40, 2 * n))
+        region = Region(((0.0, 0.0, 0.6),) * (2 * n if sys_.kind == GRAPH else n))
+        rigor._tube_probe(sys_, lo, hi, region)
+        tube_profile(sys_, [tuple(complex(*x[k:k + 2]) for k in range(0, 2 * n, 2))
+                            for x in lo.tolist()])
+        totally_real(sys_, lo)
+    cert = certify(wermer, wermer_compact(0.33), max_depth=30, node_budget=150_000)
+    assert cert.verdict == "FAIL"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from prc.realpoly import ZPoly
+from prc.realpoly import PointPack, RealPoly, ZPoly
 
 U = Fraction(1, 2 ** 53)
 
@@ -113,3 +113,18 @@ def test_rounding_stays_within_the_documented_bounds():
                 checked += 1
     assert checked > 1000
 
+
+
+def test_equal_polys_evaluate_to_the_same_bits_whatever_their_insertion_order():
+    """Point values sum each polynomial's terms in sorted key order: 1 + x + y
+    at (1e-16, -1) comes out 0.0 when summed as 1, x, y and 1.1e-16 when
+    summed as y, x, 1."""
+    terms = {(0, 0): 1.0 + 0j, (1, 0): 1.0 + 0j, (0, 1): 1.0 + 0j}
+    p = RealPoly(1, terms)
+    q = RealPoly(1, dict(reversed(terms.items())))
+    assert p == q and list(p.terms) != list(q.terms)
+    xs = [[1e-16, -1.0], [0.3, -0.7]]
+    assert repr(p.eval_batch(xs).tolist()) == repr(q.eval_batch(xs).tolist())
+    assert repr(p.eval_point([1e-16 - 1j])) == repr(q.eval_point([1e-16 - 1j]))
+    both = PointPack([p, q]).eval(xs)
+    assert repr(both[:, 0].tolist()) == repr(both[:, 1].tolist())
