@@ -3,9 +3,10 @@ totally-real graphs and level-set submanifolds of C^n."""
 
 from .certify import (BoxRegion, Certificate, CompactSpec, DiscRegion,
                       ManifestError, OmegaSpec, certificate_from_dict,
-                      certificate_to_dict, certify, graph_over_r2_system,
-                      load_manifest, replay_certificate, reproduce_example,
-                      suggest_omega, wermer_compact, wermer_system)
+                      certificate_to_dict, certify, dumps_json,
+                      graph_over_r2_system, load_manifest,
+                      replay_certificate, reproduce_example, suggest_omega,
+                      wermer_compact, wermer_system)
 from .expr import (Expr, NormalExpr, ParseError, diff_z, diff_zbar, eval_interval,
                    eval_point, format_expr, normalize, parse)
 from .intervals import Interval, ParamBox, Rect
@@ -34,8 +35,8 @@ __all__ = [
     "VerifyNode", "WirtingerFrame", "bbar_matrix", "big_l_value",
     "bound_L_above", "bound_m_below", "bound_residual_above",
     "certificate_from_dict", "certificate_to_dict", "certify", "diff_z",
-    "diff_zbar", "eval_interval", "eval_point", "fd_frame", "format_expr",
-    "fragility_check", "frame", "graph_over_r2_system",
+    "diff_zbar", "dumps_json", "eval_interval", "eval_point", "fd_frame",
+    "format_expr", "fragility_check", "frame", "graph_over_r2_system",
     "is_totally_real_graph", "is_totally_real_submersion", "levi_form",
     "levi_u_graph", "levi_u_submersion", "load_manifest", "m_value",
     "m_value_bruteforce", "normalize", "numerical_radius", "parse", "probe",

@@ -470,28 +470,49 @@ def manifest_hash(problem: dict) -> str:
 
 
 def sanitize_json(obj):
-    """Replace non-finite floats with the strings "inf"/"-inf"/"nan"."""
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
+    """A copy of `obj` for JSON: dicts walked, tuples written as lists, and
+    each non-finite float (np.float64 too) replaced by the string "inf",
+    "-inf" or "nan".  One pass that dispatches on the exact type; the finite
+    floats, most of a certificate, are kept without a call (x - x is 0.0
+    for a finite float and NaN for inf and NaN)."""
+    t = type(obj)
+    if t is dict:
+        return {k: v if type(v) is float and v - v == 0.0 else sanitize_json(v)
+                for k, v in obj.items()}
+    if t is list or t is tuple:
+        return [v if type(v) is float and v - v == 0.0 else sanitize_json(v)
+                for v in obj]
+    if t is str or not isinstance(obj, float):
         return obj
-    if isinstance(obj, dict):
-        return {k: sanitize_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [sanitize_json(v) for v in obj]
+    if math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    if math.isnan(obj):
+        return "nan"
     return obj
 
 
-def _parse_float_maybe(x):
-    if x == "inf":
-        return math.inf
-    if x == "-inf":
-        return -math.inf
-    if x == "nan":
-        return math.nan
-    return x
+# the strings sanitize_json writes for the non-finite floats
+_NON_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
+
+
+def _unsanitize(obj):
+    """The inverse of sanitize_json on parsed JSON, in one pass."""
+    t = type(obj)
+    if t is dict:
+        return {k: _unsanitize(v) for k, v in obj.items()}
+    if t is list:
+        return [v if type(v) is float else _unsanitize(v) for v in obj]
+    if t is str:
+        return _NON_FINITE.get(obj, obj)
+    return obj
+
+
+def dumps_json(obj) -> str:
+    """`obj`, already passed through sanitize_json, as one line of JSON with
+    sorted keys and a final newline: the format of every JSON file prc
+    writes.  CPython's C encoder writes it (it serves no `indent`).  Raises
+    ValueError on a non-finite float, which sanitize_json would have named."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def load_manifest(data: dict) -> tuple[ProblemSystem, CompactSpec, OmegaSpec | None, dict]:
@@ -602,32 +623,25 @@ READABLE_FORMATS = ("prc-certificate/2", CERTIFICATE_FORMAT)
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
-    return sanitize_json({
+    """The certificate as JSON-ready data, built already sanitized."""
+    return {
         "format": CERTIFICATE_FORMAT,
         "verdict": cert.verdict,
         "problem_hash": cert.problem_hash,
-        "problem": cert.problem,
-        "omega": omega_to_json(cert.omega),
-        "checks": cert.checks,
-        "options": cert.options,
-        "tolerances": cert.tolerances,
-        "witness": cert.witness,
-    })
+        "problem": sanitize_json(cert.problem),
+        "omega": sanitize_json(omega_to_json(cert.omega)),
+        "checks": sanitize_json(cert.checks),
+        "options": sanitize_json(cert.options),
+        "tolerances": sanitize_json(cert.tolerances),
+        "witness": sanitize_json(cert.witness),
+    }
 
 
 def certificate_from_dict(data: dict) -> Certificate:
     if data.get("format") not in READABLE_FORMATS:
         raise ValueError(f"certificate format {data.get('format')!r} is not one of "
                          f"{', '.join(READABLE_FORMATS)}; re-run certify")
-
-    def unsan(obj):
-        if isinstance(obj, dict):
-            return {k: unsan(v) for k, v in obj.items()}
-        if isinstance(obj, list):
-            return [unsan(v) for v in obj]
-        return _parse_float_maybe(obj)
-
-    data = unsan(data)
+    data = _unsanitize(data)
     kind = data["problem"]["kind"]
     return Certificate(
         verdict=data["verdict"],

@@ -14,14 +14,15 @@ import logging
 import math
 import os
 import sys as _sys
+import time
 
 import numpy as np
 
 from . import trgeom
 from .certify import (DEFAULT_OPTIONS, ManifestError,
                       certificate_to_dict, certify as run_certify,
-                      compact_z_bbox, load_manifest, reproduce_example,
-                      sanitize_json, validate_options)
+                      compact_z_bbox, dumps_json, load_manifest,
+                      reproduce_example, sanitize_json, validate_options)
 from .trgeom import GRAPH
 
 log = logging.getLogger("prc")
@@ -49,13 +50,18 @@ def _setup_logging():
 
 
 def _dump_json(obj, out_path: str | None) -> None:
-    """Write `obj`, already passed through sanitize_json, as JSON."""
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Write `obj`, already passed through sanitize_json, with dumps_json;
+    log its size and the time the write took (the time never enters a file)."""
+    start = time.perf_counter()
+    text = dumps_json(obj)
     if out_path:
         with open(out_path, "w") as f:
             f.write(text)
     else:
         _sys.stdout.write(text)
+    # dumps_json escapes every non-ASCII character, so characters are bytes
+    log.info("wrote %d bytes of JSON to %s in %.4f s", len(text),
+             out_path or "stdout", time.perf_counter() - start)
 
 
 def _load_manifest_file(path: str):
@@ -98,16 +104,17 @@ def cmd_totally_real(args) -> int:
             for i in range(len(lo))]
     mesh = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
     res = trgeom.totally_real(sys_, mesh)
+    # built already sanitized: the mesh is finite, or the test above raised
     results = [{"z": [row[k:k + 2] for k in range(0, len(row), 2)], "sigma_min": s,
                 "totally_real": ok}
-               for row, s, ok in zip(mesh.tolist(), res["sigma_min"].tolist(),
+               for row, s, ok in zip(mesh.tolist(), sanitize_json(res["sigma_min"].tolist()),
                                      res["totally_real"].tolist())]
     all_ok = all(entry["totally_real"] for entry in results)
     report = {"grid": g, "points": len(results), "all_totally_real": all_ok,
               "results": results}
     if not all_ok:
         report["witness"] = next(e for e in results if not e["totally_real"])
-    _dump_json(sanitize_json(report), args.out)
+    _dump_json(report, args.out)
     return EXIT_OK if all_ok else EXIT_FAIL
 
 

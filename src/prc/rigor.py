@@ -36,7 +36,7 @@ and certify's K-in-omega check uses it too; both keep unit weights.
 Boxes a check leaves undecided are probed pointwise at probe_points: the
 box's midpoint when it lies strictly inside the region, else the region's
 centre clamped to the box.  A level's probe points are evaluated at once
-(ProblemSystem.point_pack), and the pointwise quantities come from the
+(ProblemSystem.evaluate), and the pointwise quantities come from the
 batched functions of trgeom (m_values, L_values, radii, totally_real), the
 ones its one-point functions are views on, so a FAIL witness and any later
 check of it read the same bits.  Probes only look for witnesses, which are
@@ -527,7 +527,7 @@ def probe_points(lo, hi, region: Region | None) -> np.ndarray:
 def _probe_quantities(sys: ProblemSystem, pts: np.ndarray, table: np.ndarray,
                       violations_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(residual, tube radius) at each point, the rows of `pts` (z, then w
-    for a graph), from `table`, the values of sys.point_pack there: the
+    for a graph), from `table`, the values of sys.evaluate("all") there: the
     residual sum of np.hypot magnitudes, left to right, and m_values,
     L_values and radii of trgeom.  The radius is 0 where m = 0 and inf where
     L = 0; a residual that is not finite raises OverflowError.
@@ -583,7 +583,7 @@ def _tube_probe(sys: ProblemSystem, lo, hi, region: Region | None):
     violated = np.zeros(len(lo), dtype=bool)
     if not len(pts):
         return violated, None
-    table = sys.point_pack.eval(pts[:, :2 * n])
+    table = sys.evaluate("all", pts[:, :2 * n])
     if sys.kind == GRAPH:
         ws = []
         for j, (cx, cy, r) in enumerate(region.discs[n:]):

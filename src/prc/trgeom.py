@@ -13,7 +13,7 @@ submersion system (2n-k real-valued functions), this module computes:
 
 Each pointwise quantity has one implementation, batched over many points:
 m_values, L_values, radii and totally_real, on tables that
-ProblemSystem.point_pack evaluates.  They are plain numpy arithmetic (squares
+ProblemSystem.evaluate gives.  They are plain numpy arithmetic (squares
 as products, magnitudes from np.hypot, sums left to right), each point's bits
 independent of its batch, and they raise OverflowError where a value leaves
 the doubles.  The one-point functions (m_value, big_l_value, tube_radius,
@@ -112,6 +112,7 @@ class ProblemSystem:
         self.k = k
         self.exprs = tuple(ex.normalize(e) for e in exprs)
         self.tables = tuple(_FnTable(e, n) for e in self.exprs)
+        self._point_packs: dict[str, PointPack] = {}
         for idx, t in enumerate(self.tables):
             for name, polys in (("value", [t.value]), ("dz", t.dz), ("dzbar", t.dzbar),
                                 ("Levi", [q for row in t.levi for q in row])):
@@ -155,12 +156,6 @@ class ProblemSystem:
         return {name: TermPack(polys) for name, polys in self.polys.items()}
 
     @functools.cached_property
-    def point_pack(self) -> PointPack:
-        """polys["all"] laid out to evaluate them at many points at once
-        (realpoly.PointPack); `split` takes its values apart."""
-        return PointPack(self.polys["all"])
-
-    @functools.cached_property
     def u_levi(self) -> list[list[RealPoly]]:
         """Levi matrix (2n x 2n) of u(z, w) = sum |w_nu - f_nu(z)|^2 over the
         2n coordinates (z, w) of a graph system."""
@@ -187,13 +182,19 @@ class ProblemSystem:
 
     def evaluate(self, part: str, xs) -> np.ndarray:
         """The polynomials of polys[part] at the rows of xs (real
-        coordinates), shape (points, polynomials)."""
-        return np.stack([p.eval_batch(xs) for p in self.polys[part]], axis=1)
+        coordinates), shape (points, polynomials): one realpoly.PointPack
+        per part, built on first use (a system that replay rebuilds needs
+        none), with the bits of eval_batch polynomial by polynomial.
+        `split` takes the values of "all" apart."""
+        pack = self._point_packs.get(part)
+        if pack is None:
+            pack = self._point_packs[part] = PointPack(self.polys[part])
+        return pack.eval(xs)
 
     def split(self, table: np.ndarray):
         """(values, dbar-matrices, Levi matrices) from `table`, the values of
-        point_pack at some points: shapes (points, rows), (points, rows, n)
-        and (points, rows, n, n)."""
+        evaluate("all") at some points: shapes (points, rows), (points,
+        rows, n) and (points, rows, n, n)."""
         n, rows = self.n, self.rows
         return (table[:, :rows], table[:, rows:rows + rows * n].reshape(-1, rows, n),
                 table[:, rows + rows * n:].reshape(-1, rows, n, n))
@@ -201,7 +202,7 @@ class ProblemSystem:
     def tables_at(self, zs: Sequence[Sequence[complex]]):
         """split of the tables at the points zs of C^n."""
         xs = np.array([real_coords(z) for z in zs], dtype=float).reshape(len(zs), 2 * self.n)
-        return self.split(self.point_pack.eval(xs))
+        return self.split(self.evaluate("all", xs))
 
     def values_at(self, z: Sequence[complex]) -> np.ndarray:
         return self.evaluate("value", [real_coords(z)])[0]

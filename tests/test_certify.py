@@ -1,8 +1,10 @@
 import cmath
+import copy
 import json
 import logging
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +13,10 @@ import pytest
 from conftest import cap_manifest
 from prc.certify import (CompactSpec, DiscRegion, BoxRegion, ManifestError,
                          OmegaSpec, certificate_from_dict, certificate_to_dict,
-                         certify, load_manifest, manifest_hash,
+                         certify, dumps_json, load_manifest, manifest_hash,
                          problem_manifest, replay_certificate,
-                         reproduce_example, suggest_omega, wermer_compact,
-                         wermer_system, WERMER_F)
+                         reproduce_example, sanitize_json, suggest_omega,
+                         wermer_compact, wermer_system, WERMER_F)
 from prc.trgeom import tube_radius
 
 
@@ -114,6 +116,28 @@ def test_certificate_json_roundtrip(wermer_pass_cert):
     cert2 = certificate_from_dict(json.loads(s1))
     s2 = json.dumps(certificate_to_dict(cert2), sort_keys=True)
     assert s1 == s2
+
+
+def test_non_finite_leaf_bounds_written_as_strings_and_read_back(wermer_pass_cert):
+    checks = copy.deepcopy(wermer_pass_cert.checks)
+    bounds = [math.inf, -math.inf, math.nan]
+    leaf = checks["omega_in_tube"]["leaves"][0]
+    leaf["m_lower"], leaf["L_upper"], leaf["residual_upper"] = bounds
+    text = dumps_json(certificate_to_dict(replace(wermer_pass_cert, checks=checks)))
+    written = json.loads(text)["checks"]["omega_in_tube"]["leaves"][0]
+    assert [written[k] for k in ("m_lower", "L_upper", "residual_upper")] == \
+        ["inf", "-inf", "nan"]
+    back = certificate_from_dict(json.loads(text)).checks["omega_in_tube"]["leaves"][0]
+    assert back["m_lower"] == math.inf and back["L_upper"] == -math.inf
+    assert math.isnan(back["residual_upper"])
+    assert back["box"] == leaf["box"]
+
+
+def test_sanitize_json_walks_tuples_and_numpy_floats():
+    got = sanitize_json({"a": (1.5, np.float64(np.inf), [np.float64(-np.inf), (np.nan,)]),
+                         "b": np.float64(0.25), "c": ("s", 3, None, True)})
+    assert got == {"a": [1.5, "inf", ["-inf", ["nan"]]], "b": 0.25,
+                   "c": ["s", 3, None, True]}
 
 
 def test_certificate_replays(wermer_pass_cert):
@@ -510,6 +534,17 @@ def test_certificate_written_before_closed_forms_replays():
     assert data["format"] == "prc-certificate/2"
     assert len(data["checks"]["omega_in_tube"]["leaves"]) == 86
     assert replay_certificate(certificate_from_dict(data))
+
+
+def test_certificate_in_indented_layout_replays():
+    """Files written before certificates became one line of JSON had an
+    indent of 2; they read the same and still replay."""
+    path = Path(__file__).parent / "data" / "wermer_r0.3.cert.json"
+    text = json.dumps(json.loads(path.read_text()), indent=2, sort_keys=True) + "\n"
+    assert text.count("\n") > 1000
+    cert = certificate_from_dict(json.loads(text))
+    assert cert.verdict == "PASS"
+    assert replay_certificate(cert)
 
 
 def test_certificate_written_before_product_chain_powers_replays():

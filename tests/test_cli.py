@@ -1,8 +1,10 @@
 import csv
 import hashlib
 import json
+import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 
 from conftest import cap_manifest
 from prc.certify import (WERMER_F, CompactSpec, certificate_to_dict, certify,
-                         sanitize_json)
+                         dumps_json)
 from prc.cli import main
 
 
@@ -395,27 +397,29 @@ def _wermer_bench_manifest(r, node_budget):
 # powers and the C library's hypot: some leaf bounds changed in their last
 # bits, with the same trees, verdicts and omega.  wermer_r0.33 was
 # re-recorded when the pointwise probe took the same arithmetic: its witness
-# moved in the last bits, with the same tree and leaf boxes.
+# moved in the last bits, with the same tree and leaf boxes.  All five, the
+# /2 digests and the totally-real digests below were re-recorded when every
+# output became one line of JSON (dumps_json): only whitespace changed.
 GOLDEN_CERTIFICATES = [
     ("wermer_r0.3", _wermer_bench_manifest(0.3, 150_000), 0,
-     "a5a5728ebea042d5ded626b99755f153ba9f82fcd2143ea9e6e1dcf9aa5db674"),
+     "32b59037c0c949c5e334a4bfedbccf6c5fa5c191d9b5dd157d77f80ca73c6d9d"),
     ("wermer_r0.33", _wermer_bench_manifest(0.33, 150_000), 3,
-     "bed64580fb31ac37e38e53a91b8b2678965ca8b296a148885cbbe43dd7cff1b1"),
+     "c92cc89c608c989af4f2f3aefdb12d38e3cf219c9798768863cbc6b7a2ea71ef"),
     ("wermer_r0.305", _wermer_bench_manifest(0.305, 40_000), 0,
-     "a406beb6250003d274ddee1876d21f42036cd2953ea31146ff96cce60b907afe"),
+     "8f07003e4f4a66645733281b55cc0fda40075dd97a345d308199f7adbfe7e427"),
     ("cap_r1.0", cap_manifest(1.0), 0,
-     "4c399ba8c5b17e0fdd37c5786a3d2813187eda6c40d64404d58d816d28a18bfa"),
+     "cfb66c381f6f8e19e601cdf9b147794ace344a80f557312546655558d7a40cbe"),
     ("cap_r1.285", cap_manifest(1.285), 0,
-     "1c9872ed2ee4e91fefc852b0252ed913f25cd01bb260dabb1d7ad8640c648f6a"),
+     "101f82771df7d47f69f619c6a77fa00ad758f1cc43d574b2222a5a42438d22db"),
 ]
 
 # The prc-certificate/2 digests of the problems whose trees the split scale
 # leaves alone: the Wermer scales are equal in x and y, and cap 1.0 proves at
 # its root.
 FORMAT_2_DIGESTS = {
-    "wermer_r0.3": "5ed0f5f7f8da9427359f27a24eee6a08bc241d2009262a01601d9f237c0abc96",
-    "wermer_r0.305": "8a7c558a8b5ffe19151e2d2739f07d180aa4285a823b9572481ba1e96575167e",
-    "cap_r1.0": "4dde7918315ebbee3f15268f086707cffdd6a74ebc12db7f2bfc0ec08452dc70",
+    "wermer_r0.3": "dc609bf0925a53d7f9ccb97db0e24261bf24d3ea7ab37f19d4ba3f80b247a2e1",
+    "wermer_r0.305": "31d9f161c196b66e60be85dabeb85cc2c2b6c08c533c3a4b6939a565c6dac5aa",
+    "cap_r1.0": "47e44c7b53fa3455b4b2a9771803d5110a918357a5e611d7f531b0a97666996c",
 }
 
 
@@ -429,7 +433,7 @@ def test_certificate_bytes_match_golden_digests(tmp_path):
             data = json.loads(out.read_text())
             data["format"] = "prc-certificate/2"
             del data["checks"]["omega_in_tube"]["split_scale"]
-            text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+            text = dumps_json(data)
             assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_2_DIGESTS[name]
 
 
@@ -449,14 +453,19 @@ _TR_FAIL_CERT = {
     "compact": {"region": [{"shape": "disc", "center": [0, 0], "radius": 0.5}] * 2}}
 
 
-@pytest.mark.parametrize("name, argv, manifest, exit_code, digest", [
+_TR_GOLDEN = [
     ("wermer_r0.3", ["totally-real"], _wermer_manifest(0.3), 0,
-     "72352f41322e97c3a0153b2dd22964cf5795f442d7d10d6bdc24ddb23316ac72"),
+     "d48d5087d4ccf1d700f59c429a0ed4a22c558b2266c054766cb831f66366ef18"),
     ("graph_not_totally_real", ["totally-real", "--grid", "9"], _TR_FAIL_GRAPH, 3,
-     "f6f7a8bf474cd5acf40f90e315e3a4f19fa91e2eb8413f5b7b8418c2cabe3283"),
+     "44067484f0f2e63afb14147723d3d087a39480894dd906e4662f488d253591ac"),
     ("certify_totally_real_fail", ["certify"], _TR_FAIL_CERT, 3,
-     "c5c8728ea68099823e142883e719f530579451c56c0d74943cda6b358eca3e7d"),
-])
+     "3929f988845456223b2bcee52c2fad6d3b2201bdab3df1940bb7ed94fd36d0e6"),
+]
+
+
+# the ids are the names, so a re-recorded digest leaves them alone
+@pytest.mark.parametrize("name, argv, manifest, exit_code, digest", _TR_GOLDEN,
+                         ids=[case[0] for case in _TR_GOLDEN])
 def test_totally_real_outputs_match_golden_digests(tmp_path, name, argv, manifest,
                                                    exit_code, digest):
     out = tmp_path / "out.json"
@@ -481,9 +490,85 @@ def test_example2_certificate_matches_golden_digest(example2):
     bytes are those of the CLI's cap 1.0 certificate."""
     cert = certify(example2, CompactSpec.submersion_cap((0j, 0j), (1.0, 1.0)),
                    inflation=0.04, max_depth=30, node_budget=400_000)
-    text = json.dumps(sanitize_json(certificate_to_dict(cert)), indent=2,
-                      sort_keys=True) + "\n"
+    text = dumps_json(certificate_to_dict(cert))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CERTIFICATES[3][3]
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+# ---------------------------------------------------------------------------
+
+# one output of each JSON command: argv after the command name, with {m} the
+# manifest's path, and the exit code.  The pluriharmonic PASS certificate
+# holds an infinite radius_lower.
+_JSON_OUTPUTS = {
+    "certify_pass": (["certify", "{m}"], _pluriharmonic_manifest(), 0),
+    "certify_fail": (["certify", "{m}"], _wermer_manifest(1.0), 3),
+    "certify_inconclusive": (["certify", "{m}", "--max-depth", "0"], _wermer_manifest(), 4),
+    "totally_real": (["totally-real", "{m}", "--grid", "5"], _wermer_manifest(), 0),
+    "hull_probe": (["hull-probe", "{m}", "--q", "0,0,0,2", "--degree", "2",
+                    "--density", "24"], _wermer_manifest(1.0), 0),
+    "reproduce": (["reproduce", "graph_over_r2"], None, 0),
+}
+
+
+@pytest.fixture(scope="module")
+def json_outputs(tmp_path_factory):
+    """The text of every output in _JSON_OUTPUTS."""
+    tmp = tmp_path_factory.mktemp("json_outputs")
+    texts = {}
+    for name, (argv, manifest, exit_code) in _JSON_OUTPUTS.items():
+        if manifest is not None:
+            argv = [a.format(m=_write(tmp, f"{name}.json", manifest)) for a in argv]
+        out = tmp / f"{name}.out.json"
+        assert main([*argv, "--out", str(out)]) == exit_code, name
+        texts[name] = out.read_text()
+    return texts
+
+
+@pytest.mark.parametrize("name", list(_JSON_OUTPUTS))
+def test_json_outputs_are_one_canonical_line(json_outputs, name):
+    text = json_outputs[name]
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert text == dumps_json(json.loads(text))
+
+
+@pytest.mark.parametrize("name", list(_JSON_OUTPUTS))
+def test_json_outputs_hold_no_non_finite_constant(json_outputs, name):
+    def refuse(constant):
+        raise AssertionError(f"{name} holds {constant}")
+
+    json.loads(json_outputs[name], parse_constant=refuse)
+
+
+def test_non_finite_certificate_output_is_written_as_strings(json_outputs):
+    """An output holds a non-finite bound, so the test above is not vacuous."""
+    report = json.loads(json_outputs["certify_pass"])["checks"]["omega_in_tube"]["report"]
+    assert report["radius_lower"] == "inf"
+
+
+def test_dumps_json_refuses_unsanitized_non_finite_floats():
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            dumps_json({"bound": x})
+
+
+def test_json_write_logged_at_info(tmp_path, monkeypatch, caplog):
+    """One INFO line per output with its byte count and write time; the time
+    goes to the log only, so two runs still write the same bytes."""
+    monkeypatch.setenv("PRC_LOG", "info")
+    path = _write(tmp_path, "w.json", _wermer_manifest())
+    outs = [tmp_path / "c1.json", tmp_path / "c2.json"]
+    with caplog.at_level(logging.INFO, logger="prc"):
+        for out in outs:
+            assert main(["certify", path, "--out", str(out)]) == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == "prc"]
+    assert len(lines) == 2
+    for line, out in zip(lines, outs):
+        m = re.fullmatch(r"wrote (\d+) bytes of JSON to (.+) in \d+\.\d{4} s", line)
+        assert m, line
+        assert (int(m[1]), m[2]) == (out.stat().st_size, str(out))
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 # ---------------------------------------------------------------------------

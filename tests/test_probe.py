@@ -325,7 +325,7 @@ def test_point_pack_matches_eval_real():
         xs = rng.uniform(-1.5, 1.5, (30, 2 * sys_.n))
         xs[:3] = [[0.0], [-0.0], [1.0]]
         want = np.array([[_eval_real(p, row) for p in polys] for row in xs.tolist()])
-        for got in (sys_.point_pack.eval(xs),
+        for got in (sys_.evaluate("all", xs),
                     np.stack([p.eval_batch(xs) for p in polys], axis=1)):
             assert (_bits(got.real) == _bits(want.real)).all()
             assert (_bits(got.imag) == _bits(want.imag)).all()
@@ -354,7 +354,7 @@ def test_probe_quantities_match_scalar_reference():
         dims = 4 * n if sys_.kind == GRAPH else 2 * n
         pts = rng.uniform(-1.2, 1.2, (40, dims))
         pts[0] = 0.0
-        table = sys_.point_pack.eval(pts[:, :2 * n])
+        table = sys_.evaluate("all", pts[:, :2 * n])
         residual, radius = rigor._probe_quantities(sys_, pts, table)
         want = [_point_quantities(sys_, pt) for pt in pts.tolist()]
         assert (_bits(residual) == _bits([r for r, _ in want])).all()
@@ -372,7 +372,7 @@ def test_one_point_functions_match_probe_quantities():
         n = sys_.n
         pts = rng.uniform(-1.2, 1.2, (25, 4 * n if sys_.kind == GRAPH else 2 * n))
         pts[0] = 0.0
-        _, radius = rigor._probe_quantities(sys_, pts, sys_.point_pack.eval(pts[:, :2 * n]))
+        _, radius = rigor._probe_quantities(sys_, pts, sys_.evaluate("all", pts[:, :2 * n]))
         zs = [tuple(complex(*pt[k:k + 2]) for k in range(0, 2 * n, 2)) for pt in pts.tolist()]
         prof = tube_profile(sys_, zs)
         for z, xs, r, pt in zip(zs, pts.tolist(), radius.tolist(), prof.points):
@@ -450,7 +450,7 @@ def test_violations_only_keeps_every_violation():
     for sys_ in [graph_n2] + _systems(rng):
         n = sys_.n
         pts = rng.uniform(-1.2, 1.2, (60, 4 * n if sys_.kind == GRAPH else 2 * n))
-        table = sys_.point_pack.eval(pts[:, :2 * n])
+        table = sys_.evaluate("all", pts[:, :2 * n])
         if sys_.kind == GRAPH:  # w near F(z), so small residuals occur too
             f = table[:30, :n]
             pts[:30, 2 * n::2] = f.real + rng.uniform(-1e-3, 1e-3, f.shape)
@@ -516,7 +516,7 @@ def test_probe_quantities_match_scalar_reference_at_many_points():
     for sys_ in (ProblemSystem.graph(["conj(z1) + 2*z1^2*conj(z1)"], 1), cap, graph3):
         n = sys_.n
         pts = rng.uniform(-1.5, 1.5, (1500, 4 * n if sys_.kind == GRAPH else 2 * n))
-        table = sys_.point_pack.eval(pts[:, :2 * n])
+        table = sys_.evaluate("all", pts[:, :2 * n])
         residual, radius = rigor._probe_quantities(sys_, pts, table)
         want = [_point_quantities(sys_, pt) for pt in pts.tolist()]
         assert (_bits(residual) == _bits([r for r, _ in want])).all()
@@ -602,7 +602,7 @@ def test_tables_L_and_residual_raise_where_values_leave_the_doubles(wermer, exam
         with pytest.raises(OverflowError, match="L"):
             L_values(example2, lev)
         with pytest.raises(OverflowError, match="residual"):
-            rigor._probe_quantities(wermer, pts, wermer.point_pack.eval(pts[:, :2]))
+            rigor._probe_quantities(wermer, pts, wermer.evaluate("all", pts[:, :2]))
 
 
 def test_point_probes_make_no_per_element_python_calls(monkeypatch, wermer, example2):

@@ -145,6 +145,26 @@ def test_numerical_radius_rejects_nonfinite():
 # total reality
 # ---------------------------------------------------------------------------
 
+_GRAPH_N2 = ["conj(z1) + 0.1*z2*conj(z2) - 0.2*z1^2*conj(z2)",
+             "conj(z2) - 0.3*z1*conj(z1)^2 + 0.05*conj(z1)"]
+
+
+@pytest.mark.parametrize("system", ["wermer", "graph_n2", "holomorphic"])
+def test_evaluate_matches_stacked_eval_batch(wermer, system):
+    """One PointPack per part gives the bits of one pack per polynomial."""
+    sys_ = {"wermer": wermer, "graph_n2": ProblemSystem.graph(_GRAPH_N2, 2),
+            "holomorphic": ProblemSystem.graph(["z1^2", "z1*z2"], 2)}[system]
+    rng = np.random.default_rng(17)
+    xs = rng.uniform(-1.5, 1.5, (21, 2 * sys_.n))
+    xs[::4] = 0.0  # zero coordinates, where a -0.0 could show
+    xs[1::4, 0] = -0.0
+    for part, polys in sys_.polys.items():
+        got = sys_.evaluate(part, xs)
+        want = np.stack([p.eval_batch(xs) for p in polys], axis=1)
+        assert got.shape == want.shape == (len(xs), len(polys))
+        assert got.tobytes() == want.tobytes(), part
+
+
 def test_totally_real_wermer(wermer):
     res = is_totally_real_graph(wermer, (0.25 + 0.1j,))
     assert res["totally_real"]
