@@ -32,8 +32,6 @@ EXIT_INPUT = 2
 EXIT_FAIL = 3
 EXIT_INCONCLUSIVE = 4
 
-_DEG_DEFAULT = 6
-_DENSITY_DEFAULT = 64
 _ANGLES = 16
 # least admissible value of the integer flags that no library call checks
 _FLAG_MINIMA = {"threads": 1, "grid": 1, "steps": 2}
@@ -77,15 +75,10 @@ def _check_flags(args) -> None:
             raise ManifestError(f"--{name} must be >= {least}, got {value}")
 
 
-def _merged_options(manifest_options: dict, args) -> dict:
-    """Certify options: defaults, then the manifest, then the flags; checked
-    once here, so no command sees a bad value."""
-    opts = dict(DEFAULT_OPTIONS)
-    opts.update(manifest_options)
-    for key in ("max_depth", "margin", "inflation"):
-        if getattr(args, key) is not None:
-            opts[key] = getattr(args, key)
-    return validate_options(opts)
+def _flag_options(args) -> dict:
+    """The certify options given as --max-depth, --margin and --inflation."""
+    return {key: getattr(args, key) for key in ("max_depth", "margin", "inflation")
+            if getattr(args, key) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +113,8 @@ def cmd_totally_real(args) -> int:
 
 def cmd_tube_profile(args) -> int:
     sys_, K, _, _ = _load_manifest_file(args.manifest)
-    start = _parse_point(args.ray_from, sys_.n)
-    end = _parse_point(args.ray_to, sys_.n)
+    start = _parse_point(args.ray_from, sys_.n, "--ray-from")
+    end = _parse_point(args.ray_to, sys_.n, "--ray-to")
     steps = args.steps
     zs = [tuple(s + (e - s) * t / (steps - 1) for s, e in zip(start, end))
           for t in range(steps)]
@@ -149,19 +142,22 @@ def cmd_tube_profile(args) -> int:
     return EXIT_OK
 
 
-def _parse_point(text: str, n: int) -> tuple[complex, ...]:
+def _parse_point(text: str, n: int, flag: str) -> tuple[complex, ...]:
     parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
     vals = [float(p) for p in parts]
     if len(vals) != 2 * n:
         raise ManifestError(
-            f"point needs {2*n} comma-separated reals (re,im per coordinate), "
+            f"{flag} needs {2*n} comma-separated reals (re,im per coordinate), "
             f"got {len(vals)}")
+    if not all(map(math.isfinite, vals)):
+        raise ManifestError(f"{flag} must have finite coordinates, got {text!r}")
     return tuple(complex(vals[2 * j], vals[2 * j + 1]) for j in range(n))
 
 
 def cmd_certify(args) -> int:
     sys_, K, omega, manifest_opts = _load_manifest_file(args.manifest)
-    opts = _merged_options(manifest_opts, args)
+    # defaults, then the manifest, then the flags, all checked before any work
+    opts = validate_options({**DEFAULT_OPTIONS, **manifest_opts, **_flag_options(args)})
     cert = run_certify(sys_, K, omega, max_depth=opts["max_depth"],
                        margin=opts["margin"], inflation=opts["inflation"],
                        node_budget=opts["node_budget"])
@@ -175,13 +171,12 @@ def cmd_hull_probe(args) -> int:
 
     sys_, K, _, _ = _load_manifest_file(args.manifest)
     ambient = 2 * sys_.n if sys_.kind == GRAPH else sys_.n
-    q = _parse_point(args.q, ambient)
-    cloud = hullprobe.sample_compact(sys_, K, density=args.density, seed=args.seed)
+    q = _parse_point(args.q, ambient, "--q")
+    cloud = hullprobe.sample_compact(sys_, K, density=args.density)
     result = hullprobe.probe(cloud, q, degree=args.degree, angles=_ANGLES,
-                             margin=args.margin if args.margin is not None else 0.05)
+                             margin=args.margin)
     if result.separated:
-        dense = hullprobe.sample_compact(sys_, K, density=args.density * 3,
-                                         seed=args.seed)
+        dense = hullprobe.sample_compact(sys_, K, density=args.density * 3)
         result = hullprobe.fragility_check(result, q, dense)
     report = {
         "hull_probe": {
@@ -203,14 +198,10 @@ def cmd_hull_probe(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    _merged_options({}, args)  # rejects a bad --max-depth, --margin or --inflation
-    params = {}
-    if args.max_depth is not None:
-        params["max_depth"] = args.max_depth
-    if args.margin is not None:
-        params["margin"] = args.margin
-    if args.inflation is not None:  # graph_over_r2 calls its inflation eps
-        params["inflation" if args.name == "wermer" else "eps"] = args.inflation
+    params = _flag_options(args)
+    validate_options({**DEFAULT_OPTIONS, **params})  # a bad flag exits 2 before any work
+    if "inflation" in params and args.name == "graph_over_r2":  # which calls it eps
+        params["eps"] = params.pop("inflation")
     report = reproduce_example(args.name, params)
     _dump_json(report, args.out)
     return EXIT_OK
@@ -230,15 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
         if manifest:
             sp.add_argument("manifest", help="problem manifest (JSON)")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
+
+    def certify_options(sp):
+        # unset flags leave the manifest's options and DEFAULT_OPTIONS in force
         sp.add_argument("--max-depth", type=int, default=None)
         sp.add_argument("--margin", type=float, default=None)
         sp.add_argument("--inflation", type=float, default=None)
-        sp.add_argument("--degree", type=int, default=_DEG_DEFAULT)
-        sp.add_argument("--density", type=int, default=_DENSITY_DEFAULT)
-        sp.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility and ignored: every "
-                             "check runs in one thread")
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("totally-real", help="grid total-reality check")
     common(sp)
@@ -255,16 +243,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("certify", help="emit a certification certificate")
     common(sp)
+    certify_options(sp)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="accepted for compatibility and ignored: every "
+                         "check runs in one thread")
     sp.set_defaults(fn=cmd_certify)
 
     sp = sub.add_parser("hull-probe", help="polynomial separation probe")
     common(sp)
     sp.add_argument("--q", required=True,
                     help="query point: re,im per ambient coordinate")
+    sp.add_argument("--degree", type=int, default=6)
+    sp.add_argument("--density", type=int, default=64)
+    sp.add_argument("--margin", type=float, default=0.05,
+                    help="separated when |p(q)| > (1 + margin) max |p| on the sample of K")
     sp.set_defaults(fn=cmd_hull_probe)
 
     sp = sub.add_parser("reproduce", help="reproduce a worked example")
     common(sp, manifest=False)
+    certify_options(sp)
     sp.add_argument("name", choices=["wermer", "graph_over_r2"])
     sp.set_defaults(fn=cmd_reproduce)
     return p

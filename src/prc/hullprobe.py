@@ -61,8 +61,7 @@ class ProjectionError(RuntimeError):
 # Sampling
 # ---------------------------------------------------------------------------
 
-def sample_compact(sys: ProblemSystem, K: CompactSpec, density: int,
-                   seed: int = 0) -> SampleCloud:
+def sample_compact(sys: ProblemSystem, K: CompactSpec, density: int) -> SampleCloud:
     """Deterministic sample of K.
 
     Graph: a density-per-real-axis grid over the parameter region (pruned to
@@ -75,8 +74,8 @@ def sample_compact(sys: ProblemSystem, K: CompactSpec, density: int,
     if K.kind != sys.kind:
         raise ValueError("compact kind does not match system kind")
     if sys.kind == GRAPH:
-        return _sample_graph(sys, K, density, seed)
-    return _sample_submersion(sys, K, density, seed)
+        return _sample_graph(sys, K, density)
+    return _sample_submersion(sys, K, density)
 
 
 def _coordinate_samples(reg: DiscRegion | BoxRegion, density: int) -> np.ndarray:
@@ -98,8 +97,7 @@ def _coordinate_samples(reg: DiscRegion | BoxRegion, density: int) -> np.ndarray
     return (xx + 1j * yy).ravel()
 
 
-def _sample_graph(sys: ProblemSystem, K: CompactSpec, density: int,
-                  seed: int) -> SampleCloud:
+def _sample_graph(sys: ProblemSystem, K: CompactSpec, density: int) -> SampleCloud:
     per_coord = [_coordinate_samples(reg, density) for reg in K.regions]
     if sys.n == 1:
         zs = per_coord[0][:, None]
@@ -116,12 +114,12 @@ def _sample_graph(sys: ProblemSystem, K: CompactSpec, density: int,
     xs[:, 1::2] = zs.imag
     fvals = sys.evaluate("value", xs)
     pts = np.concatenate([zs, fvals], axis=1)
-    return SampleCloud(points=pts, meta={"density": density, "seed": seed,
-                                         "kind": GRAPH, "count": len(pts)})
+    return SampleCloud(points=pts, meta={"density": density, "kind": GRAPH,
+                                         "count": len(pts)})
 
 
-def _sample_submersion(sys: ProblemSystem, K: CompactSpec, density: int,
-                       seed: int) -> SampleCloud:
+def _sample_submersion(sys: ProblemSystem, K: CompactSpec,
+                       density: int) -> SampleCloud:
     n = sys.n
     rows = sys.rows
     per_axis = max(2, min(density, int(round(65536 ** (1.0 / (2 * n))))))
@@ -192,9 +190,8 @@ def _sample_submersion(sys: ProblemSystem, K: CompactSpec, density: int,
     rounded = np.round(np.column_stack([zs.real, zs.imag]), 4)
     _, idx = np.unique(rounded, axis=0, return_index=True)
     zs = zs[np.sort(idx)]
-    return SampleCloud(points=zs, meta={"density": density, "seed": seed,
-                                        "kind": SUBMERSION, "count": len(zs),
-                                        "converged_fraction": frac})
+    return SampleCloud(points=zs, meta={"density": density, "kind": SUBMERSION,
+                                        "count": len(zs), "converged_fraction": frac})
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +278,12 @@ def probe(cloud: SampleCloud, q: Sequence[complex], degree: int,
                          f"cloud ambient is {cloud.ambient_dim}")
 
     monos = monomial_basis(cloud.ambient_dim, degree)
+    with np.errstate(over="ignore", invalid="ignore"):
+        qvals = _monomial_values(q[None, :], monos)[0]     # (t,)
+    if not np.isfinite(qvals).all():
+        raise ValueError(f"the degree-{degree} monomials of the query point "
+                         f"q = {q.tolist()} leave the range of doubles")
     mvals = _monomial_values(cloud.points, monos)          # (s, t)
-    qvals = _monomial_values(q[None, :], monos)[0]         # (t,)
     nt = len(monos)
     count = len(mvals)
     rot = np.exp(2j * np.pi * np.arange(angles) / angles)  # (a,)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ import pytest
 from conftest import cap_manifest
 from prc.certify import (WERMER_F, CompactSpec, certificate_to_dict, certify,
                          dumps_json)
-from prc.cli import main
+from prc.cli import build_parser, main
 
 
 def _write(tmp_path, name, obj):
@@ -60,8 +62,7 @@ def _holomorphic_manifest():
 def test_totally_real_wermer_grid(tmp_path, capsys):
     path = _write(tmp_path, "w.json", _wermer_manifest(1.0))
     out = tmp_path / "report.json"
-    code = main(["totally-real", path, "--grid", "41", "--out", str(out),
-                 "--threads", "1"])
+    code = main(["totally-real", path, "--grid", "41", "--out", str(out)])
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["all_totally_real"] is True
@@ -71,8 +72,7 @@ def test_totally_real_wermer_grid(tmp_path, capsys):
 def test_totally_real_holomorphic_fails(tmp_path):
     path = _write(tmp_path, "h.json", _holomorphic_manifest())
     out = tmp_path / "report.json"
-    code = main(["totally-real", path, "--grid", "5", "--out", str(out),
-                 "--threads", "1"])
+    code = main(["totally-real", path, "--grid", "5", "--out", str(out)])
     assert code == 3
     rep = json.loads(out.read_text())
     assert rep["all_totally_real"] is False
@@ -82,7 +82,7 @@ def test_totally_real_holomorphic_fails(tmp_path):
 def test_totally_real_malformed_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
-    assert main(["totally-real", str(p), "--threads", "1"]) == 2
+    assert main(["totally-real", str(p)]) == 2
 
 
 def test_directory_as_manifest_exit_2(tmp_path, capsys):
@@ -133,7 +133,7 @@ def test_tube_profile_wermer(tmp_path):
     path = _write(tmp_path, "w.json", _wermer_manifest(1.0))
     out = tmp_path / "profile.csv"
     code = main(["tube-profile", path, "--ray-from", "0,0", "--ray-to", "1,0",
-                 "--steps", "101", "--out", str(out), "--threads", "1"])
+                 "--steps", "101", "--out", str(out)])
     assert code == 0
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 101
@@ -148,15 +148,34 @@ def test_tube_profile_pluriharmonic_all_inf(tmp_path):
     path = _write(tmp_path, "p.json", _pluriharmonic_manifest())
     out = tmp_path / "profile.csv"
     assert main(["tube-profile", path, "--ray-from", "0,0", "--ray-to", "1,1",
-                 "--steps", "11", "--out", str(out), "--threads", "1"]) == 0
+                 "--steps", "11", "--out", str(out)]) == 0
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert all(r["radius"] == "inf" for r in rows)
 
 
 def test_tube_profile_bad_ray(tmp_path):
     path = _write(tmp_path, "w.json", _wermer_manifest())
-    assert main(["tube-profile", path, "--ray-from", "0", "--ray-to", "1,0",
-                 "--threads", "1"]) == 2
+    assert main(["tube-profile", path, "--ray-from", "0", "--ray-to", "1,0"]) == 2
+
+
+# argv of a command that takes a point, with {v} the value of one coordinate
+_POINT_ARGV = {
+    "--ray-from": ["tube-profile", "{m}", "--ray-from={v},0", "--ray-to=1,0"],
+    "--ray-to": ["tube-profile", "{m}", "--ray-from=0,0", "--ray-to={v},0"],
+    "--q": ["hull-probe", "{m}", "--q=0,0,{v},0"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", list(_POINT_ARGV))
+def test_non_finite_point_exit_2(tmp_path, capsys, flag, value):
+    """A NaN ray end was reported as a floating-point overflow, and an infinite
+    query point leaked numpy's RuntimeWarning and then SciPy's input error."""
+    path = _write(tmp_path, "w.json", _wermer_manifest(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([a.format(m=path, v=value) for a in _POINT_ARGV[flag]]) == 2
+    assert f"error: {flag} must have finite coordinates" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +240,7 @@ def test_hull_probe_circle_not_separated(tmp_path):
     path = _write(tmp_path, "circ.json", m)
     out = tmp_path / "probe.json"
     code = main(["hull-probe", path, "--q", "0,0", "--degree", "4",
-                 "--density", "24", "--out", str(out), "--threads", "1"])
+                 "--density", "24", "--out", str(out)])
     assert code == 0
     rep = json.loads(out.read_text())["hull_probe"]
     assert rep["separated"] is False
@@ -232,7 +251,7 @@ def test_hull_probe_wermer_far_point(tmp_path):
     path = _write(tmp_path, "w.json", _wermer_manifest(1.0))
     out = tmp_path / "probe.json"
     code = main(["hull-probe", path, "--q", "0,0,0,2", "--degree", "2",
-                 "--density", "24", "--out", str(out), "--threads", "1"])
+                 "--density", "24", "--out", str(out)])
     assert code == 0
     rep = json.loads(out.read_text())["hull_probe"]
     assert rep["separated"] is True
@@ -256,8 +275,7 @@ def test_hull_probe_bad_margin_exit_2(tmp_path, capsys, margin):
 
 def test_reproduce_graph_over_r2_cli(tmp_path):
     out = tmp_path / "rep.json"
-    code = main(["reproduce", "graph_over_r2", "--out", str(out),
-                 "--threads", "1"])
+    code = main(["reproduce", "graph_over_r2", "--out", str(out)])
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["certification"]["verdict"] == "PASS"
@@ -273,7 +291,7 @@ def test_reproduce_graph_over_r2_takes_inflation_as_eps(tmp_path):
 def test_stdout_default(tmp_path, capsys):
     path = _write(tmp_path, "w.json", _wermer_manifest(1.0))
     code = main(["tube-profile", path, "--ray-from", "0,0", "--ray-to", "0.5,0",
-                 "--steps", "3", "--threads", "1"])
+                 "--steps", "3"])
     assert code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("re_z1,im_z1,m,L,radius")
@@ -297,10 +315,8 @@ def test_certify_output_independent_of_threads(tmp_path):
 def test_certify_byte_identical_reruns(tmp_path):
     path = _write(tmp_path, "w.json", _wermer_manifest(1.0))
     out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"
-    assert main(["certify", path, "--out", str(out1), "--seed", "7",
-                 "--threads", "1"]) == 3
-    assert main(["certify", path, "--out", str(out2), "--seed", "7",
-                 "--threads", "1"]) == 3
+    assert main(["certify", path, "--out", str(out1), "--threads", "1"]) == 3
+    assert main(["certify", path, "--out", str(out2), "--threads", "1"]) == 3
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -308,8 +324,7 @@ def test_prc_log_env(tmp_path, monkeypatch):
     monkeypatch.setenv("PRC_LOG", "debug")
     path = _write(tmp_path, "w.json", _wermer_manifest(1.0))
     assert main(["tube-profile", path, "--ray-from", "0,0", "--ray-to", "1,0",
-                 "--steps", "2", "--out", str(tmp_path / "p.csv"),
-                 "--threads", "1"]) == 0
+                 "--steps", "2", "--out", str(tmp_path / "p.csv")]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +383,63 @@ def test_certify_negative_max_depth_exit_2(tmp_path, capsys):
 
 
 def test_threads_default_is_one():
-    from prc.cli import build_parser
-
     args = build_parser().parse_args(["certify", "m.json"])
     assert args.threads == 1
+    assert build_parser().parse_args(["certify", "m.json", "--threads", "1"]).threads == 1
     assert main(["certify", "m.json", "--threads", "0"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the flags of each subcommand
+# ---------------------------------------------------------------------------
+
+# each subcommand takes exactly the flags it reads
+_SUBCOMMAND_FLAGS = {
+    "totally-real": {"--out", "--grid"},
+    "tube-profile": {"--out", "--ray-from", "--ray-to", "--steps"},
+    "certify": {"--out", "--max-depth", "--margin", "--inflation", "--threads"},
+    "hull-probe": {"--out", "--q", "--degree", "--density", "--margin"},
+    "reproduce": {"--out", "--max-depth", "--margin", "--inflation"},
+}
+
+
+def _parser_flags():
+    """The option strings build_parser declares on each subcommand, less --help."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, sp in sub.choices.items()}
+
+
+def test_each_subcommand_declares_the_flags_it_reads():
+    assert _parser_flags() == _SUBCOMMAND_FLAGS
+    assert sum(map(len, _SUBCOMMAND_FLAGS.values())) == 20
+    # the hull probe's own margin keeps its default
+    assert build_parser().parse_args(["hull-probe", "m.json", "--q", "0,0"]).margin == 0.05
+
+
+@pytest.mark.parametrize("argv", [
+    ["totally-real", "m.json", "--max-depth", "3"],
+    ["certify", "m.json", "--degree", "3"],
+    ["certify", "m.json", "--seed", "7"],
+    ["hull-probe", "m.json", "--q", "0,0", "--inflation", "0.1"],
+    ["reproduce", "wermer", "--threads", "2"],
+])
+def test_flag_the_subcommand_does_not_read_exit_2(capsys, argv):
+    """Each of these exited 0 with the flag ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+def test_readme_cli_synopsis_matches_parser():
+    """Each subcommand's line in the README's CLI synopsis names its flags."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    synopsis = {line.split()[1]: set(re.findall(r"--[a-z-]+", line))
+                for line in block.splitlines() if line.startswith("prc ")}
+    assert synopsis == _parser_flags()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,16 @@ def test_probe_validates_arguments(circle_cloud):
         probe(circle_cloud, [0j], degree=2, angles=4)
     with pytest.raises(ValueError):
         probe(circle_cloud, [0j, 0j], degree=2)
+
+
+@pytest.mark.parametrize("q", [[1e200 + 0j], [1e160j], [math.inf + 0j], [complex(math.nan, 0)]])
+def test_probe_overflowing_query_raises_without_warning(circle_cloud, q):
+    """A query point whose monomials leave the doubles once leaked numpy's
+    RuntimeWarning and then SciPy's refusal of a non-finite LP bound."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="monomials of the query point q = "):
+            probe(circle_cloud, q, degree=2)
 
 
 def test_probe_never_separates_cloud_member(circle_cloud):
