@@ -515,6 +515,41 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
+def _positive_int(value, name: str) -> int:
+    """A JSON integer >= 1 (not a bool)."""
+    if type(value) is not int or value < 1:
+        raise ManifestError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _pair(value, name: str) -> tuple[float, float]:
+    """Exactly two finite JSON numbers: a center's re and im, or a box side."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(map(_is_real, value))):
+        raise ManifestError(f"{name} must be two finite numbers, got {value!r}")
+    return float(value[0]), float(value[1])
+
+
+def _radius(value, name: str) -> float:
+    if not (_is_real(value) and value > 0):
+        raise ManifestError(f"{name} must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
+def _discs(data, name: str, count: int) -> tuple[tuple[complex, ...], tuple[float, ...]]:
+    """`count` centers and radii from {"center": [...], "radii": [...]}."""
+    centers, radii = data["center"], data["radii"]
+    if not (isinstance(centers, list) and isinstance(radii, list)
+            and len(centers) == len(radii) == count):
+        raise ManifestError(f"{name} needs {count} centers and radii")
+    return (tuple(complex(*_pair(c, f"{name}.center[{j}]")) for j, c in enumerate(centers)),
+            tuple(_radius(r, f"{name}.radii[{j}]") for j, r in enumerate(radii)))
+
+
 def load_manifest(data: dict) -> tuple[ProblemSystem, CompactSpec, OmegaSpec | None, dict]:
     """Validate and decode a problem manifest dictionary."""
     if not isinstance(data, dict):
@@ -525,7 +560,7 @@ def load_manifest(data: dict) -> tuple[ProblemSystem, CompactSpec, OmegaSpec | N
         raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
     try:
         kind = data["kind"]
-        n = int(data["n"])
+        n = _positive_int(data["n"], "n")
         functions = list(data["functions"])
     except KeyError as exc:
         raise ManifestError(f"manifest missing key: {exc}") from exc
@@ -539,7 +574,7 @@ def load_manifest(data: dict) -> tuple[ProblemSystem, CompactSpec, OmegaSpec | N
         else:
             if "k" not in data:
                 raise ManifestError("submersion manifests need 'k'")
-            sys_ = ProblemSystem.submersion(functions, n, int(data["k"]))
+            sys_ = ProblemSystem.submersion(functions, n, _positive_int(data["k"], "k"))
     except ManifestError:
         raise
     except Exception as exc:
@@ -551,25 +586,21 @@ def load_manifest(data: dict) -> tuple[ProblemSystem, CompactSpec, OmegaSpec | N
     try:
         if kind == GRAPH:
             regions = []
-            for rj in compact["region"]:
+            for j, rj in enumerate(compact["region"]):
+                name = f"compact.region[{j}]"
                 if rj.get("shape") == "disc":
-                    regions.append(DiscRegion(complex(rj["center"][0], rj["center"][1]),
-                                              float(rj["radius"])))
+                    regions.append(DiscRegion(complex(*_pair(rj["center"], f"{name}.center")),
+                                              _radius(rj["radius"], f"{name}.radius")))
                 elif rj.get("shape") == "box":
-                    regions.append(BoxRegion(float(rj["re"][0]), float(rj["re"][1]),
-                                             float(rj["im"][0]), float(rj["im"][1])))
+                    regions.append(BoxRegion(*_pair(rj["re"], f"{name}.re"),
+                                             *_pair(rj["im"], f"{name}.im")))
                 else:
                     raise ManifestError(f"unknown region shape {rj.get('shape')!r}")
             if len(regions) != n:
                 raise ManifestError(f"graph compact needs {n} region entries")
             K = CompactSpec.graph_over(regions)
         else:
-            cap = compact["cap"]
-            center = [complex(c[0], c[1]) for c in cap["center"]]
-            radii = [float(r) for r in cap["radii"]]
-            if len(center) != n or len(radii) != n:
-                raise ManifestError(f"cap needs {n} centers and radii")
-            K = CompactSpec.submersion_cap(center, radii)
+            K = CompactSpec.submersion_cap(*_discs(compact["cap"], "compact.cap", n))
     except ManifestError:
         raise
     except Exception as exc:
@@ -577,7 +608,7 @@ def load_manifest(data: dict) -> tuple[ProblemSystem, CompactSpec, OmegaSpec | N
 
     omega = None
     if "omega" in data and data["omega"] is not None:
-        omega = omega_from_json(data["omega"], kind)
+        omega = omega_from_json(data["omega"], kind, n)
 
     options = dict(data.get("options") or {})
     unknown = set(options) - set(DEFAULT_OPTIONS)
@@ -595,18 +626,17 @@ def omega_to_json(omega: OmegaSpec) -> dict:
     return out
 
 
-def omega_from_json(data: dict, kind: str) -> OmegaSpec:
+def omega_from_json(data: dict, kind: str, n: int) -> OmegaSpec:
+    """An omega polydisc of n z discs, and n w discs for a graph."""
     try:
         unknown = set(data) - {"z", "w"}
         if unknown:
             raise ManifestError(f"unknown omega keys: {sorted(unknown)} "
                                 "(v1 admits polydisc omegas only)")
-        zc = tuple(complex(c[0], c[1]) for c in data["z"]["center"])
-        zr = tuple(float(r) for r in data["z"]["radii"])
+        zc, zr = _discs(data["z"], "omega.z", n)
         wc = wr = None
         if kind == GRAPH:
-            wc = tuple(complex(c[0], c[1]) for c in data["w"]["center"])
-            wr = tuple(float(r) for r in data["w"]["radii"])
+            wc, wr = _discs(data["w"], "omega.w", n)
         elif "w" in data:
             raise ManifestError("submersion omega has no w polydisc")
         return OmegaSpec(zc, zr, wc, wr)
@@ -642,12 +672,12 @@ def certificate_from_dict(data: dict) -> Certificate:
         raise ValueError(f"certificate format {data.get('format')!r} is not one of "
                          f"{', '.join(READABLE_FORMATS)}; re-run certify")
     data = _unsanitize(data)
-    kind = data["problem"]["kind"]
+    kind, n = data["problem"]["kind"], _positive_int(data["problem"]["n"], "problem.n")
     return Certificate(
         verdict=data["verdict"],
         problem_hash=data["problem_hash"],
         problem=data["problem"],
-        omega=omega_from_json(data["omega"], kind),
+        omega=omega_from_json(data["omega"], kind, n),
         checks=data["checks"],
         options=data["options"],
         tolerances=data["tolerances"],
@@ -659,9 +689,9 @@ def replay_certificate(cert: Certificate) -> bool:
     """Check a PASS certificate independently of the run that produced it.
 
     Recomputes the problem hash, re-runs K in omega, and re-derives both
-    subdivision trees from the z-box of omega (see _replay_tree): every
-    recorded leaf must be reached exactly once, none may be missing or extra,
-    none may lie deeper than max_depth, and each one's bounds are recomputed.
+    subdivision trees from the z-box of omega with rigor.subdivide (see
+    _replay_tree): the derived leaves must be the recorded ones, in order,
+    none deeper than max_depth, and each PROVED leaf's bounds are recomputed.
     The tube tree is bisected by its recorded split_scale (unit weights when
     there is none, as in a /2 file), which must be 2n finite positive floats;
     it only decides where boxes are cut, so it needs no check of its own.
@@ -705,72 +735,44 @@ def _replay(cert: Certificate) -> bool:
         return bool((bb.m_lower(lo, hi) > 0.0).all())
 
     return (_replay_tree(tube["leaves"], z_box, region, opts["max_depth"],
-                         tube_holds, tuple(scale))
+                         tube_holds, "replayed tube", tuple(scale))
             and _replay_tree(cert.checks["totally_real"]["leaves"], z_box,
                              Region(region.discs[:n]), opts["max_depth"],
-                             totally_real))
+                             totally_real, "replayed totally-real"))
 
 
-def _replay_tree(leaves: list[dict], root: ParamBox, region: Region,
-                 max_depth: int, holds, scale: tuple[float, ...] | None = None) -> bool:
-    """Re-derive a subdivision tree from its root and match the recorded leaves.
+def _replay_tree(leaves: list[dict], root: ParamBox, region: Region, max_depth: int,
+                 holds, name: str, scale: tuple[float, ...] | None = None) -> bool:
+    """Re-derive a subdivision tree with rigor.subdivide and match the recorded leaves.
 
-    The leaves are recorded depth first, children in split order, so their
-    depths alone fix the shape of the tree: give a leaf at depth d the
-    weight 2^(top - d), top the deepest depth; the leaves under a node at
-    depth k are then the run of total weight 2^(top - k) that starts at the
-    node's first leaf, and its second child's run starts where the first
-    child's half of that weight is used up.  The tree is re-derived from the
-    root level by level, each level clipped in one Region.clip.  A node whose
-    box misses the region must be its run's only leaf, OUTSIDE, with its
-    unclipped box.  Any other node is clipped; it is a recorded leaf when its
-    first leaf has the node's depth (then PROVED, with the clipped box), and
-    is bisected at rigor.split_coords(scale), as subdivide bisected it, when
-    that leaf lies deeper.  So every recorded leaf is reached exactly once, or the
-    replay fails.  `holds(lo, hi)` finally checks all the PROVED boxes in one
-    batch.
+    The tree is grown from the root as certify grew it, with the same clip,
+    split coordinates and child order, but its check computes nothing: a box
+    is PROVED when a recorded PROVED leaf has it and INCONCLUSIVE, so
+    bisected, otherwise.  The node budget is 2L - 1, the node count of a
+    binary tree with L leaves, so a tampered list grows no more nodes than it
+    records.  The derived leaves must equal the recorded ones in order:
+    status (OUTSIDE or PROVED), integer depth and box.  `holds(lo, hi)` then
+    checks all the PROVED boxes in one batch.
     """
-    depths = [leaf["depth"] for leaf in leaves]
-    if not leaves or not all(isinstance(d, int) and 0 <= d <= max_depth for d in depths):
+    # (status, depth, lo, hi); a box of other than [lo, hi] pairs matches nothing
+    recorded = [(leaf["status"], leaf["depth"], *zip(*leaf["box"])) for leaf in leaves]
+    if not all(type(leaf[1]) is int for leaf in recorded):
         return False
-    top = max(depths)
-    before, weight = [], 0  # total weight of the leaves before each leaf
-    for d in depths:
-        before.append(weight)
-        weight += 1 << (top - d)
-    if weight != 1 << top:
-        return False  # the leaves do not tile the root
-    start = {w: pos for pos, w in enumerate(before)}
-    proved = []
-    frontier = [(root, 0)]
-    depth = 0
-    while frontier:
-        lo, hi, inside = region.clip([box.lo for box, _ in frontier],
-                                     [box.hi for box, _ in frontier])
-        children = []
-        coords = rigor.split_coords(lo, hi, scale)
-        for (box, pos), keep, l, h, coord in zip(frontier, inside.tolist(), lo.tolist(),
-                                                 hi.tolist(), coords):
-            leaf = leaves[pos]
-            if keep:
-                box = ParamBox._new(box.n, tuple(l), tuple(h))
-                if depths[pos] > depth:
-                    second = start.get(before[pos] + (1 << (top - depth - 1)))
-                    if second is None:
-                        return False
-                    b1, b2 = box.split(coord)
-                    children += [(b1, pos), (b2, second)]
-                    continue
-            recorded = (tuple(float(p[0]) for p in leaf["box"]),
-                        tuple(float(p[1]) for p in leaf["box"]))
-            status = PROVED if keep else "OUTSIDE"
-            if (leaf["status"], depths[pos], recorded) != (status, depth, (box.lo, box.hi)):
-                return False
-            if keep:
-                proved.append(box)
-        frontier = children
-        depth += 1
-    return not proved or holds([b.lo for b in proved], [b.hi for b in proved])
+    proved = {leaf[2:] for leaf in recorded if leaf[0] == PROVED}
+
+    def evaluate(lo, hi):
+        return [(PROVED if box in proved else INCONCLUSIVE, None, None)
+                for box in zip(map(tuple, lo.tolist()), map(tuple, hi.tolist()))]
+
+    tree = rigor.subdivide(root, evaluate, max_depth, 2 * len(recorded) - 1, region,
+                           name, scale)
+    derived = tree.leaves()
+    if tree.status != PROVED or recorded != [
+            ("OUTSIDE" if leaf.outside else leaf.status, leaf.depth, leaf.box.lo, leaf.box.hi)
+            for leaf in derived]:
+        return False
+    boxes = [leaf.box for leaf in derived if not leaf.outside]
+    return not boxes or holds([b.lo for b in boxes], [b.hi for b in boxes])
 
 
 # ---------------------------------------------------------------------------

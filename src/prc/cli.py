@@ -144,11 +144,14 @@ def cmd_tube_profile(args) -> int:
 
 def _parse_point(text: str, n: int, flag: str) -> tuple[complex, ...]:
     parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
-    vals = [float(p) for p in parts]
-    if len(vals) != 2 * n:
+    try:
+        vals = [float(p) for p in parts]
+    except ValueError:  # a part that is not a number
+        vals = None
+    if vals is None or len(vals) != 2 * n:
         raise ManifestError(
             f"{flag} needs {2*n} comma-separated reals (re,im per coordinate), "
-            f"got {len(vals)}")
+            f"got {text!r}")
     if not all(map(math.isfinite, vals)):
         raise ManifestError(f"{flag} must have finite coordinates, got {text!r}")
     return tuple(complex(vals[2 * j], vals[2 * j + 1]) for j in range(n))
@@ -221,6 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         if manifest:
             sp.add_argument("manifest", help="problem manifest (JSON)")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
+        sp.set_defaults(parser=sp)  # main reports unknown flags with its usage
 
     def certify_options(sp):
         # unset flags leave the manifest's options and DEFAULT_OPTIONS in force
@@ -270,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # named with the usage of the subcommand that was given them
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         _check_flags(args)
         return args.fn(args)

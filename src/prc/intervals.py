@@ -84,16 +84,11 @@ class ParamBox:
     def dim(self) -> int:
         return len(self.lo)
 
-    def widest_coord(self) -> int:
-        widths = [b - a for a, b in zip(self.lo, self.hi)]
-        return max(range(len(widths)), key=lambda i: (widths[i], -i))
-
-    def split(self, coord: int | None = None) -> tuple[ParamBox, ParamBox]:
-        """Bisect along `coord` (widest coordinate when omitted)."""
-        i = self.widest_coord() if coord is None else coord
-        mid = 0.5 * (self.lo[i] + self.hi[i])
-        hi1 = self.hi[:i] + (mid,) + self.hi[i + 1:]
-        lo2 = self.lo[:i] + (mid,) + self.lo[i + 1:]
+    def split(self, coord: int) -> tuple[ParamBox, ParamBox]:
+        """Bisect along `coord` (rigor.split_coords picks it)."""
+        mid = 0.5 * (self.lo[coord] + self.hi[coord])
+        hi1 = self.hi[:coord] + (mid,) + self.hi[coord + 1:]
+        lo2 = self.lo[:coord] + (mid,) + self.lo[coord + 1:]
         return (ParamBox._new(self.n, self.lo, hi1),
                 ParamBox._new(self.n, lo2, self.hi))
 

@@ -20,18 +20,19 @@ All bounds are evaluated for many boxes at once (_BoxBounds, over the
 batched kernels of realpoly), bit for bit as a loop over single boxes would.
 Every subdivision tree is grown by one routine, subdivide: level by level it
 clips the boxes to an optional region (product of per-coordinate discs, i.e.
-the omega polydisc), evaluates a check on the whole level, bisects the
-widest coordinate of undecided boxes, and aggregates the statuses.  verify_box
-establishes the strict tube inclusion residual < m/(cL) with it; the
-comparison is division-free (residual_upper * c * L_upper < m_lower *
-(1 - margin)) so an infinite radius needs no special casing.  For a graph
-the bisected box holds the z coordinates only and the w discs come from the
-region, so the tree is 2n-dimensional instead of 4n-dimensional.  The tube
-tree weighs each width by how fast the residual can change along that
-coordinate (split_scale), the smear rule of interval branch-and-bound (Ratz
-and Csendes, J. Global Optim. 7 (1995) 183-207); any weights tile the box, so
-they move no proof.  verify_totally_real proves m_lower > 0 with subdivide,
-and certify's K-in-omega check uses it too; both keep unit weights.
+the omega polydisc), evaluates a check on the whole level, bisects each
+undecided box at split_coords, and aggregates the statuses; replay re-derives
+a certificate's trees with it too.  verify_box establishes the strict tube
+inclusion residual < m/(cL) with it; the comparison is division-free
+(residual_upper * c * L_upper < m_lower * (1 - margin)) so an infinite
+radius needs no special casing.  For a graph the bisected box holds the z
+coordinates only and the w discs come from the region, so the tree is
+2n-dimensional instead of 4n-dimensional.  The tube tree weighs each width
+by how fast the residual can change along that coordinate (split_scale), the
+smear rule of interval branch-and-bound (Ratz and Csendes, J. Global Optim.
+7 (1995) 183-207); any weights tile the box, so they move no proof.
+verify_totally_real proves m_lower > 0 with subdivide, and certify's
+K-in-omega check uses it too; both keep unit weights.
 
 Boxes a check leaves undecided are probed pointwise at probe_points: the
 box's midpoint when it lies strictly inside the region, else the region's

@@ -345,6 +345,63 @@ def test_replay_rejects_negative_margin(wermer_pass_cert):
     assert replay_certificate(certificate_from_dict(data)) is False
 
 
+def test_replay_rejects_float_depth(wermer_pass_cert):
+    """9.0 == 9, but a recorded depth must be an integer."""
+    data = _pass_dict(wermer_pass_cert)
+    leaf = data["checks"]["omega_in_tube"]["leaves"][0]
+    assert leaf["depth"] == 9
+    leaf["depth"] = 9.0
+    assert replay_certificate(certificate_from_dict(data)) is False
+
+
+def _replayed_trees(caplog, data):
+    """Replay `data`; its result and, from the INFO lines of the trees replay
+    re-derived, each one's (status, nodes, leaves) by name."""
+    with caplog.at_level(logging.INFO, logger="prc.rigor"):
+        ok = replay_certificate(certificate_from_dict(data))
+    trees = {}
+    for record in caplog.records:
+        m = re.match(r"replayed (.+) tree: (\w+), (\d+) nodes, (\d+) leaves",
+                     record.getMessage())
+        if m:
+            trees[m[1]] = (m[2], int(m[3]), int(m[4]))
+    return ok, trees
+
+
+def test_replay_rederives_the_recorded_trees(wermer_pass_cert, caplog):
+    data = _pass_dict(wermer_pass_cert)
+    ok, trees = _replayed_trees(caplog, data)
+    assert ok
+    tr_leaves = data["checks"]["totally_real"]["leaf_count"]
+    assert trees == {"tube": ("PROVED", 659, 330),
+                     "totally-real": ("PROVED", 2 * tr_leaves - 1, tr_leaves)}
+
+
+def test_replay_grows_no_more_nodes_than_recorded(wermer_pass_cert, caplog):
+    """A tube tree cut to one leaf, under a node budget of 10^9: replay grows
+    at most 2L - 1 nodes, the node count of a binary tree with L leaves."""
+    data = _pass_dict(wermer_pass_cert)
+    data["options"]["node_budget"] = 10 ** 9
+    tube = data["checks"]["omega_in_tube"]
+    tube["leaves"] = tube["leaves"][:1]
+    ok, trees = _replayed_trees(caplog, data)
+    assert ok is False
+    assert trees["tube"][1] <= 2 * len(tube["leaves"]) - 1
+
+
+def test_replay_rejects_inconclusive_leaf_at_max_depth(wermer_pass_cert):
+    """At max_depth replay does not bisect a box it is not told is PROVED,
+    so a leaf recorded INCONCLUSIVE there matches the derived one; the tree
+    it derives is then not PROVED."""
+    data = _pass_dict(wermer_pass_cert)
+    leaves = data["checks"]["omega_in_tube"]["leaves"]
+    data["options"]["max_depth"] = max(leaf["depth"] for leaf in leaves)
+    assert replay_certificate(certificate_from_dict(data))
+    next(leaf for leaf in leaves
+         if leaf["depth"] == data["options"]["max_depth"])["status"] = "INCONCLUSIVE"
+    assert replay_certificate(certificate_from_dict(data)) is False
+
+
 def test_certificate_format_1_rejected(wermer_pass_cert):
     data = _pass_dict(wermer_pass_cert)
     assert data["format"] == "prc-certificate/3"
@@ -405,6 +462,58 @@ def test_load_manifest_submersion():
     sys_, K, _, _ = load_manifest(m)
     assert sys_.kind == "submersion"
     assert K.cap_radii == (1.0, 1.0)
+
+
+def _omega(w_center, w_radii):
+    return {"z": {"center": [[0, 0]], "radii": [0.35]},
+            "w": {"center": w_center, "radii": w_radii}}
+
+
+@pytest.mark.parametrize("base,path,value,field", [
+    # the third number was ignored, and the certificate said PASS
+    (_wermer_manifest, ("compact", "region", 0, "center"), [0, 0, 5],
+     "compact.region[0].center"),
+    (lambda: cap_manifest(1.0), ("compact", "cap", "center", 0), [0, 0, 5],
+     "compact.cap.center[0]"),
+    # ended in "box bounds must be finite"
+    (_wermer_manifest, ("compact", "region", 0, "radius"), math.nan,
+     "compact.region[0].radius"),
+    (_wermer_manifest, ("compact", "region", 0, "radius"), math.inf,
+     "compact.region[0].radius"),
+    # ended in "complex() can't take second arg if first is a string"
+    (_wermer_manifest, ("compact", "region", 0, "center"), ["nan", 0],
+     "compact.region[0].center"),
+    # ended in a floating-point overflow
+    (_wermer_manifest, ("omega",), _omega([[0, 0]], [math.nan]), "omega.w.radii[0]"),
+    (_wermer_manifest, ("omega",), _omega([[0, 0]], [math.inf]), "omega.w.radii[0]"),
+    # ended in "graph tube checks take a z-box ..."
+    (_wermer_manifest, ("omega",), _omega([[0, 0], [0, 0]], [1.0, 1.0]), "omega.w needs 1"),
+])
+def test_load_manifest_names_a_bad_point_or_radius(base, path, value, field):
+    m = base()
+    target = m
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ManifestError, match=re.escape(field)):
+        load_manifest(m)
+
+
+def test_certificate_with_a_third_center_number_replays_false(wermer_pass_cert):
+    """The problem, its hash recomputed, with a center of three numbers: it
+    replayed True, the third number ignored."""
+    data = _pass_dict(wermer_pass_cert)
+    data["problem"]["compact"]["region"][0]["center"] = [0.0, 0.0, 5.0]
+    data["problem_hash"] = manifest_hash(data["problem"])
+    assert replay_certificate(certificate_from_dict(data)) is False
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_certificate_with_non_finite_omega_radius_is_refused(wermer_pass_cert, radius):
+    data = _pass_dict(wermer_pass_cert)
+    data["omega"]["w"]["radii"] = [radius]  # as sanitize_json writes them
+    with pytest.raises(ManifestError, match=re.escape("omega.w.radii[0]")):
+        certificate_from_dict(data)
 
 
 def test_manifest_hash_stable(wermer):

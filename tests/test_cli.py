@@ -178,6 +178,29 @@ def test_non_finite_point_exit_2(tmp_path, capsys, flag, value):
     assert f"error: {flag} must have finite coordinates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", list(_POINT_ARGV))
+def test_non_numeric_point_names_its_flag(tmp_path, capsys, flag):
+    """float()'s own message, which names no flag, used to reach the user."""
+    path = _write(tmp_path, "w.json", _wermer_manifest(1.0))
+    assert main([a.format(m=path, v="abc") for a in _POINT_ARGV[flag]]) == 2
+    assert f"error: {flag} needs " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [1.5, True, "1"])
+def test_certify_non_integer_n_exit_2(tmp_path, capsys, value):
+    """Each of these certified Wermer as n = 1 and exited 0."""
+    path = _write(tmp_path, "w.json", dict(_wermer_manifest(), n=value))
+    assert main(["certify", path]) == 2
+    assert f"error: n must be an integer >= 1, got {value!r}" in capsys.readouterr().err
+
+
+def test_certify_non_integer_k_exit_2(tmp_path, capsys):
+    """k = 1.5 became k = 1, reported as a wrong number of functions."""
+    path = _write(tmp_path, "c.json", dict(cap_manifest(1.0), k=1.5))
+    assert main(["certify", path]) == 2
+    assert "error: k must be an integer >= 1, got 1.5" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
@@ -430,7 +453,9 @@ def test_flag_the_subcommand_does_not_read_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: prc {argv[0]} ")
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 def test_readme_cli_synopsis_matches_parser():

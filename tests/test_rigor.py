@@ -159,7 +159,7 @@ def test_bounds_monotone_under_subdivision():
         box = _random_zbox(rng, sys_.n)
         m_parent = bound_m_below(sys_, box)
         L_parent = bound_L_above(sys_, box)
-        for child in box.split():
+        for child in box.split(split_coords([box.lo], [box.hi])[0]):
             assert bound_m_below(sys_, child) >= m_parent - 1e-12 * (1 + m_parent)
             assert bound_L_above(sys_, child) <= L_parent + 1e-12 * (1 + L_parent)
 
