@@ -17,6 +17,7 @@ checks coverage as well as every leaf.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import rigor
 from .intervals import INFLATION, ParamBox
-from .realpoly import dist_upper
+from .realpoly import dist_upper, finite_or_overflow
 from .rigor import (FAILED, INCONCLUSIVE, PROVED, Region, VerifyNode,
                     _BoxBounds, verify_box, verify_totally_real)
 from .trgeom import GRAPH, SUBMERSION, ProblemSystem, bbar_matrix, tube_profile
@@ -42,49 +43,67 @@ class ManifestError(ValueError):
 # Compact sets and omega polydiscs
 # ---------------------------------------------------------------------------
 
+def _check_disc(center, radius, center_name: str, radius_name: str) -> None:
+    if not cmath.isfinite(center):
+        raise ValueError(f"{center_name} must be finite, got {center!r}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"{radius_name} must be a finite number > 0, got {radius!r}")
+
+
 @dataclass(frozen=True)
 class DiscRegion:
+    """Closed disc |z - center| <= radius in one complex coordinate."""
+
     center: complex
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("disc radius must be positive")
+        _check_disc(self.center, self.radius, "DiscRegion.center", "DiscRegion.radius")
 
 
 @dataclass(frozen=True)
 class BoxRegion:
+    """Closed rectangle [re_lo, re_hi] x [im_lo, im_hi] in one complex coordinate."""
+
     re_lo: float
     re_hi: float
     im_lo: float
     im_hi: float
 
     def __post_init__(self):
-        if self.re_lo > self.re_hi or self.im_lo > self.im_hi:
-            raise ValueError("empty box region")
+        for side, lo, hi in (("re", self.re_lo, self.re_hi), ("im", self.im_lo, self.im_hi)):
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ValueError(f"BoxRegion.{side} must be finite with lo <= hi, "
+                                 f"got [{lo!r}, {hi!r}]")
 
 
 @dataclass(frozen=True)
 class CompactSpec:
-    """K for a graph system (graph of F over a parameter region in z) or for a
-    submersion system (K = M intersected with a closed polydisc cap)."""
+    """K, cut out of M by one region per complex coordinate z_j: for a graph
+    system, the graph of F over their product D; for a submersion system, M
+    within the closed polydisc cap, whose regions are discs."""
 
     kind: str
-    regions: tuple[DiscRegion | BoxRegion, ...] = ()
-    cap_center: tuple[complex, ...] = ()
-    cap_radii: tuple[float, ...] = ()
+    regions: tuple[DiscRegion | BoxRegion, ...]
 
     @staticmethod
     def graph_over(regions: Sequence[DiscRegion | BoxRegion]) -> CompactSpec:
-        return CompactSpec(GRAPH, regions=tuple(regions))
+        return CompactSpec(GRAPH, tuple(regions))
 
     @staticmethod
     def submersion_cap(center: Sequence[complex], radii: Sequence[float]) -> CompactSpec:
-        radii = tuple(float(r) for r in radii)
-        if any(r <= 0 for r in radii):
-            raise ValueError("cap radii must be positive")
-        return CompactSpec(SUBMERSION, cap_center=tuple(complex(c) for c in center),
-                           cap_radii=radii)
+        return CompactSpec(SUBMERSION, tuple(DiscRegion(complex(c), float(r))
+                                             for c, r in zip(center, radii, strict=True)))
+
+    def check_fits(self, sys: ProblemSystem) -> None:
+        """Raise ManifestError unless K is of the system's kind, with one
+        region per z coordinate."""
+        if self.kind != sys.kind:
+            raise ManifestError(
+                f"compact kind {self.kind!r} does not match system kind {sys.kind!r}")
+        if len(self.regions) != sys.n:
+            raise ManifestError(f"K needs one region per z coordinate ({sys.n}), "
+                                f"got {len(self.regions)}")
 
 
 @dataclass(frozen=True)
@@ -98,10 +117,15 @@ class OmegaSpec:
     w_radii: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if any(r <= 0 for r in self.z_radii):
-            raise ValueError("omega radii must be positive")
-        if self.w_radii is not None and any(r <= 0 for r in self.w_radii):
-            raise ValueError("omega radii must be positive")
+        if (self.w_center is None) != (self.w_radii is None):
+            raise ValueError("OmegaSpec.w_center and w_radii must be given together")
+        for part, centers, radii in (("z", self.z_center, self.z_radii),
+                                     ("w", self.w_center or (), self.w_radii or ())):
+            if len(centers) != len(radii):
+                raise ValueError(f"OmegaSpec.{part}_center has {len(centers)} entries "
+                                 f"and {part}_radii {len(radii)}")
+            for j, (c, r) in enumerate(zip(centers, radii)):
+                _check_disc(c, r, f"OmegaSpec.{part}_center[{j}]", f"OmegaSpec.{part}_radii[{j}]")
 
     def region(self) -> Region:
         discs = [(c.real, c.imag, r) for c, r in zip(self.z_center, self.z_radii)]
@@ -111,11 +135,7 @@ class OmegaSpec:
 
     def z_box(self, n: int) -> ParamBox:
         """Bounding box of the z polydisc: the root of both subdivisions."""
-        lo, hi = [], []
-        for c, r in zip(self.z_center, self.z_radii):
-            lo += [c.real - r, c.imag - r]
-            hi += [c.real + r, c.imag + r]
-        return ParamBox(n, lo, hi)
+        return ParamBox(n, *_region_bbox(list(map(DiscRegion, self.z_center, self.z_radii))))
 
 
 @dataclass
@@ -192,28 +212,26 @@ def _image_grid(n: int) -> int:
 def suggest_omega(sys: ProblemSystem, K: CompactSpec, inflation: float) -> OmegaSpec:
     """Inflate K into a candidate omega polydisc.
 
-    Graph: the z-polydisc encloses the parameter region D with `inflation`
-    slack; the w-polydisc encloses a subdivided interval enclosure of F over D
-    (region-pruned cells, so the enclosure tracks F(D) rather than the
+    The z-polydisc encloses each region of K with `inflation` slack.  A graph
+    also gets a w-polydisc that encloses a subdivided interval enclosure of F
+    over D (region-pruned cells, so the enclosure tracks F(D) rather than the
     bounding-box image) with the same slack.
     """
     if inflation <= 0:
         raise ValueError("inflation must be positive")
-    if K.kind != sys.kind:
-        raise ValueError(f"compact kind {K.kind!r} does not match system {sys.kind!r}")
-    if sys.kind == SUBMERSION:
-        return OmegaSpec(z_center=K.cap_center,
-                         z_radii=tuple(r + inflation for r in K.cap_radii))
-
+    K.check_fits(sys)
     z_center, z_radii = [], []
     for reg in K.regions:
         c, r = _enclosing_disc(reg)
         z_center.append(c)
         z_radii.append(r + inflation)
+    if sys.kind == SUBMERSION:
+        return OmegaSpec(tuple(z_center), tuple(z_radii))
 
     lo, hi = _region_bbox(K.regions)
     cl, ch = _grid_cells(lo, hi, _image_grid(sys.n), _region_discs(K.regions))
-    vals = _BoxBounds(sys).values(cl, ch)
+    # an enclosure that left the doubles can give omega no finite w disc
+    vals = finite_or_overflow(_BoxBounds(sys).values(cl, ch), "the enclosure of F over D")
     w_center, w_radii = [], []
     for nu in range(sys.rows):
         rlo, rhi, ilo, ihi = vals[:, nu].T
@@ -229,20 +247,8 @@ def suggest_omega(sys: ProblemSystem, K: CompactSpec, inflation: float) -> Omega
 
 def _check_k_in_omega(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec,
                       max_depth: int, node_budget: int) -> dict:
-    if sys.kind == SUBMERSION:
-        margins = []
-        for c, r, oc, orad in zip(K.cap_center, K.cap_radii,
-                                  omega.z_center, omega.z_radii):
-            margins.append(orad - (abs(c - oc) + r))
-        ok = all(m > 0 for m in margins)
-        out = {"status": PROVED if ok else FAILED, "margins": margins}
-        if not ok:
-            j = margins.index(min(margins))
-            c = K.cap_center[j] + K.cap_radii[j]
-            out["witness"] = {"z": [[c.real, c.imag]], "coordinate": j}
-        return out
-
-    # graph: D inside omega_z ...
+    # each region of K inside its omega z disc (a submersion's K lies in the
+    # cap, so that is all it needs) ...
     z_margins = []
     for reg, oc, orad in zip(K.regions, omega.z_center, omega.z_radii):
         if isinstance(reg, DiscRegion):
@@ -251,15 +257,17 @@ def _check_k_in_omega(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec,
             corners = [complex(reg.re_lo, reg.im_lo), complex(reg.re_lo, reg.im_hi),
                        complex(reg.re_hi, reg.im_lo), complex(reg.re_hi, reg.im_hi)]
             z_margins.append(orad - max(abs(c - oc) for c in corners))
+    key = "margins" if sys.kind == SUBMERSION else "z_margins"  # as certificates have it
     if not all(m > 0 for m in z_margins):
         j = z_margins.index(min(z_margins))
-        reg = K.regions[j]
-        c, r = _enclosing_disc(reg)
+        c, r = _enclosing_disc(K.regions[j])
         p = c + r
-        return {"status": FAILED, "z_margins": z_margins,
+        return {"status": FAILED, key: z_margins,
                 "witness": {"z": [[p.real, p.imag]], "coordinate": j}}
+    if sys.kind == SUBMERSION:
+        return {"status": PROVED, key: z_margins}
 
-    # ... and F(D) inside omega_w, by adaptive enclosure refinement
+    # ... and, for a graph, F(D) inside omega_w, by adaptive enclosure refinement
     prune = _region_discs(K.regions)
     bb = _BoxBounds(sys)
     centers = np.array(omega.w_center)
@@ -329,13 +337,6 @@ def validate_options(opts: dict) -> dict:
     return out
 
 
-def compact_z_bbox(K: CompactSpec) -> tuple[list[float], list[float]]:
-    """Bounding box of the compact's z-side parameter region."""
-    if K.kind == GRAPH:
-        return _region_bbox(K.regions)
-    return _region_bbox([DiscRegion(c, r) for c, r in zip(K.cap_center, K.cap_radii)])
-
-
 def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
             *, max_depth: int = 14, margin: float = 1e-6, inflation: float = 0.05,
             threads: int = 1, node_budget: int = 500_000) -> Certificate:
@@ -351,9 +352,7 @@ def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
     opts = validate_options({"max_depth": max_depth, "margin": margin,
                              "inflation": inflation, "node_budget": node_budget})
     max_depth, node_budget = opts["max_depth"], opts["node_budget"]
-    if K.kind != sys.kind:
-        raise ManifestError(
-            f"compact kind {K.kind!r} does not match system kind {sys.kind!r}")
+    K.check_fits(sys)
     if omega is None:
         omega = suggest_omega(sys, K, opts["inflation"])
     if sys.kind == GRAPH and omega.w_center is None:
@@ -449,8 +448,8 @@ def problem_manifest(sys: ProblemSystem, K: CompactSpec) -> dict:
     if sys.kind == SUBMERSION:
         m["k"] = sys.k
         m["compact"] = {"cap": {
-            "center": [[c.real, c.imag] for c in K.cap_center],
-            "radii": list(K.cap_radii)}}
+            "center": [[reg.center.real, reg.center.imag] for reg in K.regions],
+            "radii": [reg.radius for reg in K.regions]}}
     else:
         m["compact"] = {"region": [_region_to_json(r) for r in K.regions]}
     return m

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import trgeom
 from .certify import (DEFAULT_OPTIONS, ManifestError,
-                      certificate_to_dict, certify as run_certify,
-                      compact_z_bbox, dumps_json, load_manifest,
+                      _region_bbox, certificate_to_dict, certify as run_certify,
+                      dumps_json, load_manifest,
                       reproduce_example, sanitize_json, validate_options)
 from .trgeom import GRAPH
 
@@ -87,7 +87,7 @@ def _flag_options(args) -> dict:
 
 def cmd_totally_real(args) -> int:
     sys_, K, _, _ = _load_manifest_file(args.manifest)
-    lo, hi = compact_z_bbox(K)
+    lo, hi = _region_bbox(K.regions)
     g = args.grid
     if g ** len(lo) > _MAX_GRID_POINTS:
         raise ManifestError(

@@ -71,8 +71,7 @@ def sample_compact(sys: ProblemSystem, K: CompactSpec, density: int) -> SampleCl
     """
     if density < 2:
         raise ValueError("density must be >= 2 per real dimension")
-    if K.kind != sys.kind:
-        raise ValueError("compact kind does not match system kind")
+    K.check_fits(sys)
     if sys.kind == GRAPH:
         return _sample_graph(sys, K, density)
     return _sample_submersion(sys, K, density)
@@ -124,7 +123,8 @@ def _sample_submersion(sys: ProblemSystem, K: CompactSpec,
     rows = sys.rows
     per_axis = max(2, min(density, int(round(65536 ** (1.0 / (2 * n))))))
     axes = []
-    for c, r in zip(K.cap_center, K.cap_radii):
+    for reg in K.regions:
+        c, r = reg.center, reg.radius
         axes.append(np.linspace(c.real - r, c.real + r, per_axis))
         axes.append(np.linspace(c.imag - r, c.imag + r, per_axis))
     mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
@@ -180,8 +180,8 @@ def _sample_submersion(sys: ProblemSystem, K: CompactSpec,
     pts = xs[converged]
     zs = pts[:, 0::2] + 1j * pts[:, 1::2]
     keep = np.ones(len(zs), dtype=bool)
-    for j, (c, r) in enumerate(zip(K.cap_center, K.cap_radii)):
-        keep &= np.abs(zs[:, j] - c) <= r + 1e-9
+    for j, reg in enumerate(K.regions):
+        keep &= np.abs(zs[:, j] - reg.center) <= reg.radius + 1e-9
     zs = zs[keep]
     if len(zs) == 0:
         raise ProjectionError("no projected seed landed inside the cap")

@@ -48,9 +48,8 @@ class Rect:
 class ParamBox:
     """Rectangular region in the real coordinates (Re z_1, Im z_1, ..., Re z_n, Im z_n).
 
-    Graph problems may carry 2n further coordinates for w, in the same layout,
-    for the bound_* functions; the tube check bisects z-boxes only.
-    Immutable; `lo`/`hi` are tuples of length 2n or 4n.
+    Immutable; `lo`/`hi` are tuples of length 2n.  A graph's w coordinates
+    never enter a box: its bounds take them from omega's w discs.
     """
 
     __slots__ = ("n", "lo", "hi")
@@ -58,10 +57,8 @@ class ParamBox:
     def __init__(self, n: int, lo: Sequence[float], hi: Sequence[float]):
         lo = tuple(float(x) for x in lo)
         hi = tuple(float(x) for x in hi)
-        if len(lo) != len(hi):
-            raise ValueError("lo/hi length mismatch")
-        if len(lo) not in (2 * n, 4 * n):
-            raise ValueError(f"expected 2n={2*n} or 4n={4*n} coordinates, got {len(lo)}")
+        if not len(lo) == len(hi) == 2 * n:
+            raise ValueError(f"expected 2n={2*n} coordinates, got {len(lo)} and {len(hi)}")
         for a, b in zip(lo, hi):
             if not (math.isfinite(a) and math.isfinite(b)):
                 raise ValueError("box bounds must be finite")

@@ -244,7 +244,7 @@ class RealPoly(_Poly):
         return self.point_pack().eval(xs)[:, 0]
 
     def eval_box(self, box: ParamBox) -> Rect:
-        """Sound rectangle enclosure over the box (first 2n coordinates)."""
+        """Sound rectangle enclosure over the box."""
         rlo, rhi, ilo, ihi = _eval_box_raw(self.pack(), [box.lo], [box.hi])[0, 0].tolist()
         return Rect(Interval(rlo, rhi), Interval(ilo, ihi))
 
@@ -490,7 +490,7 @@ class PointPack:
 def _eval_box_raw(pack: TermPack, lo, hi) -> np.ndarray:
     """Enclosures (re_lo, re_hi, im_lo, im_hi) of the pack's polynomials over
     each box, shape (boxes, polynomials, 4); the boxes are the rows of `lo`,
-    `hi`, of which the first 2n coordinates count.
+    `hi`, 2n coordinates each.
 
     Rounding (u = 2^-53, recursive summation bounds as in Higham, "Accuracy
     and Stability of Numerical Algorithms", ch. 4).  Monomial products are
@@ -554,8 +554,8 @@ def _monomials(pack: TermPack, lo, hi) -> np.ndarray:
     (see power_tables); 1 for a constant term.  The first factor's ends are
     the monomial's (its product with 1.0 is exact); after that the ends are
     the least and greatest of the four end products."""
-    lo = np.asarray(lo, dtype=float)[:, :pack.dims]
-    hi = np.asarray(hi, dtype=float)[:, :pack.dims]
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     boxes = len(lo)
     tables = power_tables(lo, hi, pack.max_degree).reshape(
         2, boxes, pack.dims * (pack.max_degree + 1))

@@ -11,10 +11,10 @@ ProblemSystem:
   enclosure: its Frobenius norm, and for n >= 2 also sqrt(||A||_1 ||A||_inf)
   (graphs) or the 2x2 Hermitian closed form (submersions, n = 2), whichever
   is smaller,
-* residual_upper: upper bound of the residual sum.  For a graph the w part
-  is either a rectangle per coordinate (4n-coordinate boxes) or an open disc
-  D(c, r) per coordinate over a z-box, where w is eliminated in closed form:
-  for z fixed, sup over w in D(c, r) of |w - f(z)| is |f(z) - c| + r.
+* residual_upper: upper bound of the residual sum.  For a graph, w ranges
+  over omega's open disc D(c, r) in each coordinate and is eliminated in
+  closed form: for z fixed, sup over w in D(c, r) of |w - f(z)| is
+  |f(z) - c| + r.
 
 All bounds are evaluated for many boxes at once (_BoxBounds, over the
 batched kernels of realpoly), bit for bit as a loop over single boxes would.
@@ -25,12 +25,12 @@ undecided box at split_coords, and aggregates the statuses; replay re-derives
 a certificate's trees with it too.  verify_box establishes the strict tube
 inclusion residual < m/(cL) with it; the comparison is division-free
 (residual_upper * c * L_upper < m_lower * (1 - margin)) so an infinite
-radius needs no special casing.  For a graph the bisected box holds the z
-coordinates only and the w discs come from the region, so the tree is
-2n-dimensional instead of 4n-dimensional.  The tube tree weighs each width
-by how fast the residual can change along that coordinate (split_scale), the
-smear rule of interval branch-and-bound (Ratz and Csendes, J. Global Optim.
-7 (1995) 183-207); any weights tile the box, so they move no proof.
+radius needs no special casing.  Every box holds the 2n real coordinates of
+z only; for a graph the w discs come from the region.  The tube tree weighs
+each width by how fast the residual can change along that coordinate
+(split_scale), the smear rule of interval branch-and-bound (Ratz and
+Csendes, J. Global Optim. 7 (1995) 183-207); any weights tile the box, so
+they move no proof.
 verify_totally_real proves m_lower > 0 with subdivide, and certify's
 K-in-omega check uses it too; both keep unit weights.
 
@@ -190,8 +190,8 @@ MAX_N = 180
 class _BoxBounds:
     """Bounds of m, L and the residual sum over many boxes at once.
 
-    Each method takes `lo`, `hi` arrays of shape (boxes, 2n), or (boxes, 4n)
-    for a graph residual over w intervals, evaluates the system's
+    Each method takes `lo`, `hi` arrays of shape (boxes, 2n), z-boxes (a
+    graph residual takes w from omega's discs), evaluates the system's
     polynomials over all boxes with one call of _eval_box_raw, and returns
     one bound per box, computed in the order of a loop over one box.  Every
     operation is a plain numpy one, applied to whole arrays: products, sums
@@ -301,12 +301,9 @@ class _BoxBounds:
 
     @np.errstate(all="ignore")
     def residual_upper(self, lo, hi, w_discs=None) -> np.ndarray:
-        """Upper bounds of the residual sum over the boxes.
-
-        A graph takes w from `w_discs` ((c_re, c_im, r) per coordinate, the
-        boxes being z-boxes) or else from the w intervals of 4n boxes.
-        """
-        return self._residual(self.values(lo, hi), lo, hi, w_discs)
+        """Upper bounds of the residual sum over the boxes; a graph needs
+        `w_discs`, (c_re, c_im, r) per w coordinate (see _residual)."""
+        return self._residual(self.values(lo, hi), w_discs)
 
     @np.errstate(all="ignore")
     def tube(self, lo, hi, w_discs):
@@ -316,7 +313,7 @@ class _BoxBounds:
         rows = self.sys.rows
         dz = rows + rows * self.sys.n
         return (self._m(enc[:, rows:dz]), self._L(enc[:, dz:]),
-                self._residual(enc[:, :rows], lo, hi, w_discs))
+                self._residual(enc[:, :rows], w_discs))
 
     def _m(self, ents: np.ndarray) -> np.ndarray:
         """Diagonal entries are enclosed tightly via |entry|^2 = re^2 + im^2;
@@ -377,22 +374,17 @@ class _BoxBounds:
             L = _min(L, _levi2_upper(enc.reshape(len(enc), self.sys.rows, 4, 4)))
         return L.max(axis=1)
 
-    def _residual(self, vals: np.ndarray, lo, hi, w_discs) -> np.ndarray:
-        sys = self.sys
-        if sys.kind == GRAPH and w_discs is not None:
+    def _residual(self, vals: np.ndarray, w_discs) -> np.ndarray:
+        """The residual sum from the value enclosures: sum_r |value_r| for a
+        submersion, and for a graph sum_nu sup |f_nu - w_nu| over w_nu in
+        the disc D(c_nu, r_nu), which is at most dist_upper(f_nu, c_nu) + r_nu."""
+        if self.sys.kind != GRAPH:
+            terms = mag_upper(vals)
+        elif w_discs is None:
+            raise ValueError("a graph residual bound needs omega's w discs")
+        else:
             cx, cy, r = np.asarray(w_discs, dtype=float).T
             terms = dist_upper(vals, cx, cy) + r
-        elif sys.kind == GRAPH:
-            lo = np.asarray(lo, dtype=float)
-            hi = np.asarray(hi, dtype=float)
-            if lo.shape[1] != 4 * sys.n:
-                raise ValueError("graph residual bound needs w intervals or w discs")
-            rlo, rhi, ilo, ihi = vals[..., 0], vals[..., 1], vals[..., 2], vals[..., 3]
-            w_lo, w_hi = lo[:, 2 * sys.n:], hi[:, 2 * sys.n:]
-            terms = np.hypot(_mag(rlo - w_hi[:, 0::2], rhi - w_lo[:, 0::2]),
-                             _mag(ilo - w_hi[:, 1::2], ihi - w_lo[:, 1::2]))
-        else:
-            terms = mag_upper(vals)
         return sequential_sum(terms, axis=1) * (1.0 + INFLATION)
 
 
@@ -468,12 +460,12 @@ def bound_L_above(sys: ProblemSystem, box: ParamBox) -> float:
 
 def bound_residual_above(sys: ProblemSystem, box: ParamBox,
                          region: Region | None = None) -> float:
-    """Sound upper bound of the residual sum over the box.
+    """Sound upper bound of the residual sum over the z-box.
 
-    A graph needs the w part: w intervals on a 4n box, or a z-box together
-    with a region whose last n discs are the w discs.
+    A graph needs a region of 2n discs, whose last n are the w discs the
+    residual is bounded over (its z discs are not used here).
     """
-    w_discs = None if region is None else _w_discs(sys, box.dim, region)
+    w_discs = _w_discs(sys, box.dim, region)
     return float(_BoxBounds(sys).residual_upper([box.lo], [box.hi], w_discs)[0])
 
 
@@ -489,7 +481,7 @@ def split_scale(sys: ProblemSystem, box: ParamBox) -> tuple[float, ...]:
     """
     dims = 2 * sys.n
     grads = TermPack([t.value.diff(v) for v in range(dims) for t in sys.tables])
-    enc = _eval_box_raw(grads, [box.lo[:dims]], [box.hi[:dims]])[0]
+    enc = _eval_box_raw(grads, [box.lo], [box.hi])[0]
     s = sequential_sum(mag_upper(enc).reshape(dims, sys.rows), axis=1).tolist()
     positive = [x for x in s if x > 0.0]
     if not positive or not all(map(math.isfinite, s)):
@@ -575,10 +567,9 @@ def _tube_probe(sys: ProblemSystem, lo, hi, region: Region | None):
     pts = probe_points(lo, hi, region)
     lanes = np.arange(len(pts))
     if sys.kind == GRAPH:
-        inside = np.ones(len(pts), dtype=bool)
-        for j, (cx, cy, r) in enumerate(region.discs[:n]):
-            inside &= ~(np.hypot(pts[:, 2 * j] - cx, pts[:, 2 * j + 1] - cy)
-                        >= r * (1.0 - _WITNESS_PULL))
+        cx, cy, r = region.table[:n].T
+        inside = ~(np.hypot(pts[:, 0:2 * n:2] - cx, pts[:, 1:2 * n:2] - cy)
+                   >= r * (1.0 - _WITNESS_PULL)).any(axis=1)
         lanes = lanes[inside]
         pts = pts[inside]
     violated = np.zeros(len(lo), dtype=bool)

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from prc import ProblemSystem
 from prc.certify import graph_over_r2_system, wermer_system
 from prc.expr import Add, Conj, Const, Expr, Im, Mul, Neg, Pow, Re, Sub, Var
+from prc.rigor import Region
 
 
 @pytest.fixture(scope="session")
@@ -128,3 +130,19 @@ def random_system(rng) -> ProblemSystem:
         return random_graph_system(rng, n)
     k = int(rng.integers(1, n + 1))
     return random_submersion_system(rng, n, k)
+
+
+def random_w_region(rng, n: int) -> Region:
+    """n wide z discs, which a residual bound does not read, and n random w
+    discs (cx, cy, r): the region a graph residual bound over a z-box takes."""
+    w = tuple((rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.01, 1.5))
+              for _ in range(n))
+    return Region(((0.0, 0.0, 10.0),) * n + w)
+
+
+def sample_disc(rng, disc, count):
+    """`count` points of the open disc (cx, cy, r), uniform in area, as complex numbers."""
+    cx, cy, r = disc
+    rho = r * np.sqrt(rng.random(count)) * (1 - 1e-12)
+    theta = 2 * np.pi * rng.random(count)
+    return complex(cx, cy) + rho * np.exp(1j * theta)

@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (random_expr, random_system, wermer_L_closed,
-                      wermer_m_closed)
+from conftest import (random_expr, random_system, random_w_region, sample_disc,
+                      wermer_L_closed, wermer_m_closed)
 from prc.certify import (CompactSpec, certify, reproduce_example,
                          replay_certificate, wermer_compact, wermer_system)
 from prc.expr import normalize
@@ -286,13 +286,13 @@ def test_criterion_8_hull_probe(wermer):
 # 9. rigor soundness
 # ---------------------------------------------------------------------------
 
-def _batched_samples_obey_bounds(sys_, box, rng, count=10_000):
+def _batched_samples_obey_bounds(sys_, box, region, rng, count=10_000):
+    """Samples z of the z-box, and for a graph w of the region's w discs."""
     n = sys_.n
-    xs = box.sample_uniform(rng, count)
-    zxs = xs[:, :2 * n]
+    zxs = box.sample_uniform(rng, count)
     m_lo = bound_m_below(sys_, box)
     L_up = bound_L_above(sys_, box)
-    r_up = bound_residual_above(sys_, box)
+    r_up = bound_residual_above(sys_, box, region)
 
     B = np.stack([np.stack([t.dzbar[j].eval_batch(zxs) for j in range(n)], axis=1)
                   for t in sys_.tables], axis=1)  # (count, rows, n)
@@ -302,7 +302,7 @@ def _batched_samples_obey_bounds(sys_, box, rng, count=10_000):
 
     vals = np.stack([t.value.eval_batch(zxs) for t in sys_.tables], axis=1)
     if sys_.kind == GRAPH:
-        w = xs[:, 2 * n::2] + 1j * xs[:, 2 * n + 1::2]
+        w = np.stack([sample_disc(rng, d, count) for d in region.discs[n:]], axis=1)
         resid = np.abs(vals - w).sum(axis=1)
     else:
         resid = np.abs(vals).sum(axis=1)
@@ -328,15 +328,14 @@ def test_criterion_9_rigor_soundness(wermer_cert_03, example2_cert):
     for _ in range(100):
         sys_ = random_system(rng)
         lo = list(rng.uniform(-1, 0.5, size=2 * sys_.n))
-        if sys_.kind == GRAPH:
-            lo += list(rng.uniform(-2, 1, size=2 * sys_.n))
         hi = [a + rng.uniform(0.05, 0.8) for a in lo]
         box = ParamBox(sys_.n, lo, hi)
-        sound = sound and _batched_samples_obey_bounds(sys_, box, rng)
+        region = random_w_region(rng, sys_.n) if sys_.kind == GRAPH else None
+        sound = sound and _batched_samples_obey_bounds(sys_, box, region, rng)
     replay03 = replay_certificate(wermer_cert_03[0])
     replay2 = replay_certificate(example2_cert[0])
     _report(9, sound and replay03 and replay2,
-            f"100 random (system, box) pairs x 1e4 Monte Carlo samples never "
+            f"100 random (system, z-box, w discs) x 1e4 Monte Carlo samples never "
             f"violate m_lower/L_upper/residual_upper: {sound}; PASS "
             f"certificates replay to PROVED: {replay03 and replay2}")
 

@@ -1,0 +1,40 @@
+"""The benchmark's traced run (`perfbench/run.py --trace 1`) wraps `prc`
+functions named as strings and reads attributes of what they return; a
+rename under `src/` breaks only that run, so it is exercised here."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _worker():
+    spec = importlib.util.spec_from_file_location("perfbench_worker",
+                                                  PERFBENCH / "worker.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # puts perfbench/ on sys.path for its imports
+    return module
+
+
+def test_tracing_wraps_certify_and_restores_every_name():
+    worker = _worker()
+    import inputs
+    import spans
+
+    C = importlib.import_module("prc.certify")  # prc.certify is also a function
+
+    tr = spans.Tracer()
+    worker.install_tracing(tr)
+    wrapped = list(tr._restore)
+    try:
+        assert all(getattr(owner, attr) is not fn for owner, attr, fn in wrapped)
+        sys_, K, omega, opts = C.load_manifest(inputs.wermer_manifest(0.3, 150_000))
+        cert = C.certify(sys_, K, omega, **opts)
+    finally:
+        tr.restore()
+    assert cert.verdict == "PASS"
+    assert tr.counts["trgeom.build_calls"] > 0
+    assert tr.counts["rigor.tube_nodes"] > 0
+    assert tr.counts["rigor.tr_nodes"] > 0
+    assert all(getattr(owner, attr) is fn for owner, attr, fn in wrapped)

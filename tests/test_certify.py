@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from prc.certify import (CompactSpec, DiscRegion, BoxRegion, ManifestError,
                          problem_manifest, replay_certificate,
                          reproduce_example, sanitize_json, suggest_omega,
                          wermer_compact, wermer_system, WERMER_F)
+from prc.hullprobe import sample_compact
 from prc.trgeom import tube_radius
 
 
@@ -90,6 +92,20 @@ def test_certify_kind_mismatch(wermer):
     K = CompactSpec.submersion_cap((0j,), (1.0,))
     with pytest.raises(ManifestError):
         certify(wermer, K)
+
+
+def test_k_needs_one_region_per_coordinate(wermer, example2):
+    """A one-disc cap of the n = 2 cap problem was certified PASS (and
+    replayed False); a second disc for Wermer's n = 1 made suggest_omega's
+    image grid 64^4 cells."""
+    cap = CompactSpec.submersion_cap((0j,), (1.0,))
+    with pytest.raises(ManifestError, match=re.escape("coordinate (2), got 1")):
+        certify(example2, cap, OmegaSpec((0j, 0j), (1.04, 1.04)))
+    two = CompactSpec.graph_over([DiscRegion(0j, 0.3), DiscRegion(0j, 5.0)])
+    for call in (lambda: certify(wermer, two), lambda: suggest_omega(wermer, two, 0.05),
+                 lambda: sample_compact(wermer, two, 8)):
+        with pytest.raises(ManifestError, match=re.escape("coordinate (1), got 2")):
+            call()
 
 
 def test_certify_monotone_in_K(wermer, wermer_pass_cert):
@@ -461,7 +477,43 @@ def test_load_manifest_submersion():
     }
     sys_, K, _, _ = load_manifest(m)
     assert sys_.kind == "submersion"
-    assert K.cap_radii == (1.0, 1.0)
+    assert K.regions == (DiscRegion(0j, 1.0), DiscRegion(0j, 1.0))
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("make,field", [
+    # each of these constructed, and certify failed later or not at all
+    (lambda: DiscRegion(0j, _NAN), "DiscRegion.radius"),
+    (lambda: DiscRegion(0j, _INF), "DiscRegion.radius"),
+    (lambda: DiscRegion(0j, 0.0), "DiscRegion.radius"),
+    (lambda: DiscRegion(complex(_NAN, 0.0), 1.0), "DiscRegion.center"),
+    (lambda: DiscRegion(complex(0.0, _INF), 1.0), "DiscRegion.center"),
+    (lambda: BoxRegion(_NAN, 1, 0, 1), "BoxRegion.re"),
+    (lambda: BoxRegion(0, 1, -_INF, 1), "BoxRegion.im"),
+    (lambda: BoxRegion(1, 0, 0, 1), "BoxRegion.re"),
+    (lambda: BoxRegion(0, 1, 1, 0), "BoxRegion.im"),
+    (lambda: CompactSpec.submersion_cap((0j, 0j), (1.0, _NAN)), "DiscRegion.radius"),
+    (lambda: OmegaSpec((0j, 0j), (0.35,)), "OmegaSpec.z_center has 2 entries"),
+    (lambda: OmegaSpec((0j,), (0.35,), (0j,), (_NAN,)), "OmegaSpec.w_radii[0]"),
+    (lambda: OmegaSpec((0j,), (_INF,)), "OmegaSpec.z_radii[0]"),
+    (lambda: OmegaSpec((0j,), (-1.0,)), "OmegaSpec.z_radii[0]"),
+    (lambda: OmegaSpec((0j, complex(0.0, _NAN)), (0.3, 0.3)), "OmegaSpec.z_center[1]"),
+    (lambda: OmegaSpec((0j,), (0.35,), (0j,), (1.0, 1.0)), "OmegaSpec.w_center has 1 entries"),
+    (lambda: OmegaSpec((0j,), (0.35,), (0j,)), "OmegaSpec.w_center and w_radii"),
+    (lambda: OmegaSpec((0j,), (0.35,), None, (1.0,)), "OmegaSpec.w_center and w_radii"),
+])
+def test_regions_and_omega_refuse_bad_values(make, field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(field)):
+            make()
+
+
+def test_cap_needs_a_radius_per_center():
+    with pytest.raises(ValueError):
+        CompactSpec.submersion_cap((0j, 0j), (1.0,))
 
 
 def _omega(w_center, w_radii):

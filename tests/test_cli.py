@@ -228,6 +228,59 @@ def test_certify_wermer_10_exit_3(tmp_path):
     assert cert["witness"] is not None
 
 
+def _disc_margin(center, radius, oc, orad):
+    return orad - (abs(center - oc) + radius)
+
+
+def _box_margin(re, im, oc, orad):
+    return orad - max(abs(complex(x, y) - oc) for x in re for y in im)
+
+
+_GRAPH_N2 = ["conj(z1) + 0.1*z2*conj(z2) - 0.2*z1^2*conj(z2)",
+             "conj(z2) - 0.3*z1*conj(z1)^2 + 0.05*conj(z1)"]
+
+# (manifest, margins key, margins, witness coordinate, witness z): K sticks
+# out of omega's z polydisc at one coordinate
+_K_OUTSIDE_OMEGA_Z = {
+    "cap": (dict(cap_manifest(0.5), omega={"z": {"center": [[0, 0], [0, 0]],
+                                                 "radii": [0.45, 0.55]}}),
+            "margins", [_disc_margin(0j, 0.5, 0j, 0.45), _disc_margin(0j, 0.5, 0j, 0.55)],
+            0, [0.5, 0.0]),
+    "graph_disc": (dict(_wermer_manifest(0.3, options={"max_depth": 12}),
+                        compact={"region": [{"shape": "disc", "center": [0.1, 0],
+                                             "radius": 0.3}]},
+                        omega={"z": {"center": [[0, 0]], "radii": [0.35]},
+                               "w": {"center": [[0, 0]], "radii": [1.0]}}),
+                   "z_margins", [_disc_margin(0.1, 0.3, 0j, 0.35)], 0, [0.1 + 0.3, 0.0]),
+    "graph_box": ({"kind": "graph", "n": 2, "functions": _GRAPH_N2,
+                   "compact": {"region": [
+                       {"shape": "disc", "center": [0, 0], "radius": 0.2},
+                       {"shape": "box", "re": [-0.1, 0.3], "im": [-0.1, 0.1]}]},
+                   "omega": {"z": {"center": [[0, 0], [0, 0]], "radii": [0.3, 0.25]},
+                             "w": {"center": [[0, 0], [0, 0]], "radii": [1.0, 1.0]}},
+                   "options": {"max_depth": 8}},
+                  "z_margins", [_disc_margin(0j, 0.2, 0j, 0.3),
+                                _box_margin((-0.1, 0.3), (-0.1, 0.1), 0j, 0.25)],
+                  1, [0.5 * (-0.1 + 0.3) + math.hypot(0.3 + 0.1, 0.1 + 0.1) / 2, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_K_OUTSIDE_OMEGA_Z))
+def test_certify_k_outside_omega_z_exit_3(tmp_path, name):
+    """A region of K that is not inside its omega z disc is a FAIL whose
+    witness is the region's (enclosing) disc centre plus its radius."""
+    manifest, key, margins, coordinate, z = _K_OUTSIDE_OMEGA_Z[name]
+    out = tmp_path / "cert.json"
+    assert main(["certify", _write(tmp_path, "m.json", manifest), "--out", str(out)]) == 3
+    cert = json.loads(out.read_text())
+    assert cert["verdict"] == "FAIL"
+    k_check = cert["checks"]["k_in_omega"]
+    assert k_check["status"] == "FAILED"
+    assert k_check[key] == margins
+    assert margins[coordinate] == min(margins) < 0
+    assert cert["witness"] == {"check": "k_in_omega", "coordinate": coordinate, "z": [z]}
+
+
 def test_certify_depth_zero_inconclusive_exit_4(tmp_path):
     path = _write(tmp_path, "w.json", _wermer_manifest(0.3))
     code = main(["certify", path, "--max-depth", "0", "--out",

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import chain, random_system, wermer_m_closed
+from conftest import chain, random_system, random_w_region, sample_disc, wermer_m_closed
 from prc import ProblemSystem
 from prc.intervals import INFLATION, ParamBox
 from prc import realpoly
@@ -28,6 +28,7 @@ def _random_zbox(rng, n, width=1.0):
 
 
 def _sample_m_L_res(sys_, box, rng, count):
+    """m, L and the residual sum of a submersion at uniform samples of the box."""
     xs = box.sample_uniform(rng, count)
     n = sys_.n
     ms, Ls, rs = [], [], []
@@ -35,12 +36,7 @@ def _sample_m_L_res(sys_, box, rng, count):
         z = tuple(complex(row[2 * j], row[2 * j + 1]) for j in range(n))
         ms.append(m_value(sys_, z))
         Ls.append(big_l_value(sys_, z))
-        if sys_.kind == GRAPH:
-            off = 2 * n
-            w = [complex(row[off + 2 * j], row[off + 2 * j + 1]) for j in range(n)]
-            vals = sys_.values_at(z)
-            rs.append(float(sum(abs(vals[j] - w[j]) for j in range(n))))
-        else:
+        if sys_.kind != GRAPH:
             rs.append(float(sum(abs(v) for v in sys_.values_at(z))))
     return np.array(ms), np.array(Ls), np.array(rs)
 
@@ -96,23 +92,29 @@ def test_bound_L_example2_unit_box(example2):
 # bound_residual_above
 # ---------------------------------------------------------------------------
 
+def _point_box(z: complex) -> ParamBox:
+    return ParamBox(1, [z.real, z.imag], [z.real, z.imag])
+
+
 def test_residual_degenerate_graph_box(wermer):
+    """At one z, over a w disc of radius 1e-12 around f(z)."""
     z = 0.17 + 0.05j
     w = complex(wermer.values_at((z,))[0])
-    box = ParamBox(1, [z.real, z.imag, w.real, w.imag],
-                   [z.real, z.imag, w.real, w.imag])
-    assert bound_residual_above(wermer, box) <= 1e-9
+    region = Region(((z.real, z.imag, 1.0), (w.real, w.imag, 1e-12)))
+    assert bound_residual_above(wermer, _point_box(z), region) <= 1e-9
 
 
 def test_residual_graph_needs_w(wermer):
     with pytest.raises(ValueError):
         bound_residual_above(wermer, ParamBox(1, [-1, -1], [1, 1]))
+    with pytest.raises(ValueError):  # a box holds z only
+        ParamBox(1, [0.0] * 4, [0.0] * 4)
 
 
 def test_residual_wermer_on_circle(wermer):
-    # f vanishes on |z| = 1, so the residual against w = 0 is 0 there
-    box = ParamBox(1, [1, 0, 0, 0], [1, 0, 0, 0])
-    assert bound_residual_above(wermer, box) <= 1e-9
+    # f vanishes on |z| = 1, so the residual over a tiny w disc at 0 is 0 there
+    region = Region(((0.0, 0.0, 2.0), (0.0, 0.0, 1e-12)))
+    assert bound_residual_above(wermer, _point_box(1 + 0j), region) <= 1e-9
 
 
 def test_residual_example2_shrinks_on_manifold(example2):
@@ -132,24 +134,22 @@ def test_residual_example2_shrinks_on_manifold(example2):
 # ---------------------------------------------------------------------------
 
 def test_bounds_one_sided_random_suite():
+    """m and L bounds on random z-boxes, and a submersion's residual bound;
+    test_z_only_residual_bounds_sup_over_w_disc checks a graph's."""
     rng = np.random.default_rng(30)
     for _ in range(30):
         sys_ = random_system(rng)
-        if sys_.kind == GRAPH:
-            lo = list(rng.uniform(-1, 0.5, size=2 * sys_.n)) + \
-                 list(rng.uniform(-2, 1, size=2 * sys_.n))
-            hi = [a + rng.uniform(0.05, 0.8) for a in lo]
-        else:
-            lo = rng.uniform(-1, 0.5, size=2 * sys_.n)
-            hi = lo + rng.uniform(0.05, 0.8, size=2 * sys_.n)
+        lo = rng.uniform(-1, 0.5, size=2 * sys_.n)
+        hi = lo + rng.uniform(0.05, 0.8, size=2 * sys_.n)
         box = ParamBox(sys_.n, lo, hi)
         m_lo = bound_m_below(sys_, box)
         L_up = bound_L_above(sys_, box)
-        r_up = bound_residual_above(sys_, box)
         ms, Ls, rs = _sample_m_L_res(sys_, box, rng, 200)
         assert np.all(ms >= m_lo - 1e-9 * (1 + np.abs(ms)))
         assert np.all(Ls <= L_up + 1e-9 * (1 + np.abs(Ls)))
-        assert np.all(rs <= r_up + 1e-9 * (1 + np.abs(rs)))
+        if sys_.kind != GRAPH:
+            r_up = bound_residual_above(sys_, box)
+            assert np.all(rs <= r_up + 1e-9 * (1 + np.abs(rs)))
 
 
 def test_bounds_monotone_under_subdivision():
@@ -230,13 +230,6 @@ def test_verify_region_pruning(wermer):
     assert root.outside
 
 
-def _sample_disc(rng, disc, count):
-    cx, cy, r = disc
-    rho = r * np.sqrt(rng.random(count)) * (1 - 1e-12)
-    theta = 2 * np.pi * rng.random(count)
-    return complex(cx, cy) + rho * np.exp(1j * theta)
-
-
 def test_verify_proved_leaves_hold_on_samples(wermer):
     """Monte Carlo: no sampled (z, w) of a proved leaf violates the tube."""
     rng = np.random.default_rng(33)
@@ -249,7 +242,7 @@ def test_verify_proved_leaves_hold_on_samples(wermer):
     stride = max(1, len(leaves) // 10)
     for leaf in leaves[::stride]:
         xs = leaf.box.sample_uniform(rng, 1000)
-        ws = _sample_disc(rng, region.discs[1], 1000)
+        ws = sample_disc(rng, region.discs[1], 1000)
         for row, w in zip(xs, ws):
             z = (complex(row[0], row[1]),)
             resid = abs(complex(wermer.values_at(z)[0]) - w)
@@ -615,8 +608,13 @@ def test_batched_clip_matches_one_box_reference():
 
 def test_z_only_residual_bounds_sup_over_w_disc():
     """On random z-boxes and w discs the closed-form residual bound is at
-    least sup over the w disc of the residual, sampled in z."""
-    rng = np.random.default_rng(34)
+    least sup over the w disc of the residual, sampled in z, and so at least
+    the residual at points sampled in the z-box and the w discs."""
+    for seed, width in ((34, 0.6), (30, 0.8)):
+        _check_residual_over_w_discs(np.random.default_rng(seed), width)
+
+
+def _check_residual_over_w_discs(rng, width):
     checked = 0
     while checked < 30:
         sys_ = random_system(rng)
@@ -624,17 +622,19 @@ def test_z_only_residual_bounds_sup_over_w_disc():
             continue
         checked += 1
         n = sys_.n
-        box = _random_zbox(rng, n, width=0.6)
-        wd = [(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.01, 1.5))
-              for _ in range(n)]
-        region = Region(tuple((0.0, 0.0, 10.0) for _ in range(n)) + tuple(wd))
+        box = _random_zbox(rng, n, width=width)
+        region = random_w_region(rng, n)
+        wd = region.discs[n:]
         r_up = bound_residual_above(sys_, box, region)
-        for row in box.sample_uniform(rng, 300):
+        zs = box.sample_uniform(rng, 300)
+        ws = np.stack([sample_disc(rng, d, len(zs)) for d in wd], axis=1)
+        for row, w_in in zip(zs, ws):
             z = tuple(complex(row[2 * j], row[2 * j + 1]) for j in range(n))
             vals = sys_.values_at(z)
             sup_w = sum(abs(vals[j] - complex(cx, cy)) + r
                         for j, (cx, cy, r) in enumerate(wd))
             assert sup_w <= r_up * (1 + 1e-12)
+            assert sum(abs(vals[j] - w_in[j]) for j in range(n)) <= r_up
             # and the sup is approached by points of the open w discs
             w = [complex(cx, cy) + r * (1 - 1e-9) * np.exp(1j * rng.uniform(0, 2 * np.pi))
                  for cx, cy, r in wd]
