@@ -183,6 +183,18 @@ def _enclosing_disc(reg: DiscRegion | BoxRegion) -> tuple[complex, float]:
     return c, math.hypot(reg.re_hi - reg.re_lo, reg.im_hi - reg.im_lo) / 2
 
 
+def _farthest_point(reg: DiscRegion | BoxRegion, center: complex) -> complex:
+    """The point of the region farthest from `center`: the first such corner
+    of a box, and centre + radius * (centre - center) / |centre - center| of
+    a disc (centre + radius when the two centres agree)."""
+    if isinstance(reg, DiscRegion):
+        away = reg.center - center
+        return reg.center + reg.radius * (away / abs(away) if away else 1.0)
+    corners = [complex(reg.re_lo, reg.im_lo), complex(reg.re_lo, reg.im_hi),
+               complex(reg.re_hi, reg.im_lo), complex(reg.re_hi, reg.im_hi)]
+    return max(corners, key=lambda c: abs(c - center))
+
+
 def _grid_cells(lo: Sequence[float], hi: Sequence[float], per_axis: int,
                 prune: Region | None):
     """Uniform grid cells over the box, as (cells, dims) arrays of their lower
@@ -254,16 +266,16 @@ def _check_k_in_omega(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec,
         if isinstance(reg, DiscRegion):
             z_margins.append(orad - (abs(reg.center - oc) + reg.radius))
         else:
-            corners = [complex(reg.re_lo, reg.im_lo), complex(reg.re_lo, reg.im_hi),
-                       complex(reg.re_hi, reg.im_lo), complex(reg.re_hi, reg.im_hi)]
-            z_margins.append(orad - max(abs(c - oc) for c in corners))
+            z_margins.append(orad - abs(_farthest_point(reg, oc) - oc))
     key = "margins" if sys.kind == SUBMERSION else "z_margins"  # as certificates have it
     if not all(m > 0 for m in z_margins):
+        # a point of the regions' product outside omega: region centres, but
+        # in the worst coordinate the point of its region farthest from omega
         j = z_margins.index(min(z_margins))
-        c, r = _enclosing_disc(K.regions[j])
-        p = c + r
+        z = [_enclosing_disc(reg)[0] for reg in K.regions]
+        z[j] = _farthest_point(K.regions[j], omega.z_center[j])
         return {"status": FAILED, key: z_margins,
-                "witness": {"z": [[p.real, p.imag]], "coordinate": j}}
+                "witness": {"z": [[p.real, p.imag] for p in z], "coordinate": j}}
     if sys.kind == SUBMERSION:
         return {"status": PROVED, key: z_margins}
 

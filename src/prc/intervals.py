@@ -82,7 +82,8 @@ class ParamBox:
         return len(self.lo)
 
     def split(self, coord: int) -> tuple[ParamBox, ParamBox]:
-        """Bisect along `coord` (rigor.split_coords picks it)."""
+        """Bisect along `coord` at the midpoint 0.5 * (lo + hi), the bits
+        rigor.subdivide writes into its level arrays."""
         mid = 0.5 * (self.lo[coord] + self.hi[coord])
         hi1 = self.hi[:coord] + (mid,) + self.hi[coord + 1:]
         lo2 = self.lo[:coord] + (mid,) + self.lo[coord + 1:]

@@ -18,11 +18,13 @@ ProblemSystem:
 
 All bounds are evaluated for many boxes at once (_BoxBounds, over the
 batched kernels of realpoly), bit for bit as a loop over single boxes would.
-Every subdivision tree is grown by one routine, subdivide: level by level it
-clips the boxes to an optional region (product of per-coordinate discs, i.e.
-the omega polydisc), evaluates a check on the whole level, bisects each
-undecided box at split_coords, and aggregates the statuses; replay re-derives
-a certificate's trees with it too.  verify_box establishes the strict tube
+Every subdivision tree is grown by one routine, subdivide: it keeps each level
+as the rows of `lo`, `hi` arrays, clips them to an optional region (product
+of per-coordinate discs, i.e. the omega polydisc), evaluates a check on the
+whole level and bisects each undecided box at split_coords, all on arrays;
+only at the end does it build the VerifyNode tree and aggregate the statuses,
+from the last level up.  Replay re-derives a certificate's trees with it
+too.  verify_box establishes the strict tube
 inclusion residual < m/(cL) with it; the comparison is division-free
 (residual_upper * c * L_upper < m_lower * (1 - margin)) so an infinite
 radius needs no special casing.  Every box holds the 2n real coordinates of
@@ -57,8 +59,8 @@ from typing import Any
 import numpy as np
 
 from .intervals import INFLATION, ParamBox
-from .realpoly import (_TINY, TermPack, _eval_box_raw, _max, _min, dist_upper,
-                       finite_or_overflow, mag_upper, sequential_sum)
+from .realpoly import (_TINY, _eval_box_raw, _max, _min, dist_upper, finite_or_overflow,
+                       mag_upper, sequential_sum)
 from .trgeom import (GRAPH, L_values, ProblemSystem, m_values, radii, radius_factor,
                      totally_real)
 
@@ -480,8 +482,7 @@ def split_scale(sys: ProblemSystem, box: ParamBox) -> tuple[float, ...]:
     choose where boxes are cut, so no proof depends on them.
     """
     dims = 2 * sys.n
-    grads = TermPack([t.value.diff(v) for v in range(dims) for t in sys.tables])
-    enc = _eval_box_raw(grads, [box.lo], [box.hi])[0]
+    enc = _eval_box_raw(sys.grad_pack, [box.lo], [box.hi])[0]
     s = sequential_sum(mag_upper(enc).reshape(dims, sys.rows), axis=1).tolist()
     positive = [x for x in s if x > 0.0]
     if not positive or not all(map(math.isfinite, s)):
@@ -613,106 +614,111 @@ def split_coords(lo, hi, scale: tuple[float, ...] | None = None) -> list[int]:
     return np.argmax(widths, axis=1).tolist()
 
 
+# the statuses in the order a parent aggregates them, the largest code winning
+_STATUSES = (PROVED, INCONCLUSIVE, FAILED)
+_CODES = {status: code for code, status in enumerate(_STATUSES)}
+# what an OUTSIDE box stands for in a level's results
+_OUTSIDE = (PROVED, None, None)
+
+
 def subdivide(box: ParamBox, evaluate, max_depth: int, node_budget: int,
               region: Region | None = None, name: str = "subdivision",
               scale: tuple[float, ...] | None = None) -> VerifyNode:
     """Level-synchronous bisection shared by every subdivision tree.
 
-    Each level's boxes are first clipped to `region` (when given) in one
-    Region.clip: a box that misses it becomes an OUTSIDE leaf (PROVED, no
-    value), any other shrinks to the bounding box of its intersection with
-    the region, which is sound and cuts the overhang at the boundary.
+    A level is the rows of two arrays `lo`, `hi`, one box per row.  They are
+    first clipped to `region` (when given) in one Region.clip: a box that
+    misses it becomes an OUTSIDE leaf (PROVED, no value) and keeps its
+    unclipped box, any other shrinks to the bounding box of its intersection
+    with the region, which is sound and cuts the overhang at the boundary.
     `evaluate(lo, hi)` then gets the level's remaining boxes as the rows of
     two arrays and returns one (status, value, witness) per box.  PROVED and
     FAILED nodes are leaves; an INCONCLUSIVE node is bisected at
-    split_coords(scale) (the root keeps `scale`) while it lies above
-    `max_depth` and the tree stays within `node_budget` nodes (the first
-    nodes of a level win; running out is logged once, naming the tree).  The
-    first level with a FAILED node ends the search and the tree stays
-    partial.  Statuses are then aggregated bottom-up, FAILED over
+    split_coords(scale) while it lies above `max_depth` and the tree stays
+    within `node_budget` nodes (the first nodes of a level win; running out
+    is logged once, naming the tree).  The next level repeats each parent's
+    row twice and writes the midpoint of the split coordinate into the upper
+    end of the first copy and the lower end of the second, the bits of
+    ParamBox.split.  The first level with a FAILED node ends the search and
+    the tree stays partial.
+
+    The VerifyNode tree is built once, from the last level up, and returned
+    by its root, which keeps `scale`.  Statuses aggregate FAILED over
     INCONCLUSIVE over PROVED, and a FAILED node takes the witness of its
-    first FAILED child.  When done it logs, at INFO, the
-    tree's status, size, probe count, depth and wall time, and its split
-    scale when one is given; every check probes each box it does not prove
-    pointwise, so the probes are the nodes it left unproved.
+    first FAILED child that has one.  When done it logs, at INFO, the tree's
+    status, size, probe count, depth and wall time, and its split scale when
+    one is given; every check probes each box it does not prove pointwise, so
+    the probes are the nodes it left unproved.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     start = time.perf_counter()
-    root = VerifyNode(box, 0, split_scale=scale)
-    frontier = [root]
+    lo, hi = np.array([box.lo], dtype=float), np.array([box.hi], dtype=float)
+    levels = []
     total_nodes = 1
-    split_nodes = 0
     probes = 0
+    depth = 0
     budget_logged = False
-    while frontier:
-        depth = frontier[0].depth  # every node of a level has the same depth
-        lo = np.array([node.box.lo for node in frontier])
-        hi = np.array([node.box.hi for node in frontier])
-        live = frontier
+    while True:
+        outside = np.zeros(len(lo), dtype=bool)
         if region is not None:
             clo, chi, inside = region.clip(lo, hi)
-            # a box the clip leaves bit for bit alone keeps its tuples
-            moved = ((clo.view(np.int64) != lo.view(np.int64)).any(axis=1)
-                     | (chi.view(np.int64) != hi.view(np.int64)).any(axis=1))
-            live = []
-            for node, keep, shift, l, h in zip(frontier, inside.tolist(), moved.tolist(),
-                                               clo.tolist(), chi.tolist()):
-                if not keep:
-                    node.status = PROVED
-                    node.outside = True
-                    continue
-                if shift:
-                    node.box = ParamBox._new(box.n, tuple(l), tuple(h))
-                live.append(node)
-            lo, hi = clo[inside], chi[inside]
-        undecided = []  # rows of lo, hi
-        failed = False
-        for row, (node, result) in enumerate(zip(live, evaluate(lo, hi) if live else ())):
-            node.status, node.value, node.witness = result
-            probes += node.status != PROVED
-            if node.status == FAILED:
-                failed = True
-            elif node.status == INCONCLUSIVE:
-                undecided.append(row)
-        if failed:
-            break  # witnesses trump further refinement
-        splittable = undecided if depth < max_depth else []
+            outside = ~inside
+            lo = np.where(outside[:, None], lo, clo)
+            hi = np.where(outside[:, None], hi, chi)
+        live = np.nonzero(~outside)[0]
+        results = list(evaluate(lo[live], hi[live])) if len(live) else []
+        if len(live) < len(lo):
+            found = iter(results)
+            results = [_OUTSIDE if out else next(found) for out in outside.tolist()]
+        codes = np.array([_CODES[status] for status, _, _ in results], dtype=np.int8)
+        probes += int(np.count_nonzero(codes))
+        parents = np.nonzero(codes == _CODES[INCONCLUSIVE])[0]
+        if depth >= max_depth or (codes == _CODES[FAILED]).any():
+            parents = parents[:0]  # a FAILED level ends the search: witnesses trump refinement
         room = max(0, (node_budget - total_nodes) // 2)
-        if len(splittable) > room and not budget_logged:
+        if len(parents) > room and not budget_logged:
             log.warning("node budget %d exhausted in the %s tree", node_budget, name)
             budget_logged = True
-        parents = splittable[:room]
-        frontier = []
-        for row, coord in zip(parents, split_coords(lo[parents], hi[parents], scale)):
-            node = live[row]
-            node.children = [VerifyNode(b, depth + 1) for b in node.box.split(coord)]
-            frontier += node.children
-        split_nodes += len(parents)
-        total_nodes += len(frontier)
-    _aggregate(root)
+        parents = parents[:room]
+        levels.append((lo, hi, outside, codes, results, parents))
+        if not len(parents):
+            break
+        coords = split_coords(lo[parents], hi[parents], scale)
+        mid = 0.5 * (lo[parents, coords] + hi[parents, coords])
+        lo = np.repeat(lo[parents], 2, axis=0)
+        hi = np.repeat(hi[parents], 2, axis=0)
+        first = 2 * np.arange(len(parents))
+        hi[first, coords] = mid
+        lo[first + 1, coords] = mid
+        total_nodes += len(lo)
+        depth += 1
+
+    below, below_codes = [], None  # the nodes of the level under the current one
+    for d in range(depth, -1, -1):
+        lo, hi, outside, codes, results, parents = levels[d]
+        if len(parents):
+            codes[parents] = np.maximum(below_codes[0::2], below_codes[1::2])
+        nodes = [VerifyNode(ParamBox._new(box.n, l, h), d, _STATUSES[code], value, [],
+                            witness, out)
+                 for l, h, code, (_, value, witness), out in zip(
+                     map(tuple, lo.tolist()), map(tuple, hi.tolist()), codes.tolist(),
+                     results, outside.tolist())]
+        for i, row in enumerate(parents.tolist()):
+            node = nodes[row]
+            node.children = below[2 * i:2 * i + 2]
+            if node.status == FAILED:
+                node.witness = next((c.witness for c in node.children
+                                     if c.status == FAILED and c.witness is not None), None)
+        below, below_codes = nodes, codes
+    root = below[0]
+    root.split_scale = scale
+    split_nodes = sum(len(level[5]) for level in levels)
     log.info("%s tree: %s, %d nodes, %d leaves, %d probes, depth %d, %.3f s%s", name,
              root.status, total_nodes, total_nodes - split_nodes, probes, depth,
              time.perf_counter() - start, "" if scale is None else
              ", split scale (" + ", ".join(f"{s:.6g}" for s in scale) + ")")
     return root
-
-
-def _aggregate(node: VerifyNode) -> None:
-    """Bottom-up statuses and witnesses; deterministic and order-independent."""
-    if not node.children:
-        return
-    for c in node.children:
-        _aggregate(c)
-    statuses = [c.status for c in node.children]
-    if FAILED in statuses:
-        node.status = FAILED
-        node.witness = next((c.witness for c in node.children
-                             if c.status == FAILED and c.witness is not None), None)
-    elif INCONCLUSIVE in statuses:
-        node.status = INCONCLUSIVE
-    else:
-        node.status = PROVED
 
 
 def verify_box(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,

@@ -81,7 +81,10 @@ class _FnTable:
 class ProblemSystem:
     """A graph or submersion system with precomputed derivative tables.
 
-    Immutable after construction.
+    Immutable after construction, and shared: `graph` and `submersion` given
+    function texts return one instance per (kind, n, k, texts) from a bounded
+    memo, so no caller may mutate one.  Its lazily built packs are caches of
+    the same bits.
     """
 
     def __init__(self, kind: Literal["graph", "submersion"], n: int,
@@ -127,13 +130,11 @@ class ProblemSystem:
 
     @staticmethod
     def graph(exprs: Sequence[ex.Expr | str], n: int) -> ProblemSystem:
-        parsed = [ex.parse(e, n) if isinstance(e, str) else e for e in exprs]
-        return ProblemSystem(GRAPH, n, parsed)
+        return _build(GRAPH, n, None, tuple(exprs))
 
     @staticmethod
     def submersion(exprs: Sequence[ex.Expr | str], n: int, k: int) -> ProblemSystem:
-        parsed = [ex.parse(e, n) if isinstance(e, str) else e for e in exprs]
-        return ProblemSystem(SUBMERSION, n, parsed, k=k)
+        return _build(SUBMERSION, n, k, tuple(exprs))
 
     @property
     def rows(self) -> int:
@@ -154,6 +155,12 @@ class ProblemSystem:
     def packs(self) -> dict[str, TermPack]:
         """Each list of `polys` laid out for batched box bounds (realpoly.TermPack)."""
         return {name: TermPack(polys) for name, polys in self.polys.items()}
+
+    @functools.cached_property
+    def grad_pack(self) -> TermPack:
+        """d value_r / dx_v for each real coordinate v, then each row r, laid
+        out for batched box bounds (rigor.split_scale)."""
+        return TermPack([t.value.diff(v) for v in range(2 * self.n) for t in self.tables])
 
     @functools.cached_property
     def u_levi(self) -> list[list[RealPoly]]:
@@ -216,6 +223,24 @@ class ProblemSystem:
 
     def __repr__(self) -> str:
         return f"ProblemSystem({self.kind}, n={self.n}, k={self.k}, rows={self.rows})"
+
+
+def _build(kind: str, n: int, k: int | None, exprs: tuple) -> ProblemSystem:
+    """The system of `exprs`, strings parsed over z1..zn.  All-string input
+    with integer n and k comes from the memo, keyed on the texts: parsed
+    expressions would not do, as Const(0.0) == Const(-0.0)."""
+    memo = (all(type(e) is str for e in exprs) and type(n) is int
+            and (k is None or type(k) is int))
+    return (_built_system if memo else _parsed_system)(kind, n, k, exprs)
+
+
+def _parsed_system(kind: str, n: int, k: int | None, exprs: tuple) -> ProblemSystem:
+    parsed = [ex.parse(e, n) if isinstance(e, str) else e for e in exprs]
+    return ProblemSystem(kind, n, parsed, k=k)
+
+
+# the memo of _build; a build that raises is not cached
+_built_system = functools.lru_cache(maxsize=64)(_parsed_system)
 
 
 # ---------------------------------------------------------------------------

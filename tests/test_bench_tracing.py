@@ -23,6 +23,8 @@ def test_tracing_wraps_certify_and_restores_every_name():
     import spans
 
     C = importlib.import_module("prc.certify")  # prc.certify is also a function
+    # an earlier test may have built the Wermer system; a memo hit builds nothing
+    importlib.import_module("prc.trgeom")._built_system.cache_clear()
 
     tr = spans.Tracer()
     worker.install_tracing(tr)

@@ -245,13 +245,20 @@ _K_OUTSIDE_OMEGA_Z = {
     "cap": (dict(cap_manifest(0.5), omega={"z": {"center": [[0, 0], [0, 0]],
                                                  "radii": [0.45, 0.55]}}),
             "margins", [_disc_margin(0j, 0.5, 0j, 0.45), _disc_margin(0j, 0.5, 0j, 0.55)],
-            0, [0.5, 0.0]),
+            0, [[0.5, 0.0], [0.0, 0.0]]),
     "graph_disc": (dict(_wermer_manifest(0.3, options={"max_depth": 12}),
                         compact={"region": [{"shape": "disc", "center": [0.1, 0],
                                              "radius": 0.3}]},
                         omega={"z": {"center": [[0, 0]], "radii": [0.35]},
                                "w": {"center": [[0, 0]], "radii": [1.0]}}),
-                   "z_margins", [_disc_margin(0.1, 0.3, 0j, 0.35)], 0, [0.1 + 0.3, 0.0]),
+                   "z_margins", [_disc_margin(0.1, 0.3, 0j, 0.35)], 0, [[0.1 + 0.3, 0.0]]),
+    # the disc's point c + r, 0.3 + 0.1i, would lie inside omega
+    "graph_disc_off_centre": (
+        dict(_wermer_manifest(0.3, options={"max_depth": 12}),
+             compact={"region": [{"shape": "disc", "center": [0, 0.1], "radius": 0.3}]},
+             omega={"z": {"center": [[0, 0]], "radii": [0.35]},
+                    "w": {"center": [[0, 0]], "radii": [1.0]}}),
+        "z_margins", [_disc_margin(0.1j, 0.3, 0j, 0.35)], 0, [[0.0, 0.1 + 0.3]]),
     "graph_box": ({"kind": "graph", "n": 2, "functions": _GRAPH_N2,
                    "compact": {"region": [
                        {"shape": "disc", "center": [0, 0], "radius": 0.2},
@@ -261,14 +268,25 @@ _K_OUTSIDE_OMEGA_Z = {
                    "options": {"max_depth": 8}},
                   "z_margins", [_disc_margin(0j, 0.2, 0j, 0.3),
                                 _box_margin((-0.1, 0.3), (-0.1, 0.1), 0j, 0.25)],
-                  1, [0.5 * (-0.1 + 0.3) + math.hypot(0.3 + 0.1, 0.1 + 0.1) / 2, 0.0]),
+                  1, [[0.0, 0.0], [0.3, -0.1]]),
 }
+
+
+def _in_region(point, region) -> bool:
+    """Whether the (re, im) pair lies in a manifest region, up to rounding."""
+    x, y = point
+    if region.get("shape", "disc") == "disc":
+        (cx, cy), r = region["center"], region["radius"]
+        return math.hypot(x - cx, y - cy) <= r * (1.0 + 1e-12)
+    return region["re"][0] <= x <= region["re"][1] and region["im"][0] <= y <= region["im"][1]
 
 
 @pytest.mark.parametrize("name", sorted(_K_OUTSIDE_OMEGA_Z))
 def test_certify_k_outside_omega_z_exit_3(tmp_path, name):
     """A region of K that is not inside its omega z disc is a FAIL whose
-    witness is the region's (enclosing) disc centre plus its radius."""
+    witness z is a point of the regions' product outside omega: the point of
+    the worst region farthest from omega's centre, and the other regions'
+    centres."""
     manifest, key, margins, coordinate, z = _K_OUTSIDE_OMEGA_Z[name]
     out = tmp_path / "cert.json"
     assert main(["certify", _write(tmp_path, "m.json", manifest), "--out", str(out)]) == 3
@@ -278,7 +296,15 @@ def test_certify_k_outside_omega_z_exit_3(tmp_path, name):
     assert k_check["status"] == "FAILED"
     assert k_check[key] == margins
     assert margins[coordinate] == min(margins) < 0
-    assert cert["witness"] == {"check": "k_in_omega", "coordinate": coordinate, "z": [z]}
+    assert cert["witness"] == {"check": "k_in_omega", "coordinate": coordinate, "z": z}
+    compact = manifest["compact"]
+    regions = compact.get("region") or [{"center": c, "radius": r} for c, r in
+                                        zip(compact["cap"]["center"], compact["cap"]["radii"])]
+    assert len(z) == len(regions) == manifest["n"]
+    assert all(_in_region(p, reg) for p, reg in zip(z, regions))
+    (ox, oy), orad = (manifest["omega"]["z"]["center"][coordinate],
+                      manifest["omega"]["z"]["radii"][coordinate])
+    assert math.hypot(z[coordinate][0] - ox, z[coordinate][1] - oy) >= orad
 
 
 def test_certify_depth_zero_inconclusive_exit_4(tmp_path):

@@ -314,6 +314,101 @@ def test_subdivide_stops_at_first_failed_level():
     assert failed[0].box.hi[1] <= failed[1].box.lo[1]  # the lower one first
 
 
+# the order in which a parent takes its children's statuses, the last winning
+_STATUS_ORDER = (PROVED, INCONCLUSIVE, FAILED)
+
+
+def _random_status(seed, failed_share):
+    """A check whose status is a seeded random function of the box's bits:
+    FAILED with probability `failed_share`, else PROVED (never for a box
+    wider than 1, likelier for a small one) or INCONCLUSIVE."""
+    def status(lo, hi):
+        u = np.random.default_rng([seed, *np.array(lo + hi).view(np.uint64)]).random()
+        width = max(np.subtract(hi, lo))
+        proved = 0.0 if width > 1.0 else 0.5 if width < 0.3 else 0.2
+        return FAILED if u < failed_share else PROVED if u < proved else INCONCLUSIVE
+
+    def evaluate(lo, hi):  # every box has a witness, which only a FAILED parent replaces
+        return [(status(l, h), l, {"lo": l, "status": status(l, h)})
+                for l, h in zip(map(tuple, lo.tolist()), map(tuple, hi.tolist()))]
+    return status, evaluate
+
+
+def _reference_leaves(status, lo, hi, depth, max_depth, region, scale):
+    """Depth-first recursive bisection: (status, depth, lo, hi) of each leaf,
+    OUTSIDE for a box that misses the region, each other box clipped first."""
+    clo, chi, inside = region.clip([lo], [hi])
+    if not inside[0]:
+        return [("OUTSIDE", depth, lo, hi)]
+    box = ParamBox(len(lo) // 2, clo[0], chi[0])
+    st = status(box.lo, box.hi)
+    if st != INCONCLUSIVE or depth == max_depth:
+        return [(st, depth, box.lo, box.hi)]
+    out = []
+    for child in box.split(split_coords([box.lo], [box.hi], scale)[0]):
+        out += _reference_leaves(status, child.lo, child.hi, depth + 1, max_depth, region, scale)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(13))
+def test_subdivide_matches_recursive_reference(seed):
+    """Level-synchronous subdivide grows the tree a depth-first recursion
+    would: the same leaves (status, depth, box, OUTSIDE) in the same order,
+    unless a FAILED level ends it, which is the recursion stopped at the
+    depth of its shallowest FAILED leaf.  The root takes the first FAILED
+    leaf's witness.  Seed 12's region misses the box: an OUTSIDE root."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 2
+    region = Region(tuple((rng.uniform(-0.3, 0.3) + 5.0 * (seed == 12),
+                           rng.uniform(-0.3, 0.3), rng.uniform(0.5, 1.2)) for _ in range(n)))
+    scale = None if seed % 3 == 0 else tuple(rng.uniform(0.5, 2.0, size=2 * n))
+    status, evaluate = _random_status(seed, 0.0 if seed < 6 else 0.01)
+    lo, hi = (-1.0,) * (2 * n), (1.0,) * (2 * n)
+    max_depth = 9 if n == 1 else 6
+    ref = _reference_leaves(status, lo, hi, 0, max_depth, region, scale)
+    failed = [leaf for leaf in ref if leaf[0] == FAILED]
+    if failed:
+        ref = _reference_leaves(status, lo, hi, 0, min(d for _, d, _, _ in failed),
+                                region, scale)
+    root = subdivide(ParamBox(n, lo, hi), evaluate, max_depth, 10**6, region, scale=scale)
+    assert [("OUTSIDE" if leaf.outside else leaf.status, leaf.depth, leaf.box.lo,
+             leaf.box.hi) for leaf in root.leaves()] == ref
+    assert root.split_scale == scale
+    first_failed = next((leaf for leaf in ref if leaf[0] == FAILED), None)
+    if first_failed is None:
+        assert root.status == (INCONCLUSIVE if any(leaf[0] == INCONCLUSIVE for leaf in ref)
+                               else PROVED)
+        assert root.outside or root.witness["lo"] == root.box.lo  # its own
+    else:
+        assert root.status == FAILED
+        assert root.witness == {"lo": first_failed[2], "status": FAILED}
+    for node in root.nodes():
+        assert len(node.children) in (0, 2)
+        assert node.outside or node.value == node.box.lo  # each box evaluated once
+        if node.children:
+            codes = [_STATUS_ORDER.index(c.status) for c in node.children]
+            assert node.status == _STATUS_ORDER[max(codes)]
+    if seed < 12:
+        assert len(ref) > 20 or failed  # a real tree, or one a FAILED level cut short
+    else:
+        assert ref == [("OUTSIDE", 0, lo, hi)]
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 4, 7, 10, 25, 60])
+def test_subdivide_never_exceeds_node_budget(budget, caplog):
+    status, evaluate = _random_status(3, 0.0)
+    region = Region(((0.1, 0.0, 0.9),))
+    with caplog.at_level(logging.WARNING, logger="prc.rigor"):
+        root = subdivide(ParamBox(1, [-1, -1], [1, 1]), evaluate, 12, budget, region,
+                         "budget")
+    nodes = root.nodes()
+    assert len(nodes) <= budget
+    full = _reference_leaves(status, (-1.0, -1.0), (1.0, 1.0), 0, 12, region, None)
+    if 2 * len(full) - 1 > budget:
+        assert "node budget %d exhausted in the budget tree" % budget in caplog.text
+        assert root.status == INCONCLUSIVE
+
+
 def test_rounding_guard_caps_term_count():
     ok = RealPoly(1, {(e, 0): 1.0 + 0j for e in range(MAX_TERMS)})
     assert ok.pack().size == MAX_TERMS

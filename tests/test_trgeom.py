@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import random_system, wermer_L_closed, wermer_m_closed
-from prc import ProblemSystem
-from prc.expr import Const, Mul
+from prc import ProblemSystem, trgeom
+from prc.certify import ManifestError, load_manifest
+from prc.expr import Const, Mul, parse
 from prc.trgeom import (DegenerateSystemError, bbar_matrix, big_l_value,
                         is_totally_real_graph, is_totally_real_submersion,
                         levi_u_graph, levi_u_submersion, m_value,
@@ -34,6 +35,44 @@ def test_submersion_counts():
 def test_submersion_rejects_complex_valued():
     with pytest.raises(DegenerateSystemError):
         ProblemSystem.submersion(["z1"], 1, 1)
+
+
+def test_build_memo_shares_one_system_per_texts():
+    f = "conj(z1) + 0.5*z1*conj(z1)^2"
+    a = ProblemSystem.graph([f], 1)
+    assert ProblemSystem.graph((f,), 1) is a
+    assert ProblemSystem.graph([f + " "], 1) is not a  # keyed on the text as given
+    # constants that compare equal, Const(0.0) == Const(-0.0), but distinct texts
+    assert Const(0.0) == Const(-0.0)
+    assert ProblemSystem.graph(["conj(z1) + -0.0*z1"], 1) is not \
+        ProblemSystem.graph(["conj(z1) + 0.0*z1"], 1)
+    # the kind, n and k are part of the key
+    g = ProblemSystem.graph(["Im(z1)"], 1)
+    s1 = ProblemSystem.submersion(["Im(z1)"], 1, 1)
+    assert (g.kind, s1.kind, s1.k) == ("graph", "submersion", 1) and g is not s1
+    two = ["Im(z1)", "Im(z2)"]
+    assert ProblemSystem.submersion(two, 2, 2).n == 2
+    with pytest.raises(ValueError, match="needs 2n-k=3 functions"):
+        ProblemSystem.submersion(two, 2, 1)
+    with pytest.raises(ValueError, match="needs exactly n=2 functions"):
+        ProblemSystem.graph(["Im(z1)"], 2)
+
+
+def test_build_memo_skips_failed_builds_and_parsed_input():
+    bad = {"kind": "graph", "n": 1, "functions": ["conj(z1) +"],
+           "compact": {"region": [{"shape": "disc", "center": [0, 0], "radius": 0.3}]}}
+    before = trgeom._built_system.cache_info().currsize
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ManifestError, match="bad system definition") as info:
+            load_manifest(bad)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert trgeom._built_system.cache_info().currsize == before
+    e = parse("conj(z1)", 1)
+    hits = trgeom._built_system.cache_info().hits
+    assert ProblemSystem.graph([e], 1) is not ProblemSystem.graph([e], 1)
+    assert trgeom._built_system.cache_info().hits == hits
 
 
 # ---------------------------------------------------------------------------
