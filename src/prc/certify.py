@@ -30,8 +30,8 @@ import numpy as np
 from . import rigor
 from .intervals import INFLATION, ParamBox
 from .realpoly import dist_upper, finite_or_overflow
-from .rigor import (FAILED, INCONCLUSIVE, PROVED, Region, VerifyNode,
-                    _BoxBounds, verify_box, verify_totally_real)
+from .rigor import (FAILED, FAILED_CODE, INCONCLUSIVE_CODE, PROVED, PROVED_CODE, Leaves,
+                    Region, _BoxBounds, verify_box, verify_totally_real)
 from .trgeom import GRAPH, SUBMERSION, ProblemSystem, bbar_matrix, tube_profile
 
 
@@ -287,28 +287,30 @@ def _check_k_in_omega(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec,
 
     def evaluate(lo, hi):
         far = dist_upper(bb.values(lo, hi), centers.real, centers.imag) >= radii
-        out = [(PROVED, None, None)] * len(lo)
+        codes = np.zeros(len(lo), dtype=np.int8)
         missed = np.nonzero(far.any(axis=1))[0]
         if not len(missed):
-            return out
+            return codes, None, None
         # pointwise check before splitting: a graph point (over a parameter
         # inside D) outside omega_w is a definite failure
         pts = rigor.probe_points(lo[missed], hi[missed], prune)
         fv = sys.evaluate("value", pts)
         off = np.hypot(fv.real - centers.real, fv.imag - centers.imag) >= radii * (1.0 - 1e-12)
-        for i, pt, f, bad in zip(missed.tolist(), pts.tolist(), fv.tolist(), off.tolist()):
-            out[i] = (INCONCLUSIVE, None, None)
-            if any(bad):
-                out[i] = (FAILED, None, {
-                    "z": [pt[k:k + 2] for k in range(0, len(pt), 2)],
-                    "w": [[v.real, v.imag] for v in f], "coordinate": bad.index(True)})
-        return out
+        bad = off.any(axis=1)
+        codes[missed] = np.where(bad, FAILED_CODE, INCONCLUSIVE_CODE)
+        if not bad.any():
+            return codes, None, None
+        i = int(np.argmax(bad))
+        return codes, None, {"z": pts[i].reshape(-1, 2).tolist(),
+                             "w": [[v.real, v.imag] for v in fv[i].tolist()],
+                             "coordinate": int(np.argmax(off[i]))}
 
     lo, hi = _region_bbox(K.regions)
     root = rigor.subdivide(ParamBox(sys.n, lo, hi), evaluate, max_depth,
                            node_budget, prune, "K in omega")
+    # every node but an OUTSIDE leaf was checked, and a tree of L leaves has 2L - 1 nodes
     out = {"status": root.status, "z_margins": z_margins,
-           "cells_checked": sum(not node.outside for node in root.nodes())}
+           "cells_checked": 2 * len(root.leaves.depth) - 1 - int(root.leaves.outside.sum())}
     if root.witness is not None:
         out["witness"] = root.witness
     return out
@@ -378,14 +380,13 @@ def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
 
     tr = verify_totally_real(sys, z_box, max_depth=max_depth, region=z_region,
                              node_budget=node_budget)
-    tr_leaves = tr.leaves()
+    tr_leaves = tr.leaves
     tr_check = {
         "status": tr.status,
-        "m_lower": min((leaf.value for leaf in tr_leaves if not leaf.outside),
-                       default=math.inf),
-        "leaf_count": len(tr_leaves),
-        "depth": max(leaf.depth for leaf in tr_leaves),
-        "leaves": [_tr_leaf_dict(leaf) for leaf in tr_leaves],
+        "m_lower": min(tr_leaves.values[~tr_leaves.outside, 0].tolist(), default=math.inf),
+        "leaf_count": len(tr_leaves.depth),
+        "depth": int(tr_leaves.depth.max()),
+        "leaves": _leaf_dicts(tr_leaves, ("m_lower",), {"m_lower": None}),
     }
     if tr.witness is not None:
         tr_check["witness"] = tr.witness
@@ -399,7 +400,7 @@ def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
         "status": tube_root.status,
         "report": asdict(tube_root.report),
         "split_scale": list(tube_root.split_scale),
-        "leaves": [_leaf_dict(leaf) for leaf in tube_root.leaves()],
+        "leaves": _leaf_dicts(tube_root.leaves, ("m_lower", "L_upper", "residual_upper"), {}),
     }
     if tube_root.witness is not None:
         tube_check["witness"] = tube_root.witness
@@ -432,20 +433,14 @@ def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
                        options=opts, tolerances=tolerances, witness=witness)
 
 
-def _leaf_dict(leaf: VerifyNode) -> dict:
-    d = {"box": [list(pair) for pair in zip(leaf.box.lo, leaf.box.hi)],
-         "status": "OUTSIDE" if leaf.outside else leaf.status,
-         "depth": leaf.depth}
-    if not leaf.outside:
-        d["m_lower"], d["L_upper"], d["residual_upper"] = leaf.value
-    return d
-
-
-def _tr_leaf_dict(leaf: VerifyNode) -> dict:
-    return {"box": [list(pair) for pair in zip(leaf.box.lo, leaf.box.hi)],
-            "status": "OUTSIDE" if leaf.outside else leaf.status,
-            "depth": leaf.depth,
-            "m_lower": None if leaf.outside else leaf.value}
+def _leaf_dicts(leaves: Leaves, keys: tuple[str, ...], outside: dict) -> list[dict]:
+    """Each leaf as a certificate lists it: box, status and depth, and its
+    values under `keys`, or the entries `outside` for an OUTSIDE leaf."""
+    return [{"box": box, "status": status, "depth": depth,
+             **(outside if status == "OUTSIDE" else dict(zip(keys, values)))}
+            for box, status, depth, values in zip(
+                np.stack([leaves.lo, leaves.hi], axis=-1).tolist(), leaves.statuses(),
+                leaves.depth.tolist(), leaves.values.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -739,11 +734,11 @@ def _replay(cert: Certificate) -> bool:
     z_box = omega.z_box(n)
     bb = _BoxBounds(sys_)
 
-    def tube_holds(lo, hi) -> bool:
-        return bool(rigor.check_leaves(sys_, lo, hi, opts["margin"], region).all())
+    def tube_holds(lo, hi):
+        return rigor.check_leaves(sys_, lo, hi, opts["margin"], region)
 
-    def totally_real(lo, hi) -> bool:
-        return bool((bb.m_lower(lo, hi) > 0.0).all())
+    def totally_real(lo, hi):
+        return bb.m_lower(lo, hi) > 0.0
 
     return (_replay_tree(tube["leaves"], z_box, region, opts["max_depth"],
                          tube_holds, "replayed tube", tuple(scale))
@@ -761,29 +756,34 @@ def _replay_tree(leaves: list[dict], root: ParamBox, region: Region, max_depth: 
     is PROVED when a recorded PROVED leaf has it and INCONCLUSIVE, so
     bisected, otherwise.  The node budget is 2L - 1, the node count of a
     binary tree with L leaves, so a tampered list grows no more nodes than it
-    records.  The derived leaves must equal the recorded ones in order:
-    status (OUTSIDE or PROVED), integer depth and box.  `holds(lo, hi)` then
-    checks all the PROVED boxes in one batch.
+    records.  The derived Leaves must equal the recorded ones in order:
+    status (OUTSIDE or PROVED), integer depth and the box's numbers, compared
+    as arrays.  `holds(lo, hi)` then checks all the PROVED boxes in one batch,
+    one boolean each.
     """
-    # (status, depth, lo, hi); a box of other than [lo, hi] pairs matches nothing
-    recorded = [(leaf["status"], leaf["depth"], *zip(*leaf["box"])) for leaf in leaves]
-    if not all(type(leaf[1]) is int for leaf in recorded):
+    status = [leaf["status"] for leaf in leaves]
+    depth = [leaf["depth"] for leaf in leaves]
+    # each box is 2n [lo, hi] pairs of numbers, as np.stack([lo, hi], axis=-1) gives
+    boxes = np.array([leaf["box"] for leaf in leaves])
+    if (not all(type(d) is int for d in depth) or boxes.dtype.kind not in "biuf"
+            or boxes.shape != (len(leaves), root.dim, 2)):
         return False
-    proved = {leaf[2:] for leaf in recorded if leaf[0] == PROVED}
+    proved = {tuple(box) for s, box in zip(status, boxes.reshape(len(leaves), -1).tolist())
+              if s == PROVED}
 
     def evaluate(lo, hi):
-        return [(PROVED if box in proved else INCONCLUSIVE, None, None)
-                for box in zip(map(tuple, lo.tolist()), map(tuple, hi.tolist()))]
+        found = [tuple(box) in proved
+                 for box in np.stack([lo, hi], axis=-1).reshape(len(lo), -1).tolist()]
+        return np.where(found, PROVED_CODE, INCONCLUSIVE_CODE).astype(np.int8), None, None
 
-    tree = rigor.subdivide(root, evaluate, max_depth, 2 * len(recorded) - 1, region,
-                           name, scale)
-    derived = tree.leaves()
-    if tree.status != PROVED or recorded != [
-            ("OUTSIDE" if leaf.outside else leaf.status, leaf.depth, leaf.box.lo, leaf.box.hi)
-            for leaf in derived]:
+    tree = rigor.subdivide(root, evaluate, max_depth, 2 * len(leaves) - 1, region, name, scale)
+    derived = tree.leaves
+    if (tree.status != PROVED or status != derived.statuses()
+            or not np.array_equal(depth, derived.depth)
+            or not np.array_equal(boxes, np.stack([derived.lo, derived.hi], axis=-1))):
         return False
-    boxes = [leaf.box for leaf in derived if not leaf.outside]
-    return not boxes or holds([b.lo for b in boxes], [b.hi for b in boxes])
+    inside = ~derived.outside
+    return bool(holds(derived.lo[inside], derived.hi[inside]).all())
 
 
 # ---------------------------------------------------------------------------

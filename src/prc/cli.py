@@ -37,6 +37,8 @@ _ANGLES = 16
 _FLAG_MINIMA = {"threads": 1, "grid": 1, "steps": 2}
 # most points of a totally-real mesh: each one is kept and written as JSON
 _MAX_GRID_POINTS = 100_000
+# the most points per real coordinate of a default mesh
+_DEFAULT_GRID = 41
 
 
 def _setup_logging():
@@ -89,6 +91,8 @@ def cmd_totally_real(args) -> int:
     sys_, K, _, _ = _load_manifest_file(args.manifest)
     lo, hi = _region_bbox(K.regions)
     g = args.grid
+    if g is None:  # the finest mesh of at most _DEFAULT_GRID points per axis that fits
+        g = max(k for k in range(1, _DEFAULT_GRID + 1) if k ** len(lo) <= _MAX_GRID_POINTS)
     if g ** len(lo) > _MAX_GRID_POINTS:
         raise ManifestError(
             f"--grid {g} asks for grid^(2n) = {g}^{len(lo)} = {g ** len(lo)} points; "
@@ -234,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("totally-real", help="grid total-reality check")
     common(sp)
-    sp.add_argument("--grid", type=int, default=41)
+    sp.add_argument("--grid", type=int, default=None,
+                    help=f"points per real axis (default: the most up to {_DEFAULT_GRID} that fit)")
     sp.set_defaults(fn=cmd_totally_real)
 
     sp = sub.add_parser("tube-profile", help="CSV of m, L, radius along a ray")
@@ -283,7 +288,6 @@ def main(argv=None) -> int:
     except (ManifestError, OSError, json.JSONDecodeError, ValueError, OverflowError) as exc:
         if isinstance(exc, OverflowError):
             exc = "floating-point overflow: the problem's values leave the range of doubles"
-        log.error("%s", exc)
         _sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

@@ -21,11 +21,11 @@ batched kernels of realpoly), bit for bit as a loop over single boxes would.
 Every subdivision tree is grown by one routine, subdivide: it keeps each level
 as the rows of `lo`, `hi` arrays, clips them to an optional region (product
 of per-coordinate discs, i.e. the omega polydisc), evaluates a check on the
-whole level and bisects each undecided box at split_coords, all on arrays;
-only at the end does it build the VerifyNode tree and aggregate the statuses,
-from the last level up.  Replay re-derives a certificate's trees with it
-too.  verify_box establishes the strict tube
-inclusion residual < m/(cL) with it; the comparison is division-free
+whole level and bisects each undecided box at split_coords, all on arrays; a
+check returns arrays too.  Only at the end does it aggregate the statuses,
+build the VerifyNode tree and give the root its leaves as arrays (Leaves),
+which verify_box's report, certify and replay read.  verify_box establishes
+the strict tube inclusion residual < m/(cL) with it; the comparison is division-free
 (residual_upper * c * L_upper < m_lower * (1 - margin)) so an infinite
 radius needs no special casing.  Every box holds the 2n real coordinates of
 z only; for a graph the w discs come from the region.  The tube tree weighs
@@ -54,7 +54,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -147,38 +146,40 @@ class Region:
         return lo, hi, inside
 
 
+@dataclass(frozen=True, eq=False)
+class Leaves:
+    """A tree's leaves, a row each, depth first: box (`lo`, `hi`), `depth`,
+    `outside` (the box misses the region: PROVED, unclipped), status `codes`
+    (see STATUSES) and the check's `values`, NaN for OUTSIDE (None if none)."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    depth: np.ndarray
+    outside: np.ndarray
+    codes: np.ndarray
+    values: np.ndarray | None
+
+    def statuses(self) -> list[str]:
+        """Each leaf's status, OUTSIDE for a box that misses the region."""
+        return ["OUTSIDE" if out else STATUSES[code]
+                for out, code in zip(self.outside.tolist(), self.codes.tolist())]
+
+
 @dataclass
 class VerifyNode:
-    """One node of a subdivision tree (see subdivide).
-
-    `value` is what the check evaluated on the node's clipped box: the m
-    lower bound in a totally-real tree, (m_lower, L_upper, residual_upper)
-    in a tube tree, nothing for an OUTSIDE node.  Only the root of a tube
-    tree carries a report and the split scale its tree was bisected by.
-    """
+    """One node of a subdivision tree (see subdivide).  Only the root carries
+    the tree's Leaves, a FAILED tree's witness, and for a tube tree a report
+    and the split scale its tree was bisected by."""
 
     box: ParamBox
     depth: int
     status: str = INCONCLUSIVE
-    value: Any = None
     children: list["VerifyNode"] = field(default_factory=list)
-    witness: dict | None = None
     outside: bool = False
+    witness: dict | None = None
+    leaves: Leaves | None = None
     report: BoundReport | None = None
     split_scale: tuple[float, ...] | None = None
-
-    def nodes(self) -> list["VerifyNode"]:
-        """Every node of the tree, depth first, children in split order."""
-        out, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            stack += reversed(node.children)
-        return out
-
-    def leaves(self) -> list["VerifyNode"]:
-        """The leaves of the tree, depth first, children in split order."""
-        return [node for node in self.nodes() if not node.children]
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +615,10 @@ def split_coords(lo, hi, scale: tuple[float, ...] | None = None) -> list[int]:
     return np.argmax(widths, axis=1).tolist()
 
 
-# the statuses in the order a parent aggregates them, the largest code winning
-_STATUSES = (PROVED, INCONCLUSIVE, FAILED)
-_CODES = {status: code for code, status in enumerate(_STATUSES)}
-# what an OUTSIDE box stands for in a level's results
-_OUTSIDE = (PROVED, None, None)
+# a check's status codes, in the order a parent aggregates them: the largest
+# code wins
+STATUSES = (PROVED, INCONCLUSIVE, FAILED)
+PROVED_CODE, INCONCLUSIVE_CODE, FAILED_CODE = range(3)
 
 
 def subdivide(box: ParamBox, evaluate, max_depth: int, node_budget: int,
@@ -631,24 +631,27 @@ def subdivide(box: ParamBox, evaluate, max_depth: int, node_budget: int,
     misses it becomes an OUTSIDE leaf (PROVED, no value) and keeps its
     unclipped box, any other shrinks to the bounding box of its intersection
     with the region, which is sound and cuts the overhang at the boundary.
-    `evaluate(lo, hi)` then gets the level's remaining boxes as the rows of
-    two arrays and returns one (status, value, witness) per box.  PROVED and
-    FAILED nodes are leaves; an INCONCLUSIVE node is bisected at
+    `evaluate(lo, hi)` then gets the level's other boxes, possibly none, and
+    returns (codes, values, witness): int8 status codes (see STATUSES), a
+    (boxes, k) float array or None, and its first FAILED box's witness or None.
+    PROVED and FAILED boxes are leaves; an INCONCLUSIVE box is bisected at
     split_coords(scale) while it lies above `max_depth` and the tree stays
-    within `node_budget` nodes (the first nodes of a level win; running out
+    within `node_budget` nodes (the first boxes of a level win; running out
     is logged once, naming the tree).  The next level repeats each parent's
     row twice and writes the midpoint of the split coordinate into the upper
     end of the first copy and the lower end of the second, the bits of
-    ParamBox.split.  The first level with a FAILED node ends the search and
+    ParamBox.split.  The first level with a FAILED box ends the search and
     the tree stays partial.
 
-    The VerifyNode tree is built once, from the last level up, and returned
-    by its root, which keeps `scale`.  Statuses aggregate FAILED over
-    INCONCLUSIVE over PROVED, and a FAILED node takes the witness of its
-    first FAILED child that has one.  When done it logs, at INFO, the tree's
-    status, size, probe count, depth and wall time, and its split scale when
-    one is given; every check probes each box it does not prove pointwise, so
-    the probes are the nodes it left unproved.
+    From the last level up, statuses aggregate FAILED over INCONCLUSIVE over
+    PROVED, subtree leaf counts add up and the VerifyNode tree is built; from
+    the root down, the counts place each leaf in the root's Leaves.  A
+    level's rows are in depth-first order and a FAILED level is the last, so
+    a FAILED root takes that level's witness.  The root keeps `scale`.  When
+    done it logs, at INFO, the tree's status, size, probe count, depth and
+    wall time, and its split scale when one is given; every check probes
+    each box it does not prove pointwise, so the probes are the nodes it
+    left unproved.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
@@ -667,21 +670,21 @@ def subdivide(box: ParamBox, evaluate, max_depth: int, node_budget: int,
             lo = np.where(outside[:, None], lo, clo)
             hi = np.where(outside[:, None], hi, chi)
         live = np.nonzero(~outside)[0]
-        results = list(evaluate(lo[live], hi[live])) if len(live) else []
-        if len(live) < len(lo):
-            found = iter(results)
-            results = [_OUTSIDE if out else next(found) for out in outside.tolist()]
-        codes = np.array([_CODES[status] for status, _, _ in results], dtype=np.int8)
+        codes, values = np.zeros(len(lo), dtype=np.int8), None  # an OUTSIDE box is PROVED
+        codes[live], live_values, witness = evaluate(lo[live], hi[live])
+        if live_values is not None:
+            values = np.full((len(lo), live_values.shape[1]), np.nan)
+            values[live] = live_values
         probes += int(np.count_nonzero(codes))
-        parents = np.nonzero(codes == _CODES[INCONCLUSIVE])[0]
-        if depth >= max_depth or (codes == _CODES[FAILED]).any():
+        parents = np.nonzero(codes == INCONCLUSIVE_CODE)[0]
+        if depth >= max_depth or (codes == FAILED_CODE).any():
             parents = parents[:0]  # a FAILED level ends the search: witnesses trump refinement
         room = max(0, (node_budget - total_nodes) // 2)
         if len(parents) > room and not budget_logged:
             log.warning("node budget %d exhausted in the %s tree", node_budget, name)
             budget_logged = True
         parents = parents[:room]
-        levels.append((lo, hi, outside, codes, results, parents))
+        levels.append((lo, hi, outside, codes, values, parents))
         if not len(parents):
             break
         coords = split_coords(lo[parents], hi[parents], scale)
@@ -694,28 +697,38 @@ def subdivide(box: ParamBox, evaluate, max_depth: int, node_budget: int,
         total_nodes += len(lo)
         depth += 1
 
-    below, below_codes = [], None  # the nodes of the level under the current one
+    counts = [None] * len(levels)  # the number of leaves under each box of a level
     for d in range(depth, -1, -1):
-        lo, hi, outside, codes, results, parents = levels[d]
+        lo, hi, outside, codes, _, parents = levels[d]
+        counts[d] = np.ones(len(lo), dtype=np.intp)
         if len(parents):
-            codes[parents] = np.maximum(below_codes[0::2], below_codes[1::2])
-        nodes = [VerifyNode(ParamBox._new(box.n, l, h), d, _STATUSES[code], value, [],
-                            witness, out)
-                 for l, h, code, (_, value, witness), out in zip(
-                     map(tuple, lo.tolist()), map(tuple, hi.tolist()), codes.tolist(),
-                     results, outside.tolist())]
+            codes[parents] = np.maximum(levels[d + 1][3][0::2], levels[d + 1][3][1::2])
+            counts[d][parents] = counts[d + 1][0::2] + counts[d + 1][1::2]
+        nodes = [VerifyNode(ParamBox._new(box.n, l, h), d, STATUSES[code], [], out)
+                 for l, h, code, out in zip(map(tuple, lo.tolist()), map(tuple, hi.tolist()),
+                                            codes.tolist(), outside.tolist())]
         for i, row in enumerate(parents.tolist()):
-            node = nodes[row]
-            node.children = below[2 * i:2 * i + 2]
-            if node.status == FAILED:
-                node.witness = next((c.witness for c in node.children
-                                     if c.status == FAILED and c.witness is not None), None)
-        below, below_codes = nodes, codes
+            nodes[row].children = below[2 * i:2 * i + 2]
+        below = nodes  # the children of the next level's parents
     root = below[0]
+
+    # from the root down, the row of each box's first leaf in depth-first order
+    offsets = [np.zeros(1, dtype=np.intp)]
+    for d in range(depth):
+        offset = np.repeat(offsets[d][levels[d][5]], 2)
+        offset[1::2] += counts[d + 1][0::2]
+        offsets.append(offset)
+    leaf = np.flatnonzero(np.concatenate(counts) == 1)  # a parent has two leaves or more
+    take = leaf[np.argsort(np.concatenate(offsets)[leaf])]
+    lo, hi, outside, codes, values, _ = zip(*levels)
+    depths = [np.full(len(c), d) for d, c in enumerate(counts)]
+    root.leaves = Leaves(*(None if column[0] is None else np.concatenate(column)[take]
+                           for column in (lo, hi, depths, outside, codes, values)))
+    if root.status == FAILED:
+        root.witness = witness  # the last level's, the one with FAILED boxes
     root.split_scale = scale
-    split_nodes = sum(len(level[5]) for level in levels)
     log.info("%s tree: %s, %d nodes, %d leaves, %d probes, depth %d, %.3f s%s", name,
-             root.status, total_nodes, total_nodes - split_nodes, probes, depth,
+             root.status, total_nodes, len(take), probes, depth,
              time.perf_counter() - start, "" if scale is None else
              ", split scale (" + ", ".join(f"{s:.6g}" for s in scale) + ")")
     return root
@@ -735,8 +748,8 @@ def verify_box(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
     FAILED: a point of omega violating the inequality is attached as witness.
     INCONCLUSIVE: bisection depth (or the node budget) was exhausted.
 
-    A node's value is (m_lower, L_upper, residual_upper) over its box; the
-    root's report aggregates them over the leaves.  Undecided boxes are
+    A box's values are (m_lower, L_upper, residual_upper) over it; the
+    root's report aggregates them over its Leaves.  Undecided boxes are
     bisected by the weights split_scale gives over `box`, which the root
     keeps as its split_scale.
     """
@@ -746,29 +759,20 @@ def verify_box(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
 
     def evaluate(lo, hi):
         m, L, r = bb.tube(lo, hi, w_discs)
-        held = _tube_holds(m, L, r, c_factor, margin)
-        status = np.where(held, PROVED, INCONCLUSIVE).astype(object)
-        witness = [None] * len(held)
-        probed = np.nonzero(~held)[0]
-        if len(probed):
-            violated, wit = _tube_probe(sys, lo[probed], hi[probed], region)
-            status[probed[violated]] = FAILED
-            # a FAILED level ends the search, and the tree keeps the witness
-            # of its first FAILED leaf: only that box needs one
-            if wit is not None:
-                witness[probed[violated][0]] = wit
-        return zip(status.tolist(), zip(m.tolist(), L.tolist(), r.tolist()), witness)
+        codes = np.where(_tube_holds(m, L, r, c_factor, margin), PROVED_CODE,
+                         INCONCLUSIVE_CODE).astype(np.int8)
+        probed = np.nonzero(codes)[0]
+        violated, witness = _tube_probe(sys, lo[probed], hi[probed], region)
+        codes[probed[violated]] = FAILED_CODE
+        return codes, np.column_stack([m, L, r]), witness
 
     root = subdivide(box, evaluate, max_depth, node_budget, region, "tube",
                      split_scale(sys, box))
-    leaves = root.leaves()
-    bounds = [leaf.value for leaf in leaves if not leaf.outside]
-    m_lo = min([math.inf] + [b[0] for b in bounds])
-    L_up = max([0.0] + [b[1] for b in bounds])
-    r_up = max([0.0] + [b[2] for b in bounds])
+    leaves = root.leaves
+    m, L, r = leaves.values[~leaves.outside].T.tolist()
+    m_lo, L_up, r_up = min([math.inf] + m), max([0.0] + L), max([0.0] + r)
     radius = float(radii(sys.kind, np.array([m_lo]), np.array([L_up]))[0])
-    root.report = BoundReport(m_lo, L_up, r_up, radius,
-                              max(leaf.depth for leaf in leaves), len(leaves))
+    root.report = BoundReport(m_lo, L_up, r_up, radius, int(leaves.depth.max()), len(leaves.depth))
     return root
 
 
@@ -776,26 +780,26 @@ def verify_totally_real(sys: ProblemSystem, box: ParamBox, max_depth: int = 14,
                         region: Region | None = None,
                         node_budget: int = 500_000) -> VerifyNode:
     """Prove sigma_min(B)^2 > 0 over the z-box via the m_lower bound of
-    _BoxBounds, which is each node's value.  The boxes a level leaves
-    unproved are probed at their probe points with one trgeom.totally_real
-    call; a point where the test fails is a FAILED leaf's witness."""
+    _BoxBounds, each box's one value.  The boxes a level leaves unproved are
+    probed at their probe points with one trgeom.totally_real call; a point
+    where the test fails is a FAILED leaf's witness."""
     bb = _BoxBounds(sys)
 
     def evaluate(lo, hi):
-        m_lo = bb.m_lower(lo, hi).tolist()
-        status = [PROVED if m > 0.0 else INCONCLUSIVE for m in m_lo]
-        witness = [None] * len(m_lo)
-        probed = [i for i, st in enumerate(status) if st == INCONCLUSIVE]
-        if probed:
+        m_lo = bb.m_lower(lo, hi)
+        codes = np.where(m_lo > 0.0, PROVED_CODE, INCONCLUSIVE_CODE).astype(np.int8)
+        probed = np.nonzero(codes)[0]
+        witness = None
+        if len(probed):
             pts = probe_points(lo[probed], hi[probed], region)
             res = totally_real(sys, pts)
-            for i, pt, ok, s in zip(probed, pts.tolist(), res["totally_real"].tolist(),
-                                    res["sigma_min"].tolist()):
-                if not ok:
-                    status[i] = FAILED
-                    witness[i] = {"z": [pt[k:k + 2] for k in range(0, len(pt), 2)],
-                                  "sigma_min": s}
-        return zip(status, m_lo, witness)
+            failed = ~res["totally_real"]
+            codes[probed[failed]] = FAILED_CODE
+            if failed.any():
+                i = int(np.argmax(failed))
+                witness = {"z": pts[i].reshape(-1, 2).tolist(),
+                           "sigma_min": float(res["sigma_min"][i])}
+        return codes, m_lo[:, None], witness
 
     return subdivide(box, evaluate, max_depth, node_budget, region, "totally-real")
 

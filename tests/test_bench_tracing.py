@@ -40,3 +40,30 @@ def test_tracing_wraps_certify_and_restores_every_name():
     assert tr.counts["rigor.tube_nodes"] > 0
     assert tr.counts["rigor.tr_nodes"] > 0
     assert all(getattr(owner, attr) is fn for owner, attr, fn in wrapped)
+
+
+def test_tracing_walks_pass_and_partial_fail_trees():
+    """The traced run walks `.children` of the trees subdivide builds: its
+    leaf count is the report's, for a PASS cap and for the tube tree a FAIL
+    level cut short (Wermer r = 0.33)."""
+    worker = _worker()
+    import inputs
+    import spans
+
+    C = importlib.import_module("prc.certify")
+    tr = spans.Tracer()
+    worker.install_tracing(tr)
+    try:
+        for manifest, verdict in ((inputs.cap_manifest(1.2), "PASS"),
+                                  (inputs.wermer_manifest(0.33, 150_000), "FAIL")):
+            leaves, nodes = tr.counts["rigor.tube_leaves"], tr.counts["rigor.tube_nodes"]
+            sys_, K, omega, opts = C.load_manifest(manifest)
+            cert = C.certify(sys_, K, omega, **opts)
+            assert cert.verdict == verdict
+            tube = cert.checks["omega_in_tube"]
+            leaves = tr.counts["rigor.tube_leaves"] - leaves
+            assert leaves == tube["report"]["leaf_count"] == len(tube["leaves"])
+            assert tr.counts["rigor.tube_nodes"] - nodes == 2 * leaves - 1
+    finally:
+        tr.restore()
+    assert cert.witness["check"] == "omega_in_tube" and tube["status"] == "FAILED"

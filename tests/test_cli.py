@@ -442,16 +442,39 @@ def test_totally_real_grid_zero_exit_2(tmp_path, capsys):
 
 
 def test_totally_real_oversized_mesh_exit_2(tmp_path, capsys):
-    """The default --grid 41 on an n = 2 manifest is 41^4 = 2,825,761 points,
-    refused before any of them is evaluated."""
+    """--grid 41 on an n = 2 manifest is 41^4 = 2,825,761 points, refused
+    before any of them is evaluated."""
     path = _write(tmp_path, "cap.json", cap_manifest(1.285))
     out = tmp_path / "report.json"
-    assert main(["totally-real", path, "--out", str(out)]) == 2
+    assert main(["totally-real", path, "--grid", "41", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "grid^(2n)" in err and "2825761" in err
     assert not out.exists()
     assert main(["totally-real", path, "--grid", "5", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["points"] == 5 ** 4
+
+
+def test_totally_real_default_grid_fits_the_mesh_limit(tmp_path):
+    """Without --grid an n = 2 manifest gets the largest grid <= 41 with
+    grid^4 <= 100,000 points: 17^4 = 83,521."""
+    path = _write(tmp_path, "cap.json", cap_manifest(1.2))
+    out = tmp_path / "report.json"
+    assert main(["totally-real", path, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["grid"] == 17 and report["points"] == 83_521 == len(report["results"])
+    assert report["all_totally_real"]
+
+
+def test_input_error_prints_one_line(tmp_path):
+    """An input error is reported once on stderr, at the default PRC_LOG."""
+    path = _write(tmp_path, "g.json", {"kind": "graph"})
+    env = {k: v for k, v in os.environ.items() if k != "PRC_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "prc.cli", "certify", path],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: manifest missing key: 'n'\n"
 
 
 def test_certify_margin_nan_exit_2(tmp_path, capsys):

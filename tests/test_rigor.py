@@ -14,7 +14,8 @@ from prc.intervals import INFLATION, ParamBox
 from prc import realpoly
 from prc.realpoly import (MAX_DEGREE, MAX_TERMS, RealPoly, TermPack, _eval_box_raw,
                           power_tables)
-from prc.rigor import (FAILED, INCONCLUSIVE, MAX_N, PROVED, Region, _BoxBounds,
+from prc.rigor import (FAILED, FAILED_CODE, INCONCLUSIVE, INCONCLUSIVE_CODE, MAX_N, PROVED,
+                       PROVED_CODE, Region, _BoxBounds,
                        _eig2_min_lower, _levi2_upper, bound_L_above, bound_m_below,
                        bound_residual_above, check_leaf, check_leaves, split_coords,
                        split_scale, subdivide, verify_box, verify_totally_real)
@@ -185,8 +186,8 @@ def test_verify_wermer_inflated_graph_box(wermer):
     assert root.status == PROVED
     assert root.report.depth <= 8
     # every proved leaf replays against fresh bounds
-    for leaf in root.leaves():
-        assert check_leaf(wermer, leaf.box, margin=1e-6, region=region)
+    for lo, hi in zip(root.leaves.lo, root.leaves.hi):
+        assert check_leaf(wermer, ParamBox(1, lo, hi), margin=1e-6, region=region)
 
 
 def test_verify_holomorphic_fails_with_witness():
@@ -238,10 +239,12 @@ def test_verify_proved_leaves_hold_on_samples(wermer):
     assert root.status == PROVED
     from prc.trgeom import tube_radius
 
-    leaves = [leaf for leaf in root.leaves() if not leaf.outside]
+    inside = ~root.leaves.outside
+    leaves = [ParamBox(1, lo, hi) for lo, hi in zip(root.leaves.lo[inside],
+                                                    root.leaves.hi[inside])]
     stride = max(1, len(leaves) // 10)
     for leaf in leaves[::stride]:
-        xs = leaf.box.sample_uniform(rng, 1000)
+        xs = leaf.sample_uniform(rng, 1000)
         ws = sample_disc(rng, region.discs[1], 1000)
         for row, w in zip(xs, ws):
             z = (complex(row[0], row[1]),)
@@ -256,7 +259,7 @@ def test_node_budget_exhaustion_logged_once_per_tree(wermer, caplog):
     with caplog.at_level(logging.WARNING, logger="prc.rigor"):
         root = verify_box(wermer, box, max_depth=30, region=region, node_budget=51)
     assert root.status == INCONCLUSIVE
-    assert sum(1 for _ in root.nodes()) <= 51
+    assert len(_walk(root)) <= 51
     assert [r.getMessage() for r in caplog.records] == [
         "node budget 51 exhausted in the tube tree"]
     caplog.clear()
@@ -290,6 +293,22 @@ def test_split_coords_weigh_widths_and_break_ties_low():
     assert split_coords(lo, hi, (1.0, 1.0, 1.0, 4.0)) == [3, 3, 0]
 
 
+def _walk(root):
+    """Every node of a VerifyNode tree, depth first, children in split order."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack += reversed(node.children)
+    return out
+
+
+def _leaf_rows(leaves):
+    """(status, depth, lo, hi) of each row of a Leaves."""
+    return list(zip(leaves.statuses(), leaves.depth.tolist(), map(tuple, leaves.lo.tolist()),
+                    map(tuple, leaves.hi.tolist())))
+
+
 def test_subdivide_stops_at_first_failed_level():
     """A FAILED node ends the search once its level is done; the root takes
     the first failed leaf's witness.  The region clips the root to about
@@ -298,20 +317,23 @@ def test_subdivide_stops_at_first_failed_level():
 
     def evaluate(lo, hi):
         evaluated.extend(lo.tolist())
-        return [(FAILED, None, {"lo": tuple(l)}) if h[0] < -0.4
-                else (INCONCLUSIVE, None, None) for l, h in zip(lo.tolist(), hi.tolist())]
+        failed = hi[:, 0] < -0.4
+        witness = {"lo": tuple(lo[np.argmax(failed)].tolist())} if failed.any() else None
+        return np.where(failed, FAILED_CODE, INCONCLUSIVE_CODE), None, witness
 
     root = subdivide(ParamBox(1, [-1, -1], [3, 1]), evaluate, 10, 1000,
                      Region(((0.0, 0.0, 1.0),)))
     assert root.status == FAILED
     assert root.box.hi[0] < 1.01
-    depths = [node.depth for node in root.nodes()]
+    depths = [node.depth for node in _walk(root)]
     assert max(depths) == 3 and depths.count(3) == 8  # the whole level
     assert len(evaluated) == len(depths) == 1 + 2 + 4 + 8
-    failed = [leaf for leaf in root.leaves() if leaf.status == FAILED]
-    assert len(failed) == 2
-    assert root.witness == failed[0].witness == {"lo": failed[0].box.lo}
-    assert failed[0].box.hi[1] <= failed[1].box.lo[1]  # the lower one first
+    leaves = root.leaves
+    assert leaves.values is None
+    failed = np.nonzero(leaves.codes == FAILED_CODE)[0]
+    assert len(failed) == 2 and leaves.statuses().count(FAILED) == 2
+    assert root.witness == {"lo": tuple(leaves.lo[failed[0]].tolist())}
+    assert leaves.hi[failed[0], 1] <= leaves.lo[failed[1], 1]  # the lower one first
 
 
 # the order in which a parent takes its children's statuses, the last winning
@@ -321,17 +343,27 @@ _STATUS_ORDER = (PROVED, INCONCLUSIVE, FAILED)
 def _random_status(seed, failed_share):
     """A check whose status is a seeded random function of the box's bits:
     FAILED with probability `failed_share`, else PROVED (never for a box
-    wider than 1, likelier for a small one) or INCONCLUSIVE."""
+    wider than 1, likelier for a small one) or INCONCLUSIVE.  Its values are
+    each box's lower corner, its witness the first FAILED box's, and it
+    counts the boxes it is given in `evaluated`."""
+    evaluated = []
+
     def status(lo, hi):
         u = np.random.default_rng([seed, *np.array(lo + hi).view(np.uint64)]).random()
         width = max(np.subtract(hi, lo))
         proved = 0.0 if width > 1.0 else 0.5 if width < 0.3 else 0.2
         return FAILED if u < failed_share else PROVED if u < proved else INCONCLUSIVE
 
-    def evaluate(lo, hi):  # every box has a witness, which only a FAILED parent replaces
-        return [(status(l, h), l, {"lo": l, "status": status(l, h)})
-                for l, h in zip(map(tuple, lo.tolist()), map(tuple, hi.tolist()))]
-    return status, evaluate
+    def evaluate(lo, hi):
+        evaluated.append(len(lo))
+        codes = np.array([_STATUS_ORDER.index(status(l, h))
+                          for l, h in zip(map(tuple, lo.tolist()), map(tuple, hi.tolist()))],
+                         dtype=np.int8)
+        failed = np.nonzero(codes == FAILED_CODE)[0]
+        witness = ({"lo": tuple(lo[failed[0]].tolist()), "status": FAILED}
+                   if len(failed) else None)
+        return codes, lo.copy(), witness
+    return status, evaluate, evaluated
 
 
 def _reference_leaves(status, lo, hi, depth, max_depth, region, scale):
@@ -350,19 +382,15 @@ def _reference_leaves(status, lo, hi, depth, max_depth, region, scale):
     return out
 
 
-@pytest.mark.parametrize("seed", range(13))
-def test_subdivide_matches_recursive_reference(seed):
-    """Level-synchronous subdivide grows the tree a depth-first recursion
-    would: the same leaves (status, depth, box, OUTSIDE) in the same order,
-    unless a FAILED level ends it, which is the recursion stopped at the
-    depth of its shallowest FAILED leaf.  The root takes the first FAILED
-    leaf's witness.  Seed 12's region misses the box: an OUTSIDE root."""
+def _seeded_tree(seed):
+    """The random check of `seed` subdivided, and its recursive reference:
+    (root, reference leaves, status, boxes evaluated per level, scale)."""
     rng = np.random.default_rng(seed)
     n = 1 + seed % 2
     region = Region(tuple((rng.uniform(-0.3, 0.3) + 5.0 * (seed == 12),
                            rng.uniform(-0.3, 0.3), rng.uniform(0.5, 1.2)) for _ in range(n)))
     scale = None if seed % 3 == 0 else tuple(rng.uniform(0.5, 2.0, size=2 * n))
-    status, evaluate = _random_status(seed, 0.0 if seed < 6 else 0.01)
+    status, evaluate, evaluated = _random_status(seed, 0.0 if seed < 6 else 0.01)
     lo, hi = (-1.0,) * (2 * n), (1.0,) * (2 * n)
     max_depth = 9 if n == 1 else 6
     ref = _reference_leaves(status, lo, hi, 0, max_depth, region, scale)
@@ -371,38 +399,64 @@ def test_subdivide_matches_recursive_reference(seed):
         ref = _reference_leaves(status, lo, hi, 0, min(d for _, d, _, _ in failed),
                                 region, scale)
     root = subdivide(ParamBox(n, lo, hi), evaluate, max_depth, 10**6, region, scale=scale)
-    assert [("OUTSIDE" if leaf.outside else leaf.status, leaf.depth, leaf.box.lo,
-             leaf.box.hi) for leaf in root.leaves()] == ref
+    return root, ref, bool(failed), evaluated, scale
+
+
+@pytest.mark.parametrize("seed", range(13))
+def test_subdivide_matches_recursive_reference(seed):
+    """Level-synchronous subdivide grows the tree a depth-first recursion
+    would: the same leaves (status, depth, box, OUTSIDE) in the same order,
+    unless a FAILED level ends it, which is the recursion stopped at the
+    depth of its shallowest FAILED leaf.  The root takes the first FAILED
+    leaf's witness, and its Leaves are the leaves of a `.children` walk.
+    Seed 12's region misses the box: an OUTSIDE root."""
+    root, ref, failed, evaluated, scale = _seeded_tree(seed)
+    leaves = root.leaves
+    assert _leaf_rows(leaves) == ref
     assert root.split_scale == scale
     first_failed = next((leaf for leaf in ref if leaf[0] == FAILED), None)
     if first_failed is None:
         assert root.status == (INCONCLUSIVE if any(leaf[0] == INCONCLUSIVE for leaf in ref)
                                else PROVED)
-        assert root.outside or root.witness["lo"] == root.box.lo  # its own
+        assert root.witness is None
     else:
         assert root.status == FAILED
         assert root.witness == {"lo": first_failed[2], "status": FAILED}
-    for node in root.nodes():
+    # each box evaluated once, and each leaf keeps the values of its own box
+    nodes = _walk(root)
+    assert sum(evaluated) == sum(not node.outside for node in nodes)
+    inside = ~leaves.outside
+    assert np.array_equal(leaves.values[inside], leaves.lo[inside])
+    assert np.isnan(leaves.values[~inside]).all()
+    for node in nodes:
         assert len(node.children) in (0, 2)
-        assert node.outside or node.value == node.box.lo  # each box evaluated once
         if node.children:
             codes = [_STATUS_ORDER.index(c.status) for c in node.children]
             assert node.status == _STATUS_ORDER[max(codes)]
+    # the root's Leaves are the leaves a walk of `.children` meets, in order
+    walked = [node for node in nodes if not node.children]
+    assert _leaf_rows(leaves) == [
+        ("OUTSIDE" if node.outside else node.status, node.depth, node.box.lo, node.box.hi)
+        for node in walked]
+    assert leaves.outside.tolist() == [node.outside for node in walked]
+    assert (leaves.codes[leaves.outside] == PROVED_CODE).all()  # OUTSIDE is PROVED
+    assert leaves.depth.dtype.kind == "i" and leaves.codes.dtype == np.int8
     if seed < 12:
         assert len(ref) > 20 or failed  # a real tree, or one a FAILED level cut short
-    else:
-        assert ref == [("OUTSIDE", 0, lo, hi)]
+    else:  # the OUTSIDE root keeps its unclipped box
+        assert ref == [("OUTSIDE", 0, (-1.0, -1.0), (1.0, 1.0))]
 
 
 @pytest.mark.parametrize("budget", [1, 2, 3, 4, 7, 10, 25, 60])
 def test_subdivide_never_exceeds_node_budget(budget, caplog):
-    status, evaluate = _random_status(3, 0.0)
+    status, evaluate, _ = _random_status(3, 0.0)
     region = Region(((0.1, 0.0, 0.9),))
     with caplog.at_level(logging.WARNING, logger="prc.rigor"):
         root = subdivide(ParamBox(1, [-1, -1], [1, 1]), evaluate, 12, budget, region,
                          "budget")
-    nodes = root.nodes()
+    nodes = _walk(root)
     assert len(nodes) <= budget
+    assert len(nodes) == 2 * len(root.leaves.depth) - 1
     full = _reference_leaves(status, (-1.0, -1.0), (1.0, 1.0), 0, 12, region, None)
     if 2 * len(full) - 1 > budget:
         assert "node budget %d exhausted in the budget tree" % budget in caplog.text
@@ -745,7 +799,7 @@ def test_verify_totally_real_wermer_disc(wermer):
     region = Region(((0.0, 0.0, 0.35),))
     node = verify_totally_real(wermer, box, max_depth=10, region=region)
     assert node.status == PROVED
-    assert min(leaf.value for leaf in node.leaves() if not leaf.outside) > 0
+    assert node.leaves.values[~node.leaves.outside, 0].min() > 0
 
 
 def test_verify_totally_real_fails_holomorphic():
