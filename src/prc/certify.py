@@ -673,12 +673,31 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
+# the fields certificate_from_dict requires, with their JSON types
+_CERTIFICATE_FIELDS = {"verdict": str, "problem_hash": str, "problem": dict, "omega": dict,
+                       "checks": dict, "options": dict, "tolerances": dict}
+_JSON_TYPE_NAMES = {str: "string", dict: "object"}
+
+
 def certificate_from_dict(data: dict) -> Certificate:
+    """A Certificate from parsed JSON.  Raises ValueError on input that is
+    not a JSON object, an unreadable format, or a missing or mistyped field,
+    which it names."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a certificate must be a JSON object, got {type(data).__name__}")
     if data.get("format") not in READABLE_FORMATS:
         raise ValueError(f"certificate format {data.get('format')!r} is not one of "
                          f"{', '.join(READABLE_FORMATS)}; re-run certify")
+    for key, t in _CERTIFICATE_FIELDS.items():
+        if key not in data:
+            raise ValueError(f"certificate has no {key!r} field")
+        if not isinstance(data[key], t):
+            raise ValueError(f"certificate field {key!r} must be a JSON {_JSON_TYPE_NAMES[t]}, "
+                             f"got {type(data[key]).__name__}")
+    if "kind" not in data["problem"]:
+        raise ValueError("certificate has no 'problem.kind' field")
     data = _unsanitize(data)
-    kind, n = data["problem"]["kind"], _positive_int(data["problem"]["n"], "problem.n")
+    kind, n = data["problem"]["kind"], _positive_int(data["problem"].get("n"), "problem.n")
     return Certificate(
         verdict=data["verdict"],
         problem_hash=data["problem_hash"],

@@ -22,9 +22,10 @@ Every subdivision tree is grown by one routine, subdivide: it keeps each level
 as the rows of `lo`, `hi` arrays, clips them to an optional region (product
 of per-coordinate discs, i.e. the omega polydisc), evaluates a check on the
 whole level and bisects each undecided box at split_coords, all on arrays; a
-check returns arrays too.  Only at the end does it aggregate the statuses,
-build the VerifyNode tree and give the root its leaves as arrays (Leaves),
-which verify_box's report, certify and replay read.  verify_box establishes
+check returns arrays too.  Only at the end does it aggregate the statuses
+and give the root its leaves as arrays (Leaves), which verify_box's report,
+certify and replay read; the root, the one VerifyNode it builds, is a view on
+the level arrays whose `.children` are made on access.  verify_box establishes
 the strict tube inclusion residual < m/(cL) with it; the comparison is division-free
 (residual_upper * c * L_upper < m_lower * (1 - margin)) so an infinite
 radius needs no special casing.  Every box holds the 2n real coordinates of
@@ -165,21 +166,45 @@ class Leaves:
                 for out, code in zip(self.outside.tolist(), self.codes.tolist())]
 
 
-@dataclass
+@dataclass(eq=False)
 class VerifyNode:
-    """One node of a subdivision tree (see subdivide).  Only the root carries
-    the tree's Leaves, a FAILED tree's witness, and for a tube tree a report
-    and the split scale its tree was bisected by."""
+    """One box of a subdivision tree: a view on row `row` of level `depth` of
+    the level arrays of subdivide, which builds the root only.  `box` (the
+    clipped box, unclipped when OUTSIDE), `status`, `outside` and `children`
+    are read from them on each access.  Only the root carries the tree's
+    Leaves, a FAILED tree's witness, and for a tube tree a report and the
+    split scale its tree was bisected by."""
 
-    box: ParamBox
-    depth: int
-    status: str = INCONCLUSIVE
-    children: list["VerifyNode"] = field(default_factory=list)
-    outside: bool = False
+    levels: list = field(repr=False)  # (lo, hi, outside, codes, values, parents) per depth
+    depth: int = 0
+    row: int = 0
     witness: dict | None = None
     leaves: Leaves | None = None
     report: BoundReport | None = None
     split_scale: tuple[float, ...] | None = None
+
+    @property
+    def box(self) -> ParamBox:
+        lo, hi = self.levels[self.depth][:2]
+        return ParamBox._new(lo.shape[1] // 2, tuple(lo[self.row].tolist()),
+                             tuple(hi[self.row].tolist()))
+
+    @property
+    def status(self) -> str:
+        return STATUSES[self.levels[self.depth][3][self.row]]
+
+    @property
+    def outside(self) -> bool:
+        return bool(self.levels[self.depth][2][self.row])
+
+    @property
+    def children(self) -> list[VerifyNode]:
+        """The two halves of a bisected box, in split order, else []."""
+        parents = self.levels[self.depth][5]
+        i = int(np.searchsorted(parents, self.row))
+        if i == len(parents) or parents[i] != self.row:
+            return []
+        return [VerifyNode(self.levels, self.depth + 1, 2 * i + k) for k in (0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -644,14 +669,15 @@ def subdivide(box: ParamBox, evaluate, max_depth: int, node_budget: int,
     the tree stays partial.
 
     From the last level up, statuses aggregate FAILED over INCONCLUSIVE over
-    PROVED, subtree leaf counts add up and the VerifyNode tree is built; from
-    the root down, the counts place each leaf in the root's Leaves.  A
-    level's rows are in depth-first order and a FAILED level is the last, so
-    a FAILED root takes that level's witness.  The root keeps `scale`.  When
-    done it logs, at INFO, the tree's status, size, probe count, depth and
-    wall time, and its split scale when one is given; every check probes
-    each box it does not prove pointwise, so the probes are the nodes it
-    left unproved.
+    PROVED and subtree leaf counts add up; from the root down, the counts
+    place each leaf in the root's Leaves.  A level's rows are in depth-first
+    order and a FAILED level is the last, so a FAILED root takes that level's
+    witness.  The root is the only VerifyNode built, a view on row 0 of the
+    first level; its `.children` views are made when a walk asks for them.
+    The root keeps `scale`.  When done it logs, at INFO, the tree's status,
+    size, probe count, depth and wall time, and its split scale when one is
+    given; every check probes each box it does not prove pointwise, so the
+    probes are the nodes it left unproved.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
@@ -699,18 +725,12 @@ def subdivide(box: ParamBox, evaluate, max_depth: int, node_budget: int,
 
     counts = [None] * len(levels)  # the number of leaves under each box of a level
     for d in range(depth, -1, -1):
-        lo, hi, outside, codes, _, parents = levels[d]
-        counts[d] = np.ones(len(lo), dtype=np.intp)
+        codes, parents = levels[d][3], levels[d][5]
+        counts[d] = np.ones(len(codes), dtype=np.intp)
         if len(parents):
             codes[parents] = np.maximum(levels[d + 1][3][0::2], levels[d + 1][3][1::2])
             counts[d][parents] = counts[d + 1][0::2] + counts[d + 1][1::2]
-        nodes = [VerifyNode(ParamBox._new(box.n, l, h), d, STATUSES[code], [], out)
-                 for l, h, code, out in zip(map(tuple, lo.tolist()), map(tuple, hi.tolist()),
-                                            codes.tolist(), outside.tolist())]
-        for i, row in enumerate(parents.tolist()):
-            nodes[row].children = below[2 * i:2 * i + 2]
-        below = nodes  # the children of the next level's parents
-    root = below[0]
+    root = VerifyNode(levels, split_scale=scale)
 
     # from the root down, the row of each box's first leaf in depth-first order
     offsets = [np.zeros(1, dtype=np.intp)]
@@ -726,7 +746,6 @@ def subdivide(box: ParamBox, evaluate, max_depth: int, node_budget: int,
                            for column in (lo, hi, depths, outside, codes, values)))
     if root.status == FAILED:
         root.witness = witness  # the last level's, the one with FAILED boxes
-    root.split_scale = scale
     log.info("%s tree: %s, %d nodes, %d leaves, %d probes, depth %d, %.3f s%s", name,
              root.status, total_nodes, len(take), probes, depth,
              time.perf_counter() - start, "" if scale is None else

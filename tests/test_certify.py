@@ -426,6 +426,26 @@ def test_certificate_format_1_rejected(wermer_pass_cert):
         certificate_from_dict(data)
 
 
+def _without(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda d: _without(d, "problem"), "certificate has no 'problem' field"),
+    (lambda d: _without(d, "tolerances"), "certificate has no 'tolerances' field"),
+    (lambda d: {**d, "problem": ["graph"]}, "'problem' must be a JSON object, got list"),
+    (lambda d: {**d, "verdict": 1}, "'verdict' must be a JSON string, got int"),
+    (lambda d: {**d, "problem": _without(d["problem"], "kind")},
+     "certificate has no 'problem.kind' field"),
+    (lambda d: {**d, "problem": _without(d["problem"], "n")}, "problem.n must be an integer"),
+    (lambda d: [d], "a certificate must be a JSON object, got list"),
+])
+def test_certificate_from_dict_names_missing_or_mistyped_field(wermer_pass_cert, tamper,
+                                                                 message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        certificate_from_dict(tamper(_pass_dict(wermer_pass_cert)))
+
+
 # ---------------------------------------------------------------------------
 # manifests
 # ---------------------------------------------------------------------------

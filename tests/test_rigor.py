@@ -463,6 +463,39 @@ def test_subdivide_never_exceeds_node_budget(budget, caplog):
         assert root.status == INCONCLUSIVE
 
 
+def test_subdivide_builds_one_node_and_children_view_the_levels(monkeypatch):
+    """The Wermer r = 0.305 tube tree (1,232 leaves) constructs one
+    VerifyNode, its root.  A `.children` walk then meets 2L - 1 views, each
+    made once, whose leaves are the root's Leaves row for row."""
+    from prc import rigor
+    from prc.certify import WERMER_F, load_manifest, suggest_omega
+
+    sys_, K, _, _ = load_manifest({"kind": "graph", "n": 1, "functions": [WERMER_F],
+                                   "compact": {"region": [{"shape": "disc", "center": [0, 0],
+                                                           "radius": 0.305}]}})
+    omega = suggest_omega(sys_, K, 0.05)
+    made = []
+    init = rigor.VerifyNode.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rigor.VerifyNode, "__init__", counted)
+    root = verify_box(sys_, omega.z_box(1), max_depth=30, region=omega.region(),
+                      node_budget=40_000)
+    assert made == [root]
+    leaves = root.leaves
+    assert root.status == PROVED and len(leaves.depth) == 1232
+    nodes = _walk(root)
+    assert len(nodes) == len(made) == 2 * 1232 - 1
+    walked = [node for node in nodes if not node.children]
+    assert _leaf_rows(leaves) == [
+        ("OUTSIDE" if node.outside else node.status, node.depth, node.box.lo, node.box.hi)
+        for node in walked]
+    assert walked[-1].children == []
+
+
 def test_rounding_guard_caps_term_count():
     ok = RealPoly(1, {(e, 0): 1.0 + 0j for e in range(MAX_TERMS)})
     assert ok.pack().size == MAX_TERMS
