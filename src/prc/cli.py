@@ -197,6 +197,8 @@ def cmd_hull_probe(args) -> int:
             "ratio": result.ratio,
             "objective": result.objective,
             "fragile": result.fragile,
+            "rounds": result.rounds,
+            "active_rows": result.active_rows,
             "coefficients": [[c.real, c.imag] for c in result.coefficients],
         }
     }

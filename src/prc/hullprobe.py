@@ -13,7 +13,10 @@ finite data.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
+import numbers
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,6 +25,8 @@ from scipy.optimize import linprog
 
 from .certify import BoxRegion, CompactSpec, DiscRegion
 from .trgeom import GRAPH, SUBMERSION, ProblemSystem
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,8 @@ class SeparationResult:
     angles: int
     margin: float
     objective: float
+    rounds: int                       # LP solves
+    active_rows: int                  # (point, angle) rows of the last LP
     fragile: bool | None = None
 
 
@@ -216,14 +223,15 @@ def _monomial_values(points: np.ndarray, monos) -> np.ndarray:
 
 
 # Active-set constants.  The first two set the cost, not the answer: the loop
-# stops only when every cloud point satisfies the gauge, whatever they are.
-# 4 nt start points give the LP 64 nt rows at 16 angles, far more than its
+# stops only when every (point, angle) row holds, whatever they are.  4 nt
+# start points at four angles each give the LP 16 nt rows, eight times its
 # 2 nt unknowns, so the first round is seldom unbounded.
 _START_PER_MONOMIAL = 4
-# A basic optimum has 2 nt active rows; nt points a round bring them in
-# within a few rounds while each round's LP stays small.
-_ADD_PER_MONOMIAL = 1
-# A point outside the active set is added when its gauge exceeds 1 by more
+# A basic optimum has 2 nt active rows; 4 nt rows a round bring them in
+# within a few rounds while each round's LP stays small.  LP time tracks the
+# matrix entries passed to the solver more than its simplex iterations.
+_ADD_PER_MONOMIAL = 4
+# A row outside the active set is added when its value exceeds 1 by more
 # than this.  The objective then exceeds the full LP's by at most this
 # relative amount beyond the solver's own tolerance, far below the margin.
 _GAUGE_TOL = 1e-9
@@ -245,31 +253,39 @@ def probe(cloud: SampleCloud, q: Sequence[complex], degree: int,
     objectives Re(e^{i phi_a} p(q)) all share this one optimum.
 
     At an optimum only a few of the angles * |cloud| rows are active, so the
-    LP is solved over an active set S of cloud points, all angles each
-    (Kelley's cutting planes).  S starts as 4 nt points evenly strided
-    through the cloud, nt the number of monomials.  Each round solves the LP
-    over S, evaluates the polygon gauge max_a Re(e^{i phi_a} p(s)) of its
-    solution at every cloud point, and adds the points outside S whose gauge
-    exceeds 1 + 1e-9, at most nt, the most violated first.  It stops when
-    there are none.  That answer is the full LP's optimum: the LP over S has
-    fewer rows, so its optimum is at least the full one, and its solution is
-    feasible on the whole cloud, so it is at most the full one.  In the worst
-    case S grows to the whole cloud, which is the full LP.
+    LP is solved over an active set S of (point, angle) rows, row s * angles
+    + a for point s at angle a (Kelley's cutting planes).  S starts with 4 nt
+    points evenly strided through the cloud, nt the number of monomials, each
+    at the four angles (j * angles) // 4, j = 0..3.  They are about a quarter
+    turn apart, every gap under a half turn, so they bound p at every start
+    point (|Re p| and |Im p| when 4 divides angles), and the start LP is
+    bounded exactly when the LP over all angles of those points is.  Each
+    round solves the LP over S, evaluates its solution on every row, and
+    adds the rows outside S whose value exceeds 1 + 1e-9, at most 4 nt, the
+    most violated first.  It stops when there are none.  That answer is the
+    full LP's optimum: the LP over S has fewer rows, so its optimum is at
+    least the full one, and its solution is feasible on every row, so it is
+    at most the full one.  In the worst case S grows to every row, which is
+    the full LP.  A round's LP time tracks the matrix entries passed to the
+    solver, so growing S by rows rather than by whole points at every angle
+    keeps each round's LP a fraction of the size.
 
     Each round is solved in dual form, min sum(y) s.t. A_S^T y = obj, y >= 0,
     with presolve off; the coefficients are the multipliers of its equality,
     passed as two inequality blocks.  The primal is degenerate (at q = 0 the
     optimum p = 1 makes every angle-0 row active) and the dual simplex takes
     far more iterations on it.  A dual that is infeasible means the primal
-    is unbounded over S: S becomes the whole cloud, and if it is still
-    unbounded there, some p vanishes on the cloud with p(q) != 0.  Then q is
-    separated with objective inf, and the coefficients are the cloud's
-    smallest right singular vector, scaled to p(q) = 1.
+    is unbounded over S: S becomes every row, and if it is still unbounded
+    there, some p vanishes on the cloud with p(q) != 0.  Then q is separated
+    with objective inf, and the coefficients are the cloud's smallest right
+    singular vector, scaled to p(q) = 1.
+
+    `rounds` counts the LP solves and `active_rows` the rows of the last one;
+    one INFO line on `prc.hullprobe` reports them with the wall time.
     """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    if angles < 8:
-        raise ValueError("angles must be >= 8")
+    start = time.perf_counter()
+    _check_integer("degree", degree, 1)
+    _check_integer("angles", angles, 8)
     if not 0.0 <= margin < math.inf:
         raise ValueError(f"margin must be finite and >= 0, got {margin!r}")
     q = np.asarray(q, dtype=np.complex128)
@@ -278,12 +294,9 @@ def probe(cloud: SampleCloud, q: Sequence[complex], degree: int,
                          f"cloud ambient is {cloud.ambient_dim}")
 
     monos = monomial_basis(cloud.ambient_dim, degree)
-    with np.errstate(over="ignore", invalid="ignore"):
-        qvals = _monomial_values(q[None, :], monos)[0]     # (t,)
-    if not np.isfinite(qvals).all():
-        raise ValueError(f"the degree-{degree} monomials of the query point "
-                         f"q = {q.tolist()} leave the range of doubles")
-    mvals = _monomial_values(cloud.points, monos)          # (s, t)
+    qvals = _finite_monomial_values(q[None, :], monos,
+                                    f"the query point q = {q.tolist()}")[0]  # (t,)
+    mvals = _finite_monomial_values(cloud.points, monos, "the sample cloud")  # (s, t)
     nt = len(monos)
     count = len(mvals)
     rot = np.exp(2j * np.pi * np.arange(angles) / angles)  # (a,)
@@ -292,42 +305,65 @@ def probe(cloud: SampleCloud, q: Sequence[complex], degree: int,
     obj[1::2] = -qvals.imag
 
     k = min(count, _START_PER_MONOMIAL * nt)
-    active = np.arange(k) * count // k
+    quarter_turns = np.arange(4) * angles // 4
+    active = ((np.arange(k) * count // k * angles)[:, None] + quarter_turns).ravel()
+    rounds = 0
     while True:
-        coeffs, best_obj = _solve_dual(mvals[active], rot, obj)
+        rounds += 1
+        coeffs, best_obj = _solve_dual(mvals[active // angles] * rot[active % angles, None], obj)
         if coeffs is None:
-            if len(active) == count:
+            if len(active) == count * angles:
                 coeffs, best_obj = _null_polynomial(mvals, qvals), math.inf
                 break
-            active = np.arange(count)
+            active = np.arange(count * angles)
             continue
-        gauge = np.max((rot[None, :] * (mvals @ coeffs)[:, None]).real, axis=1)
-        gauge[active] = -np.inf
-        over = np.nonzero(gauge > 1.0 + _GAUGE_TOL)[0]
+        values = (rot[None, :] * (mvals @ coeffs)[:, None]).real.ravel()  # (s a,)
+        values[active] = -np.inf
+        over = np.nonzero(values > 1.0 + _GAUGE_TOL)[0]
         if not len(over):
             break
-        worst = over[np.argsort(-gauge[over], kind="stable")[:_ADD_PER_MONOMIAL * nt]]
+        worst = over[np.argsort(-values[over], kind="stable")[:_ADD_PER_MONOMIAL * nt]]
         active = np.union1d(active, worst)
 
     ratio = _ratio(coeffs, mvals, qvals)
     separated = best_obj > (1.0 + margin) / math.cos(math.pi / angles)
+    log.info("probe: degree %d, %d points x %d angles, %d rounds, %d active rows, "
+             "objective %.6g, %.3f s", degree, count, angles, rounds, len(active),
+             best_obj, time.perf_counter() - start)
     return SeparationResult(separated=bool(separated), degree=degree,
                             coefficients=coeffs, monomials=monos, ratio=ratio,
-                            angles=angles, margin=margin, objective=float(best_obj))
+                            angles=angles, margin=margin, objective=float(best_obj),
+                            rounds=rounds, active_rows=len(active))
 
 
-def _solve_dual(mvals: np.ndarray, rot: np.ndarray, obj: np.ndarray):
-    """The LP max obj.x s.t. Re(e^{i phi_a} p_x(s)) <= 1 over the points whose
-    monomial values are the rows of `mvals`, solved as its dual.  Returns
-    (coefficients, optimum), or (None, None) when the dual is infeasible, that
-    is when the LP is unbounded."""
-    nt = mvals.shape[1]
-    # constraint rows Re(e^{i phi} sum_t c_t M_t(s)) <= 1, one column each
-    rotated = (rot[None, :, None] * mvals[:, None, :]).reshape(-1, nt)  # (s a, t)
-    At = np.empty((2 * nt, len(rotated)))
-    At[0::2] = rotated.real.T
-    At[1::2] = -rotated.imag.T
-    res = linprog(np.ones(len(rotated)), A_ub=np.vstack([At, -At]),
+def _check_integer(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _finite_monomial_values(points: np.ndarray, monos, what: str) -> np.ndarray:
+    """`_monomial_values`, or ValueError naming `what` when one leaves the
+    range of doubles."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _monomial_values(points, monos)
+    if not np.isfinite(vals).all():
+        degree = max(map(sum, monos))
+        raise ValueError(f"the degree-{degree} monomials of {what} "
+                         f"leave the range of doubles")
+    return vals
+
+
+def _solve_dual(rows: np.ndarray, obj: np.ndarray):
+    """The LP max obj.x s.t. Re(p_x . r) <= 1 for each row r of `rows` (the
+    monomial values of one cloud point times e^{i phi_a} for one angle),
+    solved as its dual; each row is one column of the dual's doubled
+    `A_ub`.  Returns (coefficients, optimum), or (None, None) when the dual
+    is infeasible, that is when the LP is unbounded."""
+    nt = rows.shape[1]
+    At = np.empty((2 * nt, len(rows)))
+    At[0::2] = rows.real.T
+    At[1::2] = -rows.imag.T
+    res = linprog(np.ones(len(rows)), A_ub=np.vstack([At, -At]),
                   b_ub=np.concatenate([obj, -obj]), bounds=(0, None),
                   method="highs", options={"presolve": False})
     if res.status == 2:
@@ -368,7 +404,8 @@ def fragility_check(result: SeparationResult, q: Sequence[complex],
         result.fragile = None
         return result
     q = np.asarray(q, dtype=np.complex128)
-    mvals = _monomial_values(dense_cloud.points, result.monomials)
+    mvals = _finite_monomial_values(dense_cloud.points, result.monomials,
+                                    "the dense sample cloud")
     qvals = _monomial_values(q[None, :], result.monomials)[0]
     dense_ratio = _ratio(result.coefficients, mvals, qvals)
     result.fragile = bool(dense_ratio <= 1.0)

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import warnings
 
@@ -104,6 +105,13 @@ def test_probe_validates_arguments(circle_cloud):
         probe(circle_cloud, [0j], degree=2, angles=4)
     with pytest.raises(ValueError):
         probe(circle_cloud, [0j, 0j], degree=2)
+    # angles=8.5 once ran with 9 angles at 2 pi k / 8.5, which is no regular
+    # polygon, and reported angles=8.5
+    for name, value in (("angles", 8.5), ("angles", 16.0), ("angles", True),
+                        ("degree", 2.5), ("degree", 2.0), ("degree", True)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+            probe(circle_cloud, [0j], **{"degree": 2, name: value})
+    assert probe(circle_cloud, [0j], degree=np.int64(2), angles=np.int64(8)).angles == 8
 
 
 @pytest.mark.parametrize("q", [[1e200 + 0j], [1e160j], [math.inf + 0j], [complex(math.nan, 0)]])
@@ -114,6 +122,19 @@ def test_probe_overflowing_query_raises_without_warning(circle_cloud, q):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="monomials of the query point q = "):
             probe(circle_cloud, q, degree=2)
+
+
+def test_probe_overflowing_cloud_raises_without_warning(circle_cloud):
+    """Cloud monomials that leave the doubles once leaked numpy's
+    RuntimeWarning and then SciPy's refusal of a non-finite A_ub."""
+    cloud = SampleCloud(points=np.array([[1e200 + 0j], [0j]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="degree-2 monomials of the sample cloud "):
+            probe(cloud, [1.0 + 0j], degree=2)
+        res = probe(circle_cloud, [1.5 + 0j], degree=2)
+        with pytest.raises(ValueError, match="degree-2 monomials of the dense sample cloud "):
+            fragility_check(res, [1.5 + 0j], cloud)
 
 
 def test_probe_never_separates_cloud_member(circle_cloud):
@@ -226,10 +247,10 @@ def _gauge(res, cloud):
     return np.max((rot[None, :] * p[:, None]).real, axis=1)
 
 
-def _assert_matches_full_lp(cloud, q, degree):
-    res = probe(cloud, q, degree)
-    best = _full_lp(cloud, q, degree)
-    bar = 1.05 / math.cos(math.pi / 16)
+def _assert_matches_full_lp(cloud, q, degree, angles=16):
+    res = probe(cloud, q, degree, angles=angles)
+    best = _full_lp(cloud, q, degree, angles)
+    bar = 1.05 / math.cos(math.pi / angles)
     assert res.separated == (best > bar)
     assert abs(res.objective - best) <= 1e-9 * abs(best)
     assert np.max(_gauge(res, cloud)) <= 1.0 + 1e-7
@@ -257,6 +278,18 @@ def test_active_set_matches_full_lp_circle(circle_cloud):
     for degree in (1, 3, 6):
         for q in [np.array([0j]), np.array([1.5 + 0j])] + _random_queries(rng, 1, 3):
             _assert_matches_full_lp(circle_cloud, q, degree)
+
+
+@pytest.mark.parametrize("angles", [8, 9, 10])
+def test_active_set_matches_full_lp_other_angles(wermer, circle_cloud, angles):
+    """The four start angles (j * angles) // 4 are a quarter turn apart only
+    when 4 divides angles; every gap stays under a half turn for angles >= 8."""
+    cloud = sample_compact(wermer, wermer_compact(1.0), density=12)
+    rng = np.random.default_rng(angles)
+    for q in [np.array([0j, 0j]), np.array([0j, 2 + 0j])] + _random_queries(rng, 2, 2):
+        _assert_matches_full_lp(cloud, q, 3, angles)
+    for q in [np.array([0j]), np.array([1.5 + 0j])] + _random_queries(rng, 1, 2):
+        _assert_matches_full_lp(circle_cloud, q, 3, angles)
 
 
 def test_active_set_matches_full_lp_submersion_cap(example2):
@@ -298,13 +331,46 @@ def test_every_lp_passes_a_2d_a_ub(wermer, monkeypatch):
 
     monkeypatch.setattr(prc.hullprobe, "linprog", spy)
     cloud = sample_compact(wermer, wermer_compact(1.0), density=16)
-    probe(cloud, [0j, 2 + 0j], degree=2)
-    probe(cloud, [0j, 0j], degree=3)
-    assert len(shapes) >= 2
-    # the dual form: one row per real unknown and sign, far fewer columns
-    # than the 16 * |cloud| rows of the full LP
-    assert all(rows == 4 * 6 or rows == 4 * 10 for rows, _ in shapes)
-    assert all(cols < 16 * len(cloud.points) for _, cols in shapes)
+    for q, degree, nt in (([0j, 2 + 0j], 2, 6), ([0j, 0j], 3, 10)):
+        shapes.clear()
+        res = probe(cloud, q, degree=degree)
+        assert len(shapes) == res.rounds >= 1
+        # 4 nt start points at four angles each
+        assert shapes[0][1] == 16 * nt
+        # the dual form: one row per real unknown and sign, far fewer
+        # columns than the 16 * |cloud| rows of the full LP
+        assert all(rows == 4 * nt for rows, _ in shapes)
+        assert all(cols < 16 * len(cloud.points) for _, cols in shapes)
+        assert shapes[-1][1] == res.active_rows
+
+
+@pytest.mark.parametrize("q, degree, pointwise_cols", [([0j, 0j], 6, 1792),
+                                                     ([0j, 2 + 0j], 2, 5728)])
+def test_lp_columns_summed_over_solves(wermer, monkeypatch, q, degree, pointwise_cols):
+    """Growing the active set by (point, angle) rows rather than by whole
+    points at all 16 angles passes the solver at most a third of the
+    columns the point-wise active set did (pointwise_cols) on the benchmark's
+    Wermer K_1 queries at density 24."""
+    cols = []
+
+    def spy(*args, **kwargs):
+        cols.append(kwargs["A_ub"].shape[1])
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(prc.hullprobe, "linprog", spy)
+    cloud = sample_compact(wermer, wermer_compact(1.0), density=24)
+    probe(cloud, q, degree=degree)
+    assert sum(cols) <= pointwise_cols / 3
+
+
+def test_probe_logs_its_counts(circle_cloud, caplog):
+    with caplog.at_level(logging.INFO, logger="prc.hullprobe"):
+        res = probe(circle_cloud, [1.5 + 0j], degree=2)
+    (record,) = caplog.records
+    assert record.getMessage().startswith(
+        f"probe: degree 2, 360 points x 16 angles, {res.rounds} rounds, "
+        f"{res.active_rows} active rows, objective ")
+    assert res.rounds >= 1 and res.active_rows >= 16 * 3
 
 
 # ---------------------------------------------------------------------------
@@ -345,3 +411,22 @@ def test_unbounded_lp_cli_exit_0(tmp_path):
     assert rep["separated"] is True
     assert rep["objective"] == "inf"
     assert rep["fragile"] is False
+    # the start LP is unbounded, and so is the one over every row
+    assert rep["rounds"] == 2
+    assert rep["active_rows"] == 16 * rep["cloud_size"]
+
+
+def test_overflowing_cloud_cli_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(
+        {"kind": "graph", "n": 1, "functions": ["z1^2"],
+         "compact": {"region": [{"shape": "disc", "center": [0, 0], "radius": 1e60}]}}))
+    out = tmp_path / "probe.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["hull-probe", str(path), "--q", "0,0,0,0", "--degree", "3",
+                     "--density", "8", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: the degree-3 monomials of the sample cloud leave the range of doubles\n"
+    assert not out.exists()
