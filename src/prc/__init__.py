@@ -22,8 +22,8 @@ from .wirtinger import WirtingerFrame, fd_frame, frame, levi_form
 
 __version__ = "0.1.0"
 
-# The hull probe needs scipy's LP solver, whose import costs more than the
-# rest of prc together, so its names are resolved on first use (PEP 562).
+# The hull probe's names are resolved on first use (PEP 562), which keeps
+# its module off every `import prc`; scipy itself loads only at its first LP.
 _HULLPROBE = ("SampleCloud", "SeparationResult", "fragility_check", "probe",
               "sample_compact")
 

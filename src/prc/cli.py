@@ -174,7 +174,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_hull_probe(args) -> int:
-    from . import hullprobe  # loads scipy, which no other command needs
+    from . import hullprobe  # only this command; scipy loads at its first LP
 
     sys_, K, _, _ = _load_manifest_file(args.manifest)
     ambient = 2 * sys_.n if sys_.kind == GRAPH else sys_.n

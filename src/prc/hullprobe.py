@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .certify import BoxRegion, CompactSpec, DiscRegion
 from .trgeom import GRAPH, SUBMERSION, ProblemSystem
@@ -351,6 +350,14 @@ def _finite_monomial_values(points: np.ndarray, monos, what: str) -> np.ndarray:
         raise ValueError(f"the degree-{degree} monomials of {what} "
                          f"leave the range of doubles")
     return vals
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, with the same arguments and result.  scipy
+    loads at the first LP solve, so importing this module, sampling a cloud
+    and `fragility_check` do not load it."""
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)
 
 
 def _solve_dual(rows: np.ndarray, obj: np.ndarray):

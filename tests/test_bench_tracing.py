@@ -67,3 +67,28 @@ def test_tracing_walks_pass_and_partial_fail_trees():
     finally:
         tr.restore()
     assert cert.witness["check"] == "omega_in_tube" and tube["status"] == "FAILED"
+
+
+def test_tracing_counts_every_lp_of_a_probe_and_restores_linprog():
+    """The traced `hull_probe` run counts LPs through the module attribute
+    `prc.hullprobe.linprog`, whose `A_ub` keyword it reads; after `restore`
+    the attribute is the original function again."""
+    worker = _worker()
+    import spans
+
+    C = importlib.import_module("prc.certify")
+    hp = importlib.import_module("prc.hullprobe")
+    original = hp.linprog
+    tr = spans.Tracer()
+    worker.install_tracing(tr)
+    try:
+        assert hp.linprog is not original
+        cloud = hp.sample_compact(C.wermer_system(), C.wermer_compact(1.0), density=8)
+        res = hp.probe(cloud, [0j, 2 + 0j], degree=2)
+    finally:
+        tr.restore()
+    assert res.rounds >= 1
+    assert tr.counts["hullprobe.lp_calls"] == res.rounds
+    assert tr.counts["hullprobe.lp_cols"] > 0
+    assert tr.counts["hullprobe.cloud_points"] == len(cloud.points)
+    assert hp.linprog is original

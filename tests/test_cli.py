@@ -791,13 +791,18 @@ namespace = {}
 exec("from prc import *", namespace)
 missing = [name for name in prc.__all__ if name not in namespace]
 assert not missing, missing
+cloud = prc.sample_compact(prc.wermer_system(), prc.wermer_compact(1.0), density=8)
+assert "scipy.optimize" not in sys.modules, "the hull probe loaded scipy before an LP"
+prc.probe(cloud, [0j, 0j], degree=2)
+assert "scipy.optimize" in sys.modules
 """
 
 
 def test_certify_process_does_not_load_scipy(tmp_path):
-    """scipy serves only the hull probe: importing prc and certifying in a
-    fresh interpreter must not load it, while the hull-probe names of the
-    package still resolve on first use."""
+    """scipy serves only the hull probe's LP: importing prc and certifying
+    in a fresh interpreter must not load it, while the hull-probe names of
+    the package still resolve on first use.  Importing `prc.hullprobe` and
+    sampling a cloud do not load it either; the first probe does."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
