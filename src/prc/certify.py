@@ -1,4 +1,4 @@
-"""End-to-end certificates: total reality on omega, K in omega, omega in tube.
+"""End-to-end certificates: K in omega and omega in the tube.
 
 A PASS certificate witnesses the containment chain
 
@@ -9,10 +9,11 @@ sub-level function Psi is never materialized).  FAIL carries a concrete
 witness point; INCONCLUSIVE arises only from subdivision-depth or node-budget
 exhaustion.
 
-Both subdivision trees of a certificate (total reality and the tube) live on
-the z-box of omega; for a graph the w polydisc enters the tube bound in
-closed form.  replay_certificate re-derives both trees from that root, so it
-checks coverage as well as every leaf.
+The tube tree of a certificate lives on the z-box of omega; for a graph the
+w polydisc enters the tube bound in closed form.  A box is PROVED only where
+its lower bound of m is positive, so a PROVED tube tree also proves M totally
+real on omega.  replay_certificate re-derives the tube tree from that root,
+so it checks coverage as well as every leaf.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 from . import rigor
 from .intervals import INFLATION, ParamBox
 from .realpoly import dist_upper, finite_or_overflow
+# unused verify_totally_real: the benchmark's traced run wraps it; ROADMAP item 9 removes it
 from .rigor import (FAILED, FAILED_CODE, INCONCLUSIVE_CODE, PROVED, PROVED_CODE, Leaves,
                     Region, _BoxBounds, verify_box, verify_totally_real)
 from .trgeom import GRAPH, SUBMERSION, ProblemSystem, bbar_matrix, tube_profile
@@ -354,14 +356,15 @@ def validate_options(opts: dict) -> dict:
 def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
             *, max_depth: int = 14, margin: float = 1e-6, inflation: float = 0.05,
             threads: int = 1, node_budget: int = 500_000) -> Certificate:
-    """Run the three checks of the certification chain and assemble a certificate.
+    """Run the two checks of the certification chain and assemble a certificate.
 
-    PASS requires (a) a positive rigorous lower bound for m over the
-    z-projection of omega, (b) K inside omega by enclosure, and (c) the tube
-    inclusion PROVED over omega.  FAIL carries a witness point;
-    INCONCLUSIVE arises only from depth/budget exhaustion.  The options are
-    checked by validate_options.  `threads` is accepted and ignored: every
-    check runs in the calling thread, and the output never depended on it.
+    PASS requires (a) K inside omega by enclosure and (b) the tube inclusion
+    PROVED over omega.  A box of (b) is PROVED only where its rigorous lower
+    bound of m is positive, so (b) also proves M totally real over the
+    z-projection of omega.  FAIL carries a witness point; INCONCLUSIVE
+    arises only from depth/budget exhaustion.  The options are checked by
+    validate_options.  `threads` is accepted and ignored: every check runs
+    in the calling thread, and the output never depended on it.
     """
     opts = validate_options({"max_depth": max_depth, "margin": margin,
                              "inflation": inflation, "node_budget": node_budget})
@@ -374,46 +377,28 @@ def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
     if sys.kind == SUBMERSION and omega.w_center is not None:
         raise ManifestError("submersion omega has no w polydisc")
 
-    region = omega.region()
-    z_region = Region(region.discs[:sys.n])
-    z_box = omega.z_box(sys.n)
-
-    tr = verify_totally_real(sys, z_box, max_depth=max_depth, region=z_region,
-                             node_budget=node_budget)
-    tr_leaves = tr.leaves
-    tr_check = {
-        "status": tr.status,
-        "m_lower": min(tr_leaves.values[~tr_leaves.outside, 0].tolist(), default=math.inf),
-        "leaf_count": len(tr_leaves.depth),
-        "depth": int(tr_leaves.depth.max()),
-        "leaves": _leaf_dicts(tr_leaves, ("m_lower",), {"m_lower": None}),
-    }
-    if tr.witness is not None:
-        tr_check["witness"] = tr.witness
-
     k_check = _check_k_in_omega(sys, K, omega, max_depth, node_budget)
 
-    tube_root = verify_box(sys, z_box, max_depth=max_depth,
-                           margin=opts["margin"], region=region,
+    tube_root = verify_box(sys, omega.z_box(sys.n), max_depth=max_depth,
+                           margin=opts["margin"], region=omega.region(),
                            node_budget=node_budget)
     tube_check = {
         "status": tube_root.status,
         "report": asdict(tube_root.report),
         "split_scale": list(tube_root.split_scale),
-        "leaves": _leaf_dicts(tube_root.leaves, ("m_lower", "L_upper", "residual_upper"), {}),
+        "leaves": _leaf_dicts(tube_root.leaves),
     }
     if tube_root.witness is not None:
         tube_check["witness"] = tube_root.witness
 
-    checks = {"totally_real": tr_check, "k_in_omega": k_check,
-              "omega_in_tube": tube_check}
-    statuses = [tr_check["status"], k_check["status"], tube_check["status"]]
+    checks = {"k_in_omega": k_check, "omega_in_tube": tube_check}
+    statuses = [k_check["status"], tube_check["status"]]
     witness = None
     if all(s == PROVED for s in statuses):
         verdict = "PASS"
     elif FAILED in statuses:
         verdict = "FAIL"
-        for name in ("totally_real", "k_in_omega", "omega_in_tube"):
+        for name in ("k_in_omega", "omega_in_tube"):
             w = checks[name].get("witness")
             if checks[name]["status"] == FAILED and w is not None:
                 witness = dict(w)
@@ -426,18 +411,18 @@ def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
     tolerances = {
         "epsilon_inflation_per_op": INFLATION,
         "violation_guard": 1e-9,
-        "totally_real_tol": "1e-8*(1+sigma_max)",
     }
     return Certificate(verdict=verdict, problem_hash=manifest_hash(problem),
                        problem=problem, omega=omega, checks=checks,
                        options=opts, tolerances=tolerances, witness=witness)
 
 
-def _leaf_dicts(leaves: Leaves, keys: tuple[str, ...], outside: dict) -> list[dict]:
-    """Each leaf as a certificate lists it: box, status and depth, and its
-    values under `keys`, or the entries `outside` for an OUTSIDE leaf."""
+def _leaf_dicts(leaves: Leaves) -> list[dict]:
+    """Each tube leaf as a certificate lists it: box, status and depth, and
+    its bounds unless it is an OUTSIDE leaf."""
+    keys = ("m_lower", "L_upper", "residual_upper")
     return [{"box": box, "status": status, "depth": depth,
-             **(outside if status == "OUTSIDE" else dict(zip(keys, values)))}
+             **({} if status == "OUTSIDE" else dict(zip(keys, values)))}
             for box, status, depth, values in zip(
                 np.stack([leaves.lo, leaves.hi], axis=-1).tolist(), leaves.statuses(),
                 leaves.depth.tolist(), leaves.values.tolist())]
@@ -652,10 +637,11 @@ def omega_from_json(data: dict, kind: str, n: int) -> OmegaSpec:
         raise ManifestError(f"bad omega spec: {exc}") from exc
 
 
-# /2: z-only tube leaves; /3: and the tube tree's split scale
-CERTIFICATE_FORMAT = "prc-certificate/3"
+# /2: z-only tube leaves; /3: adds the tube tree's split scale; /4: drops the
+# totally-real check
+CERTIFICATE_FORMAT = "prc-certificate/4"
 # formats certificate_from_dict reads: a /2 tube tree was bisected by unit weights
-READABLE_FORMATS = ("prc-certificate/2", CERTIFICATE_FORMAT)
+READABLE_FORMATS = ("prc-certificate/2", "prc-certificate/3", CERTIFICATE_FORMAT)
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
@@ -713,14 +699,16 @@ def certificate_from_dict(data: dict) -> Certificate:
 def replay_certificate(cert: Certificate) -> bool:
     """Check a PASS certificate independently of the run that produced it.
 
-    Recomputes the problem hash, re-runs K in omega, and re-derives both
-    subdivision trees from the z-box of omega with rigor.subdivide (see
-    _replay_tree): the derived leaves must be the recorded ones, in order,
-    none deeper than max_depth, and each PROVED leaf's bounds are recomputed.
-    The tube tree is bisected by its recorded split_scale (unit weights when
-    there is none, as in a /2 file), which must be 2n finite positive floats;
-    it only decides where boxes are cut, so it needs no check of its own.
-    Malformed content replays False.
+    Recomputes the problem hash, re-runs K in omega, and re-derives the tube
+    tree from the z-box of omega with rigor.subdivide (see _replay_tree): the
+    derived leaves must be the recorded ones, in order, none deeper than
+    max_depth, and each PROVED leaf's bounds are recomputed.  The tube tree is
+    bisected by its recorded split_scale (unit weights when there is none, as
+    in a /2 file), which must be 2n finite positive floats; it only decides
+    where boxes are cut, so it needs no check of its own.  The totally_real
+    section of a /2 or /3 file is ignored: each PROVED tube leaf has a
+    positive lower bound of m, so the tube tree proves M totally real on
+    omega.  Malformed content replays False.
     """
     if cert.verdict != "PASS":
         raise ValueError("only PASS certificates replay")
@@ -749,37 +737,24 @@ def _replay(cert: Certificate) -> bool:
     if not (isinstance(scale, list) and len(scale) == 2 * n
             and all(type(s) is float and 0.0 < s < math.inf for s in scale)):
         return False
-    region = omega.region()
-    z_box = omega.z_box(n)
-    bb = _BoxBounds(sys_)
-
-    def tube_holds(lo, hi):
-        return rigor.check_leaves(sys_, lo, hi, opts["margin"], region)
-
-    def totally_real(lo, hi):
-        return bb.m_lower(lo, hi) > 0.0
-
-    return (_replay_tree(tube["leaves"], z_box, region, opts["max_depth"],
-                         tube_holds, "replayed tube", tuple(scale))
-            and _replay_tree(cert.checks["totally_real"]["leaves"], z_box,
-                             Region(region.discs[:n]), opts["max_depth"],
-                             totally_real, "replayed totally-real"))
+    return _replay_tree(sys_, tube["leaves"], omega, opts, tuple(scale))
 
 
-def _replay_tree(leaves: list[dict], root: ParamBox, region: Region, max_depth: int,
-                 holds, name: str, scale: tuple[float, ...] | None = None) -> bool:
-    """Re-derive a subdivision tree with rigor.subdivide and match the recorded leaves.
+def _replay_tree(sys: ProblemSystem, leaves: list[dict], omega: OmegaSpec, opts: dict,
+                 scale: tuple[float, ...]) -> bool:
+    """Re-derive the tube tree with rigor.subdivide and match the recorded leaves.
 
-    The tree is grown from the root as certify grew it, with the same clip,
-    split coordinates and child order, but its check computes nothing: a box
-    is PROVED when a recorded PROVED leaf has it and INCONCLUSIVE, so
-    bisected, otherwise.  The node budget is 2L - 1, the node count of a
+    The tree is grown from the z-box of omega as certify grew it, with the
+    same clip, split coordinates and child order, but its check computes
+    nothing: a box is PROVED when a recorded PROVED leaf has it and
+    INCONCLUSIVE, so bisected, otherwise.  The node budget is 2L - 1, the node count of a
     binary tree with L leaves, so a tampered list grows no more nodes than it
     records.  The derived Leaves must equal the recorded ones in order:
     status (OUTSIDE or PROVED), integer depth and the box's numbers, compared
-    as arrays.  `holds(lo, hi)` then checks all the PROVED boxes in one batch,
-    one boolean each.
+    as arrays.  rigor.check_leaves then re-runs the tube test on all the
+    PROVED boxes in one batch.
     """
+    root, region = omega.z_box(sys.n), omega.region()
     status = [leaf["status"] for leaf in leaves]
     depth = [leaf["depth"] for leaf in leaves]
     # each box is 2n [lo, hi] pairs of numbers, as np.stack([lo, hi], axis=-1) gives
@@ -795,14 +770,16 @@ def _replay_tree(leaves: list[dict], root: ParamBox, region: Region, max_depth: 
                  for box in np.stack([lo, hi], axis=-1).reshape(len(lo), -1).tolist()]
         return np.where(found, PROVED_CODE, INCONCLUSIVE_CODE).astype(np.int8), None, None
 
-    tree = rigor.subdivide(root, evaluate, max_depth, 2 * len(leaves) - 1, region, name, scale)
+    tree = rigor.subdivide(root, evaluate, opts["max_depth"], 2 * len(leaves) - 1, region,
+                           "replayed tube", scale)
     derived = tree.leaves
     if (tree.status != PROVED or status != derived.statuses()
             or not np.array_equal(depth, derived.depth)
             or not np.array_equal(boxes, np.stack([derived.lo, derived.hi], axis=-1))):
         return False
     inside = ~derived.outside
-    return bool(holds(derived.lo[inside], derived.hi[inside]).all())
+    return bool(rigor.check_leaves(sys, derived.lo[inside], derived.hi[inside],
+                                   opts["margin"], region).all())
 
 
 # ---------------------------------------------------------------------------

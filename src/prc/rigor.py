@@ -34,8 +34,9 @@ each width by how fast the residual can change along that coordinate
 (split_scale), the smear rule of interval branch-and-bound (Ratz and
 Csendes, J. Global Optim. 7 (1995) 183-207); any weights tile the box, so
 they move no proof.
-verify_totally_real proves m_lower > 0 with subdivide, and certify's
-K-in-omega check uses it too; both keep unit weights.
+certify's K-in-omega check uses subdivide too, with unit weights.  The tube
+test holds only where m_lower > 0, so certify runs no separate totally-real
+tree; verify_totally_real, which proves m_lower > 0 alone, is kept as API.
 
 Boxes a check leaves undecided are probed pointwise at probe_points: the
 box's midpoint when it lies strictly inside the region, else the region's
@@ -459,7 +460,8 @@ def _levi2_upper(e: np.ndarray) -> np.ndarray:
 @np.errstate(all="ignore")
 def _tube_holds(m_lo, L_up, r_up, c: float, margin: float):
     """The strict, division-free tube test r_up < m_lo (1 - margin) / (c L_up),
-    box by box."""
+    box by box.  It is False wherever m_lo > 0 fails, even at r_up = L_up = 0
+    or on NaN, and certify's PASS relies on this for m > 0 on omega."""
     return (m_lo > 0.0) & (r_up * (c * L_up) < m_lo * (1.0 - margin))
 
 

@@ -69,7 +69,7 @@ def wermer_pass_cert():
 def test_certify_wermer_03_passes(wermer_pass_cert):
     cert = wermer_pass_cert
     assert cert.verdict == "PASS"
-    assert cert.checks["totally_real"]["status"] == "PROVED"
+    assert set(cert.checks) == {"k_in_omega", "omega_in_tube"}
     assert cert.checks["k_in_omega"]["status"] == "PROVED"
     assert cert.checks["omega_in_tube"]["status"] == "PROVED"
     assert cert.witness is None
@@ -261,8 +261,8 @@ def test_certify_logs_each_tree_at_info(wermer, caplog):
         assert m[1] not in trees
         trees[m[1]] = (m[2], int(m[3]), int(m[4]), int(m[5]), int(m[6]))
         scales[m[1]] = m[7]
-    assert set(trees) == {"tube", "totally-real", "K in omega"}
-    assert scales["totally-real"] is None and scales["K in omega"] is None
+    assert set(trees) == {"tube", "K in omega"}
+    assert scales["K in omega"] is None
     assert scales["tube"] == ", ".join(
         f"{s:.6g}" for s in cert.checks["omega_in_tube"]["split_scale"])
     for status, nodes, leaves, probes, _ in trees.values():
@@ -274,9 +274,6 @@ def test_certify_logs_each_tree_at_info(wermer, caplog):
     report = checks["omega_in_tube"]["report"]
     _, _, leaves, _, depth = trees["tube"]
     assert (leaves, depth) == (report["leaf_count"], report["depth"])
-    _, _, leaves, _, depth = trees["totally-real"]
-    assert (leaves, depth) == (checks["totally_real"]["leaf_count"],
-                               checks["totally_real"]["depth"])
     assert trees["K in omega"][1] >= checks["k_in_omega"]["cells_checked"]
 
 
@@ -388,9 +385,7 @@ def test_replay_rederives_the_recorded_trees(wermer_pass_cert, caplog):
     data = _pass_dict(wermer_pass_cert)
     ok, trees = _replayed_trees(caplog, data)
     assert ok
-    tr_leaves = data["checks"]["totally_real"]["leaf_count"]
-    assert trees == {"tube": ("PROVED", 659, 330),
-                     "totally-real": ("PROVED", 2 * tr_leaves - 1, tr_leaves)}
+    assert trees == {"tube": ("PROVED", 659, 330)}
 
 
 def test_replay_grows_no_more_nodes_than_recorded(wermer_pass_cert, caplog):
@@ -420,9 +415,16 @@ def test_replay_rejects_inconclusive_leaf_at_max_depth(wermer_pass_cert):
 
 def test_certificate_format_1_rejected(wermer_pass_cert):
     data = _pass_dict(wermer_pass_cert)
-    assert data["format"] == "prc-certificate/3"
+    assert data["format"] == "prc-certificate/4"
     data["format"] = "prc-certificate/1"
     with pytest.raises(ValueError):
+        certificate_from_dict(data)
+
+
+def test_certificate_format_5_rejected(wermer_pass_cert):
+    data = _pass_dict(wermer_pass_cert)
+    data["format"] = "prc-certificate/5"
+    with pytest.raises(ValueError, match="prc-certificate/5"):
         certificate_from_dict(data)
 
 
@@ -672,7 +674,7 @@ def _replays(data):
 
 def test_cap_certificate_records_its_split_scale(cap_pass_dict):
     data = json.loads(json.dumps(cap_pass_dict))
-    assert data["format"] == "prc-certificate/3"
+    assert data["format"] == "prc-certificate/4"
     sx1, sy1, sx2, sy2 = data["checks"]["omega_in_tube"]["split_scale"]
     # Im z_l enters rho_l with slope 1, Re z with slope 0.05 * (2x + 3x^2)
     assert sy1 == sy2 and 1.0 <= sy1 < 1.0 + 1e-11 and sx1 == sx2 < 0.5
@@ -744,3 +746,31 @@ def test_certificate_written_before_product_chain_powers_replays():
     fresh = fresh["checks"]["omega_in_tube"]["leaves"]
     assert [leaf["box"] for leaf in fresh] == [leaf["box"] for leaf in leaves]
     assert fresh != leaves
+
+
+def _format_3_dict():
+    """The prc-certificate/3 file of Wermer r=0.3, with its totally_real section."""
+    data = json.loads((Path(__file__).parent / "data" / "wermer_r0.3.cert.json").read_text())
+    assert data["format"] == "prc-certificate/3" and "totally_real" in data["checks"]
+    return data
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda tr: tr.clear(),
+    lambda tr: tr["leaves"][0].update(box=[[-5.0, 5.0]] * 2, m_lower=-1.0),
+    lambda tr: tr.update(status="FAILED", leaves=[])], ids=["emptied", "box", "failed"])
+def test_format_3_replay_ignores_its_totally_real_section(tamper):
+    """Replay re-derives only the tube tree, whose PROVED leaves have
+    m_lower > 0, so a /3 file's totally-real tree decides nothing: deleted or
+    tampered, the file still replays."""
+    data = _format_3_dict()
+    tamper(data["checks"]["totally_real"])
+    assert replay_certificate(certificate_from_dict(data))
+    del data["checks"]["totally_real"]
+    assert replay_certificate(certificate_from_dict(data))
+
+
+def test_format_3_replay_rejects_a_tampered_tube_leaf():
+    data = _format_3_dict()
+    data["checks"]["omega_in_tube"]["leaves"][0]["box"][0][0] -= 1e-3
+    assert replay_certificate(certificate_from_dict(data)) is False

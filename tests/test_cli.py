@@ -15,8 +15,9 @@ import pytest
 
 from conftest import cap_manifest
 from prc.certify import (WERMER_F, CompactSpec, certificate_to_dict, certify,
-                         dumps_json)
+                         dumps_json, load_manifest)
 from prc.cli import build_parser, main
+from prc.trgeom import m_value
 
 
 def _write(tmp_path, name, obj):
@@ -593,27 +594,31 @@ def _wermer_bench_manifest(r, node_budget):
 # re-recorded when the pointwise probe took the same arithmetic: its witness
 # moved in the last bits, with the same tree and leaf boxes.  All five, the
 # /2 digests and the totally-real digests below were re-recorded when every
-# output became one line of JSON (dumps_json): only whitespace changed.
+# output became one line of JSON (dumps_json): only whitespace changed.  All
+# five and the /2 digests were re-recorded for prc-certificate/4, which drops
+# the totally_real check and the totally_real_tol tolerance: the bytes are
+# those of the /3 files with that check, that tolerance and the format string
+# taken out, so the K and tube sections did not change.
 GOLDEN_CERTIFICATES = [
     ("wermer_r0.3", _wermer_bench_manifest(0.3, 150_000), 0,
-     "32b59037c0c949c5e334a4bfedbccf6c5fa5c191d9b5dd157d77f80ca73c6d9d"),
+     "2b629d26b2f65a66391c4b795c251ecbb5fdaf572fa78a9f9b9e28f2ddf91c21"),
     ("wermer_r0.33", _wermer_bench_manifest(0.33, 150_000), 3,
-     "c92cc89c608c989af4f2f3aefdb12d38e3cf219c9798768863cbc6b7a2ea71ef"),
+     "ec5e7555df9d7f9f682100396b714283614d11210a6110d6078e1ad613352956"),
     ("wermer_r0.305", _wermer_bench_manifest(0.305, 40_000), 0,
-     "8f07003e4f4a66645733281b55cc0fda40075dd97a345d308199f7adbfe7e427"),
+     "4b6a07ccdf9d3227b24ccc2b86b7a9264928f51a96629d48982ac7b38ac10379"),
     ("cap_r1.0", cap_manifest(1.0), 0,
-     "cfb66c381f6f8e19e601cdf9b147794ace344a80f557312546655558d7a40cbe"),
+     "eb4385dc6a1220060f8da406adbff61e6157520be55cd0a1428f143845a6f922"),
     ("cap_r1.285", cap_manifest(1.285), 0,
-     "101f82771df7d47f69f619c6a77fa00ad758f1cc43d574b2222a5a42438d22db"),
+     "5ec91dce1390f42dcbf714c96f2e0bc737898f633d0e73de282e0b2ac7fe2e40"),
 ]
 
 # The prc-certificate/2 digests of the problems whose trees the split scale
 # leaves alone: the Wermer scales are equal in x and y, and cap 1.0 proves at
 # its root.
 FORMAT_2_DIGESTS = {
-    "wermer_r0.3": "dc609bf0925a53d7f9ccb97db0e24261bf24d3ea7ab37f19d4ba3f80b247a2e1",
-    "wermer_r0.305": "31d9f161c196b66e60be85dabeb85cc2c2b6c08c533c3a4b6939a565c6dac5aa",
-    "cap_r1.0": "47e44c7b53fa3455b4b2a9771803d5110a918357a5e611d7f531b0a97666996c",
+    "wermer_r0.3": "f48c6f2d5a937073d24414408223187b1ac9df09b2115ddf13f2bcdd590a6dba",
+    "wermer_r0.305": "bce5d4d23038ee3825ea5ae6afb3e696c10b43c1f2bc42cf6dfb804e967ce293",
+    "cap_r1.0": "3de72751bbbf20e4a559b4d8a696fb0b7dbc9ee6f4d8e2b6217517435204e615",
 }
 
 
@@ -631,11 +636,13 @@ def test_certificate_bytes_match_golden_digests(tmp_path):
             assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_2_DIGESTS[name]
 
 
-# sha256 of `prc totally-real` reports and of a certificate whose FAIL is a
-# total-reality witness, recorded while each point was tested one at a time:
-# the stacked test must give every verdict and sigma_min bit for bit.  The
-# wermer_r0.3 report was re-recorded when point values took product-chain
-# powers and sorted-order sums: 88 of its 1,681 sigma_min moved in the last bit.
+# sha256 of `prc totally-real` reports and of a certificate for a graph that
+# is not totally real at z = 0, recorded while each point was tested one at a
+# time: the stacked test must give every verdict and sigma_min bit for bit.
+# The wermer_r0.3 report was re-recorded when point values took product-chain
+# powers and sorted-order sums: 88 of its 1,681 sigma_min moved in the last
+# bit.  The certificate was re-recorded for prc-certificate/4: with no
+# totally-real tree its witness is the tube tree's, at the same point.
 _TR_FAIL_GRAPH = {
     "kind": "graph", "n": 2,
     "functions": ["conj(z1) + z1*conj(z1)", "conj(z2) + 0.3*z1*conj(z2)"],
@@ -653,7 +660,7 @@ _TR_GOLDEN = [
     ("graph_not_totally_real", ["totally-real", "--grid", "9"], _TR_FAIL_GRAPH, 3,
      "44067484f0f2e63afb14147723d3d087a39480894dd906e4662f488d253591ac"),
     ("certify_totally_real_fail", ["certify"], _TR_FAIL_CERT, 3,
-     "3929f988845456223b2bcee52c2fad6d3b2201bdab3df1940bb7ed94fd36d0e6"),
+     "c36ed8f10184e1a73e6ea13aeabfae6ef754564c98e8c2f3d00a0f70acc8dd4b"),
 ]
 
 
@@ -667,7 +674,11 @@ def test_totally_real_outputs_match_golden_digests(tmp_path, name, argv, manifes
                  "--out", str(out)]) == exit_code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
     if argv == ["certify"]:
-        assert json.loads(out.read_text())["witness"]["check"] == "totally_real"
+        # the tube tree FAILs exactly where M is not totally real: m is 0 there
+        witness = json.loads(out.read_text())["witness"]
+        assert witness["check"] == "omega_in_tube" and witness["radius"] == 0.0
+        sys_, _, _, _ = load_manifest(manifest)
+        assert m_value(sys_, [complex(*xy) for xy in witness["z"]]) == 0.0
 
 
 def test_totally_real_zero_differential_exit_2(tmp_path, capsys):

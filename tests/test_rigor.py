@@ -15,7 +15,7 @@ from prc import realpoly
 from prc.realpoly import (MAX_DEGREE, MAX_TERMS, RealPoly, TermPack, _eval_box_raw,
                           power_tables)
 from prc.rigor import (FAILED, FAILED_CODE, INCONCLUSIVE, INCONCLUSIVE_CODE, MAX_N, PROVED,
-                       PROVED_CODE, Region, _BoxBounds,
+                       PROVED_CODE, Region, _BoxBounds, _tube_holds,
                        _eig2_min_lower, _levi2_upper, bound_L_above, bound_m_below,
                        bound_residual_above, check_leaf, check_leaves, split_coords,
                        split_scale, subdivide, verify_box, verify_totally_real)
@@ -202,6 +202,27 @@ def test_verify_holomorphic_fails_with_witness():
     for (x, y), (cx, cy, r) in zip(root.witness["z"] + root.witness["w"],
                                    region.discs):
         assert math.hypot(x - cx, y - cy) < r
+
+
+def test_tube_holds_only_where_m_lower_is_positive():
+    """certify proves m > 0 on omega by the tube tree alone: the tube test
+    fails on every box whose m_lower is not positive, even with no residual
+    and no Levi form (r_up = L_up = 0), and wherever a bound is NaN."""
+    nan = math.nan
+    # (m_lo, L_up, r_up, whether the test holds)
+    rows = [*[(m, 0.0, 0.0, False) for m in (0.0, -0.0, -5e-324, -1.0, -math.inf, nan)],
+            (0.0, nan, 0.0, False), (0.0, 0.0, nan, False), (0.0, math.inf, 0.0, False),
+            (1.0, nan, 0.0, False), (1.0, 0.0, nan, False),
+            (5e-324, 0.0, 0.0, True), (1.0, 0.5, 0.5, True)]
+    m_lo, L_up, r_up, want = (np.array(col) for col in zip(*rows))
+    rng = np.random.default_rng(17)
+    m_neg = -rng.exponential(size=200) * rng.integers(0, 2, 200)  # half of them 0
+    for c in (1.0, 2.0):
+        for margin in (0.0, 1e-6):
+            assert _tube_holds(m_lo, L_up, r_up, c, margin).tolist() == want.tolist()
+            held = _tube_holds(m_neg, rng.exponential(size=200) * rng.integers(0, 2, 200),
+                               rng.exponential(size=200) * rng.integers(0, 2, 200), c, margin)
+            assert not held.any()
 
 
 def test_verify_depth_zero_inconclusive(wermer):
