@@ -129,6 +129,19 @@ class OmegaSpec:
             for j, (c, r) in enumerate(zip(centers, radii)):
                 _check_disc(c, r, f"OmegaSpec.{part}_center[{j}]", f"OmegaSpec.{part}_radii[{j}]")
 
+    def check_fits(self, sys: ProblemSystem) -> None:
+        """Raise ManifestError unless omega has one z disc per z coordinate,
+        and one w disc per w coordinate for a graph system (none for a
+        submersion)."""
+        if len(self.z_radii) != sys.n:
+            raise ManifestError(f"omega.z needs one disc per z coordinate ({sys.n}), "
+                                f"got {len(self.z_radii)}")
+        if sys.kind == SUBMERSION and self.w_radii is not None:
+            raise ManifestError("omega.w: submersion omega has no w polydisc")
+        if sys.kind == GRAPH and len(self.w_radii or ()) != sys.n:
+            raise ManifestError(f"omega.w needs one disc per w coordinate ({sys.n}) "
+                                f"for a graph, got {len(self.w_radii or ())}")
+
     def region(self) -> Region:
         discs = [(c.real, c.imag, r) for c, r in zip(self.z_center, self.z_radii)]
         if self.w_center is not None:
@@ -372,10 +385,7 @@ def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
     K.check_fits(sys)
     if omega is None:
         omega = suggest_omega(sys, K, opts["inflation"])
-    if sys.kind == GRAPH and omega.w_center is None:
-        raise ManifestError("graph omega needs a w polydisc")
-    if sys.kind == SUBMERSION and omega.w_center is not None:
-        raise ManifestError("submersion omega has no w polydisc")
+    omega.check_fits(sys)
 
     k_check = _check_k_in_omega(sys, K, omega, max_depth, node_budget)
 
@@ -724,9 +734,8 @@ def _replay(cert: Certificate) -> bool:
     sys_, K, _, _ = load_manifest(dict(cert.problem, options=None))
     opts = validate_options(cert.options)
     omega = cert.omega
+    omega.check_fits(sys_)
     n = sys_.n
-    if len(omega.z_radii) != n or (sys_.kind == GRAPH and len(omega.w_radii) != n):
-        return False
     if _check_k_in_omega(sys_, K, omega, opts["max_depth"],
                          opts["node_budget"])["status"] != PROVED:
         return False

@@ -379,20 +379,6 @@ def normalize(e: Expr) -> NormalExpr:
     return _norm(e, False)
 
 
-def is_normal(e: Expr) -> bool:
-    if isinstance(e, (Const, Var)):
-        return True
-    if isinstance(e, (Conj, Re, Im)):
-        return False
-    if isinstance(e, Neg):
-        return is_normal(e.operand)
-    if isinstance(e, (Add, Sub, Mul)):
-        return is_normal(e.left) and is_normal(e.right)
-    if isinstance(e, Pow):
-        return is_normal(e.base)
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------

@@ -75,8 +75,7 @@ def sample_compact(sys: ProblemSystem, K: CompactSpec, density: int) -> SampleCl
     8*density boundary ring.  Submersion: a seed lattice over the cap is
     Newton-projected onto rho = 0 and non-converged seeds are discarded.
     """
-    if density < 2:
-        raise ValueError("density must be >= 2 per real dimension")
+    _check_integer("density", density, 2)
     K.check_fits(sys)
     if sys.kind == GRAPH:
         return _sample_graph(sys, K, density)
@@ -85,8 +84,6 @@ def sample_compact(sys: ProblemSystem, K: CompactSpec, density: int) -> SampleCl
 
 def _coordinate_samples(reg: DiscRegion | BoxRegion, density: int) -> np.ndarray:
     if isinstance(reg, DiscRegion):
-        if reg.radius == 0:
-            return np.array([reg.center])
         ts = np.linspace(-reg.radius, reg.radius, density)
         xx, yy = np.meshgrid(ts, ts, indexing="ij")
         grid = xx.ravel() + 1j * yy.ravel()
@@ -136,7 +133,6 @@ def _sample_submersion(sys: ProblemSystem, K: CompactSpec,
     mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
     xs = mesh.copy()
-    tables = sys.tables
 
     def residuals(pts: np.ndarray) -> np.ndarray:
         return sys.evaluate("value", pts).real
@@ -144,12 +140,10 @@ def _sample_submersion(sys: ProblemSystem, K: CompactSpec,
     def jacobian(pts: np.ndarray) -> np.ndarray:
         # real Jacobian rows: d rho_l / dx_j = 2 Re(d rho_l/dz_j),
         #                     d rho_l / dy_j = -2 Im(d rho_l/dz_j)
+        dz = sys.evaluate("dz", pts).reshape(len(pts), rows, n)
         J = np.empty((len(pts), rows, 2 * n))
-        for l, t in enumerate(tables):
-            for j in range(n):
-                dz = t.dz[j].eval_batch(pts)
-                J[:, l, 2 * j] = 2.0 * dz.real
-                J[:, l, 2 * j + 1] = -2.0 * dz.imag
+        J[:, :, 0::2] = 2.0 * dz.real
+        J[:, :, 1::2] = -2.0 * dz.imag
         return J
 
     res = residuals(xs)

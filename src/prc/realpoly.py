@@ -11,12 +11,14 @@ For interval bounds a polynomial is expanded in the 2n real coordinates
 (x_1, y_1, ..., x_n, y_n) with complex coefficients (z_j = x_j + i*y_j): a
 RealPoly.  In this form the correlated occurrences of z_j and conj(z_j)
 combine in coefficient arithmetic (rounded to nearest), before any interval
-is formed, which is what makes the interval bounds downstream usable.  Point
-values, of one polynomial or of many at many points, all come from PointPack,
-in the plain numpy arithmetic of the interval kernels (product-chain powers,
-left-to-right sums, each polynomial's terms in sorted key order), so they
-depend neither on a point's batch nor on the order a polynomial's terms were
-inserted in.
+is formed, which is what makes the interval bounds downstream usable.  A list
+of polynomials is laid out once, as a TermPack, for both kinds of evaluation:
+enclosures over boxes (_eval_box_raw) and values at points (point_values).
+Point values, of one polynomial or of many at many points, are plain numpy
+arithmetic like the interval kernels (product-chain powers, left-to-right
+sums, each polynomial's terms in sorted key order), so they depend neither on
+a point's batch, nor on the pack a polynomial is in, nor on the order its
+terms were inserted in.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from .intervals import INFLATION, Interval, ParamBox, Rect
 
 _TINY = 1e-300
 # most terms per polynomial, and highest degree, for which the rounding
-# arguments of _eval_box_raw and power_tables hold
+# arguments of _eval_box_raw and power_tables hold (points need no bound)
 MAX_TERMS = 4095
 MAX_DEGREE = 4096
-# most points PointPack.eval takes at once
+# most points point_values takes at once
 _CHUNK = 4096
 
 
@@ -205,12 +207,7 @@ def _real_monomial(n: int, key: tuple[int, ...]) -> tuple[tuple[tuple[int, ...],
 class RealPoly(_Poly):
     """Polynomial sum of coeff * prod(v_i^e_i) over the 2n real coordinates."""
 
-    __slots__ = ("_pack", "_point_pack")
-
-    def __init__(self, n: int, terms: dict[tuple[int, ...], complex] | None = None):
-        super().__init__(n, terms)
-        self._pack = None
-        self._point_pack = None
+    __slots__ = ()
 
     @staticmethod
     def from_expr(e: ex.Expr, n: int) -> RealPoly:
@@ -219,33 +216,17 @@ class RealPoly(_Poly):
 
     # -- evaluation ----------------------------------------------------------
 
-    def pack(self) -> TermPack:
-        """This polynomial alone, laid out for _eval_box_raw (cached).
-
-        Raises ValueError above MAX_TERMS terms or MAX_DEGREE, where the
-        sums of _eval_box_raw or the powers of power_tables would no longer
-        be sound.
-        """
-        if self._pack is None:
-            self._pack = TermPack((self,))
-        return self._pack
-
-    def point_pack(self) -> PointPack:
-        """This polynomial alone, laid out for PointPack.eval (cached)."""
-        if self._point_pack is None:
-            self._point_pack = PointPack((self,))
-        return self._point_pack
-
     def eval_point(self, z: Sequence[complex]) -> complex:
-        return complex(self.point_pack().eval([real_coords(z)])[0, 0])
+        return complex(point_values(TermPack((self,)), [real_coords(z)])[0, 0])
 
     def eval_batch(self, xs) -> np.ndarray:
         """Evaluate at many real-coordinate points; xs has shape (m, 2n)."""
-        return self.point_pack().eval(xs)[:, 0]
+        return point_values(TermPack((self,)), xs)[:, 0]
 
     def eval_box(self, box: ParamBox) -> Rect:
-        """Sound rectangle enclosure over the box."""
-        rlo, rhi, ilo, ihi = _eval_box_raw(self.pack(), [box.lo], [box.hi])[0, 0].tolist()
+        """Sound rectangle enclosure over the box.  Raises ValueError above
+        MAX_TERMS terms or MAX_DEGREE (see _eval_box_raw)."""
+        rlo, rhi, ilo, ihi = _eval_box_raw(TermPack((self,)), [box.lo], [box.hi])[0, 0].tolist()
         return Rect(Interval(rlo, rhi), Interval(ilo, ihi))
 
 
@@ -265,8 +246,8 @@ def real_coords(z: Sequence[complex]) -> list[float]:
 # Every interval kernel takes `lo`, `hi` arrays of shape (boxes, coordinates)
 # and evaluates all boxes at once, in the operation order of a loop over one
 # box, so each box's bounds are bit-identical however the boxes are batched.
-# PointPack and the pointwise quantities of trgeom and rigor do the same over
-# points, by the same rules:
+# point_values and the pointwise quantities of trgeom and rigor do the same
+# over points, by the same rules:
 #
 # * sums run left to right (a loop over the terms, or np.add.accumulate along
 #   the summed axis; never the pairwise np.sum);
@@ -342,8 +323,8 @@ def power_tables(lo: np.ndarray, hi: np.ndarray, max_deg: int) -> np.ndarray:
     |x| >= 1 no partial power underflows.  A chain that overflows gives an
     infinite end, and the widening then gives infinite or NaN ends: an
     infinite end is still a sound bound, and a NaN end makes every bound
-    computed from it NaN, which no comparison takes for a proof.  TermPack
-    enforces the degree bound, so this carries no check.
+    computed from it NaN, which no comparison takes for a proof.
+    _eval_box_raw enforces the degree bound, so this carries no check.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -396,38 +377,35 @@ def _layout(polys: Sequence[RealPoly], stride: int):
 
 
 class TermPack:
-    """The terms of a list of RealPolys, laid out for _eval_box_raw.
+    """The terms of a list of RealPolys, laid out once for _eval_box_raw
+    (boxes) and point_values (points).
 
     `steps` and `coeffs` (rows re, im) are those of _layout, with the
-    columns of the flattened power tables of a box (stride max_degree + 1).
-    The term contributions of a box are laid out in four blocks of `size`
-    columns and a zero (real lower, imaginary lower, real upper, imaginary
-    upper bounds); `gather[s, p, c]` is the s-th column summed into
-    component c = (re_lo, re_hi, im_lo, im_hi) of polynomial p, in p's
-    sorted term order, padded with zeros.  A term with a zero real
-    (imaginary) coefficient takes no part in the real (imaginary) sums.
-    `empty` lists the polynomials without terms.
+    columns of the flattened power tables (stride max_degree + 1).  The term
+    contributions of a box are laid out in four blocks of `size` columns and
+    a zero (real lower, imaginary lower, real upper, imaginary upper bounds);
+    `gather[s, p, c]` is the s-th column summed into component c = (re_lo,
+    re_hi, im_lo, im_hi) of polynomial p, in p's sorted term order, padded
+    with the zero column `size` to a width of at least 1.  A term with a
+    zero real (imaginary) coefficient takes no part in the real (imaginary)
+    sums.  `empty` lists the polynomials without terms, and `max_terms` is
+    the most terms of one polynomial.  Any polynomials lay out;
+    _eval_box_raw refuses the packs its rounding argument does not cover.
     """
 
-    __slots__ = ("dims", "max_degree", "size", "steps", "coeffs", "gather",
-                 "widen", "empty")
+    __slots__ = ("dims", "max_degree", "max_terms", "size", "steps", "coeffs",
+                 "gather", "widen", "empty")
 
     def __init__(self, polys: Sequence[RealPoly]):
-        for p in polys:
-            if len(p.terms) > MAX_TERMS:
-                raise ValueError(f"{len(p.terms)} terms: interval evaluation is "
-                                 f"sound for at most {MAX_TERMS}")
-            if p.total_degree() > MAX_DEGREE:
-                raise ValueError(f"degree {p.total_degree()}: interval evaluation is "
-                                 f"sound up to degree {MAX_DEGREE}")
         self.dims = 2 * polys[0].n
         self.max_degree = max(p.total_degree() for p in polys)
+        self.max_terms = max(len(p.terms) for p in polys)
         self.steps, c, rows = _layout(polys, self.max_degree + 1)
         self.coeffs = np.array([c.real, c.imag])
         self.size = size = len(c)
         lists = [[block * (size + 1) + col for col in cols if self.coeffs[part - 1, col]]
                  for cols in rows for block, part in ((0, 1), (2, 1), (1, 2), (3, 2))]
-        width = max(map(len, lists))
+        width = max(1, *map(len, lists))
         gather = np.array([cols + [size] * (width - len(cols)) for cols in lists],
                           dtype=np.intp).reshape(len(polys), 4, width)
         self.gather = np.ascontiguousarray(gather.transpose(2, 0, 1))
@@ -435,55 +413,43 @@ class TermPack:
         self.empty = [i for i, p in enumerate(polys) if not p.terms]
 
 
-class PointPack:
-    """The terms of a list of RealPolys, laid out to evaluate them all at many
-    points at once; every point evaluation of the package goes through it.
+@np.errstate(all="ignore")
+def point_values(pack: TermPack, xs) -> np.ndarray:
+    """Values of the pack's polynomials at the rows of xs (real coordinates),
+    shape (points, polynomials); _CHUNK rows at a time, which bounds the
+    temporaries.  Raises OverflowError where a value is not finite.
 
-    Per point, in the arithmetic of the interval kernels: x_v^e is a product
-    chain, a monomial is 1.0 times its factors in variable order, a term is
-    the monomial times the real and the imaginary part of its coefficient,
-    and each polynomial sums its terms left to right from 0.0, in sorted key
-    order, as TermPack does, so two polynomials equal term for term evaluate
-    to the same bits.  `steps` and `coeffs` (rows re, im) are those of
-    _layout, with the columns of the flattened power table of a point
-    (stride max_degree + 1).  Row p of `gather` lists the term columns
-    of polynomial p, after and padded with column `size`, which holds 0.0: a
-    sum that starts from +0.0 is never -0.0, so the padding adds nothing.
+    In the arithmetic of the interval kernels: x_v^e is a product chain (one
+    multiply.accumulate over 1, x, x, ...), a monomial is 1.0 times its
+    factors in variable order, a term is the monomial times each part of its
+    coefficient, and each polynomial sums its terms left to right from +0.0
+    in sorted key order, so it has the same bits in any pack.  The sums run
+    over the re_lo and im_lo columns of `gather`, which skip zero parts of
+    coefficients: those add +-0.0 to a sum that is never -0.0, and change
+    nothing (where the monomial is not finite, the term's other part is not
+    either, and OverflowError follows all the same).  They start from the
+    first column, and + 0.0 turns a -0.0 total into the +0.0 that a sum
+    from +0.0 gives.
     """
-
-    __slots__ = ("dims", "max_degree", "size", "steps", "coeffs", "gather")
-
-    def __init__(self, polys: Sequence[RealPoly]):
-        self.dims = 2 * polys[0].n
-        self.max_degree = max(p.total_degree() for p in polys)
-        self.steps, c, rows = _layout(polys, self.max_degree + 1)
-        self.coeffs = np.array([c.real, c.imag])
-        self.size = size = len(c)
-        width = max(map(len, rows))
-        self.gather = np.array([[size] + r + [size] * (width - len(r)) for r in rows],
-                               dtype=np.intp)
-
-    @np.errstate(all="ignore")
-    def eval(self, xs) -> np.ndarray:
-        """Values at the rows of xs (real coordinates), shape (points,
-        polynomials); _CHUNK rows at a time, which bounds the temporaries.
-        Raises OverflowError where a value is not finite."""
-        xs = np.asarray(xs, dtype=float)
-        if len(xs) > _CHUNK:
-            return np.concatenate([self.eval(xs[s:s + _CHUNK])
-                                   for s in range(0, len(xs), _CHUNK)])
-        powers = np.ones((len(xs), self.dims, self.max_degree + 1))
-        for k in range(1, self.max_degree + 1):
-            powers[..., k] = powers[..., k - 1] * xs[:, :self.dims]
-        powers = powers.reshape(len(xs), -1)
-        m = np.ones((len(xs), self.size))
-        for idx in self.steps:
-            m[:, :len(idx)] *= powers[:, idx]
-        parts = np.zeros((len(xs), 2, self.size + 1))
-        np.multiply(self.coeffs, m[:, None, :], out=parts[:, :, :-1])
-        sums = finite_or_overflow(sequential_sum(parts[:, :, self.gather], axis=-1),
-                                  "a polynomial value")
-        return complex_array(sums[:, 0], sums[:, 1])
+    xs = np.asarray(xs, dtype=float)
+    if len(xs) > _CHUNK:
+        return np.concatenate([point_values(pack, xs[s:s + _CHUNK])
+                               for s in range(0, len(xs), _CHUNK)])
+    powers = np.empty((len(xs), pack.dims, pack.max_degree + 1))
+    powers[..., 0] = 1.0
+    powers[..., 1:] = xs[:, :pack.dims, None]
+    powers = np.multiply.accumulate(powers, axis=2).reshape(len(xs), -1)
+    m = np.ones((len(xs), pack.size))
+    for idx in pack.steps:
+        m[:, :len(idx)] *= powers[:, idx]
+    # the re and im blocks of the box layout (see _term_parts)
+    parts = np.zeros((len(xs), 2, pack.size + 1))
+    np.multiply(pack.coeffs, m[:, None, :], out=parts[:, :, :-1])
+    parts = parts.reshape(len(xs), -1)[:, pack.gather[..., 0::2]]
+    # (points, polynomials, (re, im)) in C order, the memory of complex values
+    sums = np.empty((len(xs), pack.gather.shape[1], 2))
+    np.add(np.add.accumulate(parts, axis=1)[:, -1], 0.0, out=sums)
+    return finite_or_overflow(sums, "a polynomial value").view(np.complex128)[..., 0]
 
 
 @np.errstate(all="ignore")
@@ -516,14 +482,20 @@ def _eval_box_raw(pack: TermPack, lo, hi) -> np.ndarray:
       8191u + O(u^2), and the one u to spare against 2^-40 = 8192u absorbs
       the second-order terms dropped above.
 
-    TermPack enforces that bound, and the degree bound of power_tables,
-    once per polynomial, so this kernel carries no check.  A polynomial
+    A pack beyond that bound, or beyond the degree bound of power_tables,
+    raises ValueError; points carry no such bound.  A polynomial
     without terms encloses to exactly 0.  A box whose powers or products
     overflow gets inf or NaN ends (see power_tables), and no warning.
 
     The enclosure is of the polynomial as expanded: its coefficients count as
     exact, although from_expr and ZPoly.to_real rounded them to nearest.
     """
+    if pack.max_terms > MAX_TERMS:
+        raise ValueError(f"{pack.max_terms} terms: interval evaluation is "
+                         f"sound for at most {MAX_TERMS}")
+    if pack.max_degree > MAX_DEGREE:
+        raise ValueError(f"degree {pack.max_degree}: interval evaluation is "
+                         f"sound up to degree {MAX_DEGREE}")
     boxes = len(lo)
     parts = _term_parts(pack, lo, hi)
     sums = np.zeros((boxes,) + pack.gather.shape[1:])

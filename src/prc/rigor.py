@@ -298,13 +298,12 @@ class _BoxBounds:
       which the final (1 + I) covers.
     """
 
-    __slots__ = ("sys", "packs", "conj_cols", "cols")
+    __slots__ = ("sys", "conj_cols", "cols")
 
     def __init__(self, sys: ProblemSystem):
         if sys.n > MAX_N:
             raise ValueError(f"n = {sys.n}: box bounds are sound for n <= {MAX_N}")
         self.sys = sys
-        self.packs = sys.packs
         # for each off-diagonal entry H[j, i] of B* B, i != j in order: the
         # columns of a dbar row's enclosures that give the ends of Re and Im
         # of conj(B[r, j]) (Im negated: (-ihi, -ilo)) and of B[r, i]
@@ -315,18 +314,18 @@ class _BoxBounds:
 
     def values(self, lo, hi) -> np.ndarray:
         """Enclosures of the defining functions, shape (boxes, rows, 4)."""
-        return _eval_box_raw(self.packs["value"], lo, hi)
+        return _eval_box_raw(self.sys.pack("value"), lo, hi)
 
     @np.errstate(all="ignore")
     def m_lower(self, lo, hi) -> np.ndarray:
         """Lower bounds of lambda_min(B* B) over the boxes (see _m)."""
-        return self._m(_eval_box_raw(self.packs["dzbar"], lo, hi))
+        return self._m(_eval_box_raw(self.sys.pack("dzbar"), lo, hi))
 
     @np.errstate(all="ignore")
     def L_upper(self, lo, hi) -> np.ndarray:
         """Upper bounds of the numerical radius of every Levi matrix over the
         boxes (see _L)."""
-        return self._L(_eval_box_raw(self.packs["levi"], lo, hi))
+        return self._L(_eval_box_raw(self.sys.pack("levi"), lo, hi))
 
     @np.errstate(all="ignore")
     def residual_upper(self, lo, hi, w_discs=None) -> np.ndarray:
@@ -338,7 +337,7 @@ class _BoxBounds:
     def tube(self, lo, hi, w_discs):
         """(m_lower, L_upper, residual_upper) over the boxes, from one
         evaluation of all the system's polynomials."""
-        enc = _eval_box_raw(self.packs["all"], lo, hi)
+        enc = _eval_box_raw(self.sys.pack("all"), lo, hi)
         rows = self.sys.rows
         dz = rows + rows * self.sys.n
         return (self._m(enc[:, rows:dz]), self._L(enc[:, dz:]),
@@ -510,7 +509,7 @@ def split_scale(sys: ProblemSystem, box: ParamBox) -> tuple[float, ...]:
     choose where boxes are cut, so no proof depends on them.
     """
     dims = 2 * sys.n
-    enc = _eval_box_raw(sys.grad_pack, [box.lo], [box.hi])[0]
+    enc = _eval_box_raw(sys.pack("grad"), [box.lo], [box.hi])[0]
     s = sequential_sum(mag_upper(enc).reshape(dims, sys.rows), axis=1).tolist()
     positive = [x for x in s if x > 0.0]
     if not positive or not all(map(math.isfinite, s)):

@@ -31,8 +31,8 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import expr as ex
-from .realpoly import (PointPack, RealPoly, TermPack, ZPoly, _max, complex_array,
-                       finite_or_overflow, real_coords, sequential_sum)
+from .realpoly import (RealPoly, TermPack, ZPoly, _max, complex_array, finite_or_overflow,
+                       point_values, real_coords, sequential_sum)
 
 GRAPH = "graph"
 SUBMERSION = "submersion"
@@ -83,8 +83,9 @@ class ProblemSystem:
 
     Immutable after construction, and shared: `graph` and `submersion` given
     function texts return one instance per (kind, n, k, texts) from a bounded
-    memo, so no caller may mutate one.  Its lazily built packs are caches of
-    the same bits.
+    memo, so no caller may mutate one.  `pack` lays out each list of
+    `polys` once, on first use, for both point values and box bounds; those
+    packs are caches of the same bits.
     """
 
     def __init__(self, kind: Literal["graph", "submersion"], n: int,
@@ -115,7 +116,7 @@ class ProblemSystem:
         self.k = k
         self.exprs = tuple(ex.normalize(e) for e in exprs)
         self.tables = tuple(_FnTable(e, n) for e in self.exprs)
-        self._point_packs: dict[str, PointPack] = {}
+        self._packs: dict[str, TermPack] = {}
         for idx, t in enumerate(self.tables):
             for name, polys in (("value", [t.value]), ("dz", t.dz), ("dzbar", t.dzbar),
                                 ("Levi", [q for row in t.levi for q in row])):
@@ -142,37 +143,37 @@ class ProblemSystem:
 
     @functools.cached_property
     def polys(self) -> dict[str, list[RealPoly]]:
-        """The tables as flat lists: "value" (one polynomial per row), "dzbar"
-        (rows x n, row-major), "levi" (rows x n x n, row-major) and "all"
-        (those three in that order)."""
+        """The tables as flat lists: "value" (one polynomial per row), "dz"
+        and "dzbar" (rows x n, row-major), "levi" (rows x n x n, row-major),
+        "all" ("value", "dzbar" and "levi" in that order) and "grad" (d
+        value_r / dx_v for each real coordinate v, then each row r)."""
         value = [t.value for t in self.tables]
         dzbar = [p for t in self.tables for p in t.dzbar]
         levi = [q for t in self.tables for row in t.levi for q in row]
-        return {"value": value, "dzbar": dzbar, "levi": levi,
-                "all": value + dzbar + levi}
+        return {"value": value, "dz": [p for t in self.tables for p in t.dz],
+                "dzbar": dzbar, "levi": levi, "all": value + dzbar + levi,
+                "grad": [t.value.diff(v) for v in range(2 * self.n) for t in self.tables]}
+
+    def pack(self, part: str) -> TermPack:
+        """polys[part] laid out as one realpoly.TermPack, built on first use
+        and kept (a system that replay rebuilds lays out only what it reads)."""
+        pack = self._packs.get(part)
+        if pack is None:
+            pack = self._packs[part] = TermPack(self.polys[part])
+        return pack
 
     @functools.cached_property
-    def packs(self) -> dict[str, TermPack]:
-        """Each list of `polys` laid out for batched box bounds (realpoly.TermPack)."""
-        return {name: TermPack(polys) for name, polys in self.polys.items()}
-
-    @functools.cached_property
-    def grad_pack(self) -> TermPack:
-        """d value_r / dx_v for each real coordinate v, then each row r, laid
-        out for batched box bounds (rigor.split_scale)."""
-        return TermPack([t.value.diff(v) for v in range(2 * self.n) for t in self.tables])
-
-    @functools.cached_property
-    def u_levi(self) -> list[list[RealPoly]]:
-        """Levi matrix (2n x 2n) of u(z, w) = sum |w_nu - f_nu(z)|^2 over the
-        2n coordinates (z, w) of a graph system."""
+    def u_levi(self) -> TermPack:
+        """Levi matrix (2n x 2n, row-major) of u(z, w) = sum |w_nu -
+        f_nu(z)|^2 over the 2n coordinates (z, w) of a graph system, as one
+        pack."""
         n = self.n
         u: ex.Expr = ex.Const(0j)
         for nu, f in enumerate(self.exprs):
             resid = ex.Sub(ex.Var(n + nu + 1), f)
             u = ex.Add(u, ex.Mul(resid, ex.Conj(resid)))
         levi = ZPoly.from_expr(ex.normalize(u), 2 * n).derivatives()[2]
-        return [[d.to_real() for d in row] for row in levi]
+        return TermPack([d.to_real() for row in levi for d in row])
 
     def _check_real_valued(self):
         rng = np.random.default_rng(20240901)
@@ -189,14 +190,10 @@ class ProblemSystem:
 
     def evaluate(self, part: str, xs) -> np.ndarray:
         """The polynomials of polys[part] at the rows of xs (real
-        coordinates), shape (points, polynomials): one realpoly.PointPack
-        per part, built on first use (a system that replay rebuilds needs
-        none), with the bits of eval_batch polynomial by polynomial.
-        `split` takes the values of "all" apart."""
-        pack = self._point_packs.get(part)
-        if pack is None:
-            pack = self._point_packs[part] = PointPack(self.polys[part])
-        return pack.eval(xs)
+        coordinates), shape (points, polynomials), from pack(part), with the
+        bits of eval_batch polynomial by polynomial.  `split` takes the
+        values of "all" apart."""
+        return point_values(self.pack(part), xs)
 
     def split(self, table: np.ndarray):
         """(values, dbar-matrices, Levi matrices) from `table`, the values of
@@ -216,7 +213,7 @@ class ProblemSystem:
 
     def dz_matrix(self, z: Sequence[complex]) -> np.ndarray:
         """rows x n matrix of d(function_r)/dz_j at z."""
-        return np.array([[p.eval_point(z) for p in t.dz] for t in self.tables])
+        return self.evaluate("dz", [real_coords(z)])[0].reshape(self.rows, self.n)
 
     def levi_matrix(self, r: int, z: Sequence[complex]) -> np.ndarray:
         return self.tables_at([z])[2][0, r]
@@ -539,16 +536,9 @@ def levi_u_graph(sys: ProblemSystem, z: Sequence[complex], w: Sequence[complex],
     if len(z) != n or len(w) != n or v.shape != (n,) or t.shape != (n,):
         raise ValueError("dimension mismatch: z, w, v, t must all have length n")
 
-    levi_table = sys.u_levi
-    zw = z + w
+    levi = point_values(sys.u_levi, [real_coords(z + w)])[0].reshape(2 * n, 2 * n)
     V = np.concatenate([v, t])
-    direct = 0j
-    for j in range(2 * n):
-        for k in range(2 * n):
-            ljk = levi_table[j][k].eval_point(zw)
-            if ljk != 0:
-                direct += ljk * V[j] * np.conj(V[k])
-    direct = float(direct.real)
+    direct = float((V @ levi @ np.conj(V)).real)
 
     fvals, Dzb, lev = (a[0] for a in sys.tables_at([z]))
     Dz = sys.dz_matrix(z)
@@ -575,19 +565,12 @@ def levi_u_submersion(sys: ProblemSystem, z: Sequence[complex],
     if len(z) != n or v.shape != (n,):
         raise ValueError("dimension mismatch: z and v must have length n")
 
-    direct = 0j
-    for t in sys.tables:
-        rho = t.value.eval_point(z)
-        for j in range(n):
-            dzj = t.dz[j].eval_point(z)
-            for k in range(n):
-                # d2(rho^2)/dz_j dzbar_k = 2 rho * levi_jk + 2 dz_j * dzbar_k
-                ljk = 2.0 * rho * t.levi[j][k].eval_point(z) \
-                    + 2.0 * dzj * t.dzbar[k].eval_point(z)
-                direct += ljk * v[j] * np.conj(v[k])
-    direct = float(direct.real)
-
     rho_vals, A, lev = (a[0] for a in sys.tables_at([z]))
+    # d2(rho_l^2)/dz_j dzbar_k = 2 rho_l levi_l[j, k] + 2 dz_l[j] dzbar_l[k]
+    Dz = sys.dz_matrix(z)
+    hess = 2.0 * (rho_vals[:, None, None] * lev + Dz[:, :, None] * A[:, None, :]).sum(axis=0)
+    direct = float((v @ hess @ np.conj(v)).real)
+
     rho_vals = rho_vals.real
     levi_forms = np.array([(v @ lev[r] @ np.conj(v)).real for r in range(sys.rows)])
     # in the v_j conj(v_k) Levi convention used throughout, the dbar term of

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import Expr, eval_point, max_var_index, normalize
+from .realpoly import TermPack, point_values, real_coords
 from .trgeom import _FnTable
 
 
@@ -38,9 +39,10 @@ def frame(e: Expr, z: Sequence[complex]) -> WirtingerFrame:
     if max_var_index(e) > n:
         raise ValueError(f"expression uses z{max_var_index(e)} but point has n={n}")
     t = _FnTable(normalize(e), n)
-    return WirtingerFrame(t.value.eval_point(z), np.array([d.eval_point(z) for d in t.dz]),
-                          np.array([d.eval_point(z) for d in t.dzbar]),
-                          np.array([[q.eval_point(z) for q in row] for row in t.levi]))
+    pack = TermPack([t.value, *t.dz, *t.dzbar, *(q for row in t.levi for q in row)])
+    vals = point_values(pack, [real_coords(z)])[0]
+    return WirtingerFrame(complex(vals[0]), vals[1:n + 1], vals[n + 1:2 * n + 1],
+                          vals[2 * n + 1:].reshape(n, n))
 
 
 def levi_form(fr: WirtingerFrame, v: Sequence[complex]) -> complex:

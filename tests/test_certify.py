@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import re
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -588,6 +589,31 @@ def test_certificate_with_non_finite_omega_radius_is_refused(wermer_pass_cert, r
     data["omega"]["w"]["radii"] = [radius]  # as sanitize_json writes them
     with pytest.raises(ManifestError, match=re.escape("omega.w.radii[0]")):
         certificate_from_dict(data)
+
+
+@pytest.mark.parametrize("system,omega,field", [
+    ("wermer", OmegaSpec((0j, 0j), (0.35, 0.35), (0j,), (2.0,)), "omega.z"),
+    ("wermer", OmegaSpec((0j,), (0.35,), (0j, 0j), (2.0, 2.0)), "omega.w"),
+    ("wermer", OmegaSpec((0j,), (0.35,)), "omega.w"),
+    ("example2", OmegaSpec((0j, 0j), (1.04, 1.04), (0j, 0j), (1.0, 1.0)), "omega.w"),
+])
+def test_omega_of_the_wrong_disc_count_is_refused_before_any_tree(
+        request, monkeypatch, wermer_pass_cert, system, omega, field):
+    """certify names the omega part that does not fit the system before it
+    grows a tree (it grew the K tree, then raised an unrelated ValueError),
+    and replay of a certificate with such an omega is False."""
+    sys_ = request.getfixturevalue(system)
+    K = (wermer_compact(0.3) if system == "wermer"
+         else CompactSpec.submersion_cap((0j, 0j), (1.0, 1.0)))
+    with pytest.raises(ManifestError, match=re.escape(field)):
+        omega.check_fits(sys_)
+    with monkeypatch.context() as patch:
+        patch.setattr(sys.modules["prc.certify"], "_check_k_in_omega",
+                      lambda *a: pytest.fail("grew the K tree"))
+        with pytest.raises(ManifestError, match=re.escape(field)):
+            certify(sys_, K, omega)
+    if system == "wermer":
+        assert replay_certificate(replace(wermer_pass_cert, omega=omega)) is False
 
 
 def test_manifest_hash_stable(wermer):

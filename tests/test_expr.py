@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_expr, random_parser_expr
-from prc.expr import (Add, Conj, Const, Mul, Neg, ParseError, Pow, Re, Var,
+from prc.expr import (Add, Conj, Const, Im, Mul, Neg, ParseError, Pow, Re, Sub, Var,
                       diff_z, diff_zbar, eval_interval, eval_point,
-                      format_expr, is_normal, normalize, parse)
+                      format_expr, normalize, parse)
 from prc.intervals import ParamBox
 from prc.realpoly import RealPoly, ZPoly
 from prc.certify import WERMER_F
@@ -93,6 +93,21 @@ def test_normalize_re_definition():
     assert e == Mul(Add(Var(1), Var(1, conjugated=True)), Const(0.5 + 0j))
 
 
+def _is_normal(e) -> bool:
+    """No Re or Im node, and conj only on variables (as Var.conjugated)."""
+    if isinstance(e, (Const, Var)):
+        return True
+    if isinstance(e, (Conj, Re, Im)):
+        return False
+    if isinstance(e, Neg):
+        return _is_normal(e.operand)
+    if isinstance(e, (Add, Sub, Mul)):
+        return _is_normal(e.left) and _is_normal(e.right)
+    if isinstance(e, Pow):
+        return _is_normal(e.base)
+    raise TypeError(f"not an Expr node: {e!r}")
+
+
 def test_normalize_conj_involution():
     assert normalize(Conj(Conj(Var(1)))) == Var(1)
 
@@ -102,7 +117,7 @@ def test_normalize_idempotent_and_preserves_eval():
     for _ in range(60):
         e = random_expr(rng, 2)
         ne = normalize(e)
-        assert is_normal(ne)
+        assert _is_normal(ne)
         assert normalize(ne) == ne
         for _ in range(16):
             z = rng.standard_normal(2) + 1j * rng.standard_normal(2)

@@ -63,6 +63,10 @@ def test_sample_degenerate_point(wermer):
 def test_sample_rejects_tiny_density(wermer):
     with pytest.raises(ValueError):
         sample_compact(wermer, wermer_compact(0.5), density=1)
+    # a float or a bool density is refused by name, as probe's degree is
+    for density in (3.0, True):
+        with pytest.raises(ValueError, match="density must be an integer"):
+            sample_compact(wermer, wermer_compact(0.5), density=density)
 
 
 def test_sample_submersion_projection_failure():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from prc.realpoly import PointPack, RealPoly, ZPoly
+from prc.realpoly import RealPoly, TermPack, ZPoly, point_values
 
 U = Fraction(1, 2 ** 53)
 
@@ -126,5 +126,5 @@ def test_equal_polys_evaluate_to_the_same_bits_whatever_their_insertion_order():
     xs = [[1e-16, -1.0], [0.3, -0.7]]
     assert repr(p.eval_batch(xs).tolist()) == repr(q.eval_batch(xs).tolist())
     assert repr(p.eval_point([1e-16 - 1j])) == repr(q.eval_point([1e-16 - 1j]))
-    both = PointPack([p, q]).eval(xs)
+    both = point_values(TermPack([p, q]), xs)
     assert repr(both[:, 0].tolist()) == repr(both[:, 1].tolist())

@@ -518,23 +518,32 @@ def test_subdivide_builds_one_node_and_children_view_the_levels(monkeypatch):
 
 
 def test_rounding_guard_caps_term_count():
+    """Box enclosures refuse more than MAX_TERMS terms; point values, which
+    carry no rounding argument, still evaluate such a polynomial."""
+    box = ParamBox(1, (0.0, 0.0), (0.5, 0.5))
     ok = RealPoly(1, {(e, 0): 1.0 + 0j for e in range(MAX_TERMS)})
-    assert ok.pack().size == MAX_TERMS
+    assert TermPack((ok,)).size == MAX_TERMS
+    ok.eval_box(box)
     big = RealPoly(1, {(e, 0): 1.0 + 0j for e in range(MAX_TERMS + 1)})
-    with pytest.raises(ValueError):
-        big.pack()
-    with pytest.raises(ValueError):
-        big.eval_box(ParamBox(1, (0.0, 0.0), (0.5, 0.5)))
+    with pytest.raises(ValueError, match="terms"):
+        _eval_box_raw(TermPack((big,)), [box.lo], [box.hi])
+    with pytest.raises(ValueError, match="terms"):
+        big.eval_box(box)
+    # 1 + x + ... + x^4095 at x = 0 and x = -1, both exact
+    assert big.eval_batch([[0.0, 0.0], [-1.0, 0.0]]).tolist() == [1 + 0j, 0j]
 
 
 def test_rounding_guard_caps_degree():
+    box = ParamBox(1, (0.0, 0.0), (0.5, 0.5))
     ok = RealPoly(1, {(MAX_DEGREE, 0): 1.0 + 0j, (0, 1): 1.0 + 0j})
-    assert ok.pack().max_degree == MAX_DEGREE
+    assert TermPack((ok,)).max_degree == MAX_DEGREE
+    ok.eval_box(box)
     big = RealPoly(1, {(MAX_DEGREE - 1, 2): 1.0 + 0j})
-    with pytest.raises(ValueError):
-        big.pack()
-    with pytest.raises(ValueError):
-        TermPack([ok, big])
+    with pytest.raises(ValueError, match="degree"):
+        big.eval_box(box)
+    with pytest.raises(ValueError, match="degree"):
+        _eval_box_raw(TermPack([ok, big]), [box.lo], [box.hi])
+    assert big.eval_batch([[1.0, -1.0]]).tolist() == [1 + 0j]
 
 
 def _exact_power_range(lo, hi, k):
@@ -683,7 +692,7 @@ def _scalar_enclosure(p, lo, hi):
 
 
 def _all_polys(sys_):
-    """The polynomials of sys_.packs["all"], in its order."""
+    """The polynomials of sys_.pack("all"), in its order."""
     return ([t.value for t in sys_.tables] + [p for t in sys_.tables for p in t.dzbar]
             + [q for t in sys_.tables for row in t.levi for q in row])
 
@@ -707,7 +716,7 @@ def test_batched_enclosures_match_one_box_reference():
         sys_ = random_system(rng)
         polys = _all_polys(sys_)
         lo, hi = _random_boxes(rng, 2 * sys_.n, 15)
-        enc = _eval_box_raw(sys_.packs["all"], lo, hi)
+        enc = _eval_box_raw(sys_.pack("all"), lo, hi)
         for b in range(len(lo)):
             for p, got in zip(polys, enc[b].tolist()):
                 assert tuple(got) == _scalar_enclosure(p, lo[b].tolist(), hi[b].tolist())
@@ -758,7 +767,7 @@ def test_enclosures_contain_exact_values(wermer, graph_n2, example2):
         dims = 2 * sys_.n
         lo = rng.integers(-80, 48, (8, dims)) / 64
         hi = lo + rng.integers(0, 24, (8, dims)) / 64
-        enc = _eval_box_raw(sys_.packs["all"], lo, hi)
+        enc = _eval_box_raw(sys_.pack("all"), lo, hi)
         for b in range(len(lo)):
             box = [(Fraction(a), Fraction(c)) for a, c in zip(lo[b].tolist(), hi[b].tolist())]
             points = list(itertools.product(*box))
@@ -897,7 +906,7 @@ def _gershgorin_frobenius(sys_, lo, hi):
     kernel took before the 2x2 closed forms, bit for bit.  Magnitudes are
     abs(complex(x, y)), the C library's hypot, as np.hypot is."""
     n, I = sys_.n, INFLATION
-    dz = _eval_box_raw(sys_.packs["dzbar"], [lo], [hi])[0].tolist()
+    dz = _eval_box_raw(sys_.pack("dzbar"), [lo], [hi])[0].tolist()
     B = [dz[r * n:(r + 1) * n] for r in range(sys_.rows)]
 
     def mig(a, b):
@@ -930,7 +939,7 @@ def _gershgorin_frobenius(sys_, lo, hi):
                 hi_hi += p[1] + q[1]
             off += abs(complex(max(abs(hr_lo), abs(hr_hi)), max(abs(hi_lo), abs(hi_hi))))
         m = min(m, diag - off * (1.0 + 4.0 * I) if n > 1 else diag)
-    levi = _eval_box_raw(sys_.packs["levi"], [lo], [hi])[0].tolist()
+    levi = _eval_box_raw(sys_.pack("levi"), [lo], [hi])[0].tolist()
     L = 0.0
     for r in range(sys_.rows):
         fro2 = 0.0

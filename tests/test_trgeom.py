@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_system, wermer_L_closed, wermer_m_closed
 from prc import ProblemSystem, trgeom
-from prc.certify import ManifestError, load_manifest
+from prc.certify import WERMER_F, ManifestError, certify, load_manifest, wermer_compact
 from prc.expr import Const, Mul, parse
 from prc.trgeom import (DegenerateSystemError, bbar_matrix, big_l_value,
                         is_totally_real_graph, is_totally_real_submersion,
@@ -190,18 +190,32 @@ _GRAPH_N2 = ["conj(z1) + 0.1*z2*conj(z2) - 0.2*z1^2*conj(z2)",
 
 @pytest.mark.parametrize("system", ["wermer", "graph_n2", "holomorphic"])
 def test_evaluate_matches_stacked_eval_batch(wermer, system):
-    """One PointPack per part gives the bits of one pack per polynomial."""
+    """One TermPack per part, sys_.pack(part), gives the point values of one
+    pack per polynomial, bit for bit, for every part ("dz" and "grad" too)."""
     sys_ = {"wermer": wermer, "graph_n2": ProblemSystem.graph(_GRAPH_N2, 2),
             "holomorphic": ProblemSystem.graph(["z1^2", "z1*z2"], 2)}[system]
     rng = np.random.default_rng(17)
     xs = rng.uniform(-1.5, 1.5, (21, 2 * sys_.n))
     xs[::4] = 0.0  # zero coordinates, where a -0.0 could show
     xs[1::4, 0] = -0.0
+    assert set(sys_.polys) == {"value", "dz", "dzbar", "levi", "all", "grad"}
     for part, polys in sys_.polys.items():
         got = sys_.evaluate(part, xs)
         want = np.stack([p.eval_batch(xs) for p in polys], axis=1)
         assert got.shape == want.shape == (len(xs), len(polys))
         assert got.tobytes() == want.tobytes(), part
+
+
+def test_each_part_is_laid_out_once_and_only_when_read():
+    """A system keeps one pack per part, and a Wermer r = 0.3 certify lays
+    out only the parts it reads: the values (K in omega), all tables (the
+    tube) and the value gradients (its split scale)."""
+    sys_ = ProblemSystem(trgeom.GRAPH, 1, [parse(WERMER_F, 1)])
+    assert sys_.pack("all") is sys_.pack("all")
+    sys_ = ProblemSystem(trgeom.GRAPH, 1, [parse(WERMER_F, 1)])
+    assert certify(sys_, wermer_compact(0.3), max_depth=30,
+                   node_budget=400_000).verdict == "PASS"
+    assert sorted(sys_._packs) == ["all", "grad", "value"]
 
 
 def test_totally_real_wermer(wermer):
