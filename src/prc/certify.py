@@ -428,14 +428,11 @@ def certify(sys: ProblemSystem, K: CompactSpec, omega: OmegaSpec | None = None,
 
 
 def _leaf_dicts(leaves: Leaves) -> list[dict]:
-    """Each tube leaf as a certificate lists it: box, status and depth, and
-    its bounds unless it is an OUTSIDE leaf."""
-    keys = ("m_lower", "L_upper", "residual_upper")
-    return [{"box": box, "status": status, "depth": depth,
-             **({} if status == "OUTSIDE" else dict(zip(keys, values)))}
-            for box, status, depth, values in zip(
-                np.stack([leaves.lo, leaves.hi], axis=-1).tolist(), leaves.statuses(),
-                leaves.depth.tolist(), leaves.values.tolist())]
+    """Each tube leaf as a certificate lists it, depth first: its status
+    (PROVED or OUTSIDE in a PASS) and depth.  Those are the tree's shape,
+    from which replay derives every box and bound."""
+    return [{"status": status, "depth": depth}
+            for status, depth in zip(leaves.statuses(), leaves.depth.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -648,10 +645,11 @@ def omega_from_json(data: dict, kind: str, n: int) -> OmegaSpec:
 
 
 # /2: z-only tube leaves; /3: adds the tube tree's split scale; /4: drops the
-# totally-real check
-CERTIFICATE_FORMAT = "prc-certificate/4"
+# totally-real check; /5: a tube leaf is its status and depth, with no box or bounds
+CERTIFICATE_FORMAT = "prc-certificate/5"
 # formats certificate_from_dict reads: a /2 tube tree was bisected by unit weights
-READABLE_FORMATS = ("prc-certificate/2", "prc-certificate/3", CERTIFICATE_FORMAT)
+READABLE_FORMATS = ("prc-certificate/2", "prc-certificate/3", "prc-certificate/4",
+                    CERTIFICATE_FORMAT)
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
@@ -711,14 +709,16 @@ def replay_certificate(cert: Certificate) -> bool:
 
     Recomputes the problem hash, re-runs K in omega, and re-derives the tube
     tree from the z-box of omega with rigor.subdivide (see _replay_tree): the
-    derived leaves must be the recorded ones, in order, none deeper than
-    max_depth, and each PROVED leaf's bounds are recomputed.  The tube tree is
-    bisected by its recorded split_scale (unit weights when there is none, as
-    in a /2 file), which must be 2n finite positive floats; it only decides
-    where boxes are cut, so it needs no check of its own.  The totally_real
-    section of a /2 or /3 file is ignored: each PROVED tube leaf has a
-    positive lower bound of m, so the tube tree proves M totally real on
-    omega.  Malformed content replays False.
+    recorded leaves, each a status and a depth in depth-first order, give the
+    tree's shape, every box is derived, a box a leaf records (every leaf of
+    a /2-/4 file) must be the derived one, and each PROVED box's bounds are
+    recomputed.  The tube tree is bisected by its recorded split_scale (unit
+    weights when there is none, as in a /2 file), which must be 2n finite
+    positive floats; it only decides where boxes are cut, so it needs no
+    check of its own.  The totally_real section of a /2 or /3 file is
+    ignored: each PROVED tube leaf has a positive lower bound of m, so the
+    tube tree proves M totally real on omega.  Malformed content replays
+    False.
     """
     if cert.verdict != "PASS":
         raise ValueError("only PASS certificates replay")
@@ -749,43 +749,73 @@ def _replay(cert: Certificate) -> bool:
     return _replay_tree(sys_, tube["leaves"], omega, opts, tuple(scale))
 
 
+def _tree_shape(leaves: list[dict], max_depth: int) -> list[np.ndarray] | None:
+    """The tree whose leaves, depth first, are `leaves`: for each level, a
+    code per node in the row order of subdivide's level, INCONCLUSIVE_CODE
+    for a split node, PROVED_CODE for a PROVED leaf and -1 for an OUTSIDE
+    leaf.  None unless every depth is an int of at most max_depth, every
+    status PROVED or OUTSIDE, and the depths those of a full binary tree."""
+    kinds = {PROVED: PROVED_CODE, "OUTSIDE": -1}
+    levels = {}  # depth: the codes of its nodes
+    pending = [0]  # the depths of the nodes still to place, the next one last
+    for leaf in leaves:
+        depth, kind = leaf["depth"], kinds.get(leaf["status"])
+        if type(depth) is not int or depth > max_depth or kind is None or not pending:
+            return None
+        node = pending.pop()
+        if depth < node:
+            return None
+        for d in range(node, depth):  # split down to the leaf; each right half waits
+            levels.setdefault(d, []).append(INCONCLUSIVE_CODE)
+            pending.append(d + 1)
+        levels.setdefault(depth, []).append(kind)
+    return None if pending else [np.array(levels[d], dtype=np.int8) for d in range(len(levels))]
+
+
 def _replay_tree(sys: ProblemSystem, leaves: list[dict], omega: OmegaSpec, opts: dict,
                  scale: tuple[float, ...]) -> bool:
-    """Re-derive the tube tree with rigor.subdivide and match the recorded leaves.
+    """Re-derive the tube tree with rigor.subdivide from the shape the
+    recorded leaves give, and re-check it.
 
-    The tree is grown from the z-box of omega as certify grew it, with the
-    same clip, split coordinates and child order, but its check computes
-    nothing: a box is PROVED when a recorded PROVED leaf has it and
-    INCONCLUSIVE, so bisected, otherwise.  The node budget is 2L - 1, the node count of a
-    binary tree with L leaves, so a tampered list grows no more nodes than it
-    records.  The derived Leaves must equal the recorded ones in order:
-    status (OUTSIDE or PROVED), integer depth and the box's numbers, compared
-    as arrays.  rigor.check_leaves then re-runs the tube test on all the
-    PROVED boxes in one batch.
+    1. _tree_shape decodes the leaves' depths into the tree's levels; a list
+       that is no tree replays False before any node grows.
+    2. The tree is grown from the z-box of omega as certify grew it, with the
+       same clip, split coordinates and child order, but its check computes
+       nothing: it proves exactly the shape's leaves and splits its other
+       nodes.  A level where the clip keeps a different number of rows than
+       the shape has nodes other than OUTSIDE leaves FAILs the tree.
+    3. The derived leaves' statuses and depths must be the recorded ones.
+    4. A leaf that records a box (each leaf of a /2-/4 file) must have the
+       derived box, compared as arrays.
+    5. rigor.check_leaves re-runs the tube test on all the derived PROVED
+       boxes in one batch.
     """
-    root, region = omega.z_box(sys.n), omega.region()
-    status = [leaf["status"] for leaf in leaves]
-    depth = [leaf["depth"] for leaf in leaves]
-    # each box is 2n [lo, hi] pairs of numbers, as np.stack([lo, hi], axis=-1) gives
-    boxes = np.array([leaf["box"] for leaf in leaves])
-    if (not all(type(d) is int for d in depth) or boxes.dtype.kind not in "biuf"
-            or boxes.shape != (len(leaves), root.dim, 2)):
+    shape = _tree_shape(leaves, opts["max_depth"])
+    if shape is None:
         return False
-    proved = {tuple(box) for s, box in zip(status, boxes.reshape(len(leaves), -1).tolist())
-              if s == PROVED}
+    rows = iter(shape)
 
     def evaluate(lo, hi):
-        found = [tuple(box) in proved
-                 for box in np.stack([lo, hi], axis=-1).reshape(len(lo), -1).tolist()]
-        return np.where(found, PROVED_CODE, INCONCLUSIVE_CODE).astype(np.int8), None, None
+        codes = next(rows)
+        codes = codes[codes >= 0]  # OUTSIDE leaves never reach the check
+        if len(codes) != len(lo):
+            return np.full(len(lo), FAILED_CODE, dtype=np.int8), None, None
+        return codes, None, None
 
-    tree = rigor.subdivide(root, evaluate, opts["max_depth"], 2 * len(leaves) - 1, region,
-                           "replayed tube", scale)
+    region = omega.region()
+    tree = rigor.subdivide(omega.z_box(sys.n), evaluate, opts["max_depth"],
+                           sum(map(len, shape)), region, "replayed tube", scale)
     derived = tree.leaves
-    if (tree.status != PROVED or status != derived.statuses()
-            or not np.array_equal(depth, derived.depth)
-            or not np.array_equal(boxes, np.stack([derived.lo, derived.hi], axis=-1))):
+    if (tree.status != PROVED or [leaf["status"] for leaf in leaves] != derived.statuses()
+            or [leaf["depth"] for leaf in leaves] != derived.depth.tolist()):
         return False
+    boxed = [i for i, leaf in enumerate(leaves) if "box" in leaf]
+    if boxed:
+        # each box is 2n [lo, hi] pairs of numbers, as np.stack([lo, hi], axis=-1) gives
+        boxes = np.array([leaves[i]["box"] for i in boxed])
+        if boxes.dtype.kind not in "biuf" or not np.array_equal(
+                boxes, np.stack([derived.lo[boxed], derived.hi[boxed]], axis=-1)):
+            return False
     inside = ~derived.outside
     return bool(rigor.check_leaves(sys, derived.lo[inside], derived.hi[inside],
                                    opts["margin"], region).all())

@@ -7,6 +7,7 @@ import re
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from prc.certify import (CompactSpec, DiscRegion, BoxRegion, ManifestError,
                          reproduce_example, sanitize_json, suggest_omega,
                          wermer_compact, wermer_system, WERMER_F)
 from prc.hullprobe import sample_compact
+from prc.rigor import Region, verify_box
 from prc.trgeom import tube_radius
 
 
@@ -65,6 +67,29 @@ def test_suggest_omega_rejects_nonpositive_inflation(wermer):
 def wermer_pass_cert():
     return certify(wermer_system(), wermer_compact(0.3), max_depth=30,
                    node_budget=400_000)
+
+
+def _tube_leaves(sys_, cert):
+    """The rigor.Leaves of the certificate's tube tree, grown again from its
+    omega and options as certify and replay grow it; their statuses and
+    depths are the ones the certificate records."""
+    opts = cert.options
+    leaves = verify_box(sys_, cert.omega.z_box(sys_.n), max_depth=opts["max_depth"],
+                        margin=opts["margin"], region=cert.omega.region(),
+                        node_budget=opts["node_budget"]).leaves
+    recorded = cert.checks["omega_in_tube"]["leaves"]
+    assert leaves.statuses() == [leaf["status"] for leaf in recorded]
+    assert leaves.depth.tolist() == [leaf["depth"] for leaf in recorded]
+    return leaves
+
+
+def _derived_boxes(data):
+    """Each tube leaf's box as replay derives it for the certificate `data`:
+    2n [lo, hi] pairs, the layout of a /2-/4 leaf's "box"."""
+    cert = certificate_from_dict(data)
+    sys_, _, _, _ = load_manifest(dict(cert.problem, options=None))
+    leaves = _tube_leaves(sys_, cert)
+    return np.stack([leaves.lo, leaves.hi], axis=-1).tolist()
 
 
 def test_certify_wermer_03_passes(wermer_pass_cert):
@@ -136,18 +161,20 @@ def test_certificate_json_roundtrip(wermer_pass_cert):
 
 
 def test_non_finite_leaf_bounds_written_as_strings_and_read_back(wermer_pass_cert):
+    """A /5 leaf keeps no bounds; the tube report aggregates them over the
+    leaves, and its m_lower is inf when every leaf is OUTSIDE."""
     checks = copy.deepcopy(wermer_pass_cert.checks)
     bounds = [math.inf, -math.inf, math.nan]
-    leaf = checks["omega_in_tube"]["leaves"][0]
-    leaf["m_lower"], leaf["L_upper"], leaf["residual_upper"] = bounds
+    report = checks["omega_in_tube"]["report"]
+    report["m_lower"], report["L_upper"], report["residual_upper"] = bounds
     text = dumps_json(certificate_to_dict(replace(wermer_pass_cert, checks=checks)))
-    written = json.loads(text)["checks"]["omega_in_tube"]["leaves"][0]
-    assert [written[k] for k in ("m_lower", "L_upper", "residual_upper")] == \
+    written = json.loads(text)["checks"]["omega_in_tube"]
+    assert [written["report"][k] for k in ("m_lower", "L_upper", "residual_upper")] == \
         ["inf", "-inf", "nan"]
-    back = certificate_from_dict(json.loads(text)).checks["omega_in_tube"]["leaves"][0]
-    assert back["m_lower"] == math.inf and back["L_upper"] == -math.inf
-    assert math.isnan(back["residual_upper"])
-    assert back["box"] == leaf["box"]
+    back = certificate_from_dict(json.loads(text)).checks["omega_in_tube"]
+    assert back["report"]["m_lower"] == math.inf and back["report"]["L_upper"] == -math.inf
+    assert math.isnan(back["report"]["residual_upper"])
+    assert back["leaves"] == checks["omega_in_tube"]["leaves"]
 
 
 def test_sanitize_json_walks_tuples_and_numpy_floats():
@@ -169,11 +196,12 @@ def test_replay_rejects_non_pass(wermer):
         replay_certificate(cert)
 
 
-def test_wermer_03_tube_leaf_count(wermer_pass_cert):
+def test_wermer_03_tube_leaf_count(wermer, wermer_pass_cert):
     """The z-only tube tree stays small: w is not bisected."""
     leaves = wermer_pass_cert.checks["omega_in_tube"]["leaves"]
     assert len(leaves) <= 1000
-    assert all(len(leaf["box"]) == 2 for leaf in leaves)  # z coordinates only
+    assert all(set(leaf) == {"status", "depth"} for leaf in leaves)
+    assert _tube_leaves(wermer, wermer_pass_cert).lo.shape == (len(leaves), 2)  # z only
 
 
 def test_proved_z_leaves_hold_on_samples(wermer, wermer_pass_cert):
@@ -182,10 +210,10 @@ def test_proved_z_leaves_hold_on_samples(wermer, wermer_pass_cert):
     rng = np.random.default_rng(41)
     om = wermer_pass_cert.omega
     wc, wr = om.w_center[0], om.w_radii[0]
-    leaves = [leaf for leaf in wermer_pass_cert.checks["omega_in_tube"]["leaves"]
-              if leaf["status"] == "PROVED"]
-    for leaf in leaves[::10]:
-        (xlo, xhi), (ylo, yhi) = leaf["box"]
+    leaves = _tube_leaves(wermer, wermer_pass_cert)
+    proved = np.flatnonzero(~leaves.outside)
+    for i in proved[::10]:
+        (xlo, ylo), (xhi, yhi) = leaves.lo[i], leaves.hi[i]
         for _ in range(200):
             z = complex(rng.uniform(xlo, xhi), rng.uniform(ylo, yhi))
             w = wc + cmath.rect(wr * math.sqrt(rng.random()) * (1 - 1e-12),
@@ -319,7 +347,10 @@ def _text_depth(data):
 
 
 def _move_leaf_box(data):
-    data["checks"]["omega_in_tube"]["leaves"][5]["box"][0][0] += 1e-9
+    # a /5 leaf records no box; one it is given must be the derived one
+    box = _derived_boxes(data)[5]
+    box[0][0] += 1e-9
+    data["checks"]["omega_in_tube"]["leaves"][5]["box"] = box
 
 
 def _widen_w_disc(data):
@@ -390,15 +421,152 @@ def test_replay_rederives_the_recorded_trees(wermer_pass_cert, caplog):
 
 
 def test_replay_grows_no_more_nodes_than_recorded(wermer_pass_cert, caplog):
-    """A tube tree cut to one leaf, under a node budget of 10^9: replay grows
-    at most 2L - 1 nodes, the node count of a binary tree with L leaves."""
+    """A tube tree cut to one leaf, under a node budget of 10^9: its depths
+    are no tree's, so replay grows no node at all."""
     data = _pass_dict(wermer_pass_cert)
     data["options"]["node_budget"] = 10 ** 9
     tube = data["checks"]["omega_in_tube"]
     tube["leaves"] = tube["leaves"][:1]
     ok, trees = _replayed_trees(caplog, data)
     assert ok is False
-    assert trees["tube"][1] <= 2 * len(tube["leaves"]) - 1
+    assert trees == {}
+
+
+def _drop_first(data):
+    del data["checks"]["omega_in_tube"]["leaves"][0]
+
+
+def _drop_middle(data):
+    leaves = data["checks"]["omega_in_tube"]["leaves"]
+    del leaves[len(leaves) // 2]
+
+
+def _duplicate_last(data):
+    leaves = data["checks"]["omega_in_tube"]["leaves"]
+    leaves.append(dict(leaves[-1]))
+
+
+def _duplicate_first(data):
+    leaves = data["checks"]["omega_in_tube"]["leaves"]
+    leaves.insert(0, dict(leaves[0]))
+
+
+def _lower_leaf(data):
+    data["checks"]["omega_in_tube"]["leaves"][0]["depth"] += 1
+
+
+def _float_depth(data):
+    data["checks"]["omega_in_tube"]["leaves"][0]["depth"] = 9.0
+
+
+def _deepest_leaf_below_max_depth(data):
+    # the tree is 12 deep
+    data["options"]["max_depth"] = 11
+
+
+@pytest.mark.parametrize("tamper", [
+    _drop_first, _drop_middle, _duplicate_last, _duplicate_first, _swap_leaves, _raise_leaf,
+    _lower_leaf, _float_depth, _text_depth, _deepest_leaf_below_max_depth])
+def test_replay_grows_no_node_from_depths_that_are_no_tree(wermer_pass_cert, caplog, tamper):
+    """The depths are decoded into the tree's shape before any node grows: a
+    list that is no full binary tree's, or a depth that is no integer in
+    [0, max_depth], replays False with no replayed tree."""
+    data = _pass_dict(wermer_pass_cert)
+    depths = [leaf["depth"] for leaf in data["checks"]["omega_in_tube"]["leaves"]]
+    assert depths[:3] == [9, 9, 10] and max(depths) == 12
+    tamper(data)
+    ok, trees = _replayed_trees(caplog, data)
+    assert ok is False
+    assert trees == {}
+
+
+def _sibling_pairs(leaves):
+    """The indices i whose leaves i and i + 1 are the two halves of one box:
+    equal depths, the first at the start of its parent."""
+    pairs, start = [], Fraction(0)  # each leaf's place in [0, 1), depth first
+    for i, leaf in enumerate(leaves):
+        width = Fraction(1, 2 ** leaf["depth"])
+        if (i + 1 < len(leaves) and leaves[i + 1]["depth"] == leaf["depth"] > 0
+                and start % (2 * width) == 0):
+            pairs.append(i)
+        start += width
+    return pairs
+
+
+def test_replay_rejects_two_proved_halves_merged_into_their_parent(wermer_pass_cert, caplog):
+    """The merged list is a tree's, and replay grows it, but the parent box
+    is one certify split because it did not prove: rigor.check_leaves fails
+    on it."""
+    data = _pass_dict(wermer_pass_cert)
+    leaves = data["checks"]["omega_in_tube"]["leaves"]
+    pairs = _sibling_pairs(leaves)
+    assert pairs[0] == 0 and len(pairs) > 10
+    for i in (pairs[0], pairs[len(pairs) // 2]):
+        merged = copy.deepcopy(data)
+        tube = merged["checks"]["omega_in_tube"]
+        assert tube["leaves"][i]["status"] == tube["leaves"][i + 1]["status"] == "PROVED"
+        tube["leaves"][i:i + 2] = [{"status": "PROVED", "depth": leaves[i]["depth"] - 1}]
+        caplog.clear()
+        ok, trees = _replayed_trees(caplog, merged)
+        assert ok is False
+        assert trees == {"tube": ("PROVED", 657, 329)}
+
+
+@pytest.mark.parametrize("status", ["OUTSIDE", "INCONCLUSIVE", "FAILED", "proved", None])
+def test_replay_rejects_a_proved_leaf_relabelled(wermer_pass_cert, status):
+    """A PROVED leaf marked OUTSIDE leaves its level one row short of the
+    rows the clip keeps; a PASS has no leaf of any other status."""
+    data = _pass_dict(wermer_pass_cert)
+    data["checks"]["omega_in_tube"]["leaves"][7]["status"] = status
+    assert _replays(data) is False
+
+
+def test_replay_checks_outside_leaves_against_the_clip(wermer, monkeypatch):
+    """Under a clip that empties the boxes with Re z >= 0.2 (the real clip
+    never empties a half of a clipped box), certify records OUTSIDE leaves,
+    and replay rejects any of them marked PROVED, any PROVED one marked
+    OUTSIDE, or the two swapped."""
+    clip = Region.clip
+
+    def clip_right(self, lo, hi):
+        clo, chi, inside = clip(self, lo, hi)
+        return clo, chi, inside & ~(np.asarray(lo)[:, 0] >= 0.2)
+
+    monkeypatch.setattr(Region, "clip", clip_right)
+    data = _pass_dict(certify(wermer, wermer_compact(0.3), max_depth=30))
+    leaves = data["checks"]["omega_in_tube"]["leaves"]
+    statuses = [leaf["status"] for leaf in leaves]
+    assert 0 < statuses.count("OUTSIDE") < len(leaves)
+    assert _replays(data)
+    for old, new in (("OUTSIDE", "PROVED"), ("PROVED", "OUTSIDE")):
+        flipped = copy.deepcopy(data)
+        flipped["checks"]["omega_in_tube"]["leaves"][statuses.index(old)]["status"] = new
+        assert _replays(flipped) is False
+    # consecutive OUTSIDE and PROVED leaves of one depth, neighbours in their
+    # level too, trade statuses: replay grows the true tree, so only the
+    # derived statuses tell
+    i = next(i for i in range(len(leaves) - 1) if leaves[i]["depth"] == leaves[i + 1]["depth"]
+             and {statuses[i], statuses[i + 1]} == {"OUTSIDE", "PROVED"})
+    leaves[i]["status"], leaves[i + 1]["status"] = statuses[i + 1], statuses[i]
+    assert _replays(data) is False
+
+
+def test_a_format_5_leaf_may_carry_its_derived_box_and_no_other(wermer_pass_cert):
+    data = _pass_dict(wermer_pass_cert)
+    boxes = _derived_boxes(data)
+    for leaf, box in zip(data["checks"]["omega_in_tube"]["leaves"], boxes):
+        leaf["box"] = box
+    assert _replays(data)
+    data["checks"]["omega_in_tube"]["leaves"][0]["box"] = [[-5.0, 5.0]] * 2
+    assert _replays(data) is False
+    for i in (0, 100, -1):
+        for wrong in (np.nextafter(boxes[i][1][1], math.inf), "0.1", None):
+            box = copy.deepcopy(boxes[i])
+            box[1][1] = wrong
+            for box in (box, boxes[i][:1]):
+                tampered = _pass_dict(wermer_pass_cert)
+                tampered["checks"]["omega_in_tube"]["leaves"][i]["box"] = box
+                assert _replays(tampered) is False
 
 
 def test_replay_rejects_inconclusive_leaf_at_max_depth(wermer_pass_cert):
@@ -416,16 +584,16 @@ def test_replay_rejects_inconclusive_leaf_at_max_depth(wermer_pass_cert):
 
 def test_certificate_format_1_rejected(wermer_pass_cert):
     data = _pass_dict(wermer_pass_cert)
-    assert data["format"] == "prc-certificate/4"
+    assert data["format"] == "prc-certificate/5"
     data["format"] = "prc-certificate/1"
     with pytest.raises(ValueError):
         certificate_from_dict(data)
 
 
-def test_certificate_format_5_rejected(wermer_pass_cert):
+def test_certificate_format_6_rejected(wermer_pass_cert):
     data = _pass_dict(wermer_pass_cert)
-    data["format"] = "prc-certificate/5"
-    with pytest.raises(ValueError, match="prc-certificate/5"):
+    data["format"] = "prc-certificate/6"
+    with pytest.raises(ValueError, match="prc-certificate/6"):
         certificate_from_dict(data)
 
 
@@ -700,7 +868,7 @@ def _replays(data):
 
 def test_cap_certificate_records_its_split_scale(cap_pass_dict):
     data = json.loads(json.dumps(cap_pass_dict))
-    assert data["format"] == "prc-certificate/4"
+    assert data["format"] == "prc-certificate/5"
     sx1, sy1, sx2, sy2 = data["checks"]["omega_in_tube"]["split_scale"]
     # Im z_l enters rho_l with slope 1, Re z with slope 0.05 * (2x + 3x^2)
     assert sy1 == sy2 and 1.0 <= sy1 < 1.0 + 1e-11 and sx1 == sx2 < 0.5
@@ -768,10 +936,51 @@ def test_certificate_written_before_product_chain_powers_replays():
     assert len(leaves) == 330
     assert replay_certificate(certificate_from_dict(data))
     sys_, K, _, _ = load_manifest(dict(data["problem"], options=None))
-    fresh = _pass_dict(certify(sys_, K, max_depth=30, node_budget=150_000))
-    fresh = fresh["checks"]["omega_in_tube"]["leaves"]
-    assert [leaf["box"] for leaf in fresh] == [leaf["box"] for leaf in leaves]
-    assert fresh != leaves
+    fresh = certify(sys_, K, max_depth=30, node_budget=150_000)
+    assert [(leaf["status"], leaf["depth"]) for leaf in _pass_dict(fresh)["checks"][
+        "omega_in_tube"]["leaves"]] == [(leaf["status"], leaf["depth"]) for leaf in leaves]
+    derived = _tube_leaves(sys_, fresh)
+    assert np.stack([derived.lo, derived.hi], axis=-1).tolist() == \
+        [leaf["box"] for leaf in leaves]
+    recorded = [[leaf[k] for k in ("m_lower", "L_upper", "residual_upper")] for leaf in leaves]
+    assert derived.values.tolist() != recorded
+
+
+FORMAT_4_FILE = Path(__file__).parent / "data" / "cap_r1.2.cert.json"
+
+
+def test_format_4_certificate_replays():
+    """A prc-certificate/4 file of cap r=1.2 (inputs.cap_manifest(1.2)),
+    written by `prc certify` before leaves lost their boxes and bounds: its
+    tree is today's, and each recorded box is checked against the derived
+    one."""
+    data = json.loads(FORMAT_4_FILE.read_text())
+    assert data["format"] == "prc-certificate/4"
+    leaves = data["checks"]["omega_in_tube"]["leaves"]
+    assert len(leaves) == 71 and all("box" in leaf and "m_lower" in leaf for leaf in leaves)
+    assert _replays(data)
+    sys_, K, omega, opts = load_manifest(dict(data["problem"], options=data["options"]))
+    fresh = _pass_dict(certify(sys_, K, omega, **opts))
+    assert fresh["checks"]["omega_in_tube"]["leaves"] == \
+        [{"status": leaf["status"], "depth": leaf["depth"]} for leaf in leaves]
+
+
+@pytest.mark.parametrize("leaf, side", [(0, 0), (35, 3), (70, 1)])
+def test_format_4_leaf_box_moved_by_1e_9_replays_false(leaf, side):
+    data = json.loads(FORMAT_4_FILE.read_text())
+    data["checks"]["omega_in_tube"]["leaves"][leaf]["box"][side][1] += 1e-9
+    assert _replays(data) is False
+
+
+def test_format_2_and_3_leaves_stripped_to_status_and_depth_replay():
+    """Replay needs only each leaf's status and depth: the committed /2 and
+    /3 files with every box and bound taken out still replay."""
+    for name in ("cap_r1.1", "wermer_r0.3"):
+        data = json.loads((Path(__file__).parent / "data" / f"{name}.cert.json").read_text())
+        tube = data["checks"]["omega_in_tube"]
+        tube["leaves"] = [{"status": leaf["status"], "depth": leaf["depth"]}
+                          for leaf in tube["leaves"]]
+        assert _replays(data), name
 
 
 def _format_3_dict():

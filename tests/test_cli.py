@@ -14,10 +14,12 @@ from pathlib import Path
 import pytest
 
 from conftest import cap_manifest
-from prc.certify import (WERMER_F, CompactSpec, certificate_to_dict, certify,
-                         dumps_json, load_manifest)
+from prc.certify import (WERMER_F, CompactSpec, certificate_from_dict, certificate_to_dict,
+                         certify, dumps_json, load_manifest, replay_certificate)
 from prc.cli import build_parser, main
 from prc.trgeom import m_value
+
+DATA = Path(__file__).parent / "data"
 
 
 def _write(tmp_path, name, obj):
@@ -598,28 +600,33 @@ def _wermer_bench_manifest(r, node_budget):
 # five and the /2 digests were re-recorded for prc-certificate/4, which drops
 # the totally_real check and the totally_real_tol tolerance: the bytes are
 # those of the /3 files with that check, that tolerance and the format string
-# taken out, so the K and tube sections did not change.
+# taken out, so the K and tube sections did not change.  All five were
+# re-recorded for prc-certificate/5, whose tube leaves are each a status and a
+# depth: the bytes are those of the /4 files with each leaf's box and bounds
+# and the format string changed, and every leaf's status and depth, the
+# reports, split scales, omega and witnesses are the /4 ones.
 GOLDEN_CERTIFICATES = [
     ("wermer_r0.3", _wermer_bench_manifest(0.3, 150_000), 0,
-     "2b629d26b2f65a66391c4b795c251ecbb5fdaf572fa78a9f9b9e28f2ddf91c21"),
+     "cd7dbd4377d3dec2b4ae8cbcdb22bee0b2be7d389d1191de92effdd2e7322be3"),
     ("wermer_r0.33", _wermer_bench_manifest(0.33, 150_000), 3,
-     "ec5e7555df9d7f9f682100396b714283614d11210a6110d6078e1ad613352956"),
+     "ec302a2c906363f913948d224aea0b723b418e59f1021dae1a2d49deb61fada2"),
     ("wermer_r0.305", _wermer_bench_manifest(0.305, 40_000), 0,
-     "4b6a07ccdf9d3227b24ccc2b86b7a9264928f51a96629d48982ac7b38ac10379"),
+     "d6abf60c53a67c32d70faea36822cec0fa3b53f166c5de8a86bd1b30ad9a5df8"),
     ("cap_r1.0", cap_manifest(1.0), 0,
-     "eb4385dc6a1220060f8da406adbff61e6157520be55cd0a1428f143845a6f922"),
+     "4fde621530477d0a10c19d3faf9d91c9f10ce8690c4858897dec37bc3e733657"),
     ("cap_r1.285", cap_manifest(1.285), 0,
-     "5ec91dce1390f42dcbf714c96f2e0bc737898f633d0e73de282e0b2ac7fe2e40"),
+     "378d7c1f8e16026540f30adb2face6feff581bfb534dc9fe44cb229fa14c802b"),
 ]
 
-# The prc-certificate/2 digests of the problems whose trees the split scale
-# leaves alone: the Wermer scales are equal in x and y, and cap 1.0 proves at
-# its root.
-FORMAT_2_DIGESTS = {
-    "wermer_r0.3": "f48c6f2d5a937073d24414408223187b1ac9df09b2115ddf13f2bcdd590a6dba",
-    "wermer_r0.305": "bce5d4d23038ee3825ea5ae6afb3e696c10b43c1f2bc42cf6dfb804e967ce293",
-    "cap_r1.0": "3de72751bbbf20e4a559b4d8a696fb0b7dbc9ee6f4d8e2b6217517435204e615",
-}
+# The problems whose trees the split scale leaves alone: the Wermer scales are
+# equal in x and y, and cap 1.0 proves at its root.  Without its split scale
+# such a certificate is bisected by unit weights, as a prc-certificate/2 file
+# was, and still replays.
+UNSCALED_TREES = ("wermer_r0.3", "wermer_r0.305", "cap_r1.0")
+
+
+def _status_depth(data):
+    return [(leaf["status"], leaf["depth"]) for leaf in data["checks"]["omega_in_tube"]["leaves"]]
 
 
 def test_certificate_bytes_match_golden_digests(tmp_path):
@@ -628,12 +635,15 @@ def test_certificate_bytes_match_golden_digests(tmp_path):
         assert main(["certify", _write(tmp_path, f"{name}.json", manifest),
                      "--out", str(out)]) == exit_code, name
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
-        if name in FORMAT_2_DIGESTS:
+        if name in UNSCALED_TREES:
             data = json.loads(out.read_text())
-            data["format"] = "prc-certificate/2"
             del data["checks"]["omega_in_tube"]["split_scale"]
-            text = dumps_json(data)
-            assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_2_DIGESTS[name]
+            assert replay_certificate(certificate_from_dict(data)), name
+    # the committed /3 file of Wermer r=0.3 records today's tree
+    fresh = json.loads((tmp_path / "wermer_r0.3.cert.json").read_text())
+    committed = json.loads((DATA / "wermer_r0.3.cert.json").read_text())
+    assert committed["format"] == "prc-certificate/3"
+    assert _status_depth(fresh) == _status_depth(committed)
 
 
 # sha256 of `prc totally-real` reports and of a certificate for a graph that
@@ -642,7 +652,9 @@ def test_certificate_bytes_match_golden_digests(tmp_path):
 # The wermer_r0.3 report was re-recorded when point values took product-chain
 # powers and sorted-order sums: 88 of its 1,681 sigma_min moved in the last
 # bit.  The certificate was re-recorded for prc-certificate/4: with no
-# totally-real tree its witness is the tube tree's, at the same point.
+# totally-real tree its witness is the tube tree's, at the same point.  It was
+# re-recorded for prc-certificate/5, whose one tube leaf keeps only its
+# status and depth.
 _TR_FAIL_GRAPH = {
     "kind": "graph", "n": 2,
     "functions": ["conj(z1) + z1*conj(z1)", "conj(z2) + 0.3*z1*conj(z2)"],
@@ -660,7 +672,7 @@ _TR_GOLDEN = [
     ("graph_not_totally_real", ["totally-real", "--grid", "9"], _TR_FAIL_GRAPH, 3,
      "44067484f0f2e63afb14147723d3d087a39480894dd906e4662f488d253591ac"),
     ("certify_totally_real_fail", ["certify"], _TR_FAIL_CERT, 3,
-     "c36ed8f10184e1a73e6ea13aeabfae6ef754564c98e8c2f3d00a0f70acc8dd4b"),
+     "2b5f5fbb166b746693e71095d08d1327b5fb94af476653148f3244f9c0531cf4"),
 ]
 
 
